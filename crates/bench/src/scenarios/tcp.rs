@@ -386,9 +386,11 @@ impl TcpScenario {
             } else if pkt.payload().is_some_and(|p| !p.is_empty()) {
                 // Data arriving at the receiver.
                 let seq = u64::from(
-                    sprayer_net::TcpHeader::parse(&pkt.bytes()[pkt.meta().l4_offset.unwrap()..])
-                        .map(|h| h.seq)
-                        .unwrap_or(0),
+                    sprayer_net::TcpHeader::parse(
+                        &pkt.bytes()[usize::from(pkt.meta().l4_offset.unwrap())..],
+                    )
+                    .map(|h| h.seq)
+                    .unwrap_or(0),
                 );
                 sched.at(deliver, Ev::DeliveredData(f, seq));
             }
@@ -397,21 +399,22 @@ impl TcpScenario {
             if flags.contains(TcpFlags::SYN) {
                 sched.at(deliver, Ev::EstablishedAt(f));
             } else {
-                let info =
-                    sprayer_net::TcpHeader::parse(&pkt.bytes()[pkt.meta().l4_offset.unwrap()..])
-                        .map(|h| {
-                            let (sack, dsack) = Self::decode_sack(&h.options, u64::from(h.ack));
-                            AckInfo {
-                                ack: u64::from(h.ack),
-                                sack,
-                                dsack,
-                            }
-                        })
-                        .unwrap_or(AckInfo {
-                            ack: 0,
-                            sack: None,
-                            dsack: None,
-                        });
+                let info = sprayer_net::TcpHeader::parse(
+                    &pkt.bytes()[usize::from(pkt.meta().l4_offset.unwrap())..],
+                )
+                .map(|h| {
+                    let (sack, dsack) = Self::decode_sack(&h.options, u64::from(h.ack));
+                    AckInfo {
+                        ack: u64::from(h.ack),
+                        sack,
+                        dsack,
+                    }
+                })
+                .unwrap_or(AckInfo {
+                    ack: 0,
+                    sack: None,
+                    dsack: None,
+                });
                 sched.at(deliver, Ev::AckAtSender(f, info));
             }
         }

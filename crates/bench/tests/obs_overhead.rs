@@ -10,15 +10,22 @@
 //!
 //! Timing a threaded run in a shared CI container is noisy, so the
 //! comparison is min-of-K (the minimum is the least noisy location
-//! estimator for a lower-bounded timing distribution) with a small
-//! absolute slack on top of the 5% relative budget.
+//! estimator for a lower-bounded timing distribution) over runs of the
+//! two sides taken in turn, one test at a time, with a small absolute
+//! slack on top of the 5% relative budget.
 
 use sprayer::config::{DispatchMode, ObsConfig};
 use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
 use sprayer_net::flow::splitmix64;
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_nf::SyntheticNf;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Each budget test times wall-clock runs of three busy threads; run
+/// side by side on a two-CPU machine they are each other's noise.
+/// Whoever holds this measures alone.
+static ALONE: Mutex<()> = Mutex::new(());
 
 fn workload(packets: u32) -> Vec<Vec<Packet>> {
     let t = FiveTuple::tcp(0x0a00_0001, 40_000, 0xc0a8_0001, 443);
@@ -37,6 +44,10 @@ fn workload(packets: u32) -> Vec<Vec<Packet>> {
 fn one_run(obs: ObsConfig, packets: u32) -> Duration {
     let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
     config.obs = obs;
+    // Closed loop: ingress waits for queue space however the scheduler
+    // treats the workers, so a queue drop is a bug, not load from the
+    // rest of the test suite.
+    config.ingress_retries = usize::MAX;
     let nf = SyntheticNf::spinning(5_000);
     let phases = workload(packets);
     let start = Instant::now();
@@ -47,15 +58,33 @@ fn one_run(obs: ObsConfig, packets: u32) -> Duration {
     elapsed
 }
 
-fn min_of(k: usize, obs: ObsConfig, packets: u32) -> Duration {
-    (0..k)
-        .map(|_| one_run(obs, packets))
-        .min()
-        .expect("k > 0 runs")
+/// What `on` may cost given `off`: 5% relative plus 3 ms absolute. The
+/// workload runs ~50-100 ms, so the absolute term only matters if a
+/// scheduler hiccup survives min-of-K on both sides.
+fn budget(off: Duration) -> Duration {
+    off.mul_f64(1.05) + Duration::from_millis(3)
+}
+
+/// Min-of-K wall times of two configurations, their runs interleaved
+/// (off, on, off, on, …) so a slow stretch of the machine lands on both
+/// sides alike. At least `k` pairs; while the minima are still over
+/// budget, up to `3 * k` — a real regression stays over budget however
+/// long one looks, a scheduler hiccup does not.
+fn min_of_each(k: usize, off: ObsConfig, on: ObsConfig, packets: u32) -> (Duration, Duration) {
+    let (mut best_off, mut best_on) = (Duration::MAX, Duration::MAX);
+    for pair in 1..=3 * k {
+        best_off = best_off.min(one_run(off, packets));
+        best_on = best_on.min(one_run(on, packets));
+        if pair >= k && best_on <= budget(best_off) {
+            break;
+        }
+    }
+    (best_off, best_on)
 }
 
 #[test]
 fn health_plane_costs_at_most_five_percent_of_the_batch_dataplane() {
+    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let packets = 20_000;
     let k = 5;
     // Interleave warmup: one throwaway pair so neither side pays
@@ -70,17 +99,13 @@ fn health_plane_costs_at_most_five_percent_of_the_batch_dataplane() {
     assert!(!plane.any(), "the budgeted plane must keep the batch path");
     let _ = one_run(plane, packets);
 
-    let off = min_of(k, ObsConfig::disabled(), packets);
-    let on = min_of(k, plane, packets);
+    let (off, on) = min_of_each(k, ObsConfig::disabled(), plane, packets);
 
-    // 5% relative plus 3 ms absolute: the workload runs ~50-100 ms, so
-    // the absolute term only matters if a scheduler hiccup survives
-    // min-of-K on both sides.
-    let budget = off.mul_f64(1.05) + Duration::from_millis(3);
     assert!(
-        on <= budget,
+        on <= budget(off),
         "health plane overhead breaks the 5% budget: off {off:?}, on {on:?} \
-         (allowed {budget:?})"
+         (allowed {:?})",
+        budget(off)
     );
 }
 
@@ -91,6 +116,7 @@ fn tail_attribution_and_flight_cost_at_most_five_percent_of_the_scalar_plane() {
     // pays for them), not the batch path. On top of that baseline,
     // the exemplar capture + attribution table + flight ring must
     // stay within the same 5% + 3 ms budget.
+    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let packets = 20_000;
     let k = 5;
     let baseline = ObsConfig::latency();
@@ -102,13 +128,12 @@ fn tail_attribution_and_flight_cost_at_most_five_percent_of_the_scalar_plane() {
     let _ = one_run(baseline, packets);
     let _ = one_run(plane, packets);
 
-    let off = min_of(k, baseline, packets);
-    let on = min_of(k, plane, packets);
+    let (off, on) = min_of_each(k, baseline, plane, packets);
 
-    let budget = off.mul_f64(1.05) + Duration::from_millis(3);
     assert!(
-        on <= budget,
+        on <= budget(off),
         "tail+flight overhead breaks the 5% budget over the scalar plane: \
-         off {off:?}, on {on:?} (allowed {budget:?})"
+         off {off:?}, on {on:?} (allowed {:?})",
+        budget(off)
     );
 }

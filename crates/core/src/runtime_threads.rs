@@ -260,8 +260,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// What flows through the receive queues and descriptor rings: the
-/// packet plus its trace identity and timestamps. The extra fields are
-/// plain copies — no clock is read unless observability is on.
+/// packet plus its trace identity and timestamps. The timestamps are
+/// stamped only when a per-packet plane or the flight recorder wants
+/// them (0 otherwise); the per-batch busy-time clock reads in
+/// `drain_rx`/`drain_ring`/`close_batch` happen regardless and never
+/// touch the descriptor.
 struct Desc {
     pkt: Packet,
     /// Classification from ingress: headers are parsed once and the
@@ -276,6 +279,10 @@ struct Desc {
     /// Redirect-push timestamp for ring-latency probes (0 until set).
     relay_ns: u64,
 }
+
+// Moved by value through every rx queue and ring: two cache lines at
+// most (ISSUE 12 sizing table, DESIGN.md "Bytes moved per packet").
+const _: () = assert!(std::mem::size_of::<Desc>() <= 128);
 
 /// Result of a threaded run.
 #[derive(Debug)]
@@ -430,7 +437,8 @@ struct Worker<'a, NF: NetworkFunction> {
     nf_drops: u64,
     ring_drops: u64,
     stats: CoreStats,
-    /// Scratch batch buffer, reused across drains.
+    /// Scratch batch buffer of the scalar (per-packet obs, armed fault)
+    /// path, reused across drains. The batch-native path never fills it.
     batch: Vec<(Desc, Option<usize>)>,
     /// This worker's trace ring (iff tracing is on).
     trace: Option<TraceRing>,
@@ -457,17 +465,25 @@ struct Worker<'a, NF: NetworkFunction> {
     failure: Option<WorkerFailure>,
     /// The injected fault fires at most once per worker.
     fault_fired: bool,
-    /// Scratch packet buffer for the batch-native NF path, reused
-    /// across drains so the hot path never allocates.
+    /// Packet buffer of the batch-native NF path: `drain_rx` and
+    /// `drain_ring` pop a batch's local packets straight into it, the NF
+    /// runs on it in place. Reused across drains so the hot path never
+    /// allocates.
     scratch_pkts: Vec<Packet>,
     /// Connection-packet bits matching `scratch_pkts` by index.
     scratch_conn: Vec<bool>,
-    /// Holding buffer for a batch's local descriptors while its
-    /// redirects are pushed. `push_redirect` re-enters `drain_ring` (and
-    /// hence `process_batch_local`) on its work-conserving retry path,
-    /// so this is taken with `mem::take` for the duration of a batch —
-    /// a nested batch sees (and restores) an empty buffer.
-    scratch_local: Vec<Desc>,
+    /// The (rare) descriptors of the batch being formed whose designated
+    /// core is elsewhere, with that core — set aside by `drain_rx` on
+    /// the batch-native path and pushed before the NF runs.
+    /// `push_redirect` re-enters `drain_ring` (and hence
+    /// `process_batch_local`) on its work-conserving retry path, so all
+    /// three staging buffers are taken with `mem::take` while the
+    /// redirects leave — a nested batch sees (and restores) empty ones.
+    redirects: Vec<(Desc, usize)>,
+    /// Redirect-push stamps of the ring batch being formed, filled only
+    /// while the flight recorder is on and consumed as soon as the batch
+    /// has its timestamp.
+    scratch_relay: Vec<u64>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`].
     sink: VerdictSink,
     /// This worker's flight-recorder ring (iff the recorder is on).
@@ -1247,7 +1263,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             fault_fired: false,
             scratch_pkts: Vec::with_capacity(shared.batch_size),
             scratch_conn: Vec::with_capacity(shared.batch_size),
-            scratch_local: Vec::with_capacity(shared.batch_size),
+            redirects: Vec::new(),
+            scratch_relay: Vec::new(),
             sink: VerdictSink::with_capacity(shared.batch_size),
             flight: shared
                 .flight
@@ -1293,7 +1310,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             )
     }
 
-    /// Nanoseconds since the run anchor. Only called when obs is on.
+    /// Nanoseconds since the run anchor. Read twice per non-empty batch
+    /// whatever the configuration (the batch's start in
+    /// `drain_rx`/`drain_ring`, its end in `close_batch`: that pair is
+    /// [`CoreStats::busy_cycles`]); every other caller is gated on an
+    /// observability plane, the lifecycle clock or a fault path.
     fn now_ns(&self) -> u64 {
         self.shared.anchor.elapsed().as_nanos() as u64
     }
@@ -1946,30 +1967,39 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         !self.shared.obs.any() && !self.panic_armed()
     }
 
-    /// The batch-native local path: redirects leave the batch first
-    /// (same descriptors, same ring accounting as the scalar path),
-    /// then the NF sees the remaining packets as one
-    /// [`NetworkFunction::handle_batch`] call.
+    /// Stage one descriptor this worker will process itself for the
+    /// batch-native NF call: the packet and its connection bit are all
+    /// that path reads.
+    #[inline]
+    fn stage_local(&mut self, desc: Desc) {
+        self.scratch_conn.push(desc.class.is_conn);
+        self.scratch_pkts.push(desc.pkt);
+    }
+
+    /// The batch-native local path, over the batch `drain_rx` or
+    /// `drain_ring` just staged: redirects leave first (same
+    /// descriptors, same ring accounting as the scalar path), then the
+    /// NF sees the local packets as one
+    /// [`NetworkFunction::handle_batch`] call, in the buffer they were
+    /// popped into.
     ///
     /// A mid-batch panic is accounted through the verdict cursor: the
     /// NF completed exactly `sink.len()` packets, which keep their
     /// verdicts; the in-flight packet and the never-started rest die
     /// with the worker (their redirect registrations were all released
     /// up front, so only the loss count remains to settle).
-    fn process_batch_local(&mut self, batch: &mut Vec<(Desc, Option<usize>)>) {
-        debug_assert!(self.scratch_pkts.is_empty());
-        debug_assert!(self.scratch_conn.is_empty());
+    fn process_batch_local(&mut self) {
+        debug_assert_eq!(self.scratch_pkts.len(), self.scratch_conn.len());
         if self.failure.is_some() {
             // Already dead (an earlier nested batch panicked the NF):
             // never run the NF again. The whole claimed batch is lost,
             // and its never-to-be-pushed redirect registrations are
             // released, exactly like the scalar path's died handling.
-            let mut rest = 0u64;
-            let mut unpushed_redirects = 0u64;
-            for (_, target) in batch.drain(..) {
-                rest += 1;
-                unpushed_redirects += u64::from(target.is_some());
-            }
+            let unpushed_redirects = self.redirects.len() as u64;
+            let rest = self.scratch_pkts.len() as u64 + unpushed_redirects;
+            self.scratch_pkts.clear();
+            self.scratch_conn.clear();
+            self.redirects.clear();
             self.shared.lost.fetch_add(rest, Ordering::SeqCst);
             if unpushed_redirects > 0 {
                 self.shared
@@ -1978,24 +2008,24 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             }
             return;
         }
-        // Phase 1 — every redirect leaves before any local packet is
-        // staged. `push_redirect`'s work-conserving retry re-enters
-        // `drain_ring`, which runs a whole nested batch through this
-        // function: the scratch buffers must not hold half a batch when
-        // that happens. Local descriptors wait in `scratch_local`,
-        // `mem::take`n so the nested call sees an empty buffer.
-        let mut local = std::mem::take(&mut self.scratch_local);
-        debug_assert!(local.is_empty());
+        // Every redirect leaves before the NF runs. `push_redirect`'s
+        // work-conserving retry re-enters `drain_ring`, which stages and
+        // runs a whole nested batch through this function: the staging
+        // buffers must not hold this batch when that happens, so they
+        // are `mem::take`n and the nested call sees empty ones.
+        let pkts = std::mem::take(&mut self.scratch_pkts);
+        let conn = std::mem::take(&mut self.scratch_conn);
+        let mut redirects = std::mem::take(&mut self.redirects);
         let r0 = self.prof_start();
-        for (desc, target) in batch.drain(..) {
-            match target {
-                Some(core) => self.push_redirect(core, desc),
-                None => local.push(desc),
-            }
+        for (desc, core) in redirects.drain(..) {
+            self.push_redirect(core, desc);
         }
         // Nested drains inside `push_redirect` advanced the profiling
         // watermark, so this span charges only the pushes themselves.
         self.prof_span(Stage::Redirect, r0);
+        self.redirects = redirects;
+        self.scratch_pkts = pkts;
+        self.scratch_conn = conn;
         if self.failure.is_some() {
             // A nested batch's NF panicked mid-redirect-phase: this
             // worker is already declared dead, so the packets it still
@@ -2004,17 +2034,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             // remains to settle.
             self.shared
                 .lost
-                .fetch_add(local.len() as u64, Ordering::SeqCst);
-            local.clear();
-            self.scratch_local = local;
+                .fetch_add(self.scratch_pkts.len() as u64, Ordering::SeqCst);
+            self.scratch_pkts.clear();
+            self.scratch_conn.clear();
             return;
         }
-        // Phase 2 — the surviving locals become one NF call.
-        for desc in local.drain(..) {
-            self.scratch_conn.push(desc.class.is_conn);
-            self.scratch_pkts.push(desc.pkt);
-        }
-        self.scratch_local = local;
         if self.scratch_pkts.is_empty() {
             return;
         }
@@ -2067,15 +2091,28 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let ring = &self.shared.rings[self.id];
         let depth = ring.len() as u64;
         self.stats.observe_ring_depth(depth);
-        debug_assert!(self.batch.is_empty());
+        debug_assert!(self.batch.is_empty() && self.scratch_pkts.is_empty());
+        let batch_nf = self.use_batch_nf();
+        let keep_relay_stamps = self.flight.is_some();
         let c0 = self.prof_start();
-        while self.batch.len() < self.shared.batch_size {
-            match ring.pop() {
-                Some(pkt) => self.batch.push((pkt, None)),
-                None => break,
+        let mut n = 0u64;
+        while n < self.shared.batch_size as u64 {
+            let Some(desc) = ring.pop() else {
+                break;
+            };
+            n += 1;
+            if keep_relay_stamps {
+                self.scratch_relay.push(desc.relay_ns);
+            }
+            // Every ring descriptor is local by construction (it was
+            // redirected *to* us), so on the batch-native path the whole
+            // batch is staged for one NF call as it is popped.
+            if batch_nf {
+                self.stage_local(desc);
+            } else {
+                self.batch.push((desc, None));
             }
         }
-        let n = self.batch.len() as u64;
         if n == 0 {
             return false;
         }
@@ -2094,10 +2131,12 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             // One transfer-latency event per redirected descriptor,
             // measured push → this drain (`relay_ns` is stamped on the
             // redirect path whenever the recorder is on).
-            for i in 0..self.batch.len() {
-                let transfer = sample_start.saturating_sub(self.batch[i].0.relay_ns);
+            let mut stamps = std::mem::take(&mut self.scratch_relay);
+            for relay_ns in stamps.drain(..) {
+                let transfer = sample_start.saturating_sub(relay_ns);
                 self.record_flight(sample_start, FlightKind::RedirectIn, transfer, 0);
             }
+            self.scratch_relay = stamps;
         }
         let batch_ns = if self.shared.obs.any() {
             self.now_ns()
@@ -2113,10 +2152,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             n,
         );
         let mut batch = std::mem::take(&mut self.batch);
-        if self.use_batch_nf() {
-            // Every ring descriptor is local by construction (it was
-            // redirected *to* us), so the whole batch is one NF call.
-            self.process_batch_local(&mut batch);
+        if batch_nf {
+            self.process_batch_local();
         } else {
             let mut it = batch.drain(..);
             let mut died = false;
@@ -2162,24 +2199,30 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let rx = &self.shared.rx[self.id];
         let depth = rx.len() as u64;
         self.stats.observe_rx_depth(depth);
-        debug_assert!(self.batch.is_empty());
+        debug_assert!(self.batch.is_empty() && self.scratch_pkts.is_empty());
+        let batch_nf = self.use_batch_nf();
         let c0 = self.prof_start();
+        let mut n = 0u64;
         let mut redirects = 0u64;
-        while self.batch.len() < self.shared.batch_size {
-            match rx.pop() {
-                Some(desc) => {
-                    // Core picker (§3.3): the engine's redirect decision
-                    // over the ingress classification — connection
-                    // packets whose designated core is elsewhere are
-                    // transferred, not processed.
-                    let target = Engine::redirect_target(self, &desc.class, self.id);
-                    redirects += u64::from(target.is_some());
-                    self.batch.push((desc, target));
-                }
-                None => break,
+        while n < self.shared.batch_size as u64 {
+            let Some(desc) = rx.pop() else {
+                break;
+            };
+            n += 1;
+            // Core picker (§3.3): the engine's redirect decision over
+            // the ingress classification — connection packets whose
+            // designated core is elsewhere are transferred, not
+            // processed.
+            let target = Engine::redirect_target(self, &desc.class, self.id);
+            redirects += u64::from(target.is_some());
+            // The batch-native path stages as it pops: locals go
+            // straight into the buffer the NF runs on, redirects aside.
+            match (batch_nf, target) {
+                (true, None) => self.stage_local(desc),
+                (true, Some(core)) => self.redirects.push((desc, core)),
+                (false, _) => self.batch.push((desc, target)),
             }
         }
-        let n = self.batch.len() as u64;
         if n == 0 {
             return false;
         }
@@ -2212,8 +2255,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             );
         }
         let mut batch = std::mem::take(&mut self.batch);
-        if self.use_batch_nf() {
-            self.process_batch_local(&mut batch);
+        if batch_nf {
+            self.process_batch_local();
         } else {
             let mut it = batch.drain(..);
             let mut died = false;
@@ -2617,11 +2660,21 @@ mod tests {
                 ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(24), filler_phase(30_000)]);
             let s = &out.stats;
             assert!(s.lifecycle_enabled, "{mode:?}");
+            // Under SCR every one of the 4 cores holds (and counts) a
+            // replica of each entry.
+            let copies = if mode == DispatchMode::Scr { 4 } else { 1 };
+            assert_eq!(s.flows_created, 24 * copies, "{mode:?}: {s:?}");
             assert_eq!(s.idle_expired, 24, "{mode:?}: every flow idles out: {s:?}");
             assert_eq!(s.table_live, 0, "{mode:?}: tables must drain: {s:?}");
             assert_eq!(nf.idle.load(Ordering::SeqCst), 24, "{mode:?}");
             assert_eq!(nf.lru.load(Ordering::SeqCst), 0, "{mode:?}");
-            assert!(s.table_occupancy_hwm >= 24, "{mode:?}: {s:?}");
+            // How many of the 24 are live at once depends on the
+            // schedule: with a 200 µs timeout a loaded machine idles the
+            // first flows out before the last SYN lands.
+            assert!(
+                (1..=24 * copies).contains(&s.table_occupancy_hwm),
+                "{mode:?}: {s:?}"
+            );
             assert_eq!(s.flow_unaccounted(), 0, "{mode:?}: {s:?}");
             assert_eq!(s.unaccounted(), 0, "{mode:?}");
             assert_eq!(s.scr_replay_gap(), 0, "{mode:?}");

@@ -53,16 +53,26 @@ pub struct EthernetHeader {
     pub ethertype: EtherType,
 }
 
+/// Check that `buf` starts with a well-formed Ethernet II header and
+/// return its EtherType — the one statement of the header's validity
+/// rules, shared by [`EthernetHeader::parse`] and
+/// [`crate::Packet::parse`].
+#[inline]
+pub fn validate(buf: &[u8]) -> Result<EtherType> {
+    check_len(buf, ETHERNET_HEADER_LEN)?;
+    let ethertype = be16(buf, 12);
+    if ethertype < 0x0600 {
+        // 802.3 length field rather than an EtherType; the paper's
+        // middlebox only sees Ethernet II traffic.
+        return Err(NetError::Unsupported);
+    }
+    Ok(EtherType::from_u16(ethertype))
+}
+
 impl EthernetHeader {
     /// Parse a header from the start of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        check_len(buf, ETHERNET_HEADER_LEN)?;
-        let ethertype = be16(buf, 12);
-        if ethertype < 0x0600 {
-            // 802.3 length field rather than an EtherType; the paper's
-            // middlebox only sees Ethernet II traffic.
-            return Err(NetError::Unsupported);
-        }
+        let ethertype = validate(buf)?;
         let mut dst = [0u8; 6];
         dst.copy_from_slice(&buf[0..6]);
         let mut src = [0u8; 6];
@@ -70,7 +80,7 @@ impl EthernetHeader {
         Ok(EthernetHeader {
             dst: MacAddr(dst),
             src: MacAddr(src),
-            ethertype: EtherType::from_u16(ethertype),
+            ethertype,
         })
     }
 

@@ -17,6 +17,62 @@ pub mod proto {
     pub const ICMP: u8 = 1;
 }
 
+/// What [`validate`] proved about a header, plus the fields frame
+/// classification reads: enough for [`crate::Packet::parse`] to find the
+/// transport header and build a five-tuple without an [`Ipv4Header`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValidIpv4 {
+    /// Header length in bytes including options (20..=60, a multiple
+    /// of 4, and no longer than the buffer).
+    pub header_len: u8,
+    /// Total length of the datagram; at least `header_len`.
+    pub total_len: u16,
+    /// Payload protocol number (see [`proto`]).
+    pub protocol: u8,
+    /// Source address.
+    pub src: u32,
+    /// Destination address.
+    pub dst: u32,
+    /// More-fragments set or a non-zero fragment offset: the payload is
+    /// not (the start of) a whole transport segment.
+    pub is_fragment: bool,
+}
+
+/// Check that `buf` starts with a well-formed IPv4 header (version,
+/// IHL, header checksum, `total_len`) — the one statement of the
+/// header's validity rules, shared by [`Ipv4Header::parse`] and
+/// [`crate::Packet::parse`].
+#[inline]
+pub fn validate(buf: &[u8]) -> Result<ValidIpv4> {
+    check_len(buf, IPV4_HEADER_LEN)?;
+    let version = buf[0] >> 4;
+    if version != 4 {
+        return Err(NetError::BadVersion(version));
+    }
+    // A 4-bit word count: at most 60 bytes.
+    let header_len = (buf[0] & 0x0f) * 4;
+    let ihl = usize::from(header_len);
+    if ihl < IPV4_HEADER_LEN {
+        return Err(NetError::BadLength);
+    }
+    check_len(buf, ihl)?;
+    if internet_checksum(&buf[..ihl]) != 0 {
+        return Err(NetError::BadChecksum);
+    }
+    let total_len = be16(buf, 2);
+    if usize::from(total_len) < ihl {
+        return Err(NetError::BadLength);
+    }
+    Ok(ValidIpv4 {
+        header_len,
+        total_len,
+        protocol: buf[9],
+        src: be32(buf, 12),
+        dst: be32(buf, 16),
+        is_fragment: be16(buf, 6) & 0x3fff != 0,
+    })
+}
+
 /// A parsed IPv4 header (options preserved as raw bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Ipv4Header {
@@ -77,37 +133,21 @@ impl Ipv4Header {
 
     /// Parse a header from the start of `buf`, verifying the checksum.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        check_len(buf, IPV4_HEADER_LEN)?;
-        let version = buf[0] >> 4;
-        if version != 4 {
-            return Err(NetError::BadVersion(version));
-        }
-        let ihl = usize::from(buf[0] & 0x0f) * 4;
-        if !(IPV4_HEADER_LEN..=60).contains(&ihl) {
-            return Err(NetError::BadLength);
-        }
-        check_len(buf, ihl)?;
-        if internet_checksum(&buf[..ihl]) != 0 {
-            return Err(NetError::BadChecksum);
-        }
-        let total_len = be16(buf, 2);
-        if usize::from(total_len) < ihl {
-            return Err(NetError::BadLength);
-        }
+        let valid = validate(buf)?;
         let flags_frag = be16(buf, 6);
         Ok(Ipv4Header {
             dscp_ecn: buf[1],
-            total_len,
+            total_len: valid.total_len,
             identification: be16(buf, 4),
             dont_fragment: flags_frag & 0x4000 != 0,
             more_fragments: flags_frag & 0x2000 != 0,
             fragment_offset: flags_frag & 0x1fff,
             ttl: buf[8],
-            protocol: buf[9],
+            protocol: valid.protocol,
             checksum: be16(buf, 10),
-            src: be32(buf, 12),
-            dst: be32(buf, 16),
-            options: buf[IPV4_HEADER_LEN..ihl].to_vec(),
+            src: valid.src,
+            dst: valid.dst,
+            options: buf[IPV4_HEADER_LEN..usize::from(valid.header_len)].to_vec(),
         })
     }
 

@@ -7,12 +7,12 @@
 //! re-parse.
 
 use crate::checksum::{incremental_update16, incremental_update32};
-use crate::ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
+use crate::ethernet::{self, EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
 use crate::flow::{FiveTuple, Protocol};
-use crate::ipv4::{proto, Ipv4Header};
+use crate::ipv4::{self, proto, Ipv4Header};
 use crate::mac::MacAddr;
-use crate::tcp::{TcpFlags, TcpHeader};
-use crate::udp::UdpHeader;
+use crate::tcp::{self, TcpFlags, TcpHeader};
+use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use crate::{be16, put16, put32, NetError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +22,11 @@ pub const MIN_FRAME_LEN: usize = 60;
 pub const MTU: usize = 1500;
 
 /// Parsed summary of a frame, extracted once.
+///
+/// Offsets and lengths are `u16`: headers end within 14 + 60 + 60 bytes
+/// of the frame start and the transport payload is bounded by the IPv4
+/// `total_len`, itself a `u16` — so the narrow fields cannot truncate,
+/// whatever the frame length. The frame length is [`Packet::len`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketMeta {
     /// EtherType of the L3 payload.
@@ -34,16 +39,14 @@ pub struct PacketMeta {
     /// spraying rule matches on.
     pub tcp_checksum: Option<u16>,
     /// Byte offset of the IP header.
-    pub l3_offset: usize,
+    pub l3_offset: u16,
     /// Byte offset of the transport header, if IPv4.
-    pub l4_offset: Option<usize>,
+    pub l4_offset: Option<u16>,
     /// Byte offset of the transport payload, if TCP/UDP.
-    pub payload_offset: Option<usize>,
+    pub payload_offset: Option<u16>,
     /// Transport payload length in bytes, if TCP/UDP — bounded by the IP
     /// total length, so Ethernet minimum-frame padding is excluded.
-    pub payload_len: Option<usize>,
-    /// Full frame length in bytes.
-    pub frame_len: usize,
+    pub payload_len: Option<u16>,
 }
 
 impl PacketMeta {
@@ -66,67 +69,71 @@ pub struct Packet {
     meta: PacketMeta,
 }
 
+// The handle every queue, ring and scratch buffer moves by value: one
+// cache line (ISSUE 12 sizing table, DESIGN.md "Bytes moved per packet").
+const _: () = assert!(core::mem::size_of::<Packet>() <= 64);
+
+/// `ETHERNET_HEADER_LEN` as the `u16` the metadata offsets are kept in.
+const L3_OFFSET: u16 = ETHERNET_HEADER_LEN as u16;
+
 impl Packet {
     /// Parse a frame from owned bytes. Non-IP or fragmented payloads still
     /// parse (middleboxes must pass them through); their `tuple` is `None`.
+    ///
+    /// Builds no header structs: each layer's `validate` checks the header
+    /// in place and hands back the few fields the summary keeps.
     pub fn parse(data: Vec<u8>) -> Result<Self> {
-        let eth = EthernetHeader::parse(&data)?;
+        let ethertype = ethernet::validate(&data)?;
         let mut meta = PacketMeta {
-            ethertype: eth.ethertype,
+            ethertype,
             tuple: None,
             tcp_flags: None,
             tcp_checksum: None,
-            l3_offset: ETHERNET_HEADER_LEN,
+            l3_offset: L3_OFFSET,
             l4_offset: None,
             payload_offset: None,
             payload_len: None,
-            frame_len: data.len(),
         };
-        if eth.ethertype == EtherType::Ipv4 {
-            let ip = Ipv4Header::parse(&data[ETHERNET_HEADER_LEN..])?;
-            let l4_offset = ETHERNET_HEADER_LEN + ip.header_len();
+        if ethertype == EtherType::Ipv4 {
+            let ip = ipv4::validate(&data[ETHERNET_HEADER_LEN..])?;
+            let l4_offset = L3_OFFSET + u16::from(ip.header_len);
             meta.l4_offset = Some(l4_offset);
-            let is_fragment = ip.fragment_offset != 0 || ip.more_fragments;
-            if !is_fragment {
-                match ip.protocol {
-                    proto::TCP => {
-                        let tcp = TcpHeader::parse(&data[l4_offset..])?;
-                        meta.tuple = Some(FiveTuple {
-                            src_addr: ip.src,
-                            dst_addr: ip.dst,
-                            src_port: tcp.src_port,
-                            dst_port: tcp.dst_port,
-                            protocol: Protocol::Tcp,
-                        });
-                        meta.tcp_flags = Some(tcp.flags);
-                        meta.tcp_checksum = Some(tcp.checksum);
-                        let off = l4_offset + tcp.header_len();
-                        meta.payload_offset = Some(off);
-                        meta.payload_len = Some(
-                            (ETHERNET_HEADER_LEN + usize::from(ip.total_len))
-                                .saturating_sub(off)
-                                .min(data.len().saturating_sub(off)),
-                        );
-                    }
-                    proto::UDP => {
-                        let udp = UdpHeader::parse(&data[l4_offset..])?;
-                        meta.tuple = Some(FiveTuple {
-                            src_addr: ip.src,
-                            dst_addr: ip.dst,
-                            src_port: udp.src_port,
-                            dst_port: udp.dst_port,
-                            protocol: Protocol::Udp,
-                        });
-                        let off = l4_offset + crate::udp::UDP_HEADER_LEN;
-                        meta.payload_offset = Some(off);
-                        meta.payload_len = Some(
-                            (ETHERNET_HEADER_LEN + usize::from(ip.total_len))
-                                .saturating_sub(off)
-                                .min(data.len().saturating_sub(off)),
-                        );
-                    }
-                    _ => {}
+            let l4 = &data[usize::from(l4_offset)..];
+            // (protocol, ports, transport header length). Fragments are
+            // never classified by ports, so their payload is not looked at.
+            let transport = match ip.protocol {
+                _ if ip.is_fragment => None,
+                proto::TCP => {
+                    let tcp = tcp::validate(l4)?;
+                    meta.tcp_flags = Some(tcp.flags);
+                    meta.tcp_checksum = Some(tcp.checksum);
+                    Some((Protocol::Tcp, tcp.src_port, tcp.dst_port, tcp.header_len))
                 }
+                proto::UDP => {
+                    let udp = UdpHeader::parse(l4)?;
+                    Some((
+                        Protocol::Udp,
+                        udp.src_port,
+                        udp.dst_port,
+                        UDP_HEADER_LEN as u8,
+                    ))
+                }
+                _ => None,
+            };
+            if let Some((protocol, src_port, dst_port, header_len)) = transport {
+                meta.tuple = Some(FiveTuple {
+                    src_addr: ip.src,
+                    dst_addr: ip.dst,
+                    src_port,
+                    dst_port,
+                    protocol,
+                });
+                let off = l4_offset + u16::from(header_len);
+                meta.payload_offset = Some(off);
+                // What the datagram claims, cut to what the frame holds.
+                let by_ip = ip.total_len.saturating_sub(off - L3_OFFSET);
+                let by_frame = data.len().saturating_sub(usize::from(off));
+                meta.payload_len = Some(u16::try_from(by_frame).map_or(by_ip, |f| f.min(by_ip)));
             }
         }
         Ok(Packet { data, meta })
@@ -161,7 +168,10 @@ impl Packet {
     /// minimum-frame padding (bounded by the IP total length).
     pub fn payload(&self) -> Option<&[u8]> {
         match (self.meta.payload_offset, self.meta.payload_len) {
-            (Some(o), Some(len)) => Some(&self.data[o..o + len]),
+            (Some(o), Some(len)) => {
+                let o = usize::from(o);
+                Some(&self.data[o..o + usize::from(len)])
+            }
             _ => None,
         }
     }
@@ -189,8 +199,8 @@ impl Packet {
 
     fn rewrite_endpoint(&mut self, addr: u32, port: u16, src: bool) -> Result<()> {
         let tuple = self.meta.tuple.ok_or(NetError::Unsupported)?;
-        let l3 = self.meta.l3_offset;
-        let l4 = self.meta.l4_offset.ok_or(NetError::Unsupported)?;
+        let l3 = usize::from(self.meta.l3_offset);
+        let l4 = usize::from(self.meta.l4_offset.ok_or(NetError::Unsupported)?);
 
         let (old_addr, old_port, addr_off, port_off) = if src {
             (tuple.src_addr, tuple.src_port, l3 + 12, l4)
@@ -250,7 +260,7 @@ impl Packet {
         if self.meta.ethertype != EtherType::Ipv4 {
             return Err(NetError::Unsupported);
         }
-        let l3 = self.meta.l3_offset;
+        let l3 = usize::from(self.meta.l3_offset);
         let ttl = self.data[l3 + 8];
         if ttl == 0 {
             return Err(NetError::BadLength);
@@ -369,7 +379,7 @@ impl PacketBuilder {
     /// Build a UDP/IPv4 frame.
     pub fn udp(&self, tuple: FiveTuple, payload: &[u8]) -> Packet {
         assert_eq!(tuple.protocol, Protocol::Udp, "tuple must be UDP");
-        let udp_len = crate::udp::UDP_HEADER_LEN + payload.len();
+        let udp_len = UDP_HEADER_LEN + payload.len();
         let mut ip = Ipv4Header::simple(tuple.src_addr, tuple.dst_addr, proto::UDP, udp_len as u16);
         ip.ttl = self.ttl;
         let frame_len = ETHERNET_HEADER_LEN + ip.header_len() + udp_len;
@@ -390,7 +400,7 @@ impl PacketBuilder {
         let pseudo = ip.pseudo_header();
         udp.emit(&mut data[l4..], pseudo, payload)
             .expect("buffer sized above");
-        data[l4 + crate::udp::UDP_HEADER_LEN..l4 + udp_len].copy_from_slice(payload);
+        data[l4 + UDP_HEADER_LEN..l4 + udp_len].copy_from_slice(payload);
 
         Packet::parse(data).expect("builder emits well-formed frames")
     }
@@ -406,7 +416,7 @@ mod tests {
     }
 
     fn verify_tcp_checksum(p: &Packet) -> bool {
-        let l3 = p.meta().l3_offset;
+        let l3 = usize::from(p.meta().l3_offset);
         let ip = Ipv4Header::parse(&p.bytes()[l3..]).unwrap();
         let l4 = l3 + ip.header_len();
         let seg_len = ip.total_len as usize - ip.header_len();
@@ -488,7 +498,7 @@ mod tests {
         let t = FiveTuple::udp(0x0a000001, 5000, 0x0a000002, 53);
         let mut p = PacketBuilder::new().udp(t, b"abcd");
         p.rewrite_src(0x0b000001, 5001).unwrap();
-        let l3 = p.meta().l3_offset;
+        let l3 = usize::from(p.meta().l3_offset);
         let ip = Ipv4Header::parse(&p.bytes()[l3..]).unwrap();
         let l4 = l3 + ip.header_len();
         let seg_len = ip.total_len as usize - ip.header_len();
@@ -505,7 +515,10 @@ mod tests {
         assert_eq!(p.decrement_ttl().unwrap(), 16);
         // Re-parse verifies the IP checksum.
         let reparsed = Packet::parse(p.bytes().to_vec()).unwrap();
-        assert_eq!(reparsed.bytes()[reparsed.meta().l3_offset + 8], 16);
+        assert_eq!(
+            reparsed.bytes()[usize::from(reparsed.meta().l3_offset) + 8],
+            16
+        );
     }
 
     #[test]

@@ -86,6 +86,47 @@ impl core::fmt::Display for TcpFlags {
     }
 }
 
+/// What [`validate`] proved about a header, plus the fields frame
+/// classification reads: enough for [`crate::Packet::parse`] to build a
+/// five-tuple and find the payload without a [`TcpHeader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValidTcp {
+    /// Header length in bytes including options (20..=60, a multiple
+    /// of 4, and no longer than the buffer).
+    pub header_len: u8,
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Flag bits.
+    pub flags: TcpFlags,
+    /// Checksum as found on the wire (recorded, not verified).
+    pub checksum: u16,
+}
+
+/// Check that `buf` starts with a well-formed TCP header (fixed part
+/// present, data offset in range and inside the buffer) — the one
+/// statement of the header's validity rules, shared by
+/// [`TcpHeader::parse`] and [`crate::Packet::parse`].
+#[inline]
+pub fn validate(buf: &[u8]) -> Result<ValidTcp> {
+    check_len(buf, TCP_HEADER_LEN)?;
+    // A 4-bit word count: at most 60 bytes.
+    let header_len = (buf[12] >> 4) * 4;
+    let data_offset = usize::from(header_len);
+    if data_offset < TCP_HEADER_LEN {
+        return Err(NetError::BadLength);
+    }
+    check_len(buf, data_offset)?;
+    Ok(ValidTcp {
+        header_len,
+        src_port: be16(buf, 0),
+        dst_port: be16(buf, 2),
+        flags: TcpFlags(buf[13] & 0x3f),
+        checksum: be16(buf, 16),
+    })
+}
+
 /// A parsed TCP header (options preserved as raw bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TcpHeader {
@@ -133,22 +174,17 @@ impl TcpHeader {
     /// Parse from the start of `buf`. Checksum is *recorded*, not verified
     /// (verification needs the IP pseudo-header; see [`TcpHeader::verify_checksum`]).
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        check_len(buf, TCP_HEADER_LEN)?;
-        let data_offset = usize::from(buf[12] >> 4) * 4;
-        if !(TCP_HEADER_LEN..=60).contains(&data_offset) {
-            return Err(NetError::BadLength);
-        }
-        check_len(buf, data_offset)?;
+        let valid = validate(buf)?;
         Ok(TcpHeader {
-            src_port: be16(buf, 0),
-            dst_port: be16(buf, 2),
+            src_port: valid.src_port,
+            dst_port: valid.dst_port,
             seq: be32(buf, 4),
             ack: be32(buf, 8),
-            flags: TcpFlags(buf[13] & 0x3f),
+            flags: valid.flags,
             window: be16(buf, 14),
-            checksum: be16(buf, 16),
+            checksum: valid.checksum,
             urgent: be16(buf, 18),
-            options: buf[TCP_HEADER_LEN..data_offset].to_vec(),
+            options: buf[TCP_HEADER_LEN..usize::from(valid.header_len)].to_vec(),
         })
     }
 

@@ -775,7 +775,7 @@ mod tests {
         h.run(&mut data);
         // Reparsing verifies the IP checksum; verify TCP via pseudo-header.
         let reparsed = Packet::parse(data.bytes().to_vec()).unwrap();
-        let l3 = reparsed.meta().l3_offset;
+        let l3 = usize::from(reparsed.meta().l3_offset);
         let ip = sprayer_net::Ipv4Header::parse(&reparsed.bytes()[l3..]).unwrap();
         let l4 = l3 + ip.header_len();
         let seg = ip.total_len as usize - ip.header_len();

@@ -80,7 +80,7 @@ impl Nat64Nf {
     /// Translate a v4 TCP packet into a fresh v6 frame.
     fn translate(&self, pkt: &Packet, binding: &Binding) -> Option<Packet> {
         let tuple = pkt.tuple()?;
-        let l4 = pkt.meta().l4_offset?;
+        let l4 = usize::from(pkt.meta().l4_offset?);
         let tcp = TcpHeader::parse(&pkt.bytes()[l4..]).ok()?;
         let payload = pkt.payload()?;
 

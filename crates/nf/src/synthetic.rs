@@ -223,7 +223,7 @@ mod tests {
             nf.connection_packets(&mut syn, &mut tables.ctx(core)),
             Verdict::Forward
         );
-        let l3 = syn.meta().l3_offset;
+        let l3 = usize::from(syn.meta().l3_offset);
         assert_eq!(syn.bytes()[l3 + 8], 63, "TTL decremented");
 
         let mut data = PacketBuilder::new()

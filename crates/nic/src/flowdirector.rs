@@ -104,7 +104,7 @@ impl FdirFilter {
             let Some(l4) = packet.meta().l4_offset else {
                 return false;
             };
-            let off = l4 + flex.offset;
+            let off = usize::from(l4) + flex.offset;
             let bytes = packet.bytes();
             if off + 2 > bytes.len() {
                 return false;
