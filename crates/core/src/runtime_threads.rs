@@ -1,25 +1,32 @@
 //! A real-thread Sprayer runtime.
 //!
 //! Functionally equivalent to [`crate::runtime_sim`] but executing on
-//! OS threads: one worker per simulated core, **bounded** crossbeam
-//! `ArrayQueue`s as the NIC rx queues and inter-core descriptor rings,
-//! and [`crate::tables::SharedTables`] as the write-partitioned flow
-//! state.
+//! OS threads: one worker per simulated core, **bounded** lock-free
+//! `ArrayQueue`s (`vendor/crossbeam`: one CAS per push and per pop, no
+//! lock) as the NIC rx queues and inter-core descriptor rings, and
+//! [`crate::tables::SharedTables`] as the write-partitioned flow state.
 //!
 //! This runtime exists to validate the *concurrency design* — that the
 //! write partition, ring protocol, and shutdown logic are sound under
 //! true parallel execution (including on machines with few physical
-//! cores, where the scheduler interleaves adversarially). Performance
-//! numbers come from the deterministic simulator, whose cycle model is
-//! calibrated to the paper's hardware rather than to this host.
+//! cores, where the scheduler interleaves adversarially). The paper's
+//! figures (Mpps, Gbps, latency) come from the deterministic simulator,
+//! whose cycle model is calibrated to the paper's hardware rather than
+//! to this host; what a packet costs *this code* in host nanoseconds is
+//! measured on this runtime, by `perf/` (workloads `steady` and
+//! `churn`).
 //!
 //! ## Batched, bounded dataplane
 //!
 //! Mirroring the paper's DPDK-style fast path (§3.3) and the simulator's
 //! queue model, workers drain their queues in bounded batches
 //! ([`ThreadedConfig::batch_size`], default 32) rather than one packet at
-//! a time, and the shutdown-protocol counters are updated **per batch**
-//! — one atomic RMW per drain instead of one per packet. Every queue is
+//! a time, and release their shutdown-protocol claims **per batch** —
+//! one atomic RMW per drain. Ingress is the exception: it claims
+//! `rx_remaining` with one SeqCst `fetch_add` per packet, before the
+//! push. Claiming once per 32-packet burst instead was measured on the
+//! lock-free ring and bought nothing (DESIGN.md, "What the ring is
+//! worth"), so the simpler per-packet claim stays. Every queue is
 //! bounded: receive-queue overflow is an accounted
 //! [`MiddleboxStats::queue_drops`] event and ring overflow an accounted
 //! [`MiddleboxStats::ring_drops`] event, never unbounded growth. Redirect
@@ -3229,27 +3236,26 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stalled_worker_is_fenced_by_the_watchdog() {
-        // Worker 0 goes silent for 400 ms with a 25 ms detection
-        // deadline: the watchdog must declare it dead, drain its backlog
-        // as accounted losses (so worker 1 can shut down), and record a
-        // structured failure. The sleeper wakes fenced and exits through
-        // the zombie path without double-counting anything.
+    /// Worker 0 goes silent with a detection deadline shorter than the
+    /// stall: the watchdog must declare it dead, drain its backlog as
+    /// accounted losses (so worker 1 can shut down), and record a
+    /// structured failure. The sleeper wakes fenced and exits through
+    /// the zombie path without double-counting anything.
+    fn assert_stalled_worker_is_fenced(mode: DispatchMode, stall_ns: u64, deadline_ns: u64) {
         let nf = TrackerNf;
-        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        let mut config = ThreadedConfig::new(mode, 2);
         config.fault = Some(ThreadedFault::Stall {
             core: 0,
             after: 32,
-            duration_ns: 400_000_000,
+            duration_ns: stall_ns,
         });
-        config.watchdog_deadline_ns = Some(25_000_000);
+        config.watchdog_deadline_ns = Some(deadline_ns);
         config.ingress_retries = 8;
         let mut pkts = syn_phase(16);
         pkts.extend(data_phase(16, 50));
         let total = pkts.len() as u64;
         let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert_eq!(out.failures.len(), 1, "{mode:?}: {:?}", out.failures);
         assert_eq!(out.failures[0].core, 0);
         assert!(
             out.failures[0].message.contains("watchdog"),
@@ -3260,9 +3266,29 @@ mod tests {
         assert_eq!(s.offered, total);
         assert!(
             s.lost_packets > 0,
-            "the fenced core's backlog must be counted: {s:?}"
+            "{mode:?}: the fenced core's backlog must be counted: {s:?}"
         );
-        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        assert_eq!(s.unaccounted(), 0, "{mode:?}: {s:?}");
+        assert_eq!(s.scr_replay_gap(), 0, "{mode:?}: {s:?}");
+    }
+
+    #[test]
+    fn stalled_worker_is_fenced_by_the_watchdog() {
+        assert_stalled_worker_is_fenced(DispatchMode::Sprayer, 400_000_000, 25_000_000);
+    }
+
+    #[test]
+    fn watchdog_and_zombie_drain_pop_each_descriptor_once() {
+        // The one place two threads pop the same queue: the watchdog's
+        // `drain_dead_queues` and the fenced worker's own
+        // `zombie_drain` (both also truncate its SCR log). A descriptor
+        // or update popped twice, or by neither, leaves a nonzero
+        // remainder in one of the conservation identities.
+        for mode in [DispatchMode::Rss, DispatchMode::Sprayer, DispatchMode::Scr] {
+            for _ in 0..20 {
+                assert_stalled_worker_is_fenced(mode, 40_000_000, 10_000_000);
+            }
+        }
     }
 
     #[test]

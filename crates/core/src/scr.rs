@@ -332,8 +332,11 @@ struct SharedScrInner<S> {
 }
 
 /// The threaded runtime's replay plane: per-core lock-free bounded
-/// inbound logs (`crossbeam::queue::ArrayQueue` — the same structure
-/// the inter-core descriptor rings use) plus shared atomic counters.
+/// inbound logs (`crossbeam::queue::ArrayQueue`, the lap-stamped MPMC
+/// ring in `vendor/crossbeam` — N−1 publishers CAS the tail, the owning
+/// core or, once it is fenced, the watchdog too CAS the head; the same
+/// structure the inter-core descriptor rings use) plus shared atomic
+/// counters.
 /// Clone handles freely across workers.
 ///
 /// Unlike [`ScrPlane`], the version guards live with each *worker*
