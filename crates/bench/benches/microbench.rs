@@ -222,15 +222,15 @@ fn bench_obs(c: &mut Criterion) {
         b.iter(|| run_threaded(ObsConfig::sampling()))
     });
     // Stage profiling is also per-batch (a handful of clock reads per
-    // batch), so it stays on the vectorized path and inside the ≤5%
-    // budget — `tests/obs_overhead.rs` enforces the budget as a test.
+    // batch), so it stays inside the ≤5% budget —
+    // `tests/obs_overhead.rs` enforces the budget as a test.
     g.bench_function("dataplane_profiling_10k_packets", |b| {
         b.iter(|| run_threaded(ObsConfig::profiling()))
     });
     // Profiling + health bus + sampling together: everything the online
-    // health plane adds that does NOT force the scalar path. The
-    // reorder sketch is excluded here because it is per-packet and
-    // (like tracing) forces scalar processing; its toggle rides the
+    // health plane adds at batch grain. The reorder sketch is excluded
+    // here because it is per-packet (like tracing, it stamps every
+    // descriptor and walks each completed batch); its toggle rides the
     // tracing entry's budget.
     g.bench_function("dataplane_health_10k_packets", |b| {
         b.iter(|| {

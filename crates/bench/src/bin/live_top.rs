@@ -28,8 +28,9 @@
 //! are run through the SLO evaluator, surfacing recent alerts at the
 //! bottom of the frame.
 //!
-//! `--tail` turns tail-latency attribution on (it forces the scalar
-//! per-packet path, so expect lower absolute throughput): each
+//! `--tail` turns tail-latency attribution on (the workers keep their
+//! batch path; spans are timed at batch grain, one clock read before
+//! and one after each NF call): each
 //! iteration's exemplar table accumulates into a running
 //! [`TailReport`] and a tail pane joins the frame — how many
 //! completions crossed the rolling-p99 threshold and which pipeline

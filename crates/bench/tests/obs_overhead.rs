@@ -1,18 +1,27 @@
 //! The health plane's overhead budget, enforced as a test.
 //!
 //! The acceptance bound is: with profiling, the health bus, sampling,
-//! and the flight recorder on (everything that keeps the vectorized
-//! batch path), the threaded dataplane's wall time over a fixed
-//! workload must stay within 5% of the obs-off time. Per-packet
-//! facilities (tracing, the reorder sketch, tail attribution) force
-//! the scalar path; a second test budgets tail attribution + flight
-//! against the scalar latency-histogram baseline the same way.
+//! and the flight recorder on (the planes that record at batch grain
+//! only), the threaded dataplane's wall time over a fixed workload
+//! must stay within 5% of the obs-off time. Per-packet planes
+//! (tracing, latency probes, the reorder sketch, tail attribution) run
+//! on the same batch path but stamp every descriptor at ingress and
+//! walk each completed batch once more; a second test budgets tail
+//! attribution + flight against the latency-histogram plane, which
+//! already pays for that, the same way.
 //!
 //! Timing a threaded run in a shared CI container is noisy, so the
 //! comparison is min-of-K (the minimum is the least noisy location
 //! estimator for a lower-bounded timing distribution) over runs of the
 //! two sides taken in turn, one test at a time, with a small absolute
 //! slack on top of the 5% relative budget.
+//!
+//! Both tests are `#[ignore]`d: the workspace's `default-members` make
+//! a bare `cargo test` run every crate, and on a shared host this
+//! estimator fails unchanged code a few runs in twelve, optimized or
+//! not (a rare *fast* stretch that lands on one side is exactly what
+//! that side's minimum keeps). CI runs them in a step of their own:
+//! `cargo test -p sprayer-bench --test obs_overhead -- --ignored`.
 
 use sprayer::config::{DispatchMode, ObsConfig};
 use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
@@ -83,6 +92,7 @@ fn min_of_each(k: usize, off: ObsConfig, on: ObsConfig, packets: u32) -> (Durati
 }
 
 #[test]
+#[ignore = "wall-clock budget; run alone with `-- --ignored` (see module doc)"]
 fn health_plane_costs_at_most_five_percent_of_the_batch_dataplane() {
     let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let packets = 20_000;
@@ -96,7 +106,6 @@ fn health_plane_costs_at_most_five_percent_of_the_batch_dataplane() {
         flight: true,
         ..ObsConfig::profiling()
     };
-    assert!(!plane.any(), "the budgeted plane must keep the batch path");
     let _ = one_run(plane, packets);
 
     let (off, on) = min_of_each(k, ObsConfig::disabled(), plane, packets);
@@ -110,12 +119,14 @@ fn health_plane_costs_at_most_five_percent_of_the_batch_dataplane() {
 }
 
 #[test]
-fn tail_attribution_and_flight_cost_at_most_five_percent_of_the_scalar_plane() {
+#[ignore = "wall-clock budget; run alone with `-- --ignored` (see module doc)"]
+fn tail_attribution_and_flight_cost_at_most_five_percent_of_the_latency_plane() {
     // Tail attribution needs per-packet timestamps, so its fair
-    // baseline is the scalar latency-histogram plane (which already
-    // pays for them), not the batch path. On top of that baseline,
-    // the exemplar capture + attribution table + flight ring must
-    // stay within the same 5% + 3 ms budget.
+    // baseline is the latency-histogram plane (which already pays for
+    // the ingress stamps and the per-packet pass over each completed
+    // batch), not the obs-off run. On top of that baseline, the
+    // exemplar capture + attribution table + flight ring must stay
+    // within the same 5% + 3 ms budget.
     let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let packets = 20_000;
     let k = 5;
@@ -132,7 +143,7 @@ fn tail_attribution_and_flight_cost_at_most_five_percent_of_the_scalar_plane() {
 
     assert!(
         on <= budget(off),
-        "tail+flight overhead breaks the 5% budget over the scalar plane: \
+        "tail+flight overhead breaks the 5% budget over the latency plane: \
          off {off:?}, on {on:?} (allowed {:?})",
         budget(off)
     );

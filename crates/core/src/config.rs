@@ -113,8 +113,9 @@ pub struct ObsConfig {
     pub health_capacity: usize,
     /// Estimate per-flow reordering depth online with a bounded
     /// [`sprayer_obs::ReorderSketch`]. Per-packet (needs the flow hash
-    /// at completion), so it joins [`ObsConfig::any`] and forces the
-    /// threaded runtime's scalar path, like `trace`/`latency`.
+    /// at completion), so it joins [`ObsConfig::any`], like
+    /// `trace`/`latency`; the threaded runtime feeds it in batch order
+    /// as each NF batch completes.
     pub reorder: bool,
     /// Sketch window: per-flow count of recently completed ordinals
     /// kept for depth estimation. Depth estimates are exact while every
@@ -127,8 +128,10 @@ pub struct ObsConfig {
     /// threshold record a per-stage span breakdown into a per-(stage,
     /// core) attribution table ([`sprayer_obs::TailTracker`], the
     /// `tail_*` metric set). Per-packet (needs timestamps along the
-    /// whole path), so it joins [`ObsConfig::any`] and forces the
-    /// threaded runtime's scalar path.
+    /// whole path), so it joins [`ObsConfig::any`]. On the threaded
+    /// runtime service start and completion are batch-grain (one clock
+    /// read before and one after each NF call), because a batched
+    /// packet cannot leave before its batch does.
     pub tail: bool,
     /// Fixed tail threshold in runtime-native ticks; `0` selects the
     /// rolling mode (threshold tracks the live sojourn p99, recomputed
@@ -295,10 +298,13 @@ impl ObsConfig {
         }
     }
 
-    /// True if a *per-packet* facility is enabled (per-packet timestamps
-    /// or flow hashes must be taken). Sampling and stage profiling are
-    /// deliberately excluded: they need only a few clock reads per
-    /// batch, which the runtimes gate on [`ObsConfig::sample`] /
+    /// True if a *per-packet* facility is enabled: ingress stamps each
+    /// descriptor (arrival time, flow hash) and the threaded worker
+    /// walks every completed NF batch once more to feed the planes —
+    /// on the same batch path it runs with everything off. Sampling
+    /// and stage profiling are deliberately excluded: they need only a
+    /// few clock reads per batch, which the runtimes gate on
+    /// [`ObsConfig::sample`] /
     /// [`ObsConfig::profile`] directly. Health events are rarer still
     /// (edge-triggered), and the flight recorder records at batch
     /// grain. The reorder sketch and tail attribution *are* per-packet —
@@ -626,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn only_per_packet_facilities_force_the_scalar_path() {
+    fn only_per_packet_facilities_ask_for_per_packet_stamps() {
         assert!(!ObsConfig::disabled().any());
         assert!(!ObsConfig::profiling().any());
         let mut h = ObsConfig::health_plane();
@@ -634,7 +640,7 @@ mod tests {
         h.reorder = false;
         assert!(
             !h.any(),
-            "sampling/profiling/health alone stay on the batch path"
+            "sampling/profiling/health alone record at batch grain"
         );
         assert!(
             ObsConfig::tail_attribution().any(),
@@ -642,7 +648,7 @@ mod tests {
         );
         assert!(
             !ObsConfig::flight_recorder().any(),
-            "the flight recorder is batch-grained and stays on the batch path"
+            "the flight recorder is batch-grained"
         );
     }
 

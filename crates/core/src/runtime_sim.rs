@@ -2276,7 +2276,6 @@ mod tests {
 
         let mut config = cfg(DispatchMode::Sprayer, 2_000);
         config.obs = ObsConfig::flight_recorder();
-        assert!(!config.obs.any(), "flight stays on the batch path");
         let mut mb = MiddleboxSim::new(config, TrackerNf);
         let mut now = Time::ZERO;
         for i in 0u32..32 {

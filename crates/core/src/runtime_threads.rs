@@ -35,6 +35,12 @@
 //! rings always make progress), retrying up to
 //! [`ThreadedConfig::redirect_retries`] times before counting the drop.
 //!
+//! There is one worker path: whatever is being observed, a drained
+//! batch's local packets go through one
+//! [`NetworkFunction::handle_batch`] call and the per-packet planes are
+//! fed from the completed batch — the observed system is the deployed
+//! one.
+//!
 //! Both runtimes report the same [`MiddleboxStats`] telemetry, so
 //! conservation (`stats.unaccounted() == 0` once drained) is assertable
 //! on this path exactly as on the simulator.
@@ -174,9 +180,17 @@ pub struct ThreadedConfig {
 /// goes silent for a while.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadedFault {
-    /// Worker `core` panics inside the NF once it has processed `after`
-    /// packets. The panic is captured (never propagated); the worker is
-    /// declared dead and its pending work is accounted as lost.
+    /// Worker `core` panics inside the NF once it has processed exactly
+    /// `after` packets of a phase: the NF runs on the fatal batch's
+    /// first packets up to that count, then panics. The panic is
+    /// captured (never propagated); the worker is declared dead and its
+    /// pending work is accounted as lost.
+    ///
+    /// One ordering holds in every configuration: a batch's redirects
+    /// leave before its NF call, so descriptors redirected out of the
+    /// fatal batch survive (their designated cores process them); only
+    /// the packet on the NF and the batch's unstarted local packets die
+    /// with the worker.
     Panic {
         /// Worker that crashes.
         core: usize,
@@ -267,16 +281,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// What flows through the receive queues and descriptor rings: the
-/// packet plus its trace identity and timestamps. The timestamps are
-/// stamped only when a per-packet plane or the flight recorder wants
-/// them (0 otherwise); the per-batch busy-time clock reads in
-/// `drain_rx`/`drain_ring`/`close_batch` happen regardless and never
-/// touch the descriptor.
+/// packet, its classification, and its trace identity and timestamps.
 struct Desc {
     pkt: Packet,
     /// Classification from ingress: headers are parsed once and the
     /// result rides with the descriptor through queues and rings.
     class: PacketClass,
+    meta: DescMeta,
+}
+
+/// A descriptor's trace identity and timestamps: what the per-packet
+/// planes read once the batch it was staged into has run. The
+/// timestamps are stamped only when a per-packet plane or the flight
+/// recorder wants them (0 otherwise); the per-batch busy-time clock
+/// reads in `drain_rx`/`drain_ring`/`close_batch` happen regardless and
+/// never touch the descriptor.
+#[derive(Clone, Copy)]
+struct DescMeta {
     /// Arrival ordinal across the whole run (trace packet id).
     id: u64,
     /// Stable flow hash (0 when tracing is off or tuple unparseable).
@@ -343,17 +364,20 @@ pub struct ThreadedOutcome {
     pub health: Option<HealthReport>,
     /// The streaming reorder estimate, when [`ObsConfig::reorder`] was
     /// on: per-flow reordered-completion counts (exact) and bounded
-    /// windowed depth histograms, fed at NF completion on the scalar
-    /// path (reorder sketching forces it, like tracing).
+    /// windowed depth histograms, fed per packet in batch order as each
+    /// NF batch completes — the order in which the batched dataplane
+    /// hands packets to egress.
     pub reorder: Option<ReorderReport>,
     /// Tail-latency attribution, when [`ObsConfig::tail`] was on:
     /// per-worker exemplar tables merged into one report. Spans are
-    /// wall nanoseconds, measured per packet (tail forces the scalar
-    /// path): queue wait and redirect transit from the descriptor
-    /// timestamps, NF from the service window; the framework
-    /// classify/tx overhead is not separable per packet on this
-    /// runtime, so those spans read 0 and the NF span absorbs them —
-    /// the exact decomposition lives in the simulator.
+    /// wall nanoseconds at batch grain: a packet waits until its
+    /// batch's NF call starts and completes when that call returns
+    /// (that is when it can leave), so queue wait and redirect transit
+    /// run from the descriptor timestamps to the batch's start and the
+    /// NF span is the batch's service window. The framework classify/tx
+    /// overhead is not separable per packet on this runtime, so those
+    /// spans read 0 and the NF span absorbs them — the exact
+    /// decomposition lives in the simulator.
     pub tail: Option<TailReport>,
     /// The flight-recorder snapshot, when [`ObsConfig::flight`] was on:
     /// each worker's last-N events (batch drains, redirects, ring-full
@@ -444,9 +468,6 @@ struct Worker<'a, NF: NetworkFunction> {
     nf_drops: u64,
     ring_drops: u64,
     stats: CoreStats,
-    /// Scratch batch buffer of the scalar (per-packet obs, armed fault)
-    /// path, reused across drains. The batch-native path never fills it.
-    batch: Vec<(Desc, Option<usize>)>,
     /// This worker's trace ring (iff tracing is on).
     trace: Option<TraceRing>,
     /// This worker's latency histograms (iff latency probes are on).
@@ -472,25 +493,25 @@ struct Worker<'a, NF: NetworkFunction> {
     failure: Option<WorkerFailure>,
     /// The injected fault fires at most once per worker.
     fault_fired: bool,
-    /// Packet buffer of the batch-native NF path: `drain_rx` and
-    /// `drain_ring` pop a batch's local packets straight into it, the NF
-    /// runs on it in place. Reused across drains so the hot path never
-    /// allocates.
+    /// Packet buffer of the NF call: `drain_rx` and `drain_ring` pop a
+    /// batch's local packets straight into it, the NF runs on it in
+    /// place. Reused across drains so the hot path never allocates.
     scratch_pkts: Vec<Packet>,
     /// Connection-packet bits matching `scratch_pkts` by index.
     scratch_conn: Vec<bool>,
+    /// The staged packets' identities and timestamps, matching
+    /// `scratch_pkts` by index — filled only while a per-packet plane
+    /// (or, for a ring batch's redirect-push stamps, the flight
+    /// recorder) will read them; empty otherwise.
+    scratch_meta: Vec<DescMeta>,
     /// The (rare) descriptors of the batch being formed whose designated
-    /// core is elsewhere, with that core — set aside by `drain_rx` on
-    /// the batch-native path and pushed before the NF runs.
-    /// `push_redirect` re-enters `drain_ring` (and hence
-    /// `process_batch_local`) on its work-conserving retry path, so all
-    /// three staging buffers are taken with `mem::take` while the
-    /// redirects leave — a nested batch sees (and restores) empty ones.
+    /// core is elsewhere, with that core — set aside by `drain_rx` and
+    /// pushed before the NF runs. `push_redirect` re-enters `drain_ring`
+    /// (and hence `process_batch_local`) on its work-conserving retry
+    /// path, so all four staging buffers are taken with `mem::take`
+    /// while the redirects leave — a nested batch sees (and restores)
+    /// empty ones.
     redirects: Vec<(Desc, usize)>,
-    /// Redirect-push stamps of the ring batch being formed, filled only
-    /// while the flight recorder is on and consumed as soon as the batch
-    /// has its timestamp.
-    scratch_relay: Vec<u64>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`].
     sink: VerdictSink,
     /// This worker's flight-recorder ring (iff the recorder is on).
@@ -923,10 +944,12 @@ impl ThreadedMiddlebox {
                     let mut desc = Desc {
                         pkt,
                         class,
-                        id,
-                        flow,
-                        arrival_ns,
-                        relay_ns: 0,
+                        meta: DescMeta {
+                            id,
+                            flow,
+                            arrival_ns,
+                            relay_ns: 0,
+                        },
                     };
                     let mut admitted = false;
                     for _ in 0..=config.ingress_retries {
@@ -1251,7 +1274,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             nf_drops: 0,
             ring_drops: 0,
             stats: CoreStats::default(),
-            batch: Vec::new(),
             trace: shared
                 .obs
                 .trace
@@ -1270,8 +1292,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             fault_fired: false,
             scratch_pkts: Vec::with_capacity(shared.batch_size),
             scratch_conn: Vec::with_capacity(shared.batch_size),
+            scratch_meta: Vec::new(),
             redirects: Vec::new(),
-            scratch_relay: Vec::new(),
             sink: VerdictSink::with_capacity(shared.batch_size),
             flight: shared
                 .flight
@@ -1306,15 +1328,42 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
     }
 
-    /// True while an injected panic is armed for *this* worker and has
-    /// not fired yet. The scalar path is used until it fires so the
-    /// fault triggers at exactly its configured packet count.
-    fn panic_armed(&self) -> bool {
-        !self.fault_fired
-            && matches!(
-                self.shared.fault,
-                Some(ThreadedFault::Panic { core, .. }) if core == self.id
-            )
+    /// Where an armed [`ThreadedFault::Panic`] cuts a batch of `len`
+    /// local packets: `Some(k)` when this worker's `after`-th packet of
+    /// the phase is the batch's `k`-th, so the NF runs on the first `k`
+    /// and then panics — the fault fires at exactly its configured
+    /// count wherever the batch boundaries fall. `None` when no panic is
+    /// armed for this worker, or it falls in a later batch.
+    fn panic_cut(&self, len: usize) -> Option<usize> {
+        match self.shared.fault {
+            Some(ThreadedFault::Panic { core, after }) if core == self.id && !self.fault_fired => {
+                let k = after.saturating_sub(self.stats.processed);
+                (k < len as u64).then_some(k as usize)
+            }
+            _ => None,
+        }
+    }
+
+    /// Mark the injected fault fired (at most once per run: the runner
+    /// disarms it for later phases) and announce it on the flight
+    /// recorder and the health bus.
+    fn fire_fault(&mut self, kind: &'static str) {
+        self.fault_fired = true;
+        self.shared.fault_fired.store(true, Ordering::SeqCst);
+        if self.shared.flight.is_some() {
+            let ts = self.now_ns();
+            let code = health_kind_code("fault_injected");
+            self.record_flight(ts, FlightKind::Health, code, self.id as u64);
+        }
+        if let Some(bus) = &self.shared.health {
+            bus.emit(
+                self.now_ns(),
+                HealthEvent::FaultInjected {
+                    kind,
+                    core: self.id,
+                },
+            );
+        }
     }
 
     /// Nanoseconds since the run anchor. Read twice per non-empty batch
@@ -1765,22 +1814,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }) = self.shared.fault
         {
             if core == self.id && self.stats.processed >= after {
-                self.fault_fired = true;
-                self.shared.fault_fired.store(true, Ordering::SeqCst);
-                if self.shared.flight.is_some() {
-                    let ts = self.now_ns();
-                    let code = health_kind_code("fault_injected");
-                    self.record_flight(ts, FlightKind::Health, code, self.id as u64);
-                }
-                if let Some(bus) = &self.shared.health {
-                    bus.emit(
-                        self.now_ns(),
-                        HealthEvent::FaultInjected {
-                            kind: "stall",
-                            core: self.id,
-                        },
-                    );
-                }
+                self.fire_fault("stall");
                 std::thread::sleep(Duration::from_nanos(duration_ns));
             }
         }
@@ -1827,185 +1861,71 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
     }
 
-    /// Run the NF on one packet that is processed on this worker.
-    ///
-    /// Returns `false` when the NF panicked: the panic is captured, the
-    /// worker declares itself dead, and the in-flight packet is counted
-    /// as lost. The caller must stop feeding this worker.
-    fn handle(&mut self, desc: Desc, via_ring: bool) -> bool {
-        let Desc {
-            mut pkt,
-            class,
-            id,
-            flow,
-            arrival_ns,
-            relay_ns,
-        } = desc;
-        let obs_on = self.shared.obs.any();
-        let h0 = self.prof_start();
-        let start_ns = if obs_on { self.now_ns() } else { 0 };
-        self.emit(self.id, start_ns, EventKind::NfStart, flow, id, 0);
-        if !via_ring {
-            // Queue wait for locally-processed packets: admission to NF
-            // start. Redirected packets report ring latency instead.
-            if let Some(p) = self.probes.as_mut() {
-                p.queue_wait_ns.record(start_ns.saturating_sub(arrival_ns));
-            }
-        }
-        let is_conn = class.is_conn;
-        let inject = !self.fault_fired
-            && matches!(
-                self.shared.fault,
-                Some(ThreadedFault::Panic { core, after })
-                    if core == self.id && self.stats.processed >= after
-            );
-        if inject {
-            self.fault_fired = true;
-            self.shared.fault_fired.store(true, Ordering::SeqCst);
-            if self.shared.flight.is_some() {
-                let ts = self.now_ns();
-                let code = health_kind_code("fault_injected");
-                self.record_flight(ts, FlightKind::Health, code, self.id as u64);
-            }
-            if let Some(bus) = &self.shared.health {
-                bus.emit(
-                    self.now_ns(),
-                    HealthEvent::FaultInjected {
-                        kind: "crash",
-                        core: self.id,
-                    },
-                );
-            }
-        }
-        let verdict = {
-            let nf = self.nf;
-            let ctx = &mut self.ctx;
-            let sink = &mut self.sink;
-            let worker = self.id;
-            let dispatch = catch_unwind(AssertUnwindSafe(|| {
-                if inject {
-                    panic!("injected crash on worker {worker}");
-                }
-                engine::run_nf_batch(nf, std::slice::from_mut(&mut pkt), &[is_conn], ctx, sink);
-            }));
-            match dispatch {
-                Ok(()) => self.sink.verdicts()[0],
-                Err(payload) => {
-                    // Declare death first so ingress and redirectors
-                    // stop feeding us, then account the packet that was
-                    // on the NF when it went down.
-                    self.record_death(panic_message(payload.as_ref()));
-                    self.shared.lost.fetch_add(1, Ordering::SeqCst);
-                    return false;
-                }
-            }
-        };
-        engine::account(&mut self.stats, is_conn, false);
-        self.prof_span(Stage::Nf, h0);
-        if self.shared.scr.is_some() {
-            self.scr_publish(std::slice::from_ref(&pkt), &[is_conn]);
-        }
-        let dropped = verdict == Verdict::Drop;
-        if obs_on {
-            let done_ns = self.now_ns();
-            if let Some(p) = self.probes.as_mut() {
-                p.sojourn_ns.record(done_ns.saturating_sub(arrival_ns));
-            }
-            self.emit(
-                self.id,
-                done_ns,
-                EventKind::NfDone,
-                flow,
-                id,
-                u64::from(dropped),
-            );
-            if let Some(tail) = self.tail.as_mut() {
-                // Measured spans (wall ns): waiting from the descriptor
-                // timestamps, NF from the service window. Classify/tx
-                // framework overhead is not separable per packet here,
-                // so those spans are 0 and the NF span absorbs them —
-                // the spans still partition the measured sojourn.
-                let (queue_wait, redirect_transit) = if via_ring {
-                    (
-                        relay_ns.saturating_sub(arrival_ns),
-                        start_ns.saturating_sub(relay_ns),
-                    )
-                } else {
-                    (start_ns.saturating_sub(arrival_ns), 0)
-                };
-                tail.on_complete(
-                    self.id,
-                    TailSpans {
-                        queue_wait,
-                        classify: 0,
-                        redirect_transit,
-                        nf: done_ns.saturating_sub(start_ns),
-                        tx: 0,
-                    },
-                );
-            }
-        }
-        // Streaming reorder estimate: completion order vs arrival
-        // ordinal, same (flow, id) pairs the offline analyzer sees.
-        // Unparseable packets (flow 0) are skipped on both sides.
-        if let Some(sketch) = self.shared.reorder.as_deref() {
-            if flow != 0 {
-                sketch.on_complete(self.id, flow, id);
-            }
-        }
-        match verdict {
-            Verdict::Forward => self.out.push(pkt),
-            Verdict::Drop => self.nf_drops += 1,
-        }
-        // The watermark confines this span to the post-NF remainder:
-        // verdict accounting, probes, trace, and the reorder hook.
-        self.prof_span(Stage::Tx, h0);
-        true
-    }
-
-    /// True when whole batches can go through one
-    /// [`engine::run_nf_batch`] call. Per-packet observability (traces,
-    /// latency probes) needs a clock read and an event around every
-    /// packet, and an armed panic injection must fire at exactly its
-    /// configured packet count — both fall back to the scalar path.
-    /// Sampling and live telemetry are per-batch already and stay on.
+    /// Stage one descriptor this worker will process itself for the NF
+    /// call: the packet and its connection bit are all the NF reads;
+    /// `keep_meta` keeps the descriptor's identity and timestamps
+    /// beside them for the planes that read them after the call.
     #[inline]
-    fn use_batch_nf(&self) -> bool {
-        !self.shared.obs.any() && !self.panic_armed()
-    }
-
-    /// Stage one descriptor this worker will process itself for the
-    /// batch-native NF call: the packet and its connection bit are all
-    /// that path reads.
-    #[inline]
-    fn stage_local(&mut self, desc: Desc) {
+    fn stage_local(&mut self, desc: Desc, keep_meta: bool) {
         self.scratch_conn.push(desc.class.is_conn);
         self.scratch_pkts.push(desc.pkt);
+        if keep_meta {
+            self.scratch_meta.push(desc.meta);
+        }
     }
 
-    /// The batch-native local path, over the batch `drain_rx` or
-    /// `drain_ring` just staged: redirects leave first (same
-    /// descriptors, same ring accounting as the scalar path), then the
-    /// NF sees the local packets as one
-    /// [`NetworkFunction::handle_batch`] call, in the buffer they were
-    /// popped into.
+    /// The one way a worker runs the NF, over the batch `drain_rx` or
+    /// `drain_ring` just staged: redirects leave first, then the NF sees
+    /// the local packets as one [`NetworkFunction::handle_batch`] call,
+    /// in the buffer they were popped into, and the per-packet planes
+    /// (when any is on) are fed from the completed batch.
     ///
-    /// A mid-batch panic is accounted through the verdict cursor: the
-    /// NF completed exactly `sink.len()` packets, which keep their
-    /// verdicts; the in-flight packet and the never-started rest die
-    /// with the worker (their redirect registrations were all released
-    /// up front, so only the loss count remains to settle).
-    fn process_batch_local(&mut self) {
+    /// A mid-batch panic — a genuine bug, or an armed
+    /// [`ThreadedFault::Panic`] cutting the batch at its configured
+    /// count — is accounted through the verdict cursor: the NF completed
+    /// exactly `sink.len()` packets, which keep their verdicts; the
+    /// in-flight packet and the never-started rest die with the worker
+    /// (their redirect registrations were all released up front, so only
+    /// the loss count remains to settle).
+    fn process_batch_local(&mut self, via_ring: bool) {
         debug_assert_eq!(self.scratch_pkts.len(), self.scratch_conn.len());
+        if self.failure.is_none() {
+            // Every redirect leaves before the NF runs. `push_redirect`'s
+            // work-conserving retry re-enters `drain_ring`, which stages
+            // and runs a whole nested batch through this function: the
+            // staging buffers must not hold this batch when that
+            // happens, so they are `mem::take`n and the nested call sees
+            // empty ones.
+            let pkts = std::mem::take(&mut self.scratch_pkts);
+            let conn = std::mem::take(&mut self.scratch_conn);
+            let meta = std::mem::take(&mut self.scratch_meta);
+            let mut redirects = std::mem::take(&mut self.redirects);
+            let r0 = self.prof_start();
+            for (desc, core) in redirects.drain(..) {
+                self.push_redirect(core, desc);
+            }
+            // Nested drains inside `push_redirect` advanced the
+            // profiling watermark, so this span charges only the pushes
+            // themselves.
+            self.prof_span(Stage::Redirect, r0);
+            self.redirects = redirects;
+            self.scratch_pkts = pkts;
+            self.scratch_conn = conn;
+            self.scratch_meta = meta;
+        }
         if self.failure.is_some() {
-            // Already dead (an earlier nested batch panicked the NF):
-            // never run the NF again. The whole claimed batch is lost,
-            // and its never-to-be-pushed redirect registrations are
-            // released, exactly like the scalar path's died handling.
+            // Dead: a nested batch's NF panicked, either just now in the
+            // redirect phase or before this batch was formed (then its
+            // redirects were never pushed, and their registrations are
+            // released here). Never run the NF again — the packets this
+            // worker still holds die with it. Their queue claims were
+            // released when the batch was formed; only the loss count
+            // remains to settle.
             let unpushed_redirects = self.redirects.len() as u64;
             let rest = self.scratch_pkts.len() as u64 + unpushed_redirects;
             self.scratch_pkts.clear();
             self.scratch_conn.clear();
+            self.scratch_meta.clear();
             self.redirects.clear();
             self.shared.lost.fetch_add(rest, Ordering::SeqCst);
             if unpushed_redirects > 0 {
@@ -2015,54 +1935,37 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             }
             return;
         }
-        // Every redirect leaves before the NF runs. `push_redirect`'s
-        // work-conserving retry re-enters `drain_ring`, which stages and
-        // runs a whole nested batch through this function: the staging
-        // buffers must not hold this batch when that happens, so they
-        // are `mem::take`n and the nested call sees empty ones.
-        let pkts = std::mem::take(&mut self.scratch_pkts);
-        let conn = std::mem::take(&mut self.scratch_conn);
-        let mut redirects = std::mem::take(&mut self.redirects);
-        let r0 = self.prof_start();
-        for (desc, core) in redirects.drain(..) {
-            self.push_redirect(core, desc);
-        }
-        // Nested drains inside `push_redirect` advanced the profiling
-        // watermark, so this span charges only the pushes themselves.
-        self.prof_span(Stage::Redirect, r0);
-        self.redirects = redirects;
-        self.scratch_pkts = pkts;
-        self.scratch_conn = conn;
-        if self.failure.is_some() {
-            // A nested batch's NF panicked mid-redirect-phase: this
-            // worker is already declared dead, so the packets it still
-            // holds die with it. Their queue/redirect claims were
-            // released when the batch was formed; only the loss count
-            // remains to settle.
-            self.shared
-                .lost
-                .fetch_add(self.scratch_pkts.len() as u64, Ordering::SeqCst);
-            self.scratch_pkts.clear();
-            self.scratch_conn.clear();
-            return;
-        }
         if self.scratch_pkts.is_empty() {
             return;
         }
+        let obs_on = self.shared.obs.any();
+        let cut = self.panic_cut(self.scratch_pkts.len());
+        if cut.is_some() {
+            self.fire_fault("crash");
+        }
         let n0 = self.prof_start();
+        let t0 = if obs_on { self.now_ns() } else { 0 };
         let dispatch = {
             let nf = self.nf;
             let ctx = &mut self.ctx;
             let sink = &mut self.sink;
             let pkts = &mut self.scratch_pkts;
             let conn = &self.scratch_conn;
+            let worker = self.id;
             catch_unwind(AssertUnwindSafe(|| {
-                engine::run_nf_batch(nf, pkts, conn, ctx, sink);
+                let k = cut.unwrap_or(pkts.len());
+                engine::run_nf_batch(nf, &mut pkts[..k], &conn[..k], ctx, sink);
+                if cut.is_some() {
+                    panic!("injected crash on worker {worker}");
+                }
             }))
         };
         self.prof_span(Stage::Nf, n0);
         let completed = self.sink.len();
         if let Err(payload) = dispatch {
+            // Account the packet that was on the NF when it went down
+            // and the unstarted rest, then declare death so ingress and
+            // redirectors stop feeding us.
             let unfinished = (self.scratch_pkts.len() - completed) as u64;
             self.shared.lost.fetch_add(unfinished, Ordering::SeqCst);
             self.record_death(panic_message(payload.as_ref()));
@@ -2078,6 +1981,9 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             self.scratch_pkts = pkts;
             self.scratch_conn = conn;
         }
+        if obs_on {
+            self.observe_completions(completed, via_ring, t0);
+        }
         for (i, pkt) in self.scratch_pkts.drain(..).enumerate() {
             if i >= completed {
                 break;
@@ -2089,7 +1995,76 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             }
         }
         self.scratch_conn.clear();
+        self.scratch_meta.clear();
+        // The watermark confines this span to the post-NF remainder:
+        // the per-packet planes and verdict accounting.
         self.prof_span(Stage::Tx, n0);
+    }
+
+    /// Feed the per-packet planes from a finished NF call: one pass, in
+    /// batch order, over the `completed` prefix of the staged metadata.
+    /// Timestamps are batch-grain because that is what batching does to
+    /// a packet: every packet of the batch stopped waiting at `t0`
+    /// (read just before the NF call) and can leave at `t1` (read here:
+    /// NF returned, SCR updates published), so two clock reads per
+    /// batch give each packet its queue wait, ring transit, service
+    /// window and sojourn, and the spans partition the sojourn exactly.
+    /// Packets a mid-batch panic cut off never completed and report
+    /// nothing.
+    fn observe_completions(&mut self, completed: usize, via_ring: bool, t0: u64) {
+        let t1 = self.now_ns();
+        for i in 0..completed {
+            let m = self.scratch_meta[i];
+            let dropped = self.sink.verdicts()[i] == Verdict::Drop;
+            // A redirected packet's wait splits at its ring push.
+            let (queue_wait, redirect_transit) = if via_ring {
+                (
+                    m.relay_ns.saturating_sub(m.arrival_ns),
+                    t0.saturating_sub(m.relay_ns),
+                )
+            } else {
+                (t0.saturating_sub(m.arrival_ns), 0)
+            };
+            let (core, flow, id) = (self.id, m.flow, m.id);
+            if via_ring {
+                self.emit(core, t0, EventKind::RedirectIn, flow, id, redirect_transit);
+            }
+            self.emit(core, t0, EventKind::NfStart, flow, id, 0);
+            self.emit(core, t1, EventKind::NfDone, flow, id, u64::from(dropped));
+            if let Some(p) = self.probes.as_mut() {
+                // Redirected packets report ring latency where local
+                // ones report queue wait (admission to NF start).
+                if via_ring {
+                    p.redirect_ns.record(redirect_transit);
+                } else {
+                    p.queue_wait_ns.record(queue_wait);
+                }
+                p.sojourn_ns.record(t1.saturating_sub(m.arrival_ns));
+            }
+            if let Some(tail) = self.tail.as_mut() {
+                // Classify/tx framework overhead is not separable per
+                // packet here, so those spans are 0 and the NF span
+                // absorbs them.
+                tail.on_complete(
+                    self.id,
+                    TailSpans {
+                        queue_wait,
+                        classify: 0,
+                        redirect_transit,
+                        nf: t1.saturating_sub(t0),
+                        tx: 0,
+                    },
+                );
+            }
+            // Streaming reorder estimate: completion order vs arrival
+            // ordinal, same (flow, id) pairs the offline analyzer sees.
+            // Unparseable packets (flow 0) are skipped on both sides.
+            if let Some(sketch) = self.shared.reorder.as_deref() {
+                if flow != 0 {
+                    sketch.on_complete(core, flow, id);
+                }
+            }
+        }
     }
 
     /// Drain one batch from this worker's ring. Returns true if any
@@ -2098,9 +2073,9 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let ring = &self.shared.rings[self.id];
         let depth = ring.len() as u64;
         self.stats.observe_ring_depth(depth);
-        debug_assert!(self.batch.is_empty() && self.scratch_pkts.is_empty());
-        let batch_nf = self.use_batch_nf();
-        let keep_relay_stamps = self.flight.is_some();
+        debug_assert!(self.scratch_pkts.is_empty());
+        // The flight recorder reads a ring batch's redirect-push stamps.
+        let keep_meta = self.shared.obs.any() || self.flight.is_some();
         let c0 = self.prof_start();
         let mut n = 0u64;
         while n < self.shared.batch_size as u64 {
@@ -2108,17 +2083,10 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                 break;
             };
             n += 1;
-            if keep_relay_stamps {
-                self.scratch_relay.push(desc.relay_ns);
-            }
             // Every ring descriptor is local by construction (it was
-            // redirected *to* us), so on the batch-native path the whole
-            // batch is staged for one NF call as it is popped.
-            if batch_nf {
-                self.stage_local(desc);
-            } else {
-                self.batch.push((desc, None));
-            }
+            // redirected *to* us), so the whole batch is staged for one
+            // NF call as it is popped.
+            self.stage_local(desc, keep_meta);
         }
         if n == 0 {
             return false;
@@ -2138,64 +2106,20 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             // One transfer-latency event per redirected descriptor,
             // measured push → this drain (`relay_ns` is stamped on the
             // redirect path whenever the recorder is on).
-            let mut stamps = std::mem::take(&mut self.scratch_relay);
-            for relay_ns in stamps.drain(..) {
-                let transfer = sample_start.saturating_sub(relay_ns);
+            for i in 0..self.scratch_meta.len() {
+                let transfer = sample_start.saturating_sub(self.scratch_meta[i].relay_ns);
                 self.record_flight(sample_start, FlightKind::RedirectIn, transfer, 0);
             }
-            self.scratch_relay = stamps;
         }
-        let batch_ns = if self.shared.obs.any() {
-            self.now_ns()
-        } else {
-            0
-        };
         self.emit(
             self.id,
-            batch_ns,
+            sample_start,
             EventKind::Drain,
             0,
-            sprayer_obs::TraceEvent::NO_PKT,
+            TraceEvent::NO_PKT,
             n,
         );
-        let mut batch = std::mem::take(&mut self.batch);
-        if batch_nf {
-            self.process_batch_local();
-        } else {
-            let mut it = batch.drain(..);
-            let mut died = false;
-            for (desc, _) in it.by_ref() {
-                // Ring transfer latency: redirect push to this batch's
-                // drain.
-                let transfer = batch_ns.saturating_sub(desc.relay_ns);
-                self.emit(
-                    self.id,
-                    batch_ns,
-                    EventKind::RedirectIn,
-                    desc.flow,
-                    desc.id,
-                    transfer,
-                );
-                if let Some(p) = self.probes.as_mut() {
-                    p.redirect_ns.record(transfer);
-                }
-                if !self.handle(desc, true) {
-                    died = true;
-                    break;
-                }
-            }
-            if died {
-                // The rest of the claimed batch dies with the worker.
-                // Its `redirects_outstanding` claims were already
-                // released for the whole batch, so only the loss count
-                // remains to settle.
-                let rest = it.count() as u64;
-                if rest > 0 {
-                    self.shared.lost.fetch_add(rest, Ordering::SeqCst);
-                }
-            }
-        }
-        self.batch = batch;
+        self.process_batch_local(true);
         self.close_batch(sample_start, 0, depth);
         true
     }
@@ -2206,11 +2130,10 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let rx = &self.shared.rx[self.id];
         let depth = rx.len() as u64;
         self.stats.observe_rx_depth(depth);
-        debug_assert!(self.batch.is_empty() && self.scratch_pkts.is_empty());
-        let batch_nf = self.use_batch_nf();
+        debug_assert!(self.scratch_pkts.is_empty() && self.redirects.is_empty());
+        let keep_meta = self.shared.obs.any();
         let c0 = self.prof_start();
         let mut n = 0u64;
-        let mut redirects = 0u64;
         while n < self.shared.batch_size as u64 {
             let Some(desc) = rx.pop() else {
                 break;
@@ -2219,20 +2142,17 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             // Core picker (§3.3): the engine's redirect decision over
             // the ingress classification — connection packets whose
             // designated core is elsewhere are transferred, not
-            // processed.
-            let target = Engine::redirect_target(self, &desc.class, self.id);
-            redirects += u64::from(target.is_some());
-            // The batch-native path stages as it pops: locals go
-            // straight into the buffer the NF runs on, redirects aside.
-            match (batch_nf, target) {
-                (true, None) => self.stage_local(desc),
-                (true, Some(core)) => self.redirects.push((desc, core)),
-                (false, _) => self.batch.push((desc, target)),
+            // processed. Locals are staged as they pop, straight into
+            // the buffer the NF runs on; redirects are set aside.
+            match Engine::redirect_target(self, &desc.class, self.id) {
+                None => self.stage_local(desc, keep_meta),
+                Some(core) => self.redirects.push((desc, core)),
             }
         }
         if n == 0 {
             return false;
         }
+        let redirects = self.redirects.len() as u64;
         let sample_start = self.now_ns();
         // Batch formation — pops plus the per-packet core-picker
         // decision — is classify work.
@@ -2250,59 +2170,15 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
         self.shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
         self.stats.record_batch(n);
-        if self.trace.is_some() {
-            let batch_ns = self.now_ns();
-            self.emit(
-                self.id,
-                batch_ns,
-                EventKind::Drain,
-                0,
-                sprayer_obs::TraceEvent::NO_PKT,
-                n,
-            );
-        }
-        let mut batch = std::mem::take(&mut self.batch);
-        if batch_nf {
-            self.process_batch_local();
-        } else {
-            let mut it = batch.drain(..);
-            let mut died = false;
-            for (desc, target) in it.by_ref() {
-                match target {
-                    Some(core) => {
-                        let r0 = self.prof_start();
-                        self.push_redirect(core, desc);
-                        self.prof_span(Stage::Redirect, r0);
-                    }
-                    None => {
-                        if !self.handle(desc, false) {
-                            died = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if died {
-                // The rest of the claimed batch dies with the worker:
-                // count every descriptor as lost and release the
-                // redirect registrations that will never be pushed.
-                let mut rest = 0u64;
-                let mut unpushed_redirects = 0u64;
-                for (_, target) in it {
-                    rest += 1;
-                    unpushed_redirects += u64::from(target.is_some());
-                }
-                if rest > 0 {
-                    self.shared.lost.fetch_add(rest, Ordering::SeqCst);
-                }
-                if unpushed_redirects > 0 {
-                    self.shared
-                        .redirects_outstanding
-                        .fetch_sub(unpushed_redirects, Ordering::SeqCst);
-                }
-            }
-        }
-        self.batch = batch;
+        self.emit(
+            self.id,
+            sample_start,
+            EventKind::Drain,
+            0,
+            TraceEvent::NO_PKT,
+            n,
+        );
+        self.process_batch_local(false);
         self.close_batch(sample_start, depth, 0);
         true
     }
@@ -2313,20 +2189,22 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     fn push_redirect(&mut self, target: usize, mut desc: Desc) {
         self.stats.redirected_out += 1;
         if self.shared.obs.any() || self.flight.is_some() {
-            desc.relay_ns = self.now_ns();
+            desc.meta.relay_ns = self.now_ns();
         }
         // Emitted *before* the push so this event's sequence precedes the
         // consumer's RedirectIn (whose sequence is allocated after pop).
+        let DescMeta {
+            id, flow, relay_ns, ..
+        } = desc.meta;
         self.emit(
             self.id,
-            desc.relay_ns,
+            relay_ns,
             EventKind::RedirectOut,
-            desc.flow,
-            desc.id,
+            flow,
+            id,
             target as u64,
         );
-        self.record_flight(desc.relay_ns, FlightKind::RedirectOut, target as u64, 0);
-        let (flow, id) = (desc.flow, desc.id);
+        self.record_flight(relay_ns, FlightKind::RedirectOut, target as u64, 0);
         for attempt in 0..=self.shared.redirect_retries {
             if self.shared.dead[target].load(Ordering::SeqCst) {
                 // The designated core is declared failed: this
@@ -2854,8 +2732,6 @@ mod tests {
         let nf = TrackerNf;
         let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 4);
         config.obs = ObsConfig::profiling();
-        // Profiling is per-batch: the batch-native NF path stays on.
-        assert!(!config.obs.any());
         let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
         assert_eq!(out.stats.unaccounted(), 0);
         let prof = out.profile.as_ref().expect("profiling requested");
@@ -2946,7 +2822,6 @@ mod tests {
         let nf = TrackerNf;
         let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 3);
         config.obs = ObsConfig::flight_recorder();
-        assert!(!config.obs.any(), "flight stays on the batch path");
         config.fault = Some(ThreadedFault::Panic { core: 1, after: 5 });
         let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
         assert_eq!(out.failures.len(), 1);
@@ -3234,6 +3109,120 @@ mod tests {
             (out.forwarded.len() as u64) < s.offered,
             "a mid-run crash cannot forward everything"
         );
+    }
+
+    #[test]
+    fn injected_panic_fires_at_exactly_its_configured_count() {
+        // The fault cuts whichever batch holds worker 1's `after`-th
+        // packet of the phase: exactly `after` packets complete there,
+        // with the per-packet planes off and on. One phase (a phase
+        // barrier re-provisions workers and restarts the count); SYNs
+        // and data interleave, so the fatal batch can be a ring batch.
+        let nf = TrackerNf;
+        let mut pkts = syn_phase(16);
+        pkts.extend(data_phase(16, 20));
+        let batch_size = ThreadedConfig::new(DispatchMode::Sprayer, 3).batch_size as u64;
+        for obs in [ObsConfig::disabled(), ObsConfig::tracing()] {
+            for after in [0, 5, batch_size + 5] {
+                let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 3);
+                config.obs = obs;
+                config.fault = Some(ThreadedFault::Panic { core: 1, after });
+                let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts.clone()]);
+                let what = format!("after={after} obs={}", obs.any());
+                assert_eq!(out.per_worker_processed[1], after, "{what}");
+                assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
+                assert_eq!(out.failures[0].core, 1, "{what}");
+                assert!(out.stats.lost_packets > 0, "{what}");
+                assert_eq!(out.stats.unaccounted(), 0, "{what}: {:?}", out.stats);
+            }
+        }
+    }
+
+    /// Forwards everything and remembers the largest batch the runtime
+    /// ever handed it. So that the width does not hang on who the
+    /// scheduler ran first, the first one-packet call (while nothing
+    /// wider has come) holds its worker inside the NF until the other
+    /// worker has run `HOLD_FOR` more packets: ingress is sequential and
+    /// the rx queues are FIFO, so by then the held worker's own queue
+    /// has its share of everything sprayed up to there, and its next
+    /// batch is wide.
+    struct BatchWidthNf {
+        widest: AtomicUsize,
+        seen: AtomicUsize,
+        held: AtomicBool,
+    }
+    const HOLD_FOR: usize = 64;
+    impl NetworkFunction for BatchWidthNf {
+        type Flow = u32;
+        fn descriptor(&self) -> NfDescriptor {
+            NfDescriptor::named("batch-width")
+        }
+        fn connection_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+            Verdict::Forward
+        }
+        fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+            Verdict::Forward
+        }
+        fn handle_batch(
+            &self,
+            pkts: &mut [Packet],
+            _conn: &[bool],
+            _ctx: &mut dyn FlowStateApi<u32>,
+            out: &mut VerdictSink,
+        ) {
+            let widest = self.widest.fetch_max(pkts.len(), Ordering::Relaxed);
+            if pkts.len() == 1 && widest <= 1 && !self.held.swap(true, Ordering::Relaxed) {
+                let until = self.seen.load(Ordering::Relaxed) + HOLD_FOR;
+                // Only a steering so lopsided that the other worker
+                // never gets `HOLD_FOR` packets reaches the deadline;
+                // the width assertion then reports it.
+                let give_up = Instant::now() + Duration::from_secs(10);
+                while self.seen.load(Ordering::Relaxed) < until && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+            }
+            self.seen.fetch_add(pkts.len(), Ordering::Relaxed);
+            for _ in pkts {
+                out.push(Verdict::Forward);
+            }
+        }
+    }
+
+    #[test]
+    fn every_plane_on_still_runs_the_nf_on_whole_batches() {
+        // Looking must not change what you see: with all eight planes
+        // on, the NF is still called on batches, and every per-packet
+        // plane still reports every packet.
+        let nf = BatchWidthNf {
+            widest: AtomicUsize::new(0),
+            seen: AtomicUsize::new(0),
+            held: AtomicBool::new(false),
+        };
+        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        config.obs = ObsConfig {
+            trace: true,
+            latency: true,
+            sample: true,
+            profile: true,
+            health: true,
+            reorder: true,
+            tail: true,
+            flight: true,
+            ..ObsConfig::disabled()
+        };
+        let mut pkts = syn_phase(16);
+        pkts.extend(data_phase(16, 20));
+        let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+        let s = &out.stats;
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        let widest = nf.widest.load(Ordering::Relaxed);
+        assert!(widest > 1, "planes forced one-packet NF calls: {widest}");
+        assert_eq!(out.probes.unwrap().sojourn_ns.count(), s.processed());
+        assert_eq!(out.tail.unwrap().completions, s.processed());
+        assert_eq!(out.reorder.unwrap().completions, s.processed());
+        let analysis = sprayer_obs::analyze(out.trace.as_ref().unwrap());
+        assert!(analysis.conservation.ok(), "{:?}", analysis.conservation);
+        assert_eq!(analysis.conservation.nf_done, s.processed());
     }
 
     /// Worker 0 goes silent with a detection deadline shorter than the

@@ -342,10 +342,35 @@ impl<S: Clone> LocalTables<S> {
             self.map = new_map;
             return stats;
         }
+        let moved = self.rebucket(new_map, None, on_move);
+        MigrationStats {
+            migrated_flows: moved.migrated_flows,
+            retained_flows: moved.retained_flows,
+        }
+    }
+
+    /// The write-partitioned (non-SCR) re-bucketing [`LocalTables::rescale`]
+    /// and [`LocalTables::fail_core`] share: every entry moves to its
+    /// designated core under `new_map`, through `on_move` when that core
+    /// changed — except the entries of core `skip` (a failed core,
+    /// whose state lived only there), which are discarded and counted
+    /// as `flows_lost`. Installs `new_map` and closes the caller's epoch
+    /// balancing by charging what survives to `created`.
+    fn rebucket(
+        &mut self,
+        new_map: CoreMap,
+        skip: Option<usize>,
+        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
+    ) -> FailoverStats {
+        let mut stats = FailoverStats::default();
         let old_tables = std::mem::take(&mut self.tables);
         let mut new_tables: Vec<FlowTable<S>> =
             (0..new_map.num_cores()).map(|_| FlowTable::new()).collect();
         for (from, table) in old_tables.into_iter().enumerate() {
+            if skip == Some(from) {
+                stats.flows_lost += table.len() as u64;
+                continue;
+            }
             for (key, mut state) in table {
                 let to = new_map.designated_for_key(&key);
                 if to == from {
@@ -409,30 +434,7 @@ impl<S: Clone> LocalTables<S> {
             self.map = new_map;
             return stats;
         }
-        let old_tables = std::mem::take(&mut self.tables);
-        let mut new_tables: Vec<FlowTable<S>> =
-            (0..new_map.num_cores()).map(|_| FlowTable::new()).collect();
-        for (from, table) in old_tables.into_iter().enumerate() {
-            if from == failed {
-                stats.flows_lost += table.len() as u64;
-                continue;
-            }
-            for (key, mut state) in table {
-                let to = new_map.designated_for_key(&key);
-                if to == from {
-                    stats.retained_flows += 1;
-                } else {
-                    stats.migrated_flows += 1;
-                    on_move(&key, &mut state, from, to);
-                }
-                new_tables[to].insert(key, state);
-            }
-        }
-        self.tables = new_tables;
-        self.counters.created += self.total_entries() as u64;
-        self.reset_batch_logs(new_map.num_cores());
-        self.map = new_map;
-        stats
+        self.rebucket(new_map, Some(failed), on_move)
     }
 }
 

@@ -12,8 +12,9 @@
 //! This file is the differential harness that gates the unified batch
 //! engine: a config matrix over {RSS, Sprayer} × every NF × threaded
 //! batch sizes {1, 8, 64} × observability {off, on}, plus elastic
-//! rescale plans and chaos (worker-kill / worker-stall) plans. Any
-//! engine refactor must keep every leg green.
+//! rescale plans and chaos (worker-kill / worker-stall) plans, plus one
+//! threaded-only leg: every observability plane on against all off, in
+//! all three modes. Any engine refactor must keep every leg green.
 
 use sprayer::api::NetworkFunction;
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
@@ -410,6 +411,54 @@ fn matrix_redundancy() {
         &work,
         whole_frame,
     );
+}
+
+// ---------------------------------------------------------------------
+// Observation: every plane on must change no outcome, in any mode.
+// ---------------------------------------------------------------------
+
+#[test]
+fn every_plane_on_changes_no_threaded_outcome() {
+    let acl = vec![
+        AclRule::allow_dst_port(443),
+        AclRule::default_action(Action::Deny),
+    ];
+    let port_of = |f: u32| if f.is_multiple_of(2) { 443 } else { 8081 };
+    let work = phases(16, 12, port_of);
+    let every_plane = ObsConfig {
+        trace: true,
+        latency: true,
+        sample: true,
+        profile: true,
+        health: true,
+        reorder: true,
+        tail: true,
+        flight: true,
+        ..ObsConfig::disabled()
+    };
+    for mode in DispatchMode::ALL {
+        let run = |obs| run_threaded_cfg(mode, &FirewallNf::new(acl.clone()), &work, 32, obs);
+        let (off, on) = (run(ObsConfig::disabled()), run(every_plane));
+        let what = format!("planes/{mode}");
+        assert_eq!(
+            frame_multiset(&off.forwarded),
+            frame_multiset(&on.forwarded),
+            "{what}: forwarded frame multisets differ"
+        );
+        assert_stats_agree(&off.stats, &on.stats, &what);
+        assert_eq!(
+            per_core_projection(&off.stats),
+            per_core_projection(&on.stats),
+            "{what}: per-core projections differ"
+        );
+        let tables = |s: &MiddleboxStats| (s.scr_published, s.flows_created, s.table_live);
+        assert_eq!(
+            tables(&off.stats),
+            tables(&on.stats),
+            "{what}: state counters"
+        );
+        assert_eq!(on.stats.scr_replay_gap(), 0, "{what}: replicas converge");
+    }
 }
 
 // ---------------------------------------------------------------------
