@@ -151,6 +151,20 @@ pub trait FlowStateApi<S: Clone> {
     /// Read local state by value.
     fn get_local_flow(&self, key: &FlowKey) -> Option<S>;
 
+    /// Visit the local state of each of `keys`, in order, by reference:
+    /// what [`Self::get_local_flow`] would return, without the clone
+    /// and — on a locked backend — under one lock acquisition for the
+    /// whole run. `visit` must not call back into this context.
+    fn read_local_flows(
+        &self,
+        keys: &mut dyn Iterator<Item = &FlowKey>,
+        visit: &mut dyn FnMut(&FlowKey, Option<&S>),
+    ) {
+        for key in keys {
+            visit(key, self.get_local_flow(key).as_ref());
+        }
+    }
+
     /// Read any flow's state from its designated core's table
     /// (unmodifiable — returned by value).
     fn get_flow(&self, key: &FlowKey) -> Option<S>;
@@ -399,19 +413,16 @@ pub trait NetworkFunction: Send + Sync {
         ctx: &dyn FlowStateApi<Self::Flow>,
         out: &mut Vec<crate::scr::UpdateOp<Self::Flow>>,
     ) {
+        // Each log is already free of duplicates; a key in both ships
+        // once, with the written keys.
         let written = ctx.written_keys();
-        let removed = ctx.removed_keys();
-        let mut seen: Vec<FlowKey> = Vec::with_capacity(written.len() + removed.len());
-        for key in written.iter().chain(removed) {
-            if seen.contains(key) {
-                continue;
-            }
-            seen.push(*key);
-            match ctx.get_local_flow(key) {
-                Some(state) => out.push(crate::scr::UpdateOp::Put(*key, state)),
-                None => out.push(crate::scr::UpdateOp::Del(*key)),
-            }
-        }
+        let removed = ctx.removed_keys().iter().filter(|k| !written.contains(k));
+        ctx.read_local_flows(&mut written.iter().chain(removed), &mut |key, state| {
+            out.push(match state {
+                Some(state) => crate::scr::UpdateOp::Put(*key, state.clone()),
+                None => crate::scr::UpdateOp::Del(*key),
+            });
+        });
     }
 
     /// Merge hook of the SCR replay path: how an incoming replicated
@@ -484,6 +495,61 @@ pub trait NetworkFunction: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_replication_ships_each_mutated_key_once_with_its_post_batch_state() {
+        use crate::config::DispatchMode;
+        use crate::coremap::CoreMap;
+        use crate::scr::UpdateOp;
+        use crate::tables::{LocalTables, SharedTables};
+        use sprayer_net::FiveTuple;
+
+        struct Nop;
+        impl NetworkFunction for Nop {
+            type Flow = u32;
+            fn descriptor(&self) -> NfDescriptor {
+                NfDescriptor::named("nop")
+            }
+            fn connection_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+                Verdict::Forward
+            }
+            fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+                Verdict::Forward
+            }
+        }
+        let key = |i: u32| FiveTuple::tcp(0x0a00_0000 + i, 1000, 0xc0a8_0001, 443).key();
+        // k1 written; k2 written then removed (in both logs: ships once,
+        // as the Del its absence makes it); k4 only removed.
+        fn batch(ctx: &mut dyn FlowStateApi<u32>, key: impl Fn(u32) -> FlowKey) {
+            ctx.insert_local_flow(key(1), 10);
+            ctx.insert_local_flow(key(2), 20);
+            ctx.modify_local_flow(&key(1), &mut |v| *v += 1);
+            ctx.remove_local_flow(&key(2));
+            ctx.remove_local_flow(&key(4));
+        }
+        let want = vec![
+            UpdateOp::Put(key(1), 11),
+            UpdateOp::Del(key(2)),
+            UpdateOp::Del(key(4)),
+        ];
+        let map = CoreMap::new(DispatchMode::Scr, 2);
+
+        let mut local: LocalTables<u32> = LocalTables::new(map.clone(), 16);
+        local.apply_replica(0, &UpdateOp::Put(key(4), 40));
+        let mut ctx = local.ctx(0);
+        batch(&mut ctx, key);
+        let mut ops = Vec::new();
+        Nop.replicate_updates(&[], &[], &ctx, &mut ops);
+        assert_eq!(ops, want, "simulator backend");
+
+        let shared: SharedTables<u32> = SharedTables::new(map, 16);
+        shared.apply_replica(0, &UpdateOp::Put(key(4), 40));
+        let mut ctx = shared.ctx(0);
+        batch(&mut ctx, key);
+        let mut ops = Vec::new();
+        Nop.replicate_updates(&[], &[], &ctx, &mut ops);
+        assert_eq!(ops, want, "threaded backend, one read lock for the run");
+    }
 
     #[test]
     fn descriptor_builder_accumulates_states() {

@@ -233,6 +233,46 @@ impl<S> FlowTable<S> {
         }
     }
 
+    /// Mutable reference to `key`'s state, inserting `default` first
+    /// when the key is absent — one probe either way. A write-touch,
+    /// like [`FlowTable::insert`] and [`FlowTable::get_mut`].
+    pub fn get_or_insert(&mut self, key: FlowKey, default: S) -> &mut S {
+        if (self.len + self.tombstones + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let mut i = (key.stable_hash() & self.mask) as usize;
+        let mut first_tombstone: Option<usize> = None;
+        let at = loop {
+            match &self.slots[i] {
+                Slot::Full(k, ..) if *k == key => break i,
+                Slot::Full(..) => {}
+                Slot::Tombstone => {
+                    first_tombstone.get_or_insert(i);
+                }
+                Slot::Empty => {
+                    let target = match first_tombstone {
+                        Some(t) => {
+                            self.tombstones -= 1;
+                            t
+                        }
+                        None => i,
+                    };
+                    self.slots[target] = Slot::Full(key, default, self.clock);
+                    self.len += 1;
+                    break target;
+                }
+            }
+            i = (i + 1) & self.mask as usize;
+        };
+        match &mut self.slots[at] {
+            Slot::Full(_, s, stamp) => {
+                *stamp = self.clock;
+                s
+            }
+            _ => unreachable!("the probe ends on a Full slot"),
+        }
+    }
+
     /// Remove `key`'s entry, returning its state.
     pub fn remove(&mut self, key: &FlowKey) -> Option<S> {
         let i = self.find(key)?;
@@ -395,6 +435,31 @@ mod tests {
         *t.get_mut(&key(7)).unwrap() += 41;
         assert_eq!(t.get(&key(7)), Some(&42));
         assert_eq!(t.get_mut(&key(8)), None);
+    }
+
+    #[test]
+    fn get_or_insert_finds_or_creates_and_touches() {
+        let mut t: FlowTable<u32> = FlowTable::new();
+        t.set_clock(5);
+        *t.get_or_insert(key(1), 10) += 1;
+        assert_eq!(t.get(&key(1)), Some(&11), "absent: the default goes in");
+        assert_eq!(t.last_touch(&key(1)), Some(5));
+        t.set_clock(9);
+        *t.get_or_insert(key(1), 99) += 1;
+        assert_eq!(t.get(&key(1)), Some(&12), "present: the default is dropped");
+        assert_eq!(t.last_touch(&key(1)), Some(9), "a write-touch either way");
+        assert_eq!(t.len(), 1);
+        // Holes left by removals are reused, and growth keeps everyone.
+        for i in 2..200u32 {
+            t.get_or_insert(key(i), i);
+        }
+        for i in (2..200u32).step_by(2) {
+            t.remove(&key(i));
+        }
+        for i in 2..200u32 {
+            assert_eq!(*t.get_or_insert(key(i), 1_000 + i) % 1_000, i);
+        }
+        assert_eq!(t.len(), 199);
     }
 
     #[test]

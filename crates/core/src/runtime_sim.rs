@@ -3121,6 +3121,79 @@ mod tests {
     }
 
     #[test]
+    fn scr_guard_stays_near_the_live_window_not_the_flow_count() {
+        // The simulator's half of the guard bound: 50 k flows through a
+        // 1 024-flow live window. Every core's log runs dry between
+        // arrivals, so its guard forgets whenever it has doubled.
+        struct WindowNf;
+        impl NetworkFunction for WindowNf {
+            type Flow = usize;
+            fn descriptor(&self) -> NfDescriptor {
+                NfDescriptor::named("window")
+            }
+            fn connection_packets(
+                &self,
+                pkt: &mut Packet,
+                ctx: &mut dyn FlowStateApi<usize>,
+            ) -> Verdict {
+                if let Some(t) = pkt.tuple() {
+                    if pkt
+                        .meta()
+                        .tcp_flags
+                        .is_some_and(|f| f.contains(TcpFlags::FIN))
+                    {
+                        ctx.remove_local_flow(&t.key());
+                    } else {
+                        ctx.insert_local_flow(t.key(), 1);
+                    }
+                }
+                Verdict::Forward
+            }
+            fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<usize>) -> Verdict {
+                Verdict::Forward
+            }
+        }
+        const FLOWS: u32 = 50_000;
+        const LIVE: u32 = 1_024;
+        let mut mb = MiddleboxSim::new(cfg(DispatchMode::Scr, 0), WindowNf);
+        let mut now = Time::ZERO;
+        let mut guard_hwm = 0;
+        for f in 0..FLOWS + LIVE {
+            now += Time::from_us(1);
+            if f < FLOWS {
+                let syn = PacketBuilder::new().tcp(flow(f), 0, 0, TcpFlags::SYN, &payload(f));
+                mb.ingress(now, syn);
+            }
+            if f >= LIVE {
+                let fin =
+                    PacketBuilder::new().tcp(flow(f - LIVE), 0, 0, TcpFlags::FIN, &payload(f));
+                mb.ingress(now, fin);
+            }
+            mb.advance_until(now);
+            let plane = mb.scr.as_ref().expect("stateful NF under SCR");
+            for core in 0..plane.num_cores() {
+                guard_hwm = guard_hwm.max(plane.guard_len(core));
+            }
+        }
+        mb.run_until(now + Time::from_ms(10));
+        let s = mb.stats();
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        assert_eq!(s.scr_replay_gap(), 0, "{s:?}");
+        assert_eq!(s.scr_log_drops, 0, "{s:?}");
+        assert_eq!(
+            mb.tables().total_entries(),
+            0,
+            "every flow closed everywhere"
+        );
+        let bound = 4 * LIVE as usize + mb.config().batch_size;
+        assert!(
+            guard_hwm <= bound,
+            "a guard held {guard_hwm} records for a {LIVE}-flow window (bound {bound})"
+        );
+        assert!(guard_hwm > 0);
+    }
+
+    #[test]
     fn scr_core_failure_loses_no_flows_and_migrates_none() {
         let mut config = cfg(DispatchMode::Scr, 1_000);
         config.num_cores = 4;

@@ -386,6 +386,11 @@ pub struct ThreadedOutcome {
     /// crossings) are not recorded on this runtime — the rings are
     /// worker-owned.
     pub flight: Option<FlightSnapshot>,
+    /// Most records any worker's SCR version guard held at once
+    /// ([`ScrReplica::len_hwm`]; 0 outside SCR): what the guard floor
+    /// keeps near the live flow count where it used to follow the
+    /// cumulative one.
+    pub scr_guard_hwm: usize,
 }
 
 /// The real-thread middlebox. See the module docs for scope.
@@ -531,6 +536,8 @@ struct Worker<'a, NF: NetworkFunction> {
     scr_done_marked: bool,
     /// Scratch update buffer for [`NetworkFunction::replicate_updates`].
     scr_ops: Vec<UpdateOp<NF::Flow>>,
+    /// Scratch buffer one replay drains the inbound log into.
+    scr_inbox: Vec<StateUpdate<NF::Flow>>,
     /// True when any lifecycle policy is on (idle aging or the LRU
     /// backstop) — gates the per-iteration clock touch.
     lifecycle_on: bool,
@@ -586,6 +593,7 @@ struct WorkerResult {
     flight: Option<FlightRing>,
     tail: Option<TailReport>,
     scr_lag_hist: [u64; BATCH_HIST_BUCKETS],
+    scr_guard_hwm: usize,
     table_hwm: u64,
 }
 
@@ -741,6 +749,7 @@ impl ThreadedMiddlebox {
             reorder: None,
             tail: None,
             flight: None,
+            scr_guard_hwm: 0,
         };
         let obs = config.obs;
         let anchor = Instant::now();
@@ -1090,6 +1099,7 @@ impl ThreadedMiddlebox {
                 for (bucket, n) in stats.scr_lag_hist.iter_mut().zip(r.scr_lag_hist) {
                     *bucket += n;
                 }
+                outcome.scr_guard_hwm = outcome.scr_guard_hwm.max(r.scr_guard_hwm);
                 if let Some(ring) = r.trace {
                     worker_rings.push(ring);
                 }
@@ -1307,6 +1317,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             scr_lag_hist: [0; BATCH_HIST_BUCKETS],
             scr_done_marked: false,
             scr_ops: Vec::new(),
+            scr_inbox: Vec::new(),
             lifecycle_on: shared.tables.lifecycle_config().enabled(),
             next_sweep_us: {
                 let lc = shared.tables.lifecycle_config();
@@ -1537,7 +1548,12 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                 self.ctx.touch_clock(self.now_ns() / 1_000);
             }
             // SCR replay before new work — the same replay-before-
-            // service ordering the simulator enforces per dequeue.
+            // service ordering the simulator enforces per dequeue. Here
+            // no claimed sequence range is waiting to be pushed, which
+            // is what lets the peers' guards forget.
+            if let Some(plane) = self.shared.scr.as_ref() {
+                plane.quiesce(self.id);
+            }
             let mut did_work = self.scr_replay() > 0;
             // Ring (connection) work first, as in §3.3.
             did_work |= self.drain_ring();
@@ -1601,68 +1617,78 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             flight: self.flight,
             tail: self.tail.map(|t| t.report()),
             scr_lag_hist: self.scr_lag_hist,
+            scr_guard_hwm: self.scr_replica.as_ref().map_or(0, ScrReplica::len_hwm),
             table_hwm: self.table_hwm,
         }
     }
 
     /// Replay every pending remote state-update into this core's full
-    /// replica ([`DispatchMode::Scr`]): pop the inbound log, version-
-    /// guard each update through [`ScrReplica::admit`], and interpret
-    /// the admission against the replica — a fresh `Del` removes, an
+    /// replica ([`DispatchMode::Scr`]), one batch at a time: read the
+    /// guard floor, drain the inbound log into a reused buffer, then —
+    /// under one write-lock acquisition for the whole drain — version-
+    /// guard each update through [`ScrReplica::admit`] and interpret
+    /// the admission against the replica: a fresh `Del` removes, an
     /// admitted `Put` routes through the NF's
     /// [`NetworkFunction::merge_replica`] hook (default exact LWW;
     /// commutative NFs fold concurrent writes in, and a merge-completed
     /// teardown removes the entry and tombstones it). Superseded
     /// updates still count as applied — the conservation identity
-    /// `scr_replay_gap() == 0` tracks log consumption, not writes.
-    /// Profiled as classify work (replay is part of admission, exactly
-    /// where the simulator charges it). Returns updates consumed.
+    /// `scr_replay_gap() == 0` tracks log consumption, not writes. The
+    /// log having run dry, the guard may then forget below the floor
+    /// ([`crate::scr`], "Guard growth"). Profiled as classify work
+    /// (replay is part of admission, exactly where the simulator
+    /// charges it). Returns updates consumed.
     fn scr_replay(&mut self) -> u64 {
         let shared = self.shared;
         let Some(plane) = shared.scr.as_ref() else {
             return 0;
         };
-        if plane.pending(self.id) == 0 {
+        // A guard that only ever publishes still has to prune.
+        let prune_due = self.scr_replica.as_ref().is_some_and(ScrReplica::prune_due);
+        if plane.pending(self.id) == 0 && !prune_due {
             return 0;
         }
         let Some(mut replica) = self.scr_replica.take() else {
             return 0;
         };
         let c0 = self.prof_start();
-        let mut applied = 0u64;
-        while let Some(update) = plane.pop(self.id) {
-            applied += 1;
+        let floor = plane.floor(self.id);
+        let mut inbox = std::mem::take(&mut self.scr_inbox);
+        plane.drain(self.id, usize::MAX, |update| inbox.push(update));
+        let applied = inbox.len() as u64;
+        if applied > 0 {
             // Lag 1 = consumed while still the global head, matching the
-            // simulator's at-consumption convention.
-            let lag = (plane.head_seq() + 1).saturating_sub(update.seq);
-            self.scr_lag_hist[batch_bucket(lag)] += 1;
-            let key = *update.op.key();
-            let is_del = matches!(update.op, UpdateOp::Del(_));
-            match (update.op, replica.admit(key, update.seq, is_del)) {
-                (_, Admission::Superseded) => {}
-                (op @ UpdateOp::Del(_), _) => {
+            // simulator's at-consumption convention; the head is read
+            // once per drain.
+            let head = plane.head_seq();
+            let mut table = shared.tables.replica(self.id);
+            for update in inbox.drain(..) {
+                let lag = (head + 1).saturating_sub(update.seq);
+                self.scr_lag_hist[batch_bucket(lag)] += 1;
+                let is_del = matches!(update.op, UpdateOp::Del(_));
+                let admission = replica.admit(*update.op.key(), update.seq, is_del);
+                match (update.op, admission) {
+                    (_, Admission::Superseded) => {}
                     // The guard only ever admits a Del as Fresh.
-                    shared.tables.apply_replica(self.id, &op);
-                }
-                (UpdateOp::Put(key, state), admission) => {
-                    let newer = admission == Admission::Fresh;
-                    let existing = shared.tables.peek(self.id, &key);
-                    match self
-                        .nf
-                        .merge_replica(&key, existing.as_ref(), &state, newer)
-                    {
-                        ReplicaMerge::Store(s) => {
-                            shared.tables.apply_replica(self.id, &UpdateOp::Put(key, s));
-                        }
-                        ReplicaMerge::Keep => {}
-                        ReplicaMerge::Remove => {
-                            shared.tables.apply_replica(self.id, &UpdateOp::Del(key));
-                            replica.note_defunct(&key);
+                    (UpdateOp::Del(key), _) => table.del(&key),
+                    (UpdateOp::Put(key, state), admission) => {
+                        let newer = admission == Admission::Fresh;
+                        match self.nf.merge_replica(&key, table.get(&key), &state, newer) {
+                            ReplicaMerge::Store(s) => table.put(key, s),
+                            ReplicaMerge::Keep => {}
+                            ReplicaMerge::Remove => {
+                                table.del(&key);
+                                replica.note_defunct(&key);
+                            }
                         }
                     }
                 }
             }
         }
+        if replica.prune_due() {
+            replica.forget_below(floor);
+        }
+        self.scr_inbox = inbox;
         self.scr_replica = Some(replica);
         self.prof_span(Stage::Classify, c0);
         applied
@@ -1670,17 +1696,14 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
 
     /// Extract and multicast the state updates of a completed batch
     /// ([`DispatchMode::Scr`]): ask the NF for the batch's update
-    /// records, enqueue each onto every live peer's log, and note the
-    /// assigned sequence numbers in our own version guard so a slower
-    /// remote update can never downgrade a newer local write. Profiled
+    /// records, claim their sequence range with one `fetch_add`, note
+    /// the numbers in our own version guard so a slower remote update
+    /// can never downgrade a newer local write, and send the run to
+    /// each peer found alive, asked once per batch (a dead peer's log
+    /// is dark, not leaking: the copies were never owed to it) — cloned
+    /// for all but the last, which takes the ops themselves. Profiled
     /// as redirect work — the update log is SCR's replacement for
     /// redirection.
-    ///
-    /// A full live peer log is backpressure, not loss: the publisher
-    /// replays its *own* inbox (work-conserving — two mutually blocked
-    /// publishers each make room for the other, so this cannot
-    /// deadlock) and retries until the push lands. Only a peer that
-    /// dies mid-retry abandons the copy, as an accounted drop.
     fn scr_publish(&mut self, pkts: &[Packet], conn: &[bool]) {
         let shared = self.shared;
         let Some(plane) = shared.scr.as_ref() else {
@@ -1697,49 +1720,68 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         // The batch's mutation log fed the hook; reset it either way so
         // the next batch starts clean.
         self.ctx.clear_batch_log();
-        for op in &ops {
-            let seq = plane.assign_seq();
-            let is_del = matches!(op, UpdateOp::Del(_));
+        if !ops.is_empty() {
+            let first = plane.claim_seqs(ops.len() as u64);
             if let Some(replica) = self.scr_replica.as_mut() {
-                replica.note_local(*op.key(), seq, is_del);
-            }
-            for peer in 0..plane.num_cores() {
-                if peer == self.id || shared.dead[peer].load(Ordering::SeqCst) {
-                    // A dead peer's log is dark, not leaking: the copy
-                    // was never owed to it.
-                    continue;
+                for (seq, op) in (first..).zip(&ops) {
+                    replica.note_local(*op.key(), seq, matches!(op, UpdateOp::Del(_)));
                 }
-                let mut update = StateUpdate {
-                    seq,
-                    origin: self.id,
-                    op: op.clone(),
-                };
-                loop {
-                    match plane.try_send(peer, update) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if shared.dead[peer].load(Ordering::SeqCst) {
-                                // Died mid-retry with a full log: this
-                                // copy can never be replayed.
-                                plane.count_drop();
-                                break;
-                            }
-                            update = back;
-                            // Work-conserving backpressure: drain our
-                            // own inbox so a mutually blocked peer
-                            // publishing to us gets room, then retry.
-                            // (The replay time is profiled as classify
-                            // inside this redirect span; the overlap
-                            // only occurs under log-full pressure.)
-                            self.scr_replay();
-                            std::thread::yield_now();
-                        }
-                    }
+            }
+            let me = self.id;
+            let mut peers = (0..plane.num_cores())
+                .filter(|&peer| peer != me && !shared.dead[peer].load(Ordering::SeqCst))
+                .peekable();
+            while let Some(peer) = peers.next() {
+                if peers.peek().is_some() {
+                    self.scr_send(plane, peer, first, ops.iter().cloned());
+                } else {
+                    self.scr_send(plane, peer, first, ops.drain(..));
                 }
             }
         }
         self.scr_ops = ops;
         self.prof_span(Stage::Redirect, r0);
+    }
+
+    /// Send one batch's ops, numbered from `first`, to `peer`'s log.
+    ///
+    /// A full live peer log is backpressure, not loss: the publisher
+    /// replays its *own* inbox (work-conserving — two mutually blocked
+    /// publishers each make room for the other, so this cannot
+    /// deadlock) and retries until the run has landed. Only a peer that
+    /// dies mid-retry abandons the refused copy, as an accounted drop;
+    /// what was behind it is no longer owed.
+    fn scr_send(
+        &mut self,
+        plane: &SharedScrPlane<NF::Flow>,
+        peer: usize,
+        first: u64,
+        ops: impl Iterator<Item = UpdateOp<NF::Flow>>,
+    ) {
+        let origin = self.id;
+        let mut rest = (first..)
+            .zip(ops)
+            .map(|(seq, op)| StateUpdate { seq, origin, op });
+        let mut held = None;
+        loop {
+            held = plane.try_send_from(peer, held, &mut rest);
+            if held.is_none() {
+                break;
+            }
+            if self.shared.dead[peer].load(Ordering::SeqCst) {
+                // Died mid-retry with a full log: this copy can never
+                // be replayed.
+                plane.count_drop();
+                break;
+            }
+            // Work-conserving backpressure: drain our own inbox so a
+            // mutually blocked peer publishing to us gets room, then
+            // retry. (The replay time is profiled as classify inside
+            // the redirect span; the overlap only occurs under log-full
+            // pressure.)
+            self.scr_replay();
+            std::thread::yield_now();
+        }
     }
 
     /// Run the NF's [`NetworkFunction::evict_flow`] hook on every
@@ -3343,6 +3385,74 @@ mod tests {
         assert_eq!(lag_total, s.scr_applied, "one lag sample per replay");
         let busy = out.per_worker_processed.iter().filter(|&&p| p > 0).count();
         assert_eq!(busy, 4, "spraying one phase must reach all workers");
+    }
+
+    /// Opens a flow on SYN and closes it on FIN, so a long run walks
+    /// many flows through a short live window.
+    struct WindowNf;
+    impl NetworkFunction for WindowNf {
+        type Flow = u32;
+        fn descriptor(&self) -> NfDescriptor {
+            NfDescriptor::named("window")
+        }
+        fn connection_packets(&self, pkt: &mut Packet, ctx: &mut dyn FlowStateApi<u32>) -> Verdict {
+            if let Some(t) = pkt.tuple() {
+                if pkt
+                    .meta()
+                    .tcp_flags
+                    .is_some_and(|f| f.contains(TcpFlags::FIN))
+                {
+                    ctx.remove_local_flow(&t.key());
+                } else {
+                    ctx.insert_local_flow(t.key(), 1);
+                }
+            }
+            Verdict::Forward
+        }
+        fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+            Verdict::Forward
+        }
+    }
+
+    #[test]
+    fn scr_guard_stays_near_the_live_window_not_the_flow_count() {
+        // 50 k flows, each closed 1 024 flows after it opened. A guard
+        // that keeps a record per flow ever seen ends at ~50 k; the
+        // floor lets every worker forget what no update can still need.
+        // Closed loop over short queues, so a worker the host has
+        // descheduled stalls its peers (and hence the floor's lag)
+        // within a few hundred packets.
+        const FLOWS: u32 = 50_000;
+        const LIVE: u32 = 1_024;
+        let conn = |f: u32, flags| {
+            let t = FiveTuple::tcp(0x0a00_0000 + f, 40_000, 0xc0a8_0001, 443);
+            PacketBuilder::new().tcp(t, 0, 0, flags, &payload(f))
+        };
+        let mut pkts = Vec::new();
+        for f in 0..FLOWS + LIVE {
+            if f < FLOWS {
+                pkts.push(conn(f, TcpFlags::SYN));
+            }
+            if f >= LIVE {
+                pkts.push(conn(f - LIVE, TcpFlags::FIN));
+            }
+        }
+        let mut config = ThreadedConfig::new(DispatchMode::Scr, 3);
+        config.queue_capacity = 64;
+        config.ingress_retries = usize::MAX;
+        let out = ThreadedMiddlebox::run(&config, &WindowNf, vec![pkts]);
+        let s = &out.stats;
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        assert_eq!(s.scr_replay_gap(), 0, "{s:?}");
+        assert_eq!(s.scr_log_drops, 0, "{s:?}");
+        assert!(s.scr_published >= 2 * u64::from(FLOWS), "{s:?}");
+        let bound = 4 * LIVE as usize + config.batch_size;
+        assert!(
+            out.scr_guard_hwm <= bound,
+            "guard held {} records for a {LIVE}-flow window (bound {bound})",
+            out.scr_guard_hwm
+        );
+        assert!(out.scr_guard_hwm > 0);
     }
 
     #[test]

@@ -68,14 +68,41 @@
 //!
 //! ## Guard growth
 //!
-//! Version-guard entries deliberately outlive their flows: the `Del`
-//! tombstone is what blocks late stale `Put`s from resurrecting
-//! removed state, and there is no cheap global criterion for when
-//! every core has passed a tombstone. Guard memory therefore scales
-//! with *cumulative* flow count, unlike the capacity-bounded flow
-//! tables — an accepted modeling cost, documented in DESIGN.md
-//! (§SCR), that a production system would bound with epoch-based
-//! reclamation.
+//! A guard record must outlive its flow — the `Del` tombstone is what
+//! stops a late stale `Put` from resurrecting removed state — but only
+//! until no update old enough to need it can still arrive. The **guard
+//! floor** says when that is. Every publisher stores, at the top of its
+//! worker loop where it holds no claimed-but-unpushed sequence range,
+//! `quiesced_at[me] = head_seq()` ([`SharedScrPlane::quiesce`]): every
+//! number it has claimed is in its peers' logs, and every number it
+//! claims later is larger. A consumer reads
+//! `floor = min over every other core of quiesced_at`
+//! ([`SharedScrPlane::floor`]) *before* a drain, drains its log until
+//! empty, then drops every record with `last_seq ≤ floor`
+//! ([`ScrReplica::forget_below`]).
+//!
+//! *Why no verdict changes.* When the drain ends, every update numbered
+//! `≤ floor` that was ever owed to this core has been consumed: each
+//! origin had pushed all of its own before it stored its `quiesced_at`,
+//! the log is FIFO, and the drain ran it dry after the load. So any
+//! update that can still arrive has `seq > floor ≥ last_seq ≥
+//! last_del_seq` of a dropped record — against the record it is `Fresh`
+//! and leaves `(seq, seq or last_del_seq)`; against nothing it is
+//! `Fresh` and leaves `(seq, seq or 0)`; and since everything later is
+//! again above `floor`, no comparison can tell `last_del_seq` from 0.
+//! Every [`Admission`] is what the unpruned guard would have given. A
+//! dead or stalled core stops advancing its `quiesced_at`, which stops
+//! the floor — it is never left out of the minimum — so its peers'
+//! guards grow until it is replaced, never wrongly forget.
+//!
+//! The guard stays what it was, a [`FlowTable`] of records; the prune
+//! is a filter on each record's own `last_seq` into a table sized for
+//! the survivors. It runs when the guard has doubled since the last
+//! prune: amortised constant work per record, and guard memory within
+//! a factor of two of the records written since the floor instead of
+//! one per flow ever seen. In the simulator a publish lands on every
+//! log at once, so an empty log means `floor = next_seq − 1`
+//! ([`ScrPlane::take`]).
 
 use crate::flowtable::FlowTable;
 use crossbeam::queue::ArrayQueue;
@@ -187,9 +214,8 @@ pub struct TakenUpdate<S> {
 #[derive(Debug)]
 pub struct ScrPlane<S> {
     inboxes: Vec<VecDeque<StateUpdate<S>>>,
-    /// Per-core version guards (one [`ScrReplica`] each). An entry
-    /// outlives its flow (the `Del` tombstone), so late stale `Put`s
-    /// cannot resurrect removed state.
+    /// Per-core version guards (one [`ScrReplica`] each), pruned below
+    /// the floor whenever [`Self::take`] finds the core's log empty.
     versions: Vec<ScrReplica>,
     capacity: usize,
     /// Next sequence number to assign; `next_seq - 1` is the global
@@ -233,6 +259,11 @@ impl<S: Clone> ScrPlane<S> {
         self.inboxes.iter().map(VecDeque::len).sum()
     }
 
+    /// Records in `core`'s version guard ([`ScrReplica::len`]).
+    pub fn guard_len(&self, core: usize) -> usize {
+        self.versions[core].len()
+    }
+
     /// Multicast one update from `origin` to every live peer
     /// (`failed[c]` peers are skipped — their logs are dark, not
     /// leaking). Assigns the op's global sequence number and records it
@@ -267,9 +298,16 @@ impl<S: Clone> ScrPlane<S> {
     /// Consume the next pending update from `core`'s log, running the
     /// version guard. The caller counts it applied either way and
     /// interprets `admission` (apply / merge / skip) against the
-    /// replica.
+    /// replica. An empty log is the guard floor at the global head —
+    /// a publish reaches every log at once, so nothing at or below
+    /// `next_seq − 1` can still arrive — and the guard forgets below it.
     pub fn take(&mut self, core: usize) -> Option<TakenUpdate<S>> {
-        let update = self.inboxes[core].pop_front()?;
+        let Some(update) = self.inboxes[core].pop_front() else {
+            if self.versions[core].prune_due() {
+                self.versions[core].forget_below(self.next_seq - 1);
+            }
+            return None;
+        };
         let key = *update.op.key();
         let is_del = matches!(update.op, UpdateOp::Del(_));
         let admission = self.versions[core].admit(key, update.seq, is_del);
@@ -325,6 +363,10 @@ impl<S: Clone> ScrPlane<S> {
 struct SharedScrInner<S> {
     inboxes: Vec<ArrayQueue<StateUpdate<S>>>,
     next_seq: AtomicU64,
+    /// Per core: a global head at which the core held no
+    /// claimed-but-unpushed sequence range (see the module docs,
+    /// "Guard growth").
+    quiesced_at: Vec<AtomicU64>,
     published: AtomicU64,
     applied: AtomicU64,
     dropped: AtomicU64,
@@ -374,6 +416,7 @@ impl<S> SharedScrPlane<S> {
             inner: Arc::new(SharedScrInner {
                 inboxes: (0..num_cores).map(|_| ArrayQueue::new(capacity)).collect(),
                 next_seq: AtomicU64::new(1),
+                quiesced_at: (0..num_cores).map(|_| AtomicU64::new(0)).collect(),
                 published: AtomicU64::new(0),
                 applied: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
@@ -387,30 +430,67 @@ impl<S> SharedScrPlane<S> {
         self.inner.inboxes.len()
     }
 
-    /// Assign the next global sequence number (the first half of a
-    /// multicast — the caller stamps it on every peer copy and records
-    /// it in its own version guard before any [`Self::try_send`]).
-    pub fn assign_seq(&self) -> u64 {
-        self.inner.next_seq.fetch_add(1, Ordering::Relaxed)
+    /// Claim `n` consecutive global sequence numbers with one
+    /// `fetch_add`, returning the first (the first half of a batch
+    /// multicast — the caller stamps `first + i` on every peer copy of
+    /// its `i`-th op and records it in its own version guard before any
+    /// send).
+    pub fn claim_seqs(&self, n: u64) -> u64 {
+        self.inner.next_seq.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// Enqueue one copy onto `peer`'s log. `Ok` counts it published;
-    /// a full log hands the update back **uncounted** so the caller
-    /// can apply backpressure — the threaded worker replays its *own*
-    /// inbox (making room for a mutually-blocked peer publishing to
-    /// it) and retries until the push lands or the peer dies. Only a
-    /// copy the caller abandons ([`Self::count_drop`]) or a truncated
-    /// dead log ever shows up in `dropped`.
-    pub fn try_send(&self, peer: usize, update: StateUpdate<S>) -> Result<(), StateUpdate<S>> {
+    /// Assign the next global sequence number: a claim of one.
+    pub fn assign_seq(&self) -> u64 {
+        self.claim_seqs(1)
+    }
+
+    /// Enqueue `held` (a copy an earlier call handed back), then the
+    /// items of `rest`, onto `peer`'s log until one does not fit. The
+    /// copies that landed count as published — one add and one
+    /// high-water check for the whole run. A full log hands the
+    /// refused update back **uncounted** so the caller can apply
+    /// backpressure — the threaded worker replays its *own* inbox
+    /// (making room for a mutually-blocked peer publishing to it) and
+    /// calls again with the refused update as `held`, until `None`
+    /// says everything landed or the peer dies. Only a copy the caller
+    /// abandons ([`Self::count_drop`]) or a truncated dead log ever
+    /// shows up in `dropped`.
+    pub fn try_send_from(
+        &self,
+        peer: usize,
+        mut held: Option<StateUpdate<S>>,
+        rest: &mut impl Iterator<Item = StateUpdate<S>>,
+    ) -> Option<StateUpdate<S>> {
         let inbox = &self.inner.inboxes[peer];
-        match inbox.push(update) {
-            Ok(()) => {
-                self.inner.published.fetch_add(1, Ordering::Relaxed);
-                let depth = inbox.len() as u64;
-                self.inner.occupancy_hwm.fetch_max(depth, Ordering::Relaxed);
-                Ok(())
+        let mut sent = 0u64;
+        let refused = loop {
+            let Some(update) = held.take().or_else(|| rest.next()) else {
+                break None;
+            };
+            match inbox.push(update) {
+                Ok(()) => sent += 1,
+                Err(back) => break Some(back),
             }
-            Err(update) => Err(update),
+        };
+        if sent > 0 {
+            self.inner.published.fetch_add(sent, Ordering::Relaxed);
+            // The mark moves a few times a run: read it, and pay the
+            // read-modify-write on the shared line only to raise it.
+            let depth = inbox.len() as u64;
+            if depth > self.inner.occupancy_hwm.load(Ordering::Relaxed) {
+                self.inner.occupancy_hwm.fetch_max(depth, Ordering::Relaxed);
+            }
+        }
+        refused
+    }
+
+    /// Enqueue one copy onto `peer`'s log: [`Self::try_send_from`] with
+    /// nothing behind it. `Ok` counts it published; a full log hands
+    /// the update back uncounted.
+    pub fn try_send(&self, peer: usize, update: StateUpdate<S>) -> Result<(), StateUpdate<S>> {
+        match self.try_send_from(peer, Some(update), &mut std::iter::empty()) {
+            None => Ok(()),
+            Some(back) => Err(back),
         }
     }
 
@@ -426,9 +506,10 @@ impl<S> SharedScrPlane<S> {
     /// [`Self::assign_seq`] plus one [`Self::try_send`] per live peer,
     /// a full log counting straight as a drop. This is the convenience
     /// path for tests and models; the threaded runtime's
-    /// `Worker::scr_publish` uses the primitives directly so it can
-    /// drain-and-retry instead of dropping. Returns the assigned
-    /// global sequence number for the origin's own version guard.
+    /// `Worker::scr_publish` claims a whole batch's range and sends it
+    /// with [`Self::try_send_from`] so it can drain-and-retry instead
+    /// of dropping. Returns the assigned global sequence number for the
+    /// origin's own version guard.
     pub fn publish(&self, origin: usize, op: &UpdateOp<S>, alive: &[bool]) -> u64
     where
         S: Clone,
@@ -450,12 +531,66 @@ impl<S> SharedScrPlane<S> {
         seq
     }
 
+    /// Pop up to `max` pending updates from `core`'s log, in order,
+    /// handing each to `sink`, and count them applied with one add.
+    /// Returns how many; fewer than `max` means the log was found
+    /// empty. The caller runs its own [`ScrReplica`] version guard.
+    pub fn drain(&self, core: usize, max: usize, mut sink: impl FnMut(StateUpdate<S>)) -> usize {
+        let inbox = &self.inner.inboxes[core];
+        let mut n = 0;
+        while n < max {
+            let Some(update) = inbox.pop() else {
+                break;
+            };
+            sink(update);
+            n += 1;
+        }
+        if n > 0 {
+            self.inner.applied.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        n
+    }
+
     /// Pop the next pending update from `core`'s log, counting it
-    /// applied. The caller runs its own [`ScrReplica`] version guard.
+    /// applied: a [`Self::drain`] of one.
     pub fn pop(&self, core: usize) -> Option<StateUpdate<S>> {
-        let update = self.inner.inboxes[core].pop()?;
-        self.inner.applied.fetch_add(1, Ordering::Relaxed);
-        Some(update)
+        let mut next = None;
+        self.drain(core, 1, |update| next = Some(update));
+        next
+    }
+
+    /// `core` declares that it holds no claimed-but-unpushed sequence
+    /// range: every number it ever claimed is in its peers' logs (or
+    /// accounted as dropped), and whatever it claims from here on is
+    /// above the head it records. The worker calls this at the top of
+    /// its loop. `Release` pairs with the `Acquire` in [`Self::floor`],
+    /// so a consumer that reads this head also finds those pushes.
+    pub fn quiesce(&self, core: usize) {
+        let head = self.head_seq();
+        let slot = &self.inner.quiesced_at[core];
+        // An idle worker re-reads an unchanged head; leave the shared
+        // line clean then.
+        if slot.load(Ordering::Relaxed) != head {
+            slot.store(head, Ordering::Release);
+        }
+    }
+
+    /// The guard floor for consumer `core`: the lowest head any *other*
+    /// core last quiesced at (dead and stalled cores included — they
+    /// hold the floor down, see the module docs). Read it before a
+    /// drain; once that drain has emptied the log, no update numbered
+    /// at or below it can still arrive and
+    /// [`ScrReplica::forget_below`] may drop what only such an update
+    /// could have needed. With no other core nothing can arrive at all.
+    pub fn floor(&self, core: usize) -> u64 {
+        self.inner
+            .quiesced_at
+            .iter()
+            .enumerate()
+            .filter(|&(peer, _)| peer != core)
+            .map(|(_, at)| at.load(Ordering::Acquire))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Updates pending in `core`'s log.
@@ -514,12 +649,35 @@ impl<S> SharedScrPlane<S> {
 /// the threaded runtime each worker owns one privately; the simulator's
 /// [`ScrPlane`] keeps one per core.
 ///
-/// Entries outlive their flows (the `last_del_seq` tombstone is what
-/// blocks resurrection), so the guard grows with cumulative flow count
-/// — see the module docs ("Guard growth") for why that is accepted.
-#[derive(Debug, Default)]
+/// A record outlives its flow (the `last_del_seq` tombstone is what
+/// blocks resurrection) until [`Self::forget_below`] drops it below the
+/// guard floor — see the module docs ("Guard growth"). A guard that is
+/// never told a floor keeps every record, and gives the same verdicts.
+#[derive(Debug)]
 pub struct ScrReplica {
     versions: FlowTable<(u64, u64)>,
+    /// Record count at which the next prune runs: twice what the last
+    /// one left.
+    prune_at: usize,
+    /// Most records held at once.
+    hwm: usize,
+}
+
+/// The guard is not pruned below this many records. A prune scans the
+/// table and moves the survivors, so pruning a guard of tens of records
+/// every other drain costs more than the records do: on `churn` a
+/// minimum of 64 gave back half of what bounding the guard buys, 256 to
+/// 2 048 read alike, and from 8 192 up the guard is out of cache again.
+const GUARD_PRUNE_MIN: usize = 1024;
+
+impl Default for ScrReplica {
+    fn default() -> Self {
+        ScrReplica {
+            versions: FlowTable::new(),
+            prune_at: GUARD_PRUNE_MIN,
+            hwm: 0,
+        }
+    }
 }
 
 impl ScrReplica {
@@ -528,31 +686,67 @@ impl ScrReplica {
         ScrReplica::default()
     }
 
+    /// Records currently held.
+    pub fn len(&self) -> usize {
+        self.versions.len()
+    }
+
+    /// True when the guard holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.versions.is_empty()
+    }
+
+    /// Most records the guard has held at once.
+    pub fn len_hwm(&self) -> usize {
+        self.hwm.max(self.len())
+    }
+
+    /// True once the guard has doubled since its last prune: the owner
+    /// should fetch a floor and call [`Self::forget_below`].
+    pub fn prune_due(&self) -> bool {
+        self.len() >= self.prune_at
+    }
+
     /// Record a version this core just wrote locally (its own publish).
     pub fn note_local(&mut self, key: FlowKey, seq: u64, is_del: bool) {
-        let last_del = if is_del {
-            seq
-        } else {
-            self.versions.get(&key).map_or(0, |v| v.1)
-        };
-        self.versions.insert(key, (seq, last_del));
+        let v = self.versions.get_or_insert(key, (0, 0));
+        *v = (seq, if is_del { seq } else { v.1 });
     }
 
     /// Version-guard a remote update (see [`Admission`]): `Fresh`
     /// advances the guard; `Concurrent` is an older `Put` still newer
     /// than the flow's last removal (merge material); `Superseded` is
-    /// tombstoned history.
+    /// tombstoned history. One probe: a flow never seen starts at
+    /// `(0, 0)`, below every sequence number.
     pub fn admit(&mut self, key: FlowKey, seq: u64, is_del: bool) -> Admission {
-        let (last_seq, last_del) = self.versions.get(&key).copied().unwrap_or((0, 0));
-        if seq > last_seq {
-            let del = if is_del { seq } else { last_del };
-            self.versions.insert(key, (seq, del));
+        let v = self.versions.get_or_insert(key, (0, 0));
+        if seq > v.0 {
+            *v = (seq, if is_del { seq } else { v.1 });
             Admission::Fresh
-        } else if !is_del && seq > last_del {
+        } else if !is_del && seq > v.1 {
             Admission::Concurrent
         } else {
             Admission::Superseded
         }
+    }
+
+    /// Drop every record with `last_seq ≤ floor`. The caller guarantees
+    /// that no update numbered at or below `floor` can still reach this
+    /// guard (module docs, "Guard growth"); every later [`Self::admit`]
+    /// then answers as if nothing had been dropped. The survivors move
+    /// to a fresh table, so the guard's footprint — and the next
+    /// prune's scan — follows what it holds, not what it once held.
+    /// Correct whenever the floor is; worth its scan when
+    /// [`Self::prune_due`].
+    pub fn forget_below(&mut self, floor: u64) {
+        self.hwm = self.hwm.max(self.len());
+        let fresh = FlowTable::with_capacity_hint(self.prune_at);
+        for (key, v) in std::mem::replace(&mut self.versions, fresh) {
+            if v.0 > floor {
+                self.versions.insert(key, v);
+            }
+        }
+        self.prune_at = (2 * self.len()).max(GUARD_PRUNE_MIN);
     }
 
     /// Advance the flow's tombstone to its last-seen seq — called when
@@ -811,6 +1005,108 @@ mod tests {
             plane.published(),
             plane.applied() + plane.dropped() + pending
         );
+    }
+
+    #[test]
+    fn a_claimed_range_is_sent_in_order_and_counted_once_per_run() {
+        let plane: SharedScrPlane<u32> = SharedScrPlane::new(2, 3);
+        assert_eq!(plane.assign_seq(), 1);
+        let first = plane.claim_seqs(5);
+        assert_eq!(first, 2, "the range starts where the last claim ended");
+        assert_eq!(plane.head_seq(), 6);
+        assert_eq!(plane.assign_seq(), 7, "and the next claim follows it");
+        let mut rest = (first..first + 5).map(|seq| StateUpdate {
+            seq,
+            origin: 0,
+            op: UpdateOp::Put(key(seq as u32), seq as u32),
+        });
+        // Three fit; the fourth comes back uncounted, the fifth was
+        // never taken from the iterator.
+        let held = plane.try_send_from(1, None, &mut rest);
+        assert_eq!(held.as_ref().map(|u| u.seq), Some(5));
+        assert_eq!((plane.published(), plane.occupancy_hwm()), (3, 3));
+        // Backpressure: make room, hand the refused copy back first.
+        let mut got = Vec::new();
+        assert_eq!(plane.drain(1, 2, |u| got.push(u.seq)), 2);
+        assert_eq!(plane.applied(), 2);
+        assert!(plane.try_send_from(1, held, &mut rest).is_none());
+        assert_eq!(plane.published(), 5);
+        assert_eq!(plane.drain(1, usize::MAX, |u| got.push(u.seq)), 3);
+        assert_eq!(got, [2, 3, 4, 5, 6], "per-origin FIFO, nothing skipped");
+        assert_eq!(plane.drain(1, usize::MAX, |_| unreachable!()), 0);
+        assert_eq!(plane.published(), plane.applied());
+    }
+
+    #[test]
+    fn the_floor_is_the_slowest_other_core_and_a_silent_core_pins_it() {
+        let plane: SharedScrPlane<u32> = SharedScrPlane::new(3, 8);
+        assert_eq!(plane.floor(0), 0, "nobody has quiesced yet");
+        plane.claim_seqs(10);
+        plane.quiesce(1);
+        assert_eq!(plane.floor(0), 0, "core 2 has not: it may hold a range");
+        assert_eq!(plane.floor(2), 0, "and core 0 pins core 2's floor");
+        plane.quiesce(2);
+        assert_eq!(plane.floor(0), 10);
+        plane.claim_seqs(5);
+        plane.quiesce(1);
+        assert_eq!(plane.floor(0), 10, "core 2 went silent at 10");
+        assert_eq!(plane.floor(2), 0, "core 0 never spoke");
+        let alone: SharedScrPlane<u32> = SharedScrPlane::new(1, 8);
+        assert_eq!(alone.floor(0), u64::MAX, "no peer, nothing can arrive");
+    }
+
+    #[test]
+    fn the_guard_forgets_below_the_floor_once_it_has_doubled() {
+        let mut replica = ScrReplica::new();
+        for i in 0..GUARD_PRUNE_MIN as u32 - 1 {
+            replica.note_local(key(i), u64::from(i) + 1, false);
+        }
+        assert!(!replica.prune_due(), "too small to be worth a scan");
+        let head = GUARD_PRUNE_MIN as u64;
+        assert_eq!(replica.admit(key(9_999), head, true), Admission::Fresh);
+        assert!(replica.prune_due());
+        replica.forget_below(head - 10);
+        assert_eq!(replica.len(), 10, "only records above the floor stay");
+        assert_eq!(replica.len_hwm(), GUARD_PRUNE_MIN);
+        // What stayed still guards: the Del at the head blocks its past.
+        assert_eq!(
+            replica.admit(key(9_999), head - 1, false),
+            Admission::Superseded
+        );
+        // A stalled floor drops nothing, and the next prune waits for
+        // the guard to double again.
+        let mut prunes = 0;
+        for i in 0..4 * GUARD_PRUNE_MIN as u32 {
+            replica.note_local(key(20_000 + i), head + 1 + u64::from(i), false);
+            if replica.prune_due() {
+                replica.forget_below(head - 10);
+                prunes += 1;
+            }
+        }
+        assert_eq!(replica.len(), 10 + 4 * GUARD_PRUNE_MIN);
+        assert_eq!(prunes, 3, "at 1x, 2x and 4x the minimum");
+    }
+
+    #[test]
+    fn the_simulator_guard_forgets_when_its_log_runs_dry() {
+        let mut plane: ScrPlane<u32> = ScrPlane::new(2, 4 * GUARD_PRUNE_MIN);
+        let n = 3 * GUARD_PRUNE_MIN as u32;
+        for i in 0..n {
+            plane.publish(0, UpdateOp::Put(key(i), i), &[false; 2]);
+            plane.publish(0, UpdateOp::Del(key(i)), &[false; 2]);
+            while plane.take(1).is_some() {}
+            assert!(plane.take(0).is_none(), "the origin's own log is empty");
+        }
+        for core in 0..2 {
+            assert!(
+                plane.guard_len(core) <= GUARD_PRUNE_MIN,
+                "core {core}: {} records for {n} flows",
+                plane.guard_len(core)
+            );
+        }
+        // Nothing older than the head can arrive, so forgetting is safe.
+        plane.publish(0, UpdateOp::Put(key(0), 7), &[false; 2]);
+        assert_eq!(plane.take(1).unwrap().admission, Admission::Fresh);
     }
 
     #[test]

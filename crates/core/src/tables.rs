@@ -26,7 +26,7 @@ use crate::api::{EvictReason, FlowStateApi, InsertOutcome};
 use crate::config::{DispatchMode, LifecycleConfig};
 use crate::coremap::CoreMap;
 use crate::flowtable::FlowTable;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use sprayer_net::FlowKey;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -289,10 +289,9 @@ impl<S: Clone> LocalTables<S> {
     pub fn apply_replica(&mut self, core: usize, op: &crate::scr::UpdateOp<S>) {
         match op {
             crate::scr::UpdateOp::Put(key, state) => {
-                if !self.tables[core].contains_key(key) {
+                if self.tables[core].insert(*key, state.clone()).is_none() {
                     self.counters.created += 1;
                 }
-                self.tables[core].insert(*key, state.clone());
             }
             crate::scr::UpdateOp::Del(key) => {
                 if self.tables[core].remove(key).is_some() {
@@ -659,12 +658,6 @@ impl<S: Clone + Send + Sync> SharedTables<S> {
         self.inner.counters.snapshot()
     }
 
-    /// Direct read of one core's table (the SCR replay path's merge
-    /// input; clones the value like every other read).
-    pub fn peek(&self, core: usize, key: &FlowKey) -> Option<S> {
-        self.inner.tables[core].read().get(key).cloned()
-    }
-
     /// Entries across all tables.
     pub fn total_entries(&self) -> usize {
         self.inner.tables.iter().map(|t| t.read().len()).sum()
@@ -680,24 +673,29 @@ impl<S: Clone + Send + Sync> SharedTables<S> {
         &self.inner.map
     }
 
-    /// Apply one replicated state-update into `core`'s replica (the SCR
-    /// replay path; see [`LocalTables::apply_replica`]). Takes the
-    /// core's write lock — only the owning worker calls this, so the
-    /// lock is never writer-contended, like every other local write.
+    /// Open `core`'s replica for a run of replayed state-updates (the
+    /// SCR replay path): one write-lock acquisition for the whole run,
+    /// released — and the conservation counters settled, one add each —
+    /// when the writer drops. Only the owning worker calls this, so the
+    /// lock is never writer-contended, like every other local write;
+    /// under SCR no peer reads this table either.
+    pub fn replica(&self, core: usize) -> ReplicaWriter<'_, S> {
+        ReplicaWriter {
+            table: self.inner.tables[core].write(),
+            counters: &self.inner.counters,
+            created: 0,
+            replica_dels: 0,
+        }
+    }
+
+    /// Apply one replicated state-update into `core`'s replica: a
+    /// [`Self::replica`] run of one (see [`LocalTables::apply_replica`]
+    /// for why replay bypasses the capacity cap).
     pub fn apply_replica(&self, core: usize, op: &crate::scr::UpdateOp<S>) {
-        let mut table = self.inner.tables[core].write();
+        let mut replica = self.replica(core);
         match op {
-            crate::scr::UpdateOp::Put(key, state) => {
-                if !table.contains_key(key) {
-                    SharedCounters::bump(&self.inner.counters.created);
-                }
-                table.insert(*key, state.clone());
-            }
-            crate::scr::UpdateOp::Del(key) => {
-                if table.remove(key).is_some() {
-                    SharedCounters::bump(&self.inner.counters.replica_dels);
-                }
-            }
+            crate::scr::UpdateOp::Put(key, state) => replica.put(*key, state.clone()),
+            crate::scr::UpdateOp::Del(key) => replica.del(key),
         }
     }
 
@@ -782,6 +780,48 @@ impl<S: Clone + Send + Sync> SharedTables<S> {
             }),
         };
         (next, stats)
+    }
+}
+
+/// One core's replica held open for replay ([`SharedTables::replica`]).
+/// Writes bypass the capacity cap and the per-batch mutation log, as
+/// replay must.
+pub struct ReplicaWriter<'a, S> {
+    table: RwLockWriteGuard<'a, FlowTable<S>>,
+    counters: &'a SharedCounters,
+    created: u64,
+    replica_dels: u64,
+}
+
+impl<S> ReplicaWriter<'_, S> {
+    /// The replica's current entry for `key` (the merge hook's input).
+    pub fn get(&self, key: &FlowKey) -> Option<&S> {
+        self.table.get(key)
+    }
+
+    /// Store a replayed `Put`.
+    pub fn put(&mut self, key: FlowKey, state: S) {
+        if self.table.insert(key, state).is_none() {
+            self.created += 1;
+        }
+    }
+
+    /// Apply a replayed `Del`.
+    pub fn del(&mut self, key: &FlowKey) {
+        if self.table.remove(key).is_some() {
+            self.replica_dels += 1;
+        }
+    }
+}
+
+impl<S> Drop for ReplicaWriter<'_, S> {
+    fn drop(&mut self) {
+        if self.created > 0 {
+            SharedCounters::add(&self.counters.created, self.created);
+        }
+        if self.replica_dels > 0 {
+            SharedCounters::add(&self.counters.replica_dels, self.replica_dels);
+        }
     }
 }
 
@@ -939,6 +979,17 @@ impl<S: Clone + Send + Sync> FlowStateApi<S> for SharedCtx<S> {
 
     fn get_local_flow(&self, key: &FlowKey) -> Option<S> {
         self.tables.inner.tables[self.core].read().get(key).cloned()
+    }
+
+    fn read_local_flows(
+        &self,
+        keys: &mut dyn Iterator<Item = &FlowKey>,
+        visit: &mut dyn FnMut(&FlowKey, Option<&S>),
+    ) {
+        let table = self.tables.inner.tables[self.core].read();
+        for key in keys {
+            visit(key, table.get(key));
+        }
     }
 
     fn get_flow(&self, key: &FlowKey) -> Option<S> {
@@ -1326,6 +1377,37 @@ mod tests {
     }
 
     #[test]
+    fn a_replica_run_settles_its_counters_once_and_ignores_the_cap() {
+        let map = CoreMap::new(DispatchMode::Scr, 2);
+        let shared: SharedTables<u32> = SharedTables::new(map, 2);
+        {
+            let mut replica = shared.replica(1);
+            for i in 0..5 {
+                replica.put(key(i), i);
+            }
+            replica.put(key(0), 100);
+            assert_eq!(
+                replica.get(&key(0)),
+                Some(&100),
+                "a replace creates nothing"
+            );
+            replica.del(&key(4));
+            replica.del(&key(9));
+            assert_eq!(shared.counters().created, 0, "settled when the run ends");
+        }
+        let c = shared.counters();
+        assert_eq!((c.created, c.replica_dels), (5, 1));
+        assert_eq!(shared.entries_on(1), 4, "replay is not shed at capacity 2");
+        assert!(
+            shared.ctx(1).written_keys().is_empty(),
+            "and is never logged"
+        );
+        // One op is a run of one.
+        shared.apply_replica(1, &crate::scr::UpdateOp::Del(key(0)));
+        assert_eq!(shared.counters().replica_dels, 2);
+    }
+
+    #[test]
     fn scr_batch_log_records_only_real_mutations() {
         let map = CoreMap::new(DispatchMode::Scr, 2);
         let mut tables: LocalTables<u32> = LocalTables::new(map, 2);
@@ -1380,8 +1462,8 @@ mod tests {
         ctx.clear_batch_log();
         assert!(ctx.written_keys().is_empty());
         assert!(ctx.removed_keys().is_empty());
-        assert_eq!(shared.peek(1, &key(1)), Some(2));
-        assert_eq!(shared.peek(0, &key(1)), None);
+        assert_eq!(ctx.get_local_flow(&key(1)), Some(2));
+        assert_eq!(shared.ctx(0).get_local_flow(&key(1)), None);
     }
 
     fn bounded(idle_us: u64) -> LifecycleConfig {

@@ -11,12 +11,17 @@
 //! * [`SharedTables`] — the threaded backend, held to byte-identical
 //!   behaviour with `LocalTables` under the same operation script.
 //!
+//! Two more levels hold the SCR replay plane to its contracts: replica
+//! convergence under any drain schedule, and the guard floor — a
+//! version guard that forgets below the floor gives every verdict an
+//! unpruned one gives.
+//!
 //! The model stores flow state by value; ownership (which core's table
 //! holds a key) is always derivable as `designated_for_key` under the
 //! *current* map, because inserts go through the designated core's ctx
 //! (as the runtimes guarantee) and every epoch transition re-buckets.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -24,7 +29,7 @@ use sprayer::api::{FlowStateApi, InsertOutcome};
 use sprayer::config::DispatchMode;
 use sprayer::coremap::CoreMap;
 use sprayer::flowtable::FlowTable;
-use sprayer::scr::{Admission, ScrReplica, SharedScrPlane, UpdateOp};
+use sprayer::scr::{Admission, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
 use sprayer::tables::{LocalTables, SharedTables};
 use sprayer_net::{FiveTuple, FlowKey};
 
@@ -593,4 +598,280 @@ proptest! {
         }
         prop_assert_eq!(plane.published(), plane.applied() + plane.dropped());
     }
+}
+
+// ---------------------------------------------------------------------
+// Level 5: the guard floor — pruning changes no verdict.
+// ---------------------------------------------------------------------
+
+const FLOOR_CORES: usize = 3;
+
+/// One step of a floor-protocol schedule. A write is `(key, Some(v))`
+/// for a `Put` and `(key, None)` for a `Del`.
+#[derive(Debug, Clone)]
+enum FloorOp {
+    /// The core claims one sequence range for a batch of writes,
+    /// applies them to its own replica and notes them in its guard —
+    /// and has pushed none of the copies yet.
+    Claim(u8, Vec<(u8, Option<u64>)>),
+    /// `(core, peer, n)`: the core pushes up to `n` of the copies it
+    /// still owes the peer, oldest first.
+    Push(u8, u8, u8),
+    /// The core is at the top of its worker loop: it stores its
+    /// `quiesced_at` — unless it still owes a copy, in which case it is
+    /// really mid-publish and stores nothing.
+    Quiesce(u8),
+    /// `(core, n)`: the core reads its floor, then replays up to `n`
+    /// updates; if that ran its log dry, its guard forgets below the
+    /// floor.
+    Drain(u8, u8),
+}
+
+fn arb_floor_op() -> impl Strategy<Value = FloorOp> {
+    let write =
+        (any::<u8>(), any::<bool>(), any::<u64>()).prop_map(|(k, put, v)| (k, put.then_some(v)));
+    prop_oneof![
+        (any::<u8>(), vec(write, 1..5)).prop_map(|(c, w)| FloorOp::Claim(c, w)),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(c, p, n)| FloorOp::Push(c, p, n)),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(c, p, n)| FloorOp::Push(c, p, n)),
+        any::<u8>().prop_map(FloorOp::Quiesce),
+        (any::<u8>(), any::<u8>()).prop_map(|(c, n)| FloorOp::Drain(c, n)),
+    ]
+}
+
+/// The replay plane run twice over one update stream: every core has a
+/// guard that forgets below the floor after each complete drain (never
+/// waiting for `prune_due` — the harshest schedule) beside an oracle
+/// guard that never forgets, and a replica table driven by each.
+struct FloorWorld {
+    plane: SharedScrPlane<u64>,
+    /// Copies claimed and not yet pushed, `owed[origin][peer]`, oldest
+    /// first.
+    owed: Vec<Vec<VecDeque<StateUpdate<u64>>>>,
+    pruned: Vec<ScrReplica>,
+    oracle: Vec<ScrReplica>,
+    pruned_tables: SharedTables<u64>,
+    oracle_tables: SharedTables<u64>,
+}
+
+impl FloorWorld {
+    fn new() -> Self {
+        let tables = || SharedTables::new(CoreMap::new(DispatchMode::Scr, FLOOR_CORES), 1 << 12);
+        let guards = || (0..FLOOR_CORES).map(|_| ScrReplica::new()).collect();
+        FloorWorld {
+            plane: SharedScrPlane::new(FLOOR_CORES, 1 << 12),
+            owed: vec![vec![VecDeque::new(); FLOOR_CORES]; FLOOR_CORES],
+            pruned: guards(),
+            oracle: guards(),
+            pruned_tables: tables(),
+            oracle_tables: tables(),
+        }
+    }
+
+    fn owes(&self, core: usize) -> bool {
+        self.owed[core].iter().any(|q| !q.is_empty())
+    }
+
+    fn claim(&mut self, core: usize, writes: &[(u8, Option<u64>)]) {
+        // A worker finishes one batch's pushes before the next claim.
+        for peer in 0..FLOOR_CORES {
+            self.push(core, peer, usize::MAX);
+        }
+        let first = self.plane.claim_seqs(writes.len() as u64);
+        for (seq, &(k, v)) in (first..).zip(writes) {
+            let op = match v {
+                Some(v) => UpdateOp::Put(key(k), v),
+                None => UpdateOp::Del(key(k)),
+            };
+            self.pruned_tables.apply_replica(core, &op);
+            self.oracle_tables.apply_replica(core, &op);
+            self.pruned[core].note_local(key(k), seq, v.is_none());
+            self.oracle[core].note_local(key(k), seq, v.is_none());
+            for peer in (0..FLOOR_CORES).filter(|&p| p != core) {
+                self.owed[core][peer].push_back(StateUpdate {
+                    seq,
+                    origin: core,
+                    op: op.clone(),
+                });
+            }
+        }
+    }
+
+    fn push(&mut self, core: usize, peer: usize, n: usize) {
+        let run = n.min(self.owed[core][peer].len());
+        let refused = self
+            .plane
+            .try_send_from(peer, None, &mut self.owed[core][peer].drain(..run));
+        assert!(refused.is_none(), "the log outsizes every schedule");
+    }
+
+    fn quiesce(&mut self, core: usize) {
+        if !self.owes(core) {
+            self.plane.quiesce(core);
+        }
+    }
+
+    /// Replay up to `n` updates on `core`, returning each update's
+    /// sequence number with the pruned guard's verdict — asserted equal
+    /// to the oracle's.
+    fn drain(&mut self, core: usize, n: usize) -> Vec<(u64, Admission)> {
+        let floor = self.plane.floor(core);
+        let mut inbox = Vec::new();
+        let popped = self.plane.drain(core, n, |update| inbox.push(update));
+        let mut verdicts = Vec::new();
+        for update in inbox {
+            let is_del = matches!(update.op, UpdateOp::Del(_));
+            let k = *update.op.key();
+            let got = self.pruned[core].admit(k, update.seq, is_del);
+            let want = self.oracle[core].admit(k, update.seq, is_del);
+            assert_eq!(
+                got, want,
+                "core {core}, seq {} from core {}: floor {floor}",
+                update.seq, update.origin
+            );
+            // The model NF is plain LWW: only Fresh writes.
+            if got == Admission::Fresh {
+                self.pruned_tables.apply_replica(core, &update.op);
+            }
+            if want == Admission::Fresh {
+                self.oracle_tables.apply_replica(core, &update.op);
+            }
+            verdicts.push((update.seq, got));
+        }
+        if popped < n {
+            self.pruned[core].forget_below(floor);
+        }
+        verdicts
+    }
+
+    fn step(&mut self, op: &FloorOp) {
+        let core = |c: u8| usize::from(c) % FLOOR_CORES;
+        match op {
+            FloorOp::Claim(c, writes) => self.claim(core(*c), writes),
+            FloorOp::Push(c, p, n) => self.push(core(*c), core(*p), usize::from(*n)),
+            FloorOp::Quiesce(c) => self.quiesce(core(*c)),
+            FloorOp::Drain(c, n) => {
+                self.drain(core(*c), usize::from(*n));
+            }
+        }
+    }
+
+    /// Push everything owed, drain every log, and hold the two worlds'
+    /// replicas against each other on the whole key universe.
+    fn settle_and_compare(&mut self) {
+        for core in 0..FLOOR_CORES {
+            for peer in 0..FLOOR_CORES {
+                self.push(core, peer, usize::MAX);
+            }
+        }
+        for core in 0..FLOOR_CORES {
+            self.quiesce(core);
+            self.drain(core, usize::MAX);
+            assert_eq!(self.plane.pending(core), 0);
+        }
+        for core in 0..FLOOR_CORES {
+            for k in 0..64u8 {
+                assert_eq!(
+                    self.pruned_tables.ctx(core).get_local_flow(&key(k)),
+                    self.oracle_tables.ctx(core).get_local_flow(&key(k)),
+                    "core {core} key {k}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The floor protocol's whole claim (`scr.rs`, "Guard growth"):
+    /// under any schedule of range claims, partial per-origin-FIFO
+    /// pushes, `quiesced_at` stores, partial and complete drains and a
+    /// prune after every complete drain, a guard that forgets gives each
+    /// update the `Admission` a guard that remembers everything gives,
+    /// and the replicas they drive end identical.
+    #[test]
+    fn pruning_below_the_floor_changes_no_verdict(
+        ops in vec(arb_floor_op(), 0..400),
+    ) {
+        let mut world = FloorWorld::new();
+        for op in &ops {
+            world.step(op);
+        }
+        world.settle_and_compare();
+        let forgot = (0..FLOOR_CORES).any(|c| world.pruned[c].len() < world.oracle[c].len());
+        let wrote = ops.iter().any(|op| matches!(op, FloorOp::Claim(..)));
+        prop_assert!(forgot || !wrote, "the settled guards forgot nothing: the prune never ran");
+    }
+}
+
+/// The schedule the floor exists for: origin 0 claims 480..=484 and
+/// stalls before pushing; its peers run on to 500 and prune; the stalled
+/// 480 is a `Put` for a key core 1 deleted at 490. Core 0 never
+/// quiesced past 479, so the floor stayed below the tombstone and the
+/// late `Put` is still `Superseded` — on a guard that did forget the
+/// rest.
+#[test]
+fn a_stalled_origins_put_stays_superseded_after_its_peers_prune() {
+    let mut world = FloorWorld::new();
+    let k = 7u8;
+    // Core 1 creates the flow; filler writes bring the head to 479.
+    world.claim(1, &[(k, Some(1))]);
+    while world.plane.head_seq() < 479 {
+        let seq = world.plane.head_seq();
+        world.claim((seq % 3) as usize, &[(8 + (seq % 50) as u8, Some(seq))]);
+    }
+    for core in 0..FLOOR_CORES {
+        world.push(core, (core + 1) % 3, usize::MAX);
+        world.push(core, (core + 2) % 3, usize::MAX);
+    }
+    for core in 0..FLOOR_CORES {
+        world.quiesce(core);
+        world.drain(core, usize::MAX);
+    }
+    // Origin 0 claims 480..=484 — the first op a Put for k — and stalls.
+    world.claim(
+        0,
+        &[
+            (k, Some(480)),
+            (60, Some(0)),
+            (61, Some(0)),
+            (62, Some(0)),
+            (63, Some(0)),
+        ],
+    );
+    assert_eq!(world.plane.head_seq(), 484);
+    // Core 1 runs on: 485..=489, the Del of k at 490, on to 500.
+    world.claim(1, &[(60, Some(1)); 5]);
+    world.claim(1, &[(k, None)]);
+    assert_eq!(world.plane.head_seq(), 490);
+    world.claim(1, &[(61, Some(1)); 10]);
+    assert_eq!(world.plane.head_seq(), 500);
+    world.push(1, 0, usize::MAX);
+    world.push(1, 2, usize::MAX);
+    for core in 0..FLOOR_CORES {
+        world.quiesce(core); // a no-op on core 0: it owes its range
+    }
+    assert_eq!(
+        world.plane.floor(2),
+        479,
+        "the stalled origin pins the floor"
+    );
+    assert_eq!(
+        world.plane.floor(0),
+        500,
+        "which binds its peers, not itself"
+    );
+    let replayed = world.drain(2, usize::MAX);
+    assert!(replayed.contains(&(490, Admission::Fresh)));
+    assert!(
+        world.pruned[2].len() < world.oracle[2].len(),
+        "core 2 did forget the settled past: {} of {}",
+        world.pruned[2].len(),
+        world.oracle[2].len()
+    );
+    // The stalled range finally lands.
+    world.push(0, 2, usize::MAX);
+    let late = world.drain(2, usize::MAX);
+    assert_eq!(late[0], (480, Admission::Superseded), "{late:?}");
+    assert_eq!(world.pruned_tables.ctx(2).get_local_flow(&key(k)), None);
+    world.settle_and_compare();
 }
