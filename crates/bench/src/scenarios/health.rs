@@ -10,7 +10,7 @@
 //!
 //! Tracing rides along so the *online* reorder sketch can be
 //! cross-validated against the *offline* Fenwick analyzer
-//! ([`sprayer_obs::analyze`]) over the very same completions: in the
+//! ([`mod@sprayer_obs::analyze`]) over the very same completions: in the
 //! deterministic simulator the two reordered-packet counts must agree
 //! exactly — under Sprayer both see the inversions redirects introduce,
 //! under RSS both see none.

@@ -13,7 +13,7 @@
 //! parallelism is exactly the "processing packets from the same flow in
 //! parallel ends up reducing latency" argument of §5.
 //!
-//! The reported RTT adds a constant [`BASE_RTT`] for everything outside
+//! The reported RTT adds a constant [`BASE_RTT_US`] for everything outside
 //! the middlebox model (generator stack, wire, NIC rings on both hosts),
 //! calibrated once so the 0-cycle point sits at the paper's ≈10 µs floor.
 

@@ -36,7 +36,7 @@
 //! * [`FlowTable::collect_idle`] — keys whose stamp is at or below a
 //!   deadline (idle-timeout aging);
 //! * [`FlowTable::lru_victim`] — an approximate-LRU victim chosen by a
-//!   deterministic clock-hand sample of [`LRU_PROBES`] live slots
+//!   deterministic clock-hand sample of `LRU_PROBES` live slots
 //!   (ties break toward the lower stamp, then the lower slot index),
 //!   so the bounded-memory backstop costs O(probes), not O(table).
 //!
@@ -301,7 +301,7 @@ impl<S> FlowTable<S> {
     }
 
     /// Approximate-LRU victim: deterministically sample up to
-    /// [`LRU_PROBES`] live slots from the clock hand and return the key
+    /// `LRU_PROBES` live slots from the clock hand and return the key
     /// with the oldest stamp (ties break toward the lower slot index).
     /// Advances the hand so repeated calls cycle the whole table.
     pub fn lru_victim(&mut self) -> Option<FlowKey> {

@@ -27,10 +27,10 @@
 //! | [`engine`] | the shared per-packet pipeline (classify once, redirect decision, batch NF invocation) both runtimes drive |
 //! | [`coremap`] | designated-core mapping, mode-aware (RSS vs. spray) |
 //! | [`flowtable`] | the open-addressing flow-table primitive (power-of-two slots, pinned hash, deterministic iteration) |
-//! | [`tables`] | flow-table backends: single-threaded (for the deterministic simulator) and shared (for real threads) — both enforcing write partition by construction |
+//! | [`tables`] | the one per-core flow table (mutations, lifecycle accounting, epoch transitions) and the two ways to reach it: a plain `Vec` for the deterministic simulator, one `RwLock` each for real threads — both enforcing write partition by construction |
 //! | [`elastic`] | elastic reconfiguration: epoch transitions, flow-state migration accounting ([`elastic::ReconfigReport`]) |
 //! | [`config`] | middlebox model parameters (cores, clock, cycle costs) |
-//! | [`scr`] | State-Compute Replication: the per-core state-update log and replay plane behind the third dispatch mode, [`config::DispatchMode::Scr`] |
+//! | [`scr`] | State-Compute Replication: the per-core state-update log, version guard and replay body both runtimes run behind the third dispatch mode, [`config::DispatchMode::Scr`] |
 //! | [`runtime_sim`] | the deterministic discrete-event middlebox used by every experiment |
 //! | [`runtime_threads`] | a real `std::thread` runtime over crossbeam rings, functionally equivalent |
 //! | [`stats`] | per-core and aggregate runtime statistics |
@@ -114,6 +114,6 @@ pub use engine::{Engine, PacketClass};
 pub use flowtable::FlowTable;
 pub use runtime_sim::MiddleboxSim;
 pub use runtime_threads::{ThreadedMiddlebox, WorkerFailure};
-pub use scr::{ScrPlane, SharedScrPlane, StateUpdate, UpdateOp};
+pub use scr::{SharedScrPlane, StateUpdate, UpdateOp};
 pub use stats::MiddleboxStats;
 pub use tables::{FailoverStats, MigrationStats};

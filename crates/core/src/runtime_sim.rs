@@ -19,7 +19,7 @@ use crate::config::{DispatchMode, MiddleboxConfig};
 use crate::coremap::CoreMap;
 use crate::elastic::{ReconfigReport, RecoveryReport};
 use crate::engine::{self, Engine, PacketClass};
-use crate::scr::{self, ScrPlane};
+use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
 use crate::stats::{CoreStats, MiddleboxStats};
 use crate::tables::LocalTables;
 use sprayer_net::{FlowKey, Packet};
@@ -190,7 +190,9 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     /// stateful: the state-update multicast log and replay plane
     /// ([`crate::scr`]). Counters fold into the `scr_*` fields of
     /// [`MiddleboxStats`].
-    scr: Option<ScrPlane<NF::Flow>>,
+    scr: Option<SharedScrPlane<NF::Flow>>,
+    /// One version guard per core of the plane (empty without one).
+    scr_guards: Vec<ScrReplica>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`], reused
     /// across events so the hot path never allocates.
     sink: VerdictSink,
@@ -279,7 +281,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // pure spraying and the plane (and its per-update costs) is
         // elided entirely.
         let scr = (config.mode == DispatchMode::Scr && !nf_config.stateless)
-            .then(|| ScrPlane::new(config.num_cores, config.scr_log_capacity));
+            .then(|| SharedScrPlane::new(config.num_cores, config.scr_log_capacity));
+        let scr_guards = Self::scr_guards_for(&scr);
         let mut stats = MiddleboxStats::new(config.num_cores);
         stats.lifecycle_enabled = config.lifecycle.enabled();
         let tracer = config.obs.trace.then(|| SimTracer {
@@ -353,6 +356,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             recoveries: Vec::new(),
             queue_map: (0..config.num_cores).collect(),
             scr,
+            scr_guards,
             sink: VerdictSink::with_capacity(1),
             config,
         }
@@ -387,67 +391,65 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         }
     }
 
+    /// Fresh version guards for `plane`'s cores.
+    fn scr_guards_for(plane: &Option<SharedScrPlane<NF::Flow>>) -> Vec<ScrReplica> {
+        let cores = plane.as_ref().map_or(0, SharedScrPlane::num_cores);
+        (0..cores).map(|_| ScrReplica::new()).collect()
+    }
+
     /// SCR replay-before-dispatch (see [`crate::scr`]): consume every
     /// pending remote state-update from `core`'s inbound log into its
-    /// replica, running the version guard. Returns the model cycles the
+    /// replica through [`scr::replay`]. Returns the model cycles the
     /// replay cost (`scr_apply_cycles` per consumed update) — already
     /// attributed to [`Stage::Classify`] and folded into the `scr_*`
     /// stats; the *caller* charges them to `busy_cycles` (and, on the
     /// dispatch path, extends the service by them). A no-op returning 0
     /// outside SCR mode.
     fn scr_replay(&mut self, core: usize) -> u64 {
-        let Some(mut plane) = self.scr.take() else {
+        // Per-core structures never shrink on scale-down but the
+        // next-epoch plane does: a retired core has no log, no guard
+        // and no replica to maintain.
+        let (Some(plane), Some(guard)) = (self.scr.as_ref(), self.scr_guards.get_mut(core)) else {
             return 0;
         };
-        // Per-core structures never shrink on scale-down but the
-        // next-epoch plane does: a retired core has no log and no
-        // replica to maintain.
-        if core >= plane.num_cores() {
-            self.scr = Some(plane);
+        // Every kick comes through here: an empty log costs one read.
+        if plane.pending(core) == 0 && !guard.prune_due() {
             return 0;
         }
-        let mut applied = 0u64;
-        while let Some(update) = plane.take(core) {
-            applied += 1;
-            self.stats.scr_applied += 1;
-            self.stats.scr_lag_hist[sprayer_obs::batch_bucket(update.lag)] += 1;
-            match (update.op, update.admission) {
-                (_, scr::Admission::Superseded) => {}
-                (op @ scr::UpdateOp::Del(_), _) => {
-                    // The guard only ever admits a Del as Fresh.
-                    self.tables.apply_replica(core, &op);
-                }
-                (scr::UpdateOp::Put(key, state), admission) => {
-                    // Admitted Puts route through the NF's merge hook
-                    // (default: exact LWW — store iff newer); a
-                    // merge-completed teardown removes the entry and
-                    // tombstones the updates that fed it.
-                    let newer = admission == scr::Admission::Fresh;
-                    let existing = self.tables.peek(core, &key);
-                    match self.nf.merge_replica(&key, existing, &state, newer) {
-                        scr::ReplicaMerge::Store(s) => {
-                            self.tables.apply_replica(core, &scr::UpdateOp::Put(key, s));
-                        }
-                        scr::ReplicaMerge::Keep => {}
-                        scr::ReplicaMerge::Remove => {
-                            self.tables.apply_replica(core, &scr::UpdateOp::Del(key));
-                            plane.note_defunct(core, &key);
-                        }
-                    }
-                }
-            }
+        let applied = scr::replay(
+            &self.nf,
+            guard,
+            self.tables.replica(core),
+            std::iter::from_fn(|| plane.pop(core)),
+            plane.head_seq(),
+            &mut self.stats.scr_lag_hist,
+        );
+        // A publish lands on every log at once, so the log run dry is
+        // the guard floor at the global head: nothing at or below it
+        // can still arrive, and the guard forgets.
+        if guard.prune_due() {
+            guard.forget_below(plane.head_seq());
         }
-        self.scr = Some(plane);
+        self.stats.scr_applied += applied;
         let cycles = applied * self.config.scr_apply_cycles;
         self.stats.scr_replay_cycles += cycles;
         self.profile(core, Stage::Classify, cycles);
         cycles
     }
 
+    /// True when `peer` is owed `origin`'s updates: any other core that
+    /// has not crashed (a dead peer's log is dark, not leaking).
+    fn scr_owed(&self, origin: usize, peer: usize) -> bool {
+        peer != origin && !self.failed[peer]
+    }
+
     /// SCR publish-after-dispatch: extract the batch's state-updates
     /// through [`NetworkFunction::replicate_updates`] and multicast each
-    /// onto every live peer's log. Publish cycles (`scr_publish_cycles`
-    /// per enqueued copy) are charged to `busy_cycles` under
+    /// onto every live peer's log, stamped with its global sequence
+    /// number and noted in this core's own version guard first, so a
+    /// slower remote update for the same flow can never overwrite the
+    /// newer local write. Publish cycles (`scr_publish_cycles` per
+    /// enqueued copy) are charged to `busy_cycles` under
     /// [`Stage::Redirect`] — the ring-transfer budget SCR spends on
     /// state instead of descriptors — without extending the completed
     /// service's event time. A no-op outside SCR mode.
@@ -458,12 +460,9 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// live peer never drops an update and `scr_log_drops` counts only
     /// dead-core truncation.
     fn scr_publish(&mut self, core: usize, pkts: &[Packet], conn: &[bool]) {
-        let Some(plane) = self.scr.as_ref() else {
-            return;
-        };
         // Mirror of the scr_replay guard: a core retired by a
         // scale-down has no slot in the next-epoch plane.
-        let num_cores = plane.num_cores();
+        let num_cores = self.scr.as_ref().map_or(0, SharedScrPlane::num_cores);
         if core >= num_cores {
             return;
         }
@@ -475,28 +474,46 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // The batch's mutation log fed the hook; reset it either way so
         // the next batch starts clean.
         self.tables.clear_batch_log(core);
-        let mut sent = 0u64;
+        let (mut sent, mut dropped) = (0u64, 0u64);
         for op in ops {
             for peer in 0..num_cores {
-                if peer == core || self.failed.get(peer).copied().unwrap_or(true) {
-                    continue;
-                }
-                let full = self.scr.as_ref().is_some_and(|p| p.is_full(peer));
-                if full {
+                let full = |p: &SharedScrPlane<_>| p.pending(peer) >= self.config.scr_log_capacity;
+                if self.scr_owed(core, peer) && self.scr.as_ref().is_some_and(full) {
                     let cycles = self.scr_replay(peer);
                     self.stats.per_core[peer].busy_cycles += cycles;
                 }
             }
-            let Some(plane) = self.scr.as_mut() else {
+            let Some(plane) = self.scr.as_ref() else {
                 return;
             };
-            let out = plane.publish(core, op, &self.failed);
-            sent += out.sent;
-            self.stats.scr_published += out.sent + out.dropped;
-            self.stats.scr_log_drops += out.dropped;
-            self.stats.scr_log_occupancy_hwm =
-                self.stats.scr_log_occupancy_hwm.max(out.occupancy_hwm);
+            let seq = plane.assign_seq();
+            self.scr_guards[core].note_local(*op.key(), seq, matches!(op, UpdateOp::Del(_)));
+            for peer in 0..num_cores {
+                if !self.scr_owed(core, peer) {
+                    continue;
+                }
+                let update = StateUpdate {
+                    seq,
+                    origin: core,
+                    op: op.clone(),
+                };
+                match plane.try_send(peer, update) {
+                    Ok(()) => sent += 1,
+                    // Not while the drain above runs first; counted so
+                    // the identity closes whatever that policy becomes.
+                    Err(_) => {
+                        plane.count_drop();
+                        dropped += 1;
+                    }
+                }
+            }
         }
+        if let Some(plane) = self.scr.as_ref() {
+            self.stats.scr_log_occupancy_hwm =
+                self.stats.scr_log_occupancy_hwm.max(plane.occupancy_hwm());
+        }
+        self.stats.scr_published += sent + dropped;
+        self.stats.scr_log_drops += dropped;
         let cycles = sent * self.config.scr_publish_cycles;
         self.stats.per_core[core].busy_cycles += cycles;
         self.profile(core, Stage::Redirect, cycles);
@@ -1401,10 +1418,12 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             self.hwm_latched.push(false);
         }
         self.queue_map = (0..new_cores).collect();
-        // Next-epoch replay plane: fresh (empty) logs at the new core
-        // count, same global sequence space.
-        if let Some(plane) = self.scr.as_ref() {
-            self.scr = Some(plane.rescaled(new_cores));
+        // Next-epoch replay plane: fresh (empty) logs and guards at the
+        // new core count. Every log was drained above, so the replicas
+        // are converged and no version history is needed.
+        if self.scr.is_some() {
+            self.scr = Some(SharedScrPlane::new(new_cores, self.config.scr_log_capacity));
+            self.scr_guards = Self::scr_guards_for(&self.scr);
         }
         if let Some(s) = self.samplers.as_mut() {
             let interval = self.config.obs.sample_interval_us.max(1) * SIM_TICKS_PER_US;
@@ -1501,7 +1520,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // conservation identity keeps closing through the crash. Its
         // replica needs no handling (every survivor holds the same
         // state), and publishes from here on skip the dark log.
-        if let Some(plane) = self.scr.as_mut() {
+        if let Some(plane) = self.scr.as_ref() {
             self.stats.scr_log_drops += plane.truncate(core);
         }
         self.emit_health_at(
@@ -1577,7 +1596,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // injection-time truncation, but a recovery driven by an
         // external watchdog may land before ours ran.
         self.scr_drain_live();
-        if let Some(plane) = self.scr.as_mut() {
+        if let Some(plane) = self.scr.as_ref() {
             self.stats.scr_log_drops += plane.truncate(failed_core);
         }
         // Flush staged lifecycle evictions against the old epoch (the
@@ -3170,9 +3189,9 @@ mod tests {
                 mb.ingress(now, fin);
             }
             mb.advance_until(now);
-            let plane = mb.scr.as_ref().expect("stateful NF under SCR");
-            for core in 0..plane.num_cores() {
-                guard_hwm = guard_hwm.max(plane.guard_len(core));
+            assert!(!mb.scr_guards.is_empty(), "stateful NF under SCR");
+            for guard in &mb.scr_guards {
+                guard_hwm = guard_hwm.max(guard.len());
             }
         }
         mb.run_until(now + Time::from_ms(10));

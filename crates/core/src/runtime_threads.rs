@@ -79,8 +79,8 @@ use crate::config::{DispatchMode, LifecycleConfig, ObsConfig};
 use crate::coremap::CoreMap;
 use crate::elastic::ReconfigReport;
 use crate::engine::{self, Engine, PacketClass};
-use crate::scr::{Admission, ReplicaMerge, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
-use crate::stats::{batch_bucket, CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
+use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
+use crate::stats::{CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
 use crate::tables::{SharedCtx, SharedTables};
 use crossbeam::queue::ArrayQueue;
 use sprayer_net::{FlowKey, Packet};
@@ -524,10 +524,9 @@ struct Worker<'a, NF: NetworkFunction> {
     /// This worker's tail-attribution tracker (iff tail is on); its
     /// report is merged into the run's at join time.
     tail: Option<TailTracker>,
-    /// This worker's SCR per-flow version guard (iff the phase has an
-    /// SCR plane). Taken/restored around replay so the borrow checker
-    /// lets replay touch the shared tables.
-    scr_replica: Option<ScrReplica>,
+    /// This worker's SCR per-flow version guard (empty and untouched
+    /// unless the phase has an SCR plane).
+    scr_replica: ScrReplica,
     /// Replica-lag histogram (sequence numbers behind the global head at
     /// replay), merged into [`MiddleboxStats::scr_lag_hist`] at join.
     scr_lag_hist: [u64; BATCH_HIST_BUCKETS],
@@ -1313,7 +1312,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                 .obs
                 .tail
                 .then(|| TailTracker::new(shared.rx.len(), shared.obs.tail_threshold_ticks)),
-            scr_replica: shared.scr.is_some().then(ScrReplica::new),
+            scr_replica: ScrReplica::new(),
             scr_lag_hist: [0; BATCH_HIST_BUCKETS],
             scr_done_marked: false,
             scr_ops: Vec::new(),
@@ -1617,79 +1616,43 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             flight: self.flight,
             tail: self.tail.map(|t| t.report()),
             scr_lag_hist: self.scr_lag_hist,
-            scr_guard_hwm: self.scr_replica.as_ref().map_or(0, ScrReplica::len_hwm),
+            scr_guard_hwm: self.scr_replica.len_hwm(),
             table_hwm: self.table_hwm,
         }
     }
 
     /// Replay every pending remote state-update into this core's full
     /// replica ([`DispatchMode::Scr`]), one batch at a time: read the
-    /// guard floor, drain the inbound log into a reused buffer, then —
-    /// under one write-lock acquisition for the whole drain — version-
-    /// guard each update through [`ScrReplica::admit`] and interpret
-    /// the admission against the replica: a fresh `Del` removes, an
-    /// admitted `Put` routes through the NF's
-    /// [`NetworkFunction::merge_replica`] hook (default exact LWW;
-    /// commutative NFs fold concurrent writes in, and a merge-completed
-    /// teardown removes the entry and tombstones it). Superseded
-    /// updates still count as applied — the conservation identity
-    /// `scr_replay_gap() == 0` tracks log consumption, not writes. The
-    /// log having run dry, the guard may then forget below the floor
-    /// ([`crate::scr`], "Guard growth"). Profiled as classify work
-    /// (replay is part of admission, exactly where the simulator
-    /// charges it). Returns updates consumed.
+    /// guard floor, drain the inbound log into a reused buffer, then
+    /// run [`scr::replay`] over it under one write-lock acquisition for
+    /// the whole drain. The log having run dry, the guard may then
+    /// forget below the floor ([`crate::scr`], "Guard growth").
+    /// Profiled as classify work (replay is part of admission, exactly
+    /// where the simulator charges it). Returns updates consumed.
     fn scr_replay(&mut self) -> u64 {
         let shared = self.shared;
         let Some(plane) = shared.scr.as_ref() else {
             return 0;
         };
         // A guard that only ever publishes still has to prune.
-        let prune_due = self.scr_replica.as_ref().is_some_and(ScrReplica::prune_due);
-        if plane.pending(self.id) == 0 && !prune_due {
+        if plane.pending(self.id) == 0 && !self.scr_replica.prune_due() {
             return 0;
         }
-        let Some(mut replica) = self.scr_replica.take() else {
-            return 0;
-        };
         let c0 = self.prof_start();
         let floor = plane.floor(self.id);
-        let mut inbox = std::mem::take(&mut self.scr_inbox);
+        let (guard, inbox) = (&mut self.scr_replica, &mut self.scr_inbox);
         plane.drain(self.id, usize::MAX, |update| inbox.push(update));
         let applied = inbox.len() as u64;
         if applied > 0 {
-            // Lag 1 = consumed while still the global head, matching the
-            // simulator's at-consumption convention; the head is read
-            // once per drain.
-            let head = plane.head_seq();
-            let mut table = shared.tables.replica(self.id);
-            for update in inbox.drain(..) {
-                let lag = (head + 1).saturating_sub(update.seq);
-                self.scr_lag_hist[batch_bucket(lag)] += 1;
-                let is_del = matches!(update.op, UpdateOp::Del(_));
-                let admission = replica.admit(*update.op.key(), update.seq, is_del);
-                match (update.op, admission) {
-                    (_, Admission::Superseded) => {}
-                    // The guard only ever admits a Del as Fresh.
-                    (UpdateOp::Del(key), _) => table.del(&key),
-                    (UpdateOp::Put(key, state), admission) => {
-                        let newer = admission == Admission::Fresh;
-                        match self.nf.merge_replica(&key, table.get(&key), &state, newer) {
-                            ReplicaMerge::Store(s) => table.put(key, s),
-                            ReplicaMerge::Keep => {}
-                            ReplicaMerge::Remove => {
-                                table.del(&key);
-                                replica.note_defunct(&key);
-                            }
-                        }
-                    }
-                }
-            }
+            // The head is read once per drain.
+            let (nf, head, lag_hist) = (self.nf, plane.head_seq(), &mut self.scr_lag_hist);
+            shared.tables.replica(self.id, |table| {
+                scr::replay(nf, guard, table, inbox.drain(..), head, lag_hist)
+            });
         }
-        if replica.prune_due() {
-            replica.forget_below(floor);
+        if guard.prune_due() {
+            guard.forget_below(floor);
         }
-        self.scr_inbox = inbox;
-        self.scr_replica = Some(replica);
         self.prof_span(Stage::Classify, c0);
         applied
     }
@@ -1709,9 +1672,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let Some(plane) = shared.scr.as_ref() else {
             return;
         };
-        if self.scr_replica.is_none() {
-            return;
-        }
         let r0 = self.prof_start();
         let mut ops = std::mem::take(&mut self.scr_ops);
         ops.clear();
@@ -1722,10 +1682,9 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         self.ctx.clear_batch_log();
         if !ops.is_empty() {
             let first = plane.claim_seqs(ops.len() as u64);
-            if let Some(replica) = self.scr_replica.as_mut() {
-                for (seq, op) in (first..).zip(&ops) {
-                    replica.note_local(*op.key(), seq, matches!(op, UpdateOp::Del(_)));
-                }
+            for (seq, op) in (first..).zip(&ops) {
+                let is_del = matches!(op, UpdateOp::Del(_));
+                self.scr_replica.note_local(*op.key(), seq, is_del);
             }
             let me = self.id;
             let mut peers = (0..plane.num_cores())

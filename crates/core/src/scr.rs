@@ -10,11 +10,19 @@
 //! [`UpdateOp`] per touched flow
 //! ([`crate::api::NetworkFunction::replicate_updates`]) and multicasts
 //! it, tagged with a global sequence number, onto every peer's bounded
-//! **inbound log** ([`ScrPlane`] in the simulator,
-//! [`SharedScrPlane`] in the threaded runtime). Before a core
-//! dispatches local work it **replays** pending remote updates into its
-//! replica, so reads that would have crossed cores under Sprayer are
-//! local here.
+//! **inbound log** ([`SharedScrPlane`]). Before a core dispatches local
+//! work it **replays** pending remote updates into its replica
+//! ([`replay`]), so reads that would have crossed cores under Sprayer
+//! are local here.
+//!
+//! Both runtimes run this one plane, one [`ScrReplica`] guard per core
+//! and the one replay body; each keeps only what it *is* — the clock
+//! that charges the work (model cycles, wall spans) and what a
+//! publisher does about a full peer log, below. The single-threaded
+//! simulator needs no cheaper form of the log: it is touched per
+//! connection packet, not per packet, and `simtcp` `pkt_ns.scr` reads
+//! the same on these rings as on plain deques
+//! (`results/trajectory/BENCH_perf_pr19.json`).
 //!
 //! ## Replay ordering and convergence
 //!
@@ -101,13 +109,14 @@
 //! prune: amortised constant work per record, and guard memory within
 //! a factor of two of the records written since the floor instead of
 //! one per flow ever seen. In the simulator a publish lands on every
-//! log at once, so an empty log means `floor = next_seq − 1`
-//! ([`ScrPlane::take`]).
+//! log at once, so a log run dry means `floor = head_seq()`.
 
+use crate::api::NetworkFunction;
 use crate::flowtable::FlowTable;
+use crate::stats::{batch_bucket, BATCH_HIST_BUCKETS};
+use crate::tables::ReplicaWriter;
 use crossbeam::queue::ArrayQueue;
 use sprayer_net::FlowKey;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,18 +155,6 @@ pub struct StateUpdate<S> {
     pub op: UpdateOp<S>,
 }
 
-/// Result of one multicast [`ScrPlane::publish`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PublishOutcome {
-    /// Copies enqueued onto peer logs.
-    pub sent: u64,
-    /// Copies dropped on full peer logs (counted toward
-    /// `scr_log_drops`).
-    pub dropped: u64,
-    /// Highest peer-log occupancy observed after the pushes.
-    pub occupancy_hwm: u64,
-}
-
 /// Version-guard classification of one replayed update (see the module
 /// docs): what the consumer should do with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,177 +186,6 @@ pub enum ReplicaMerge<S> {
     Remove,
 }
 
-/// One update consumed from a core's inbound log by
-/// [`ScrPlane::take`].
-#[derive(Debug)]
-pub struct TakenUpdate<S> {
-    /// The mutation.
-    pub op: UpdateOp<S>,
-    /// Core that wrote it.
-    pub origin: usize,
-    /// The version guard's verdict: how (whether) to apply `op`.
-    pub admission: Admission,
-    /// Replica lag at consumption: how many sequence numbers behind the
-    /// global head this update was when replayed. Feeds the
-    /// `scr_lag_hist` buckets.
-    pub lag: u64,
-}
-
-/// The simulator's replay plane: per-core bounded inbound logs
-/// (`VecDeque`s — the deterministic analogue of the threaded plane's
-/// lock-free rings), per-core version guards, and the global sequence
-/// counter. Pure mechanism: all counters live in
-/// [`crate::stats::MiddleboxStats`], updated by the runtime from the
-/// values these methods return.
-#[derive(Debug)]
-pub struct ScrPlane<S> {
-    inboxes: Vec<VecDeque<StateUpdate<S>>>,
-    /// Per-core version guards (one [`ScrReplica`] each), pruned below
-    /// the floor whenever [`Self::take`] finds the core's log empty.
-    versions: Vec<ScrReplica>,
-    capacity: usize,
-    /// Next sequence number to assign; `next_seq - 1` is the global
-    /// head.
-    next_seq: u64,
-}
-
-impl<S: Clone> ScrPlane<S> {
-    /// A plane for `num_cores` cores with per-core log capacity
-    /// `capacity` (updates). Sequence numbers start at 1 so version 0
-    /// means "never seen".
-    pub fn new(num_cores: usize, capacity: usize) -> Self {
-        assert!(num_cores >= 1 && capacity >= 1);
-        ScrPlane {
-            inboxes: (0..num_cores).map(|_| VecDeque::new()).collect(),
-            versions: (0..num_cores).map(|_| ScrReplica::new()).collect(),
-            capacity,
-            next_seq: 1,
-        }
-    }
-
-    /// Number of cores the plane spans.
-    pub fn num_cores(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// Updates pending in `core`'s inbound log.
-    pub fn pending(&self, core: usize) -> usize {
-        self.inboxes[core].len()
-    }
-
-    /// True when `core`'s inbound log has no room for another update —
-    /// the simulator's backpressure trigger: the publisher drains the
-    /// blocked peer's log in its stead instead of dropping.
-    pub fn is_full(&self, core: usize) -> bool {
-        self.inboxes[core].len() >= self.capacity
-    }
-
-    /// Total updates pending across all logs.
-    pub fn total_pending(&self) -> usize {
-        self.inboxes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Records in `core`'s version guard ([`ScrReplica::len`]).
-    pub fn guard_len(&self, core: usize) -> usize {
-        self.versions[core].len()
-    }
-
-    /// Multicast one update from `origin` to every live peer
-    /// (`failed[c]` peers are skipped — their logs are dark, not
-    /// leaking). Assigns the op's global sequence number and records it
-    /// in the origin's own version guard, so a slower remote update for
-    /// the same flow can never overwrite the origin's newer local
-    /// write.
-    pub fn publish(&mut self, origin: usize, op: UpdateOp<S>, failed: &[bool]) -> PublishOutcome {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let is_del = matches!(op, UpdateOp::Del(_));
-        self.versions[origin].note_local(*op.key(), seq, is_del);
-        let mut out = PublishOutcome::default();
-        for peer in 0..self.inboxes.len() {
-            if peer == origin || failed.get(peer).copied().unwrap_or(false) {
-                continue;
-            }
-            if self.inboxes[peer].len() >= self.capacity {
-                out.dropped += 1;
-                continue;
-            }
-            self.inboxes[peer].push_back(StateUpdate {
-                seq,
-                origin,
-                op: op.clone(),
-            });
-            out.sent += 1;
-            out.occupancy_hwm = out.occupancy_hwm.max(self.inboxes[peer].len() as u64);
-        }
-        out
-    }
-
-    /// Consume the next pending update from `core`'s log, running the
-    /// version guard. The caller counts it applied either way and
-    /// interprets `admission` (apply / merge / skip) against the
-    /// replica. An empty log is the guard floor at the global head —
-    /// a publish reaches every log at once, so nothing at or below
-    /// `next_seq − 1` can still arrive — and the guard forgets below it.
-    pub fn take(&mut self, core: usize) -> Option<TakenUpdate<S>> {
-        let Some(update) = self.inboxes[core].pop_front() else {
-            if self.versions[core].prune_due() {
-                self.versions[core].forget_below(self.next_seq - 1);
-            }
-            return None;
-        };
-        let key = *update.op.key();
-        let is_del = matches!(update.op, UpdateOp::Del(_));
-        let admission = self.versions[core].admit(key, update.seq, is_del);
-        Some(TakenUpdate {
-            lag: self.next_seq - update.seq,
-            origin: update.origin,
-            admission,
-            op: update.op,
-        })
-    }
-
-    /// Record a merge-derived removal in `core`'s version guard (the
-    /// replay path calls this when [`ReplicaMerge::Remove`] completes a
-    /// teardown): the flow's tombstone advances to its last-seen seq,
-    /// so the very updates whose merge removed the entry cannot
-    /// re-admit it on another core's log.
-    pub fn note_defunct(&mut self, core: usize, key: &FlowKey) {
-        self.versions[core].note_defunct(key);
-    }
-
-    /// Truncate a dead core's inbound log (the crash-recovery hook):
-    /// the updates it never replayed are discarded and returned for
-    /// `scr_log_drops` accounting. Its replica dies with it — every
-    /// survivor holds the same state, which is why SCR recovery loses
-    /// zero flows.
-    pub fn truncate(&mut self, core: usize) -> u64 {
-        let n = self.inboxes[core].len() as u64;
-        self.inboxes[core].clear();
-        n
-    }
-
-    /// The next-epoch plane after a rescale to `num_cores` cores: fresh
-    /// logs and version guards (the runtime drains every log *before*
-    /// rescaling, so replicas are converged and no version history is
-    /// needed), with the global sequence counter carried forward so
-    /// post-rescale updates still dominate anything from earlier
-    /// epochs.
-    pub fn rescaled(&self, num_cores: usize) -> ScrPlane<S> {
-        assert!(num_cores >= 1);
-        ScrPlane {
-            inboxes: (0..num_cores).map(|_| VecDeque::new()).collect(),
-            versions: (0..num_cores).map(|_| ScrReplica::new()).collect(),
-            capacity: self.capacity,
-            next_seq: self.next_seq,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-shared plane.
-// ---------------------------------------------------------------------
-
 struct SharedScrInner<S> {
     inboxes: Vec<ArrayQueue<StateUpdate<S>>>,
     next_seq: AtomicU64,
@@ -373,17 +199,17 @@ struct SharedScrInner<S> {
     occupancy_hwm: AtomicU64,
 }
 
-/// The threaded runtime's replay plane: per-core lock-free bounded
-/// inbound logs (`crossbeam::queue::ArrayQueue`, the lap-stamped MPMC
-/// ring in `vendor/crossbeam` — N−1 publishers CAS the tail, the owning
-/// core or, once it is fenced, the watchdog too CAS the head; the same
+/// The replay plane: per-core lock-free bounded inbound logs
+/// (`crossbeam::queue::ArrayQueue`, the lap-stamped MPMC ring in
+/// `vendor/crossbeam` — N−1 publishers CAS the tail, the owning core
+/// or, once it is fenced, the watchdog too CAS the head; the same
 /// structure the inter-core descriptor rings use) plus shared atomic
 /// counters.
 /// Clone handles freely across workers.
 ///
-/// Unlike [`ScrPlane`], the version guards live with each *worker*
-/// ([`ScrReplica`]) — they are read/written only by the owning core, so
-/// sharing them would buy nothing but contention.
+/// The version guards live with each *core* ([`ScrReplica`]) — they
+/// are read/written only by the owning core, so sharing them would buy
+/// nothing but contention.
 pub struct SharedScrPlane<S> {
     inner: Arc<SharedScrInner<S>>,
 }
@@ -645,9 +471,8 @@ impl<S> SharedScrPlane<S> {
 }
 
 /// One core's per-flow version guard: `(last_seq, last_del_seq)` per
-/// flow, classifying replayed updates into [`Admission`] classes. In
-/// the threaded runtime each worker owns one privately; the simulator's
-/// [`ScrPlane`] keeps one per core.
+/// flow, classifying replayed updates into [`Admission`] classes. Each
+/// threaded worker owns one privately; the simulator keeps one per core.
 ///
 /// A record outlives its flow (the `last_del_seq` tombstone is what
 /// blocks resurrection) until [`Self::forget_below`] drops it below the
@@ -759,6 +584,53 @@ impl ScrReplica {
     }
 }
 
+/// Replay `updates` — what one drain took off a core's inbound log,
+/// in log order — into that core's `replica`: the one place that
+/// interprets an [`Admission`]. Each update is version-guarded through
+/// `guard`; a fresh `Del` removes, an admitted `Put` routes through the
+/// NF's [`NetworkFunction::merge_replica`] hook (default exact LWW —
+/// store iff newer; commutative NFs fold concurrent writes in), and a
+/// merge-completed teardown removes the entry and tombstones the
+/// updates that fed it ([`ScrReplica::note_defunct`]). `head` is the
+/// global head when the drain began: an update consumed while still
+/// the head has lag 1, and every update lands in one `lag_hist`
+/// bucket. Returns the updates consumed — `Superseded` ones included:
+/// the conservation identity `scr_replay_gap() == 0` tracks log
+/// consumption, not writes.
+pub fn replay<NF: NetworkFunction>(
+    nf: &NF,
+    guard: &mut ScrReplica,
+    mut replica: ReplicaWriter<'_, NF::Flow>,
+    updates: impl Iterator<Item = StateUpdate<NF::Flow>>,
+    head: u64,
+    lag_hist: &mut [u64; BATCH_HIST_BUCKETS],
+) -> u64 {
+    let mut applied = 0;
+    for update in updates {
+        applied += 1;
+        lag_hist[batch_bucket((head + 1).saturating_sub(update.seq))] += 1;
+        let is_del = matches!(update.op, UpdateOp::Del(_));
+        let admission = guard.admit(*update.op.key(), update.seq, is_del);
+        match (update.op, admission) {
+            (_, Admission::Superseded) => {}
+            // The guard only ever admits a Del as Fresh.
+            (UpdateOp::Del(key), _) => replica.del(&key),
+            (UpdateOp::Put(key, state), admission) => {
+                let newer = admission == Admission::Fresh;
+                match nf.merge_replica(&key, replica.get(&key), &state, newer) {
+                    ReplicaMerge::Store(merged) => replica.put(key, merged),
+                    ReplicaMerge::Keep => {}
+                    ReplicaMerge::Remove => {
+                        replica.del(&key);
+                        guard.note_defunct(&key);
+                    }
+                }
+            }
+        }
+    }
+    applied
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,32 +640,45 @@ mod tests {
         FiveTuple::tcp(0x0a00_0000 + i, 1000, 0xc0a8_0001, 443).key()
     }
 
-    #[test]
-    fn publish_multicasts_to_every_live_peer() {
-        let mut plane: ScrPlane<u32> = ScrPlane::new(4, 8);
-        let out = plane.publish(1, UpdateOp::Put(key(1), 7), &[false; 4]);
-        assert_eq!(out.sent, 3, "all peers but the origin");
-        assert_eq!(out.dropped, 0);
-        assert_eq!(out.occupancy_hwm, 1);
-        assert_eq!(plane.pending(1), 0, "no self-loop");
-        for peer in [0, 2, 3] {
-            assert_eq!(plane.pending(peer), 1);
-        }
-        assert_eq!(plane.total_pending(), 3);
+    /// The plane with one guard per core, driven as both runtimes drive
+    /// it: a publish is noted in the origin's guard, a take runs the
+    /// consumer's.
+    struct Guarded {
+        plane: SharedScrPlane<u32>,
+        guards: Vec<ScrReplica>,
     }
 
-    #[test]
-    fn publish_skips_failed_peers_and_drops_on_full_logs() {
-        let mut plane: ScrPlane<u32> = ScrPlane::new(3, 2);
-        let mut failed = vec![false, false, true];
-        let o1 = plane.publish(0, UpdateOp::Put(key(1), 1), &failed);
-        assert_eq!((o1.sent, o1.dropped), (1, 0), "dead peer 2 is skipped");
-        let o2 = plane.publish(0, UpdateOp::Put(key(2), 2), &failed);
-        assert_eq!((o2.sent, o2.dropped), (1, 0));
-        let o3 = plane.publish(0, UpdateOp::Put(key(3), 3), &failed);
-        assert_eq!((o3.sent, o3.dropped), (0, 1), "core 1's log is full");
-        failed[2] = false;
-        assert_eq!(plane.pending(2), 0, "nothing leaked to the dead core");
+    /// One consumed update with its verdict and its lag behind the head.
+    struct Taken {
+        op: UpdateOp<u32>,
+        admission: Admission,
+        lag: u64,
+    }
+
+    impl Guarded {
+        fn new(cores: usize, capacity: usize) -> Self {
+            Guarded {
+                plane: SharedScrPlane::new(cores, capacity),
+                guards: (0..cores).map(|_| ScrReplica::new()).collect(),
+            }
+        }
+
+        fn publish(&mut self, origin: usize, op: UpdateOp<u32>) {
+            let seq = self
+                .plane
+                .publish(origin, &op, &vec![true; self.guards.len()]);
+            self.guards[origin].note_local(*op.key(), seq, matches!(op, UpdateOp::Del(_)));
+        }
+
+        fn take(&mut self, core: usize) -> Option<Taken> {
+            let update = self.plane.pop(core)?;
+            let is_del = matches!(update.op, UpdateOp::Del(_));
+            Some(Taken {
+                admission: self.guards[core].admit(*update.op.key(), update.seq, is_del),
+                lag: self.plane.head_seq() + 1 - update.seq,
+                op: update.op,
+            })
+        }
     }
 
     #[test]
@@ -802,9 +687,9 @@ mod tests {
         // orders (the log is FIFO, so simulate orders via two planes)
         // and must end at the seq-2 value either way.
         let k = key(9);
-        let mut a: ScrPlane<u32> = ScrPlane::new(3, 8);
-        a.publish(0, UpdateOp::Put(k, 10), &[false; 3]); // seq 1
-        a.publish(1, UpdateOp::Put(k, 20), &[false; 3]); // seq 2
+        let mut a = Guarded::new(3, 8);
+        a.publish(0, UpdateOp::Put(k, 10)); // seq 1
+        a.publish(1, UpdateOp::Put(k, 20)); // seq 2
         let t1 = a.take(2).unwrap();
         let t2 = a.take(2).unwrap();
         assert!(t1.admission == Admission::Fresh && t1.lag >= 1);
@@ -813,9 +698,9 @@ mod tests {
 
         // Reversed arrival (origin 1 first): both are fresh in the
         // FIFO per-core log, and the last global writer wins.
-        let mut b: ScrPlane<u32> = ScrPlane::new(3, 8);
-        b.publish(1, UpdateOp::Put(k, 20), &[false; 3]); // seq 1
-        b.publish(0, UpdateOp::Put(k, 10), &[false; 3]); // seq 2
+        let mut b = Guarded::new(3, 8);
+        b.publish(1, UpdateOp::Put(k, 20)); // seq 1
+        b.publish(0, UpdateOp::Put(k, 10)); // seq 2
         let u1 = b.take(2).unwrap();
         let u2 = b.take(2).unwrap();
         assert!(
@@ -832,9 +717,9 @@ mod tests {
         // the guard classifies it Concurrent: LWW NFs keep their newer
         // local write, commutative NFs fold the older one in.
         let k = key(3);
-        let mut plane: ScrPlane<u32> = ScrPlane::new(2, 8);
-        plane.publish(0, UpdateOp::Put(k, 1), &[false; 2]);
-        plane.publish(1, UpdateOp::Put(k, 2), &[false; 2]);
+        let mut plane = Guarded::new(2, 8);
+        plane.publish(0, UpdateOp::Put(k, 1));
+        plane.publish(1, UpdateOp::Put(k, 2));
         let taken = plane.take(1).unwrap();
         assert_eq!(
             taken.admission,
@@ -846,9 +731,9 @@ mod tests {
     #[test]
     fn del_tombstone_blocks_resurrection() {
         let k = key(4);
-        let mut plane: ScrPlane<u32> = ScrPlane::new(2, 8);
-        plane.publish(0, UpdateOp::Put(k, 5), &[false; 2]); // seq 1
-        plane.publish(0, UpdateOp::Del(k), &[false; 2]); // seq 2
+        let mut plane = Guarded::new(2, 8);
+        plane.publish(0, UpdateOp::Put(k, 5)); // seq 1
+        plane.publish(0, UpdateOp::Del(k)); // seq 2
         let put = plane.take(1).unwrap();
         let del = plane.take(1).unwrap();
         assert_eq!(put.admission, Admission::Fresh);
@@ -897,32 +782,6 @@ mod tests {
             "straggler Put below the local Del must not resurrect"
         );
         assert_eq!(replica.admit(k, 6, false), Admission::Fresh);
-    }
-
-    #[test]
-    fn truncate_discards_and_counts_a_dead_cores_log() {
-        let mut plane: ScrPlane<u32> = ScrPlane::new(2, 8);
-        for i in 0..5 {
-            plane.publish(0, UpdateOp::Put(key(i), i), &[false; 2]);
-        }
-        assert_eq!(plane.pending(1), 5);
-        assert_eq!(plane.truncate(1), 5);
-        assert_eq!(plane.pending(1), 0);
-        assert_eq!(plane.truncate(1), 0, "idempotent");
-    }
-
-    #[test]
-    fn rescaled_plane_keeps_the_sequence_monotonic() {
-        let mut plane: ScrPlane<u32> = ScrPlane::new(2, 8);
-        plane.publish(0, UpdateOp::Put(key(1), 1), &[false; 2]);
-        plane.publish(0, UpdateOp::Put(key(2), 2), &[false; 2]);
-        let next = plane.rescaled(4);
-        assert_eq!(next.num_cores(), 4);
-        assert_eq!(next.total_pending(), 0);
-        assert_eq!(
-            next.next_seq, plane.next_seq,
-            "epochs share one sequence space"
-        );
     }
 
     #[test]
@@ -1088,28 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn the_simulator_guard_forgets_when_its_log_runs_dry() {
-        let mut plane: ScrPlane<u32> = ScrPlane::new(2, 4 * GUARD_PRUNE_MIN);
-        let n = 3 * GUARD_PRUNE_MIN as u32;
-        for i in 0..n {
-            plane.publish(0, UpdateOp::Put(key(i), i), &[false; 2]);
-            plane.publish(0, UpdateOp::Del(key(i)), &[false; 2]);
-            while plane.take(1).is_some() {}
-            assert!(plane.take(0).is_none(), "the origin's own log is empty");
-        }
-        for core in 0..2 {
-            assert!(
-                plane.guard_len(core) <= GUARD_PRUNE_MIN,
-                "core {core}: {} records for {n} flows",
-                plane.guard_len(core)
-            );
-        }
-        // Nothing older than the head can arrive, so forgetting is safe.
-        plane.publish(0, UpdateOp::Put(key(0), 7), &[false; 2]);
-        assert_eq!(plane.take(1).unwrap().admission, Admission::Fresh);
-    }
-
-    #[test]
     fn shared_plane_concurrent_publish_and_replay_conserve_updates() {
         let plane: SharedScrPlane<u64> = SharedScrPlane::new(2, 1024);
         let alive = [true; 2];
@@ -1146,5 +983,139 @@ mod tests {
             plane.published(),
             plane.applied() + plane.dropped() + pending
         );
+    }
+
+    #[test]
+    fn replay_truth_table() {
+        use crate::api::{FlowStateApi, NfDescriptor, Verdict};
+        use crate::config::DispatchMode;
+        use crate::coremap::CoreMap;
+        use crate::tables::LocalTables;
+        use sprayer_net::Packet;
+
+        /// Answers every merge with what it was told to, marking a
+        /// stored value with the `newer` flag it was called with.
+        struct Says(ReplicaMerge<u32>);
+        impl NetworkFunction for Says {
+            type Flow = u32;
+            fn descriptor(&self) -> NfDescriptor {
+                NfDescriptor::named("says")
+            }
+            fn connection_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+                Verdict::Forward
+            }
+            fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u32>) -> Verdict {
+                Verdict::Forward
+            }
+            fn merge_replica(
+                &self,
+                _: &FlowKey,
+                _: Option<&u32>,
+                new: &u32,
+                newer: bool,
+            ) -> ReplicaMerge<u32> {
+                match self.0 {
+                    ReplicaMerge::Store(_) => ReplicaMerge::Store(new + u32::from(newer)),
+                    ref other => other.clone(),
+                }
+            }
+        }
+
+        // The flow was removed locally at seq 4 and written again at 6,
+        // so the guard holds (6, 4): the head itself is Fresh, a Put at
+        // 5 is Concurrent, anything at 3 is Superseded — and a Del at 5
+        // is Superseded too (the guard never calls a Del Concurrent).
+        const HEAD: u64 = 12;
+        let k = key(1);
+        let classes = [
+            (Admission::Fresh, HEAD),
+            (Admission::Concurrent, 5),
+            (Admission::Superseded, 3),
+        ];
+        let merges = [
+            ReplicaMerge::Store(0),
+            ReplicaMerge::Keep,
+            ReplicaMerge::Remove,
+        ];
+        let mut cells = Vec::new();
+        for class in classes {
+            for is_del in [false, true] {
+                for says in &merges {
+                    for held in [Some(7), None] {
+                        cells.push((class, is_del, says.clone(), held));
+                    }
+                }
+            }
+        }
+        for ((class, seq), is_del, says, held) in cells {
+            let cell = format!("{class:?} is_del={is_del} {says:?} held={held:?}");
+            let mut tables: LocalTables<u32> =
+                LocalTables::new(CoreMap::new(DispatchMode::Scr, 2), 16);
+            if let Some(v) = held {
+                tables.apply_replica(0, &UpdateOp::Put(k, v));
+            }
+            let before = tables.counters();
+            let mut guard = ScrReplica::new();
+            guard.note_local(k, 4, true);
+            guard.note_local(k, 6, false);
+            let op = if is_del {
+                UpdateOp::Del(k)
+            } else {
+                UpdateOp::Put(k, 40)
+            };
+            let update = StateUpdate { seq, origin: 1, op };
+            let nf = Says(says.clone());
+            let mut lag_hist = [0u64; BATCH_HIST_BUCKETS];
+            let applied = replay(
+                &nf,
+                &mut guard,
+                tables.replica(0),
+                std::iter::once(update),
+                HEAD,
+                &mut lag_hist,
+            );
+
+            assert_eq!(
+                applied, 1,
+                "{cell}: consumed is applied, Superseded included"
+            );
+            let mut want_hist = [0u64; BATCH_HIST_BUCKETS];
+            want_hist[batch_bucket(HEAD + 1 - seq)] = 1;
+            assert_eq!(lag_hist, want_hist, "{cell}");
+            assert_eq!(
+                lag_hist[0],
+                u64::from(seq == HEAD),
+                "{cell}: lag 1 is consumed while still the head"
+            );
+
+            let admitted =
+                class != Admission::Superseded && !(is_del && class == Admission::Concurrent);
+            let newer = class == Admission::Fresh;
+            let (want, tombstoned) = match (admitted, is_del, &says) {
+                (false, _, _) => (held, false),
+                (true, true, _) => (None, false),
+                (true, false, ReplicaMerge::Store(_)) => (Some(40 + u32::from(newer)), false),
+                (true, false, ReplicaMerge::Keep) => (held, false),
+                (true, false, ReplicaMerge::Remove) => (None, true),
+            };
+            assert_eq!(tables.peek(0, &k).copied(), want, "{cell}");
+            let after = tables.counters();
+            let created = u64::from(held.is_none() && want.is_some());
+            let dels = u64::from(held.is_some() && want.is_none());
+            assert_eq!(after.created - before.created, created, "{cell}");
+            assert_eq!(after.replica_dels - before.replica_dels, dels, "{cell}");
+            assert_eq!(
+                after.unaccounted(tables.total_entries() as u64),
+                0,
+                "{cell}"
+            );
+            if tombstoned {
+                assert_eq!(
+                    guard.admit(k, seq, false),
+                    Admission::Superseded,
+                    "{cell}: the Put that fed a Remove cannot resurrect the flow"
+                );
+            }
+        }
     }
 }

@@ -4,39 +4,45 @@
 //! Moreover, cores can only write to their local flow tables, but can
 //! read from any" (§3.3).
 //!
-//! Two backends share the [`crate::api::FlowStateApi`] surface:
+//! There is one per-core table, the private `CoreTable`: an
+//! open-addressing [`crate::flowtable::FlowTable`] (pinned
+//! [`FlowKey::stable_hash`] probe positions, deterministic slot-order
+//! iteration — migration traversals and telemetry are identical across
+//! processes) plus that core's share of the [`LifecycleCounters`]. It
+//! holds the only copy of every mutation — insert with its LRU
+//! backstop, remove, modify, the idle sweep, replica put/del — and one
+//! function runs every epoch transition. Two backends reach it, each a
+//! thin [`crate::api::FlowStateApi`] wrapper:
 //!
-//! Both backends store entries in the open-addressing
-//! [`crate::flowtable::FlowTable`] (pinned [`FlowKey::stable_hash`]
-//! probe positions, deterministic slot-order iteration — migration
-//! traversals and telemetry are identical across processes):
-//!
-//! * [`LocalTables`] — plain per-core tables for the deterministic
-//!   simulator (single-threaded; the cycle model charges for accesses);
-//! * [`SharedTables`] — per-core `RwLock<FlowTable>`s for the real-thread
+//! * [`LocalTables`] — a plain `Vec` of them for the deterministic
+//!   simulator (single-threaded; the cycle model charges for accesses).
+//!   It stays because `get_flow` runs per packet and even an
+//!   uncontended lock is not free: `perf/` reads
+//!   `tables.local_get_hit_ns` 9 against `shared_get_hit_ns` 16–20.
+//!   (The SCR plane, touched per *connection* packet, has no such
+//!   second form — see [`crate::scr`].)
+//! * [`SharedTables`] — one `RwLock` around each for the real-thread
 //!   runtime. The lock is a Rust-safety artifact, not part of the design
 //!   being modeled: the write partition means there is exactly one writer
 //!   per table, so the write lock is never contended by another writer,
 //!   and foreign cores only ever take the read side. (The paper's C
 //!   implementation relies on the same single-writer discipline without
 //!   any lock; in `#![forbid(unsafe_code)]` Rust the RwLock is the
-//!   cheapest sound encoding of that discipline.)
+//!   cheapest sound encoding of that discipline.) The counters ride the
+//!   same lock: the one writer bumps plain integers under the write
+//!   side it already holds.
 
 use crate::api::{EvictReason, FlowStateApi, InsertOutcome};
 use crate::config::{DispatchMode, LifecycleConfig};
 use crate::coremap::CoreMap;
 use crate::flowtable::FlowTable;
-use parking_lot::{RwLock, RwLockWriteGuard};
+use crate::scr::UpdateOp;
+use parking_lot::RwLock;
 use sprayer_net::FlowKey;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// ---------------------------------------------------------------------
-// Flow-entry conservation.
-// ---------------------------------------------------------------------
-
-/// Cumulative flow-entry lifecycle counters, maintained by both table
-/// backends so that every physical table-entry creation and removal is
+/// Cumulative flow-entry lifecycle counters, maintained by the per-core
+/// table so that every physical table-entry creation and removal is
 /// attributed to exactly one cause. The conservation identity
 /// [`LifecycleCounters::unaccounted`] checks (mirroring the packet-level
 /// `MiddleboxStats::unaccounted`):
@@ -56,7 +62,8 @@ use std::sync::Arc;
 /// or a crash discarded (`dropped`). Epoch transitions (rescale /
 /// failover) balance by charging every pre-epoch entry to `dropped` and
 /// every post-epoch entry to `created`, so the identity holds across
-/// arbitrary re-bucketing, replica unions, and dead-shard discards.
+/// arbitrary re-bucketing, replica unions, joiner bootstraps and
+/// dead-shard discards (a dead shard's entries thus net out as dropped).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleCounters {
     /// Table entries materialized (NF inserts, replica Puts, epoch
@@ -88,48 +95,14 @@ impl LifecycleCounters {
     }
 }
 
-/// Atomic mirror of [`LifecycleCounters`] for the thread-shared
-/// backend (relaxed ordering: these are statistics, and each counter is
-/// only ever incremented — the snapshot is read at quiesced points).
-#[derive(Debug, Default)]
-struct SharedCounters {
-    created: AtomicU64,
-    fin_reclaimed: AtomicU64,
-    idle_expired: AtomicU64,
-    lru_evicted: AtomicU64,
-    replica_dels: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl SharedCounters {
-    fn preload(c: LifecycleCounters) -> Self {
-        SharedCounters {
-            created: AtomicU64::new(c.created),
-            fin_reclaimed: AtomicU64::new(c.fin_reclaimed),
-            idle_expired: AtomicU64::new(c.idle_expired),
-            lru_evicted: AtomicU64::new(c.lru_evicted),
-            replica_dels: AtomicU64::new(c.replica_dels),
-            dropped: AtomicU64::new(c.dropped),
-        }
-    }
-
-    fn snapshot(&self) -> LifecycleCounters {
-        LifecycleCounters {
-            created: self.created.load(Ordering::Relaxed),
-            fin_reclaimed: self.fin_reclaimed.load(Ordering::Relaxed),
-            idle_expired: self.idle_expired.load(Ordering::Relaxed),
-            lru_evicted: self.lru_evicted.load(Ordering::Relaxed),
-            replica_dels: self.replica_dels.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-        }
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+impl std::ops::AddAssign for LifecycleCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.created += other.created;
+        self.fin_reclaimed += other.fin_reclaimed;
+        self.idle_expired += other.idle_expired;
+        self.lru_evicted += other.lru_evicted;
+        self.replica_dels += other.replica_dels;
+        self.dropped += other.dropped;
     }
 }
 
@@ -139,10 +112,6 @@ impl SharedCounters {
 /// so evictions are staged per-core and drained by the runtime.
 pub type PendingEviction<S> = (FlowKey, S, EvictReason);
 
-// ---------------------------------------------------------------------
-// Single-threaded backend (simulator).
-// ---------------------------------------------------------------------
-
 /// Record a key in a per-batch mutation log, deduping (batches are a
 /// few dozen packets; a linear scan beats hashing at that size).
 fn record_key(log: &mut Vec<FlowKey>, key: FlowKey) {
@@ -151,289 +120,217 @@ fn record_key(log: &mut Vec<FlowKey>, key: FlowKey) {
     }
 }
 
-/// All cores' flow tables, owned by the single-threaded simulator.
+/// What one core's own mutations leave for its runtime to pick up
+/// between batches. Owned by whoever drives the core and handed to the
+/// table by `&mut`, so filling it writes nothing shared.
 #[derive(Debug)]
-pub struct LocalTables<S> {
-    tables: Vec<FlowTable<S>>,
-    capacity: usize,
+struct BatchLog<S> {
+    /// Keys successfully written / removed since the runtime last
+    /// cleared them (SCR only; see
+    /// [`crate::api::FlowStateApi::written_keys`]). Replay and epoch
+    /// transitions never record — only the NF's own handler writes ship.
+    written: Vec<FlowKey>,
+    removed: Vec<FlowKey>,
+    /// Evicted entries awaiting their `evict_flow` hook.
+    pending: Vec<PendingEviction<S>>,
+}
+
+impl<S> BatchLog<S> {
+    fn new() -> Self {
+        BatchLog {
+            written: Vec::new(),
+            removed: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    fn clear_batch(&mut self) {
+        self.written.clear();
+        self.removed.clear();
+    }
+}
+
+/// What every table of one epoch is bucketed and bounded by.
+#[derive(Debug)]
+struct Shape {
     map: CoreMap,
-    /// Per-core per-batch mutation logs (SCR only; see
-    /// [`crate::api::FlowStateApi::written_keys`]): keys successfully
-    /// written / removed since the runtime last called
-    /// [`LocalTables::clear_batch_log`]. Replay (`apply_replica`) and
-    /// epoch transitions never record — only the NF's own handler
-    /// writes ship.
-    written: Vec<Vec<FlowKey>>,
-    removed: Vec<Vec<FlowKey>>,
+    capacity: usize,
     /// Flow-lifecycle policy (idle aging / LRU backstop); disabled by
     /// default so pre-lifecycle behavior (hard `TableFull`) persists.
     lifecycle: LifecycleConfig,
-    /// Cumulative conservation counters (see [`LifecycleCounters`]).
-    counters: LifecycleCounters,
-    /// Per-core evicted entries awaiting their `evict_flow` hook; the
-    /// runtime drains these via [`LocalTables::take_evictions`].
-    pending: Vec<Vec<PendingEviction<S>>>,
 }
 
-impl<S: Clone> LocalTables<S> {
-    /// Tables for every core under the given mapping.
-    pub fn new(map: CoreMap, capacity: usize) -> Self {
-        let n = map.num_cores();
-        LocalTables {
-            tables: (0..n).map(|_| FlowTable::new()).collect(),
-            capacity,
-            map,
-            written: vec![Vec::new(); n],
-            removed: vec![Vec::new(); n],
-            lifecycle: LifecycleConfig::disabled(),
+impl Shape {
+    fn scr(&self) -> bool {
+        self.map.mode() == DispatchMode::Scr
+    }
+
+    /// The core whose table answers for `key` when asked on `core`.
+    /// Under SCR every core owns (a replica of) every flow, so the
+    /// NF-visible designated core is always the local one: writes are
+    /// legal everywhere, the update log does the propagating, and the
+    /// foreign read Sprayer routes to the designated core's table is a
+    /// local replica read — SCR's payoff.
+    fn home(&self, key: &FlowKey, core: usize) -> usize {
+        if self.scr() {
+            core
+        } else {
+            self.map.designated_for_key(key)
+        }
+    }
+}
+
+/// One core's flow table and that core's share of the conservation
+/// counters.
+#[derive(Debug)]
+struct CoreTable<S> {
+    table: FlowTable<S>,
+    counters: LifecycleCounters,
+}
+
+impl<S> CoreTable<S> {
+    fn holding(table: FlowTable<S>) -> Self {
+        CoreTable {
+            table,
             counters: LifecycleCounters::default(),
-            pending: (0..n).map(|_| Vec::new()).collect(),
         }
     }
 
-    /// Install the flow-lifecycle policy (idle timeout / LRU backstop).
-    pub fn set_lifecycle(&mut self, cfg: LifecycleConfig) {
-        self.lifecycle = cfg;
+    fn insert(
+        &mut self,
+        shape: &Shape,
+        key: FlowKey,
+        state: S,
+        log: &mut BatchLog<S>,
+    ) -> InsertOutcome {
+        let outcome = if self.table.contains_key(&key) {
+            InsertOutcome::Replaced
+        } else {
+            if self.table.len() >= shape.capacity {
+                // Bounded-memory backstop: with `lru_backstop` on, a full
+                // table evicts its approximately-least-recently-written
+                // entry to admit the newcomer instead of shedding it. The
+                // victim is staged for the `evict_flow` hook and, under
+                // SCR, its `Del` ships with this batch's mutation log.
+                let backstop = shape.lifecycle.lru_backstop;
+                let Some(victim) = backstop.then(|| self.table.lru_victim()).flatten() else {
+                    return InsertOutcome::TableFull;
+                };
+                if let Some(old) = self.table.remove(&victim) {
+                    self.counters.lru_evicted += 1;
+                    if shape.scr() {
+                        record_key(&mut log.removed, victim);
+                    }
+                    log.pending.push((victim, old, EvictReason::Capacity));
+                }
+            }
+            self.counters.created += 1;
+            InsertOutcome::Inserted
+        };
+        self.table.insert(key, state);
+        if shape.scr() {
+            record_key(&mut log.written, key);
+        }
+        outcome
     }
 
-    /// The installed flow-lifecycle policy.
-    pub fn lifecycle_config(&self) -> LifecycleConfig {
-        self.lifecycle
+    fn remove(&mut self, shape: &Shape, key: &FlowKey, log: &mut BatchLog<S>) -> Option<S> {
+        let removed = self.table.remove(key);
+        if removed.is_some() {
+            // NF-initiated teardown (FIN/RST handling is the only caller
+            // in-tree) — attributed separately from lifecycle evictions.
+            self.counters.fin_reclaimed += 1;
+            if shape.scr() {
+                record_key(&mut log.removed, *key);
+            }
+        }
+        removed
     }
 
-    /// Snapshot of the cumulative flow-entry conservation counters.
-    pub fn counters(&self) -> LifecycleCounters {
-        self.counters
+    fn modify(
+        &mut self,
+        shape: &Shape,
+        key: &FlowKey,
+        f: &mut dyn FnMut(&mut S),
+        log: &mut BatchLog<S>,
+    ) -> bool {
+        let Some(state) = self.table.get_mut(key) else {
+            return false;
+        };
+        f(state);
+        if shape.scr() {
+            record_key(&mut log.written, *key);
+        }
+        true
     }
 
-    /// Advance `core`'s lazy lifecycle clock to `now_us` (monotone max;
-    /// the runtime calls this before dispatching a batch so that the
-    /// batch's writes carry fresh touch stamps).
-    pub fn touch_clock(&mut self, core: usize, now_us: u64) {
-        self.tables[core].set_clock(now_us);
-    }
-
-    /// Reclaim every entry on `core` idle for at least the configured
-    /// timeout. Under SCR exactly one core sweeps each key (the key's
+    /// Reclaim every entry idle for at least the configured timeout.
+    /// Under SCR exactly one core sweeps each key (the key's
     /// rendezvous-designated core) and ships the `Del` through the
     /// mutation log; the other replicas wait for the replicated `Del`,
-    /// keeping the tables bit-convergent. Evicted entries are staged
-    /// for the `evict_flow` hook ([`LocalTables::take_evictions`]).
-    pub fn sweep_idle(&mut self, core: usize, now_us: u64) {
-        let Some(timeout) = self.lifecycle.idle_timeout_us else {
+    /// keeping the tables bit-convergent.
+    fn sweep_idle(&mut self, shape: &Shape, core: usize, now_us: u64, log: &mut BatchLog<S>) {
+        let Some(timeout) = shape.lifecycle.idle_timeout_us else {
             return;
         };
-        self.tables[core].set_clock(now_us);
+        self.table.set_clock(now_us);
         let Some(deadline) = now_us.checked_sub(timeout) else {
             return;
         };
-        let scr = self.map.mode() == DispatchMode::Scr;
-        for key in self.tables[core].collect_idle(deadline) {
-            if scr && self.map.designated_for_key(&key) != core {
+        let scr = shape.scr();
+        for key in self.table.collect_idle(deadline) {
+            if scr && shape.map.designated_for_key(&key) != core {
                 continue; // a peer owns this key's sweep; its Del will arrive
             }
-            if let Some(state) = self.tables[core].remove(&key) {
+            if let Some(state) = self.table.remove(&key) {
                 self.counters.idle_expired += 1;
                 if scr {
-                    record_key(&mut self.removed[core], key);
+                    record_key(&mut log.removed, key);
                 }
-                self.pending[core].push((key, state, EvictReason::Idle));
+                log.pending.push((key, state, EvictReason::Idle));
             }
         }
-    }
-
-    /// Drain `core`'s staged evictions so the runtime can run the NF's
-    /// `evict_flow` hook on each (the entries have already left the
-    /// table and been counted by reason).
-    pub fn take_evictions(&mut self, core: usize) -> Vec<PendingEviction<S>> {
-        std::mem::take(&mut self.pending[core])
-    }
-
-    /// Reset `core`'s per-batch mutation log — called by the runtime
-    /// right after the batch's `replicate_updates` hook consumed it.
-    pub fn clear_batch_log(&mut self, core: usize) {
-        self.written[core].clear();
-        self.removed[core].clear();
-    }
-
-    /// A handler context bound to `core`.
-    pub fn ctx(&mut self, core: usize) -> LocalCtx<'_, S> {
-        assert!(core < self.tables.len());
-        LocalCtx { tables: self, core }
-    }
-
-    /// Entries across all tables.
-    pub fn total_entries(&self) -> usize {
-        self.tables.iter().map(FlowTable::len).sum()
-    }
-
-    /// Entries in one core's table.
-    pub fn entries_on(&self, core: usize) -> usize {
-        self.tables[core].len()
-    }
-
-    /// Direct read access for assertions in tests/probes.
-    pub fn peek(&self, core: usize, key: &FlowKey) -> Option<&S> {
-        self.tables[core].get(key)
-    }
-
-    /// The mapping the tables are bucketed by.
-    pub fn map(&self) -> &CoreMap {
-        &self.map
-    }
-
-    /// Apply one replicated state-update into `core`'s replica (the SCR
-    /// replay path). Bypasses the per-core capacity cap for the same
-    /// reason migration does: a write a peer already accepted must not
-    /// be shed on replay, or replicas would diverge.
-    pub fn apply_replica(&mut self, core: usize, op: &crate::scr::UpdateOp<S>) {
-        match op {
-            crate::scr::UpdateOp::Put(key, state) => {
-                if self.tables[core].insert(*key, state.clone()).is_none() {
-                    self.counters.created += 1;
-                }
-            }
-            crate::scr::UpdateOp::Del(key) => {
-                if self.tables[core].remove(key).is_some() {
-                    self.counters.replica_dels += 1;
-                }
-            }
-        }
-    }
-
-    /// Re-bucket every entry under `new_map` (an elastic reconfiguration
-    /// epoch): entries whose designated core changed are handed to
-    /// `on_move(key, state, from, to)` — where the runtime invokes the
-    /// NF's `freeze_flow`/`adopt_flow` hooks — and placed in their new
-    /// core's table. Migration never sheds state, so the per-core
-    /// capacity cap is not enforced here (a shrink can transiently
-    /// overfill a table; subsequent inserts still see `TableFull`).
-    pub fn rescale(
-        &mut self,
-        new_map: CoreMap,
-        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
-    ) -> MigrationStats {
-        // Epoch balancing: every pre-epoch entry is drained (`dropped`),
-        // every post-epoch entry re-materialized (`created`), keeping
-        // the conservation identity valid across re-bucketing, SCR
-        // replica unions, and joiner bootstraps alike.
-        self.counters.dropped += self.total_entries() as u64;
-        let mut stats = MigrationStats::default();
-        if new_map.mode() == DispatchMode::Scr {
-            // Full replication: nothing migrates. The union of the old
-            // replicas (identical at the quiesced barrier — the runtime
-            // drains the update log first; the union covers any
-            // stragglers deterministically, later cores winning) is the
-            // snapshot every next-epoch core bootstraps from, joiners
-            // included. No freeze/adopt hooks run: no flow changes
-            // owner, because under SCR every core is an owner.
-            let old_tables = std::mem::take(&mut self.tables);
-            let mut snapshot: FlowTable<S> = FlowTable::new();
-            for table in old_tables {
-                for (key, state) in table {
-                    snapshot.insert(key, state);
-                }
-            }
-            stats.retained_flows = snapshot.len() as u64;
-            self.tables = (0..new_map.num_cores()).map(|_| snapshot.clone()).collect();
-            self.counters.created += self.total_entries() as u64;
-            self.reset_batch_logs(new_map.num_cores());
-            self.map = new_map;
-            return stats;
-        }
-        let moved = self.rebucket(new_map, None, on_move);
-        MigrationStats {
-            migrated_flows: moved.migrated_flows,
-            retained_flows: moved.retained_flows,
-        }
-    }
-
-    /// The write-partitioned (non-SCR) re-bucketing [`LocalTables::rescale`]
-    /// and [`LocalTables::fail_core`] share: every entry moves to its
-    /// designated core under `new_map`, through `on_move` when that core
-    /// changed — except the entries of core `skip` (a failed core,
-    /// whose state lived only there), which are discarded and counted
-    /// as `flows_lost`. Installs `new_map` and closes the caller's epoch
-    /// balancing by charging what survives to `created`.
-    fn rebucket(
-        &mut self,
-        new_map: CoreMap,
-        skip: Option<usize>,
-        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
-    ) -> FailoverStats {
-        let mut stats = FailoverStats::default();
-        let old_tables = std::mem::take(&mut self.tables);
-        let mut new_tables: Vec<FlowTable<S>> =
-            (0..new_map.num_cores()).map(|_| FlowTable::new()).collect();
-        for (from, table) in old_tables.into_iter().enumerate() {
-            if skip == Some(from) {
-                stats.flows_lost += table.len() as u64;
-                continue;
-            }
-            for (key, mut state) in table {
-                let to = new_map.designated_for_key(&key);
-                if to == from {
-                    stats.retained_flows += 1;
-                } else {
-                    stats.migrated_flows += 1;
-                    on_move(&key, &mut state, from, to);
-                }
-                new_tables[to].insert(key, state);
-            }
-        }
-        self.tables = new_tables;
-        self.counters.created += self.total_entries() as u64;
-        self.reset_batch_logs(new_map.num_cores());
-        self.map = new_map;
-        stats
-    }
-
-    /// Fresh (empty) per-batch logs for an epoch transition — batches
-    /// never span a barrier, so nothing can be pending in them. The
-    /// staged-eviction queues are resized alongside (the runtime drains
-    /// them before any epoch transition, so nothing is lost).
-    fn reset_batch_logs(&mut self, num_cores: usize) {
-        self.written = vec![Vec::new(); num_cores];
-        self.removed = vec![Vec::new(); num_cores];
-        self.pending = (0..num_cores).map(|_| Vec::new()).collect();
     }
 }
 
-impl<S: Clone> LocalTables<S> {
-    /// Re-bucket after an unplanned core failure: the dead core's
-    /// entries are *discarded* (the write partition means their state
-    /// lived only there — counted as `flows_lost`), and every surviving
-    /// entry whose designated core changed under `new_map` (built with
-    /// [`CoreMap::without_core`]) migrates through `on_move` exactly
-    /// like [`LocalTables::rescale`]. Under Sprayer/rendezvous only the
-    /// dead core's flows remapped, so `migrated_flows` is 0; under RSS
-    /// the rebuilt indirection table moves survivors broadly.
-    pub fn fail_core(
-        &mut self,
-        failed: usize,
-        new_map: CoreMap,
-        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
-    ) -> FailoverStats {
-        assert!(new_map.is_failed(failed), "new_map must exclude the core");
-        // Same epoch balancing as `rescale`: charge everything that
-        // existed to `dropped` and everything re-materialized to
-        // `created` (the dead shard's entries thus net out as dropped).
-        self.counters.dropped += self.total_entries() as u64;
-        let mut stats = FailoverStats::default();
-        if new_map.mode() == DispatchMode::Scr {
-            // The dead core held a *replica*, not a partition: every
-            // survivor already has the same state, so recovery drops the
-            // dead shard and moves nothing — zero flows lost, zero flows
-            // migrated, the asymmetry fig_chaos hard-asserts.
-            self.tables[failed] = FlowTable::new();
-            let representative = new_map.active_core_ids()[0];
-            stats.retained_flows = self.tables[representative].len() as u64;
-            self.counters.created += self.total_entries() as u64;
-            self.reset_batch_logs(new_map.num_cores());
-            self.map = new_map;
-            return stats;
+/// One core's replica opened for replayed state-updates (the SCR
+/// replay path, [`crate::scr::replay`]). Writes bypass the per-batch
+/// mutation log — replay must not ship back — and the per-core
+/// capacity cap, for the same reason migration does: a write a peer
+/// already accepted must not be shed on replay, or replicas would
+/// diverge.
+#[derive(Debug)]
+pub struct ReplicaWriter<'a, S>(&'a mut CoreTable<S>);
+
+impl<S> ReplicaWriter<'_, S> {
+    /// The replica's current entry for `key` (the merge hook's input).
+    pub fn get(&self, key: &FlowKey) -> Option<&S> {
+        self.0.table.get(key)
+    }
+
+    /// Store a replayed `Put`.
+    pub fn put(&mut self, key: FlowKey, state: S) {
+        if self.0.table.insert(key, state).is_none() {
+            self.0.counters.created += 1;
         }
-        self.rebucket(new_map, Some(failed), on_move)
+    }
+
+    /// Apply a replayed `Del`.
+    pub fn del(&mut self, key: &FlowKey) {
+        if self.0.table.remove(key).is_some() {
+            self.0.counters.replica_dels += 1;
+        }
+    }
+
+    /// Apply one state-update as it stands: no guard, no merge hook.
+    pub fn apply(&mut self, op: &UpdateOp<S>)
+    where
+        S: Clone,
+    {
+        match op {
+            UpdateOp::Put(key, state) => self.put(*key, state.clone()),
+            UpdateOp::Del(key) => self.del(key),
+        }
     }
 }
 
@@ -457,6 +354,254 @@ pub struct FailoverStats {
     pub flows_lost: u64,
 }
 
+impl From<FailoverStats> for MigrationStats {
+    fn from(moved: FailoverStats) -> Self {
+        MigrationStats {
+            migrated_flows: moved.migrated_flows,
+            retained_flows: moved.retained_flows,
+        }
+    }
+}
+
+/// The epoch transition every backend runs at its quiesced barrier — a
+/// planned rescale or, with `dead`, recovery from a core failure: build
+/// the tables of `new_map`'s epoch from the drained tables of the one
+/// that ends, carrying the counters across (balanced as
+/// [`LifecycleCounters`] describes).
+///
+/// Write-partitioned modes re-bucket: every entry moves to its
+/// designated core under `new_map`, through `on_move(key, state, from,
+/// to)` — where the runtime invokes the NF's `freeze_flow`/`adopt_flow`
+/// hooks — when that core changed. The entries of `dead` lived only
+/// there: they are discarded and counted as `flows_lost`. Migration
+/// never sheds state, so the per-core capacity cap is not enforced here
+/// (a shrink can transiently overfill a table; subsequent inserts still
+/// see `TableFull`).
+fn next_epoch<S: Clone>(
+    old: Vec<CoreTable<S>>,
+    mut carried: LifecycleCounters,
+    new_map: &CoreMap,
+    dead: Option<usize>,
+    on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
+) -> (Vec<CoreTable<S>>, LifecycleCounters, FailoverStats) {
+    let mut stats = FailoverStats::default();
+    let mut old_tables = Vec::with_capacity(old.len());
+    for core in old {
+        carried += core.counters;
+        carried.dropped += core.table.len() as u64;
+        old_tables.push(core.table);
+    }
+    let num_cores = new_map.num_cores();
+    let tables: Vec<FlowTable<S>> = if new_map.mode() != DispatchMode::Scr {
+        let mut tables: Vec<_> = (0..num_cores).map(|_| FlowTable::new()).collect();
+        for (from, table) in old_tables.into_iter().enumerate() {
+            if dead == Some(from) {
+                stats.flows_lost += table.len() as u64;
+                continue;
+            }
+            for (key, mut state) in table {
+                let to = new_map.designated_for_key(&key);
+                if to == from {
+                    stats.retained_flows += 1;
+                } else {
+                    stats.migrated_flows += 1;
+                    on_move(&key, &mut state, from, to);
+                }
+                tables[to].insert(key, state);
+            }
+        }
+        tables
+    } else if let Some(dead) = dead {
+        // The dead core held a *replica*, not a partition: every
+        // survivor already has the same state, so recovery drops the
+        // dead shard and moves nothing — zero flows lost, zero flows
+        // migrated, the asymmetry fig_chaos hard-asserts.
+        old_tables[dead] = FlowTable::new();
+        stats.retained_flows = old_tables[new_map.active_core_ids()[0]].len() as u64;
+        old_tables
+    } else {
+        // Full replication: nothing migrates. The union of the old
+        // replicas (identical at the quiesced barrier — the runtime
+        // drains the update log first; the union covers any
+        // stragglers deterministically, later cores winning) is the
+        // snapshot every next-epoch core bootstraps from, joiners
+        // included. No freeze/adopt hooks run: no flow changes
+        // owner, because under SCR every core is an owner.
+        let mut snapshot: FlowTable<S> = FlowTable::new();
+        for (key, state) in old_tables.into_iter().flatten() {
+            snapshot.insert(key, state);
+        }
+        stats.retained_flows = snapshot.len() as u64;
+        (0..num_cores).map(|_| snapshot.clone()).collect()
+    };
+    carried.created += tables.iter().map(|t| t.len() as u64).sum::<u64>();
+    let cores = tables.into_iter().map(CoreTable::holding).collect();
+    (cores, carried, stats)
+}
+
+/// All cores' flow tables, owned by the single-threaded simulator.
+#[derive(Debug)]
+pub struct LocalTables<S> {
+    cores: Vec<CoreTable<S>>,
+    logs: Vec<BatchLog<S>>,
+    shape: Shape,
+    /// What the epochs already closed counted.
+    carried: LifecycleCounters,
+}
+
+impl<S: Clone> LocalTables<S> {
+    /// Tables for every core under the given mapping.
+    pub fn new(map: CoreMap, capacity: usize) -> Self {
+        let n = map.num_cores();
+        LocalTables {
+            cores: (0..n)
+                .map(|_| CoreTable::holding(FlowTable::new()))
+                .collect(),
+            logs: (0..n).map(|_| BatchLog::new()).collect(),
+            shape: Shape {
+                map,
+                capacity,
+                lifecycle: LifecycleConfig::disabled(),
+            },
+            carried: LifecycleCounters::default(),
+        }
+    }
+
+    /// Install the flow-lifecycle policy (idle timeout / LRU backstop).
+    pub fn set_lifecycle(&mut self, cfg: LifecycleConfig) {
+        self.shape.lifecycle = cfg;
+    }
+
+    /// The installed flow-lifecycle policy.
+    pub fn lifecycle_config(&self) -> LifecycleConfig {
+        self.shape.lifecycle
+    }
+
+    /// Snapshot of the cumulative flow-entry conservation counters:
+    /// every core's share plus the closed epochs'.
+    pub fn counters(&self) -> LifecycleCounters {
+        let mut sum = self.carried;
+        for core in &self.cores {
+            sum += core.counters;
+        }
+        sum
+    }
+
+    /// Advance `core`'s lazy lifecycle clock to `now_us` (monotone max;
+    /// the runtime calls this before dispatching a batch so that the
+    /// batch's writes carry fresh touch stamps).
+    pub fn touch_clock(&mut self, core: usize, now_us: u64) {
+        self.cores[core].table.set_clock(now_us);
+    }
+
+    /// Reclaim every entry on `core` idle for at least the configured
+    /// timeout — owner-sharded under SCR, the `Del`s shipping through
+    /// the mutation log. Evicted entries are staged for the
+    /// `evict_flow` hook ([`LocalTables::take_evictions`]).
+    pub fn sweep_idle(&mut self, core: usize, now_us: u64) {
+        self.cores[core].sweep_idle(&self.shape, core, now_us, &mut self.logs[core]);
+    }
+
+    /// Drain `core`'s staged evictions so the runtime can run the NF's
+    /// `evict_flow` hook on each (the entries have already left the
+    /// table and been counted by reason).
+    pub fn take_evictions(&mut self, core: usize) -> Vec<PendingEviction<S>> {
+        std::mem::take(&mut self.logs[core].pending)
+    }
+
+    /// Reset `core`'s per-batch mutation log — called by the runtime
+    /// right after the batch's `replicate_updates` hook consumed it.
+    pub fn clear_batch_log(&mut self, core: usize) {
+        self.logs[core].clear_batch();
+    }
+
+    /// A handler context bound to `core`.
+    pub fn ctx(&mut self, core: usize) -> LocalCtx<'_, S> {
+        assert!(core < self.cores.len());
+        LocalCtx { tables: self, core }
+    }
+
+    /// Entries across all tables.
+    pub fn total_entries(&self) -> usize {
+        self.cores.iter().map(|c| c.table.len()).sum()
+    }
+
+    /// Entries in one core's table.
+    pub fn entries_on(&self, core: usize) -> usize {
+        self.cores[core].table.len()
+    }
+
+    /// Direct read access for assertions in tests/probes.
+    pub fn peek(&self, core: usize, key: &FlowKey) -> Option<&S> {
+        self.cores[core].table.get(key)
+    }
+
+    /// The mapping the tables are bucketed by.
+    pub fn map(&self) -> &CoreMap {
+        &self.shape.map
+    }
+
+    /// Open `core`'s replica for replayed state-updates.
+    pub fn replica(&mut self, core: usize) -> ReplicaWriter<'_, S> {
+        ReplicaWriter(&mut self.cores[core])
+    }
+
+    /// Apply one replicated state-update into `core`'s replica.
+    pub fn apply_replica(&mut self, core: usize, op: &UpdateOp<S>) {
+        self.replica(core).apply(op);
+    }
+
+    /// Re-bucket every entry under `new_map` (an elastic reconfiguration
+    /// epoch): entries whose designated core changed migrate through
+    /// `on_move`; under SCR every next-epoch core bootstraps from the
+    /// union of the replicas instead.
+    pub fn rescale(
+        &mut self,
+        new_map: CoreMap,
+        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
+    ) -> MigrationStats {
+        self.enter_epoch(new_map, None, on_move).into()
+    }
+
+    /// Re-bucket after an unplanned core failure: the dead core's
+    /// entries are *discarded* (the write partition means their state
+    /// lived only there — counted as `flows_lost`), and every surviving
+    /// entry whose designated core changed under `new_map` (built with
+    /// [`CoreMap::without_core`]) migrates through `on_move` exactly
+    /// like [`LocalTables::rescale`]. Under Sprayer/rendezvous only the
+    /// dead core's flows remapped, so `migrated_flows` is 0; under RSS
+    /// the rebuilt indirection table moves survivors broadly; under SCR
+    /// the dead replica is dropped and nothing else changes.
+    pub fn fail_core(
+        &mut self,
+        failed: usize,
+        new_map: CoreMap,
+        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
+    ) -> FailoverStats {
+        assert!(new_map.is_failed(failed), "new_map must exclude the core");
+        self.enter_epoch(new_map, Some(failed), on_move)
+    }
+
+    /// Run the one epoch transition over these tables and install
+    /// `new_map`. The per-core logs start fresh and empty: batches never
+    /// span a barrier, and the runtime drains the staged evictions
+    /// before any epoch transition, so nothing is lost.
+    fn enter_epoch(
+        &mut self,
+        new_map: CoreMap,
+        dead: Option<usize>,
+        on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
+    ) -> FailoverStats {
+        let old = std::mem::take(&mut self.cores);
+        let (cores, carried, stats) = next_epoch(old, self.carried, &new_map, dead, on_move);
+        self.logs = cores.iter().map(|_| BatchLog::new()).collect();
+        self.cores = cores;
+        self.carried = carried;
+        self.shape.map = new_map;
+        stats
+    }
+}
+
 /// [`FlowStateApi`] view for one core over [`LocalTables`].
 #[derive(Debug)]
 pub struct LocalCtx<'a, S> {
@@ -470,145 +615,65 @@ impl<S: Clone> FlowStateApi<S> for LocalCtx<'_, S> {
     }
 
     fn num_cores(&self) -> usize {
-        self.tables.map.num_cores()
+        self.tables.shape.map.num_cores()
     }
 
     fn designated_core(&self, key: &FlowKey) -> usize {
-        // Under SCR every core owns (a replica of) every flow, so the
-        // NF-visible designated core is always the local one: writes are
-        // legal everywhere and the update log does the propagating.
-        if self.tables.map.mode() == DispatchMode::Scr {
-            return self.core;
-        }
-        self.tables.map.designated_for_key(key)
+        self.tables.shape.home(key, self.core)
     }
 
     fn insert_local_flow(&mut self, key: FlowKey, state: S) -> InsertOutcome {
-        let core = self.core;
-        let scr = self.tables.map.mode() == DispatchMode::Scr;
-        let outcome = if self.tables.tables[core].contains_key(&key) {
-            self.tables.tables[core].insert(key, state);
-            InsertOutcome::Replaced
-        } else if self.tables.tables[core].len() >= self.tables.capacity {
-            // Bounded-memory backstop: with `lru_backstop` on, a full
-            // table evicts its approximately-least-recently-written
-            // entry to admit the newcomer instead of shedding it. The
-            // victim is staged for the `evict_flow` hook and, under
-            // SCR, its `Del` ships with this batch's mutation log.
-            match self
-                .tables
-                .lifecycle
-                .lru_backstop
-                .then(|| self.tables.tables[core].lru_victim())
-                .flatten()
-            {
-                Some(victim) => {
-                    if let Some(old) = self.tables.tables[core].remove(&victim) {
-                        self.tables.counters.lru_evicted += 1;
-                        if scr {
-                            record_key(&mut self.tables.removed[core], victim);
-                        }
-                        self.tables.pending[core].push((victim, old, EvictReason::Capacity));
-                    }
-                    self.tables.tables[core].insert(key, state);
-                    self.tables.counters.created += 1;
-                    InsertOutcome::Inserted
-                }
-                None => InsertOutcome::TableFull,
-            }
-        } else {
-            self.tables.tables[core].insert(key, state);
-            self.tables.counters.created += 1;
-            InsertOutcome::Inserted
-        };
-        if outcome != InsertOutcome::TableFull && scr {
-            record_key(&mut self.tables.written[core], key);
-        }
-        outcome
+        let t = &mut *self.tables;
+        t.cores[self.core].insert(&t.shape, key, state, &mut t.logs[self.core])
     }
 
     fn remove_local_flow(&mut self, key: &FlowKey) -> Option<S> {
-        let removed = self.tables.tables[self.core].remove(key);
-        if removed.is_some() {
-            // NF-initiated teardown (FIN/RST handling is the only caller
-            // in-tree) — attributed separately from lifecycle evictions.
-            self.tables.counters.fin_reclaimed += 1;
-            if self.tables.map.mode() == DispatchMode::Scr {
-                record_key(&mut self.tables.removed[self.core], *key);
-            }
-        }
-        removed
+        let t = &mut *self.tables;
+        t.cores[self.core].remove(&t.shape, key, &mut t.logs[self.core])
     }
 
     fn modify_local_flow(&mut self, key: &FlowKey, f: &mut dyn FnMut(&mut S)) -> bool {
-        match self.tables.tables[self.core].get_mut(key) {
-            Some(state) => {
-                f(state);
-                if self.tables.map.mode() == DispatchMode::Scr {
-                    record_key(&mut self.tables.written[self.core], *key);
-                }
-                true
-            }
-            None => false,
-        }
+        let t = &mut *self.tables;
+        t.cores[self.core].modify(&t.shape, key, f, &mut t.logs[self.core])
     }
 
     fn get_local_flow(&self, key: &FlowKey) -> Option<S> {
-        self.tables.tables[self.core].get(key).cloned()
+        self.tables.cores[self.core].table.get(key).cloned()
     }
 
     fn get_flow(&self, key: &FlowKey) -> Option<S> {
-        // SCR's payoff: the foreign read Sprayer routes to the
-        // designated core's table is a local replica read here.
-        if self.tables.map.mode() == DispatchMode::Scr {
-            return self.tables.tables[self.core].get(key).cloned();
-        }
-        let designated = self.tables.map.designated_for_key(key);
-        self.tables.tables[designated].get(key).cloned()
+        let home = self.tables.shape.home(key, self.core);
+        self.tables.cores[home].table.get(key).cloned()
     }
 
     fn local_len(&self) -> usize {
-        self.tables.tables[self.core].len()
+        self.tables.cores[self.core].table.len()
     }
 
     fn written_keys(&self) -> &[FlowKey] {
-        &self.tables.written[self.core]
+        &self.tables.logs[self.core].written
     }
 
     fn removed_keys(&self) -> &[FlowKey] {
-        &self.tables.removed[self.core]
+        &self.tables.logs[self.core].removed
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-shared backend.
-// ---------------------------------------------------------------------
-
+/// One generation of thread-shared tables. Fixed once built: workers
+/// read the shape on every insert, so it must not need a lock, and an
+/// epoch transition builds the next generation instead.
 #[derive(Debug)]
 struct SharedInner<S> {
-    tables: Vec<RwLock<FlowTable<S>>>,
-    capacity: usize,
-    map: CoreMap,
-    /// Flow-lifecycle policy; fixed at construction (workers read it on
-    /// every insert, so it must not need a lock).
-    lifecycle: LifecycleConfig,
-    /// Cumulative conservation counters (see [`LifecycleCounters`]);
-    /// atomics because every worker increments them.
-    counters: SharedCounters,
+    cores: Vec<RwLock<CoreTable<S>>>,
+    shape: Shape,
+    /// What the epochs already closed counted.
+    carried: LifecycleCounters,
 }
 
 /// Thread-shared flow tables; clone handles freely across workers.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SharedTables<S> {
     inner: Arc<SharedInner<S>>,
-}
-
-impl<S> Clone for SharedTables<S> {
-    fn clone(&self) -> Self {
-        SharedTables {
-            inner: Arc::clone(&self.inner),
-        }
-    }
 }
 
 impl<S: Clone + Send + Sync> SharedTables<S> {
@@ -622,81 +687,81 @@ impl<S: Clone + Send + Sync> SharedTables<S> {
     /// fixed for the generation; [`SharedTables::rescaled`] propagates
     /// it (and the cumulative counters) to the next epoch.
     pub fn with_lifecycle(map: CoreMap, capacity: usize, lifecycle: LifecycleConfig) -> Self {
-        let tables = (0..map.num_cores())
-            .map(|_| RwLock::new(FlowTable::new()))
-            .collect();
+        let cores = (0..map.num_cores()).map(|_| CoreTable::holding(FlowTable::new()));
+        let shape = Shape {
+            map,
+            capacity,
+            lifecycle,
+        };
+        Self::generation(cores.collect(), shape, LifecycleCounters::default())
+    }
+
+    fn generation(cores: Vec<CoreTable<S>>, shape: Shape, carried: LifecycleCounters) -> Self {
+        let cores = cores.into_iter().map(RwLock::new).collect();
         SharedTables {
             inner: Arc::new(SharedInner {
-                tables,
-                capacity,
-                map,
-                lifecycle,
-                counters: SharedCounters::default(),
+                cores,
+                shape,
+                carried,
             }),
         }
     }
 
     /// A handler context bound to `core` (one per worker thread).
     pub fn ctx(&self, core: usize) -> SharedCtx<S> {
-        assert!(core < self.inner.tables.len());
+        assert!(core < self.inner.cores.len());
         SharedCtx {
             tables: self.clone(),
             core,
-            written: Vec::new(),
-            removed: Vec::new(),
-            pending: Vec::new(),
+            log: BatchLog::new(),
         }
     }
 
     /// The installed flow-lifecycle policy.
     pub fn lifecycle_config(&self) -> LifecycleConfig {
-        self.inner.lifecycle
+        self.inner.shape.lifecycle
     }
 
-    /// Snapshot of the cumulative flow-entry conservation counters.
+    /// Snapshot of the cumulative flow-entry conservation counters:
+    /// every core's share, read under its lock, plus the closed
+    /// epochs'. Exact at a quiesced point — joined workers, or a test
+    /// between its own steps — which is where it is read.
     pub fn counters(&self) -> LifecycleCounters {
-        self.inner.counters.snapshot()
+        let mut sum = self.inner.carried;
+        for core in &self.inner.cores {
+            sum += core.read().counters;
+        }
+        sum
     }
 
     /// Entries across all tables.
     pub fn total_entries(&self) -> usize {
-        self.inner.tables.iter().map(|t| t.read().len()).sum()
+        self.inner.cores.iter().map(|c| c.read().table.len()).sum()
     }
 
     /// Entries in one core's table.
     pub fn entries_on(&self, core: usize) -> usize {
-        self.inner.tables[core].read().len()
+        self.inner.cores[core].read().table.len()
     }
 
     /// The mapping the tables are bucketed by.
     pub fn map(&self) -> &CoreMap {
-        &self.inner.map
+        &self.inner.shape.map
     }
 
-    /// Open `core`'s replica for a run of replayed state-updates (the
-    /// SCR replay path): one write-lock acquisition for the whole run,
-    /// released — and the conservation counters settled, one add each —
-    /// when the writer drops. Only the owning worker calls this, so the
-    /// lock is never writer-contended, like every other local write;
-    /// under SCR no peer reads this table either.
-    pub fn replica(&self, core: usize) -> ReplicaWriter<'_, S> {
-        ReplicaWriter {
-            table: self.inner.tables[core].write(),
-            counters: &self.inner.counters,
-            created: 0,
-            replica_dels: 0,
-        }
+    /// Open `core`'s replica for a run of replayed state-updates: one
+    /// write-lock acquisition held for the whole of `run`, which must
+    /// reach the table through the writer only. Only the owning worker
+    /// calls this, so the lock is never writer-contended, like every
+    /// other local write; under SCR no peer reads this table either.
+    pub fn replica<R>(&self, core: usize, run: impl FnOnce(ReplicaWriter<'_, S>) -> R) -> R {
+        run(ReplicaWriter(&mut self.inner.cores[core].write()))
     }
 
     /// Apply one replicated state-update into `core`'s replica: a
-    /// [`Self::replica`] run of one (see [`LocalTables::apply_replica`]
-    /// for why replay bypasses the capacity cap).
-    pub fn apply_replica(&self, core: usize, op: &crate::scr::UpdateOp<S>) {
-        let mut replica = self.replica(core);
-        match op {
-            crate::scr::UpdateOp::Put(key, state) => replica.put(*key, state.clone()),
-            crate::scr::UpdateOp::Del(key) => replica.del(key),
-        }
+    /// [`Self::replica`] run of one.
+    pub fn apply_replica(&self, core: usize, op: &UpdateOp<S>) {
+        self.replica(core, |mut replica| replica.apply(op));
     }
 
     /// Drop a dead core's replica (the SCR half of threaded crash
@@ -705,123 +770,36 @@ impl<S: Clone + Send + Sync> SharedTables<S> {
     /// number of entries discarded from the dead replica (diagnostic
     /// only; they all survive elsewhere).
     pub fn drop_replica(&self, core: usize) -> u64 {
-        let mut table = self.inner.tables[core].write();
-        let n = table.len() as u64;
-        *table = FlowTable::new();
-        SharedCounters::add(&self.inner.counters.dropped, n);
+        let mut shard = self.inner.cores[core].write();
+        let n = shard.table.len() as u64;
+        shard.table = FlowTable::new();
+        shard.counters.dropped += n;
         n
     }
 
     /// Build the next-epoch tables under `new_map`, draining this
     /// handle's entries into them (the threaded analogue of
     /// [`LocalTables::rescale`]; shared handles are immutable behind
-    /// their `Arc`, so a rescale produces a fresh `SharedTables` and
-    /// leaves the old generation empty). Must only be called while no
-    /// worker is running — i.e. at the quiesced barrier between phases.
+    /// their `Arc`, so a rescale produces a fresh `SharedTables`, which
+    /// inherits the cumulative counters, and leaves the old generation
+    /// empty). Must only be called while no worker is running — i.e.
+    /// at the quiesced barrier between phases.
     pub fn rescaled(
         &self,
         new_map: CoreMap,
         on_move: &mut dyn FnMut(&FlowKey, &mut S, usize, usize),
     ) -> (SharedTables<S>, MigrationStats) {
-        // Same epoch balancing as `LocalTables::rescale`: pre-epoch
-        // entries charge `dropped`, post-epoch entries charge `created`.
-        // The next generation inherits the cumulative counters (the old
-        // handle's Arc dies with the epoch).
-        let mut carried = self.inner.counters.snapshot();
-        carried.dropped += self.total_entries() as u64;
-        let mut stats = MigrationStats::default();
-        if new_map.mode() == DispatchMode::Scr {
-            // Full replication (see `LocalTables::rescale`): union the
-            // quiesced replicas into one snapshot and hand a clone to
-            // every next-epoch core. Nothing migrates; no hooks run.
-            let mut snapshot: FlowTable<S> = FlowTable::new();
-            for table in &self.inner.tables {
-                for (key, state) in table.write().drain() {
-                    snapshot.insert(key, state);
-                }
-            }
-            stats.retained_flows = snapshot.len() as u64;
-            carried.created += snapshot.len() as u64 * new_map.num_cores() as u64;
-            let next = SharedTables {
-                inner: Arc::new(SharedInner {
-                    tables: (0..new_map.num_cores())
-                        .map(|_| RwLock::new(snapshot.clone()))
-                        .collect(),
-                    capacity: self.inner.capacity,
-                    map: new_map,
-                    lifecycle: self.inner.lifecycle,
-                    counters: SharedCounters::preload(carried),
-                }),
-            };
-            return (next, stats);
-        }
-        let mut new_tables: Vec<FlowTable<S>> =
-            (0..new_map.num_cores()).map(|_| FlowTable::new()).collect();
-        for (from, table) in self.inner.tables.iter().enumerate() {
-            for (key, mut state) in table.write().drain() {
-                let to = new_map.designated_for_key(&key);
-                if to == from {
-                    stats.retained_flows += 1;
-                } else {
-                    stats.migrated_flows += 1;
-                    on_move(&key, &mut state, from, to);
-                }
-                new_tables[to].insert(key, state);
-            }
-        }
-        carried.created += new_tables.iter().map(|t| t.len() as u64).sum::<u64>();
-        let next = SharedTables {
-            inner: Arc::new(SharedInner {
-                tables: new_tables.into_iter().map(RwLock::new).collect(),
-                capacity: self.inner.capacity,
-                map: new_map,
-                lifecycle: self.inner.lifecycle,
-                counters: SharedCounters::preload(carried),
-            }),
+        let inner = &self.inner;
+        let drain = |core: &RwLock<CoreTable<S>>| {
+            std::mem::replace(&mut *core.write(), CoreTable::holding(FlowTable::new()))
         };
-        (next, stats)
-    }
-}
-
-/// One core's replica held open for replay ([`SharedTables::replica`]).
-/// Writes bypass the capacity cap and the per-batch mutation log, as
-/// replay must.
-pub struct ReplicaWriter<'a, S> {
-    table: RwLockWriteGuard<'a, FlowTable<S>>,
-    counters: &'a SharedCounters,
-    created: u64,
-    replica_dels: u64,
-}
-
-impl<S> ReplicaWriter<'_, S> {
-    /// The replica's current entry for `key` (the merge hook's input).
-    pub fn get(&self, key: &FlowKey) -> Option<&S> {
-        self.table.get(key)
-    }
-
-    /// Store a replayed `Put`.
-    pub fn put(&mut self, key: FlowKey, state: S) {
-        if self.table.insert(key, state).is_none() {
-            self.created += 1;
-        }
-    }
-
-    /// Apply a replayed `Del`.
-    pub fn del(&mut self, key: &FlowKey) {
-        if self.table.remove(key).is_some() {
-            self.replica_dels += 1;
-        }
-    }
-}
-
-impl<S> Drop for ReplicaWriter<'_, S> {
-    fn drop(&mut self) {
-        if self.created > 0 {
-            SharedCounters::add(&self.counters.created, self.created);
-        }
-        if self.replica_dels > 0 {
-            SharedCounters::add(&self.counters.replica_dels, self.replica_dels);
-        }
+        let old = inner.cores.iter().map(drain).collect();
+        let (cores, carried, stats) = next_epoch(old, inner.carried, &new_map, None, on_move);
+        let shape = Shape {
+            map: new_map,
+            ..inner.shape
+        };
+        (Self::generation(cores, shape, carried), stats.into())
     }
 }
 
@@ -830,65 +808,37 @@ impl<S> Drop for ReplicaWriter<'_, S> {
 pub struct SharedCtx<S> {
     tables: SharedTables<S>,
     core: usize,
-    /// Per-batch mutation logs (SCR only) — each worker owns its ctx
-    /// for the whole run, so the logs live here rather than in the
-    /// shared tables. See [`LocalTables`]'s equivalents.
-    written: Vec<FlowKey>,
-    removed: Vec<FlowKey>,
-    /// Evicted entries awaiting this worker's `evict_flow` hook calls
-    /// (see [`LocalTables::take_evictions`]).
-    pending: Vec<PendingEviction<S>>,
+    /// Each worker owns its ctx for the whole run, so its batch log
+    /// lives here rather than in the shared tables.
+    log: BatchLog<S>,
 }
 
 impl<S> SharedCtx<S> {
     /// Reset the per-batch mutation log — called by the worker right
     /// after `replicate_updates` consumed it.
     pub fn clear_batch_log(&mut self) {
-        self.written.clear();
-        self.removed.clear();
+        self.log.clear_batch();
     }
 
     /// Drain the staged evictions so the worker can run the NF's
     /// `evict_flow` hook on each.
     pub fn take_evictions(&mut self) -> Vec<PendingEviction<S>> {
-        std::mem::take(&mut self.pending)
+        std::mem::take(&mut self.log.pending)
     }
-}
 
-impl<S: Clone + Send + Sync> SharedCtx<S> {
     /// Advance this core's lazy lifecycle clock to `now_us` (monotone
     /// max) so subsequent writes carry fresh touch stamps.
     pub fn touch_clock(&mut self, now_us: u64) {
-        self.tables.inner.tables[self.core]
-            .write()
-            .set_clock(now_us);
+        let mut own = self.tables.inner.cores[self.core].write();
+        own.table.set_clock(now_us);
     }
 
     /// Reclaim every local entry idle for at least the configured
-    /// timeout (see [`LocalTables::sweep_idle`] for the SCR
-    /// one-sweeper-per-key sharding).
+    /// timeout (see [`LocalTables::sweep_idle`]).
     pub fn sweep_idle(&mut self, now_us: u64) {
-        let Some(timeout) = self.tables.inner.lifecycle.idle_timeout_us else {
-            return;
-        };
-        let scr = self.tables.inner.map.mode() == DispatchMode::Scr;
-        let mut table = self.tables.inner.tables[self.core].write();
-        table.set_clock(now_us);
-        let Some(deadline) = now_us.checked_sub(timeout) else {
-            return;
-        };
-        for key in table.collect_idle(deadline) {
-            if scr && self.tables.inner.map.designated_for_key(&key) != self.core {
-                continue; // a peer owns this key's sweep; its Del will arrive
-            }
-            if let Some(state) = table.remove(&key) {
-                SharedCounters::bump(&self.tables.inner.counters.idle_expired);
-                if scr {
-                    record_key(&mut self.removed, key);
-                }
-                self.pending.push((key, state, EvictReason::Idle));
-            }
-        }
+        let inner = &self.tables.inner;
+        let mut own = inner.cores[self.core].write();
+        own.sweep_idle(&inner.shape, self.core, now_us, &mut self.log);
     }
 }
 
@@ -898,87 +848,34 @@ impl<S: Clone + Send + Sync> FlowStateApi<S> for SharedCtx<S> {
     }
 
     fn num_cores(&self) -> usize {
-        self.tables.inner.map.num_cores()
+        self.tables.inner.shape.map.num_cores()
     }
 
     fn designated_core(&self, key: &FlowKey) -> usize {
-        // See `LocalCtx::designated_core`: under SCR every core is the
-        // owner of its full replica.
-        if self.tables.inner.map.mode() == DispatchMode::Scr {
-            return self.core;
-        }
-        self.tables.inner.map.designated_for_key(key)
+        self.tables.inner.shape.home(key, self.core)
     }
 
     fn insert_local_flow(&mut self, key: FlowKey, state: S) -> InsertOutcome {
-        let scr = self.tables.inner.map.mode() == DispatchMode::Scr;
-        let mut table = self.tables.inner.tables[self.core].write();
-        let outcome = if table.contains_key(&key) {
-            table.insert(key, state);
-            InsertOutcome::Replaced
-        } else if table.len() >= self.tables.inner.capacity {
-            // Bounded-memory LRU backstop — see `LocalCtx`'s twin.
-            match self
-                .tables
-                .inner
-                .lifecycle
-                .lru_backstop
-                .then(|| table.lru_victim())
-                .flatten()
-            {
-                Some(victim) => {
-                    if let Some(old) = table.remove(&victim) {
-                        SharedCounters::bump(&self.tables.inner.counters.lru_evicted);
-                        if scr {
-                            record_key(&mut self.removed, victim);
-                        }
-                        self.pending.push((victim, old, EvictReason::Capacity));
-                    }
-                    table.insert(key, state);
-                    SharedCounters::bump(&self.tables.inner.counters.created);
-                    InsertOutcome::Inserted
-                }
-                None => InsertOutcome::TableFull,
-            }
-        } else {
-            table.insert(key, state);
-            SharedCounters::bump(&self.tables.inner.counters.created);
-            InsertOutcome::Inserted
-        };
-        drop(table);
-        if outcome != InsertOutcome::TableFull && scr {
-            record_key(&mut self.written, key);
-        }
-        outcome
+        let inner = &self.tables.inner;
+        let mut own = inner.cores[self.core].write();
+        own.insert(&inner.shape, key, state, &mut self.log)
     }
 
     fn remove_local_flow(&mut self, key: &FlowKey) -> Option<S> {
-        let removed = self.tables.inner.tables[self.core].write().remove(key);
-        if removed.is_some() {
-            SharedCounters::bump(&self.tables.inner.counters.fin_reclaimed);
-            if self.tables.inner.map.mode() == DispatchMode::Scr {
-                record_key(&mut self.removed, *key);
-            }
-        }
-        removed
+        let inner = &self.tables.inner;
+        let mut own = inner.cores[self.core].write();
+        own.remove(&inner.shape, key, &mut self.log)
     }
 
     fn modify_local_flow(&mut self, key: &FlowKey, f: &mut dyn FnMut(&mut S)) -> bool {
-        let hit = match self.tables.inner.tables[self.core].write().get_mut(key) {
-            Some(state) => {
-                f(state);
-                true
-            }
-            None => false,
-        };
-        if hit && self.tables.inner.map.mode() == DispatchMode::Scr {
-            record_key(&mut self.written, *key);
-        }
-        hit
+        let inner = &self.tables.inner;
+        let mut own = inner.cores[self.core].write();
+        own.modify(&inner.shape, key, f, &mut self.log)
     }
 
     fn get_local_flow(&self, key: &FlowKey) -> Option<S> {
-        self.tables.inner.tables[self.core].read().get(key).cloned()
+        let own = self.tables.inner.cores[self.core].read();
+        own.table.get(key).cloned()
     }
 
     fn read_local_flows(
@@ -986,33 +883,28 @@ impl<S: Clone + Send + Sync> FlowStateApi<S> for SharedCtx<S> {
         keys: &mut dyn Iterator<Item = &FlowKey>,
         visit: &mut dyn FnMut(&FlowKey, Option<&S>),
     ) {
-        let table = self.tables.inner.tables[self.core].read();
+        let own = self.tables.inner.cores[self.core].read();
         for key in keys {
-            visit(key, table.get(key));
+            visit(key, own.table.get(key));
         }
     }
 
     fn get_flow(&self, key: &FlowKey) -> Option<S> {
-        if self.tables.inner.map.mode() == DispatchMode::Scr {
-            return self.tables.inner.tables[self.core].read().get(key).cloned();
-        }
-        let designated = self.tables.inner.map.designated_for_key(key);
-        self.tables.inner.tables[designated]
-            .read()
-            .get(key)
-            .cloned()
+        let inner = &self.tables.inner;
+        let home = inner.cores[inner.shape.home(key, self.core)].read();
+        home.table.get(key).cloned()
     }
 
     fn local_len(&self) -> usize {
-        self.tables.inner.tables[self.core].read().len()
+        self.tables.inner.cores[self.core].read().table.len()
     }
 
     fn written_keys(&self) -> &[FlowKey] {
-        &self.written
+        &self.log.written
     }
 
     fn removed_keys(&self) -> &[FlowKey] {
-        &self.removed
+        &self.log.removed
     }
 }
 
@@ -1380,8 +1272,7 @@ mod tests {
     fn a_replica_run_settles_its_counters_once_and_ignores_the_cap() {
         let map = CoreMap::new(DispatchMode::Scr, 2);
         let shared: SharedTables<u32> = SharedTables::new(map, 2);
-        {
-            let mut replica = shared.replica(1);
+        shared.replica(1, |mut replica| {
             for i in 0..5 {
                 replica.put(key(i), i);
             }
@@ -1393,8 +1284,7 @@ mod tests {
             );
             replica.del(&key(4));
             replica.del(&key(9));
-            assert_eq!(shared.counters().created, 0, "settled when the run ends");
-        }
+        });
         let c = shared.counters();
         assert_eq!((c.created, c.replica_dels), (5, 1));
         assert_eq!(shared.entries_on(1), 4, "replay is not shed at capacity 2");

@@ -13,7 +13,7 @@
 //!   with the period of the port fields (16 bits) and address fields
 //!   (32 bits), swapping (src ↔ dst) leaves the hash unchanged, so both
 //!   directions of a connection reach the same core. The paper's RSS
-//!   baseline is configured this way (§5, citing Woo et al. [44]).
+//!   baseline is configured this way (§5, citing Woo et al. \[44\]).
 
 use sprayer_net::{FiveTuple, FiveTupleV6};
 

@@ -26,13 +26,13 @@
 //!   serializes one versioned JSON telemetry document, with a read path
 //!   ([`JsonValue`], `MetricsRegistry::parse_document`) accepting every
 //!   schema version this repo has emitted.
-//! * [`analyze`] / [`trace_io`] — offline replay: per-flow reordering
+//! * [`mod@analyze`] / [`trace_io`] — offline replay: per-flow reordering
 //!   depth, latency breakdowns, conservation checks against
 //!   the runtime's own counters, and a stable on-disk trace format.
 //! * The **online health plane**: [`StageProfiler`] (per-core busy-time
 //!   attribution across classify/redirect/nf/tx, the `profile_*` metric
 //!   set), [`ReorderSketch`] (streaming bounded-memory reordering-depth
-//!   estimation, cross-validated against [`analyze`]'s Fenwick
+//!   estimation, cross-validated against [`mod@analyze`]'s Fenwick
 //!   analyzer), the [`HealthBus`] (bounded MPSC stream of typed
 //!   [`HealthEvent`]s from both runtimes and the ctl crate), and the
 //!   [`slo`] evaluator turning thresholds into [`Alert`] records

@@ -1,7 +1,7 @@
 //! Streaming per-flow reordering-depth estimation.
 //!
 //! The paper's whole trade is load balance *for* reordering; the
-//! offline analyzer ([`crate::analyze`]) measures it exactly but only
+//! offline analyzer ([`mod@crate::analyze`]) measures it exactly but only
 //! after the run, from a full trace. [`ReorderSketch`] watches NF
 //! completions live: per flow it keeps the largest arrival ordinal
 //! completed so far plus a ring of the last `window` completed

@@ -10,7 +10,7 @@
 //! `unaccounted() == 0` once drained.
 //!
 //! This file is the differential harness that gates the unified batch
-//! engine: a config matrix over {RSS, Sprayer} × every NF × threaded
+//! engine: a config matrix over {RSS, Sprayer, SCR} × every NF × threaded
 //! batch sizes {1, 8, 64} × observability {off, on}, plus elastic
 //! rescale plans and chaos (worker-kill / worker-stall) plans, plus one
 //! threaded-only leg: every observability plane on against all off, in
@@ -206,7 +206,7 @@ fn per_core_projection(stats: &MiddleboxStats) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
-/// Run the full config matrix for one NF: both dispatch modes, obs off
+/// Run the full config matrix for one NF: every dispatch mode, obs off
 /// and on, and every threaded batch size, asserting the forwarded-packet
 /// projection and the stats agree on every leg.
 fn check_matrix<NF: NetworkFunction>(
@@ -220,7 +220,7 @@ fn check_matrix<NF: NetworkFunction>(
         v.sort();
         v
     };
-    for mode in [DispatchMode::Rss, DispatchMode::Sprayer] {
+    for mode in DispatchMode::ALL {
         for obs in [ObsConfig::disabled(), ObsConfig::tracing()] {
             let what = format!("{name}/{mode}/obs={}", if obs.any() { "on" } else { "off" });
             let (sim_fwd, sim_stats) = run_sim_obs(mode, make_nf(), phases, obs);
@@ -242,6 +242,23 @@ fn check_matrix<NF: NetworkFunction>(
                 );
                 if mode == DispatchMode::Rss {
                     assert_eq!(thr.stats.redirects(), 0, "{what}: RSS never redirects");
+                }
+                if mode == DispatchMode::Scr {
+                    // One state path under both runtimes: every update
+                    // published was replayed or accounted, nothing was
+                    // redirected, and — replicas being converged at every
+                    // drained phase barrier — the tables end the same.
+                    assert_eq!(sim_stats.scr_replay_gap(), 0, "{what}: sim replay gap");
+                    assert_eq!(thr.stats.scr_replay_gap(), 0, "{what}: threaded replay gap");
+                    assert_eq!(thr.stats.redirects(), 0, "{what}: SCR never redirects");
+                    assert_eq!(
+                        sim_stats.table_live, thr.stats.table_live,
+                        "{what}: table_live"
+                    );
+                    assert_eq!(
+                        sim_stats.flows_created, thr.stats.flows_created,
+                        "{what}: flows_created"
+                    );
                 }
             }
         }
