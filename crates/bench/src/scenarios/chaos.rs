@@ -226,15 +226,16 @@ pub fn run(cfg: &ChaosConfig) -> ChaosResult {
         mb.run_until(drain);
     }
     let stats = mb.stats().clone();
+    let obs = mb.take_obs();
     ChaosResult {
         recoveries: mb.recoveries().to_vec(),
-        samples: mb.take_samples(),
+        samples: obs.samples,
         offered_pps: cfg.offered_pps,
         processed_pps: processed_window as f64 / cfg.duration.as_secs_f64(),
         stats,
         injected,
         injected_malformed: 2 * u64::from(half_burst),
-        flight: mb.take_flight(),
+        flight: obs.flight,
         flight_dumped,
     }
 }

@@ -156,7 +156,7 @@ pub fn run(cfg: &ElasticConfig) -> ElasticResult {
     let stats = mb.stats().clone();
     ElasticResult {
         reports: mb.reconfigs().to_vec(),
-        samples: mb.take_samples(),
+        samples: mb.take_obs().samples,
         offered_pps: cfg.offered_pps,
         processed_pps: processed_window as f64 / cfg.duration.as_secs_f64(),
         stats,

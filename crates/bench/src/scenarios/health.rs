@@ -183,11 +183,12 @@ pub fn run(cfg: &HealthConfig) -> HealthResult {
         mb.run_until(drain);
     }
     let stats = mb.stats().clone();
-    let samples = mb.take_samples().expect("sampling is on");
-    let profile = mb.take_profile().expect("profiling is on");
-    let health = mb.take_health().expect("the health bus is on");
-    let reorder = mb.take_reorder().expect("the reorder sketch is on");
-    let trace = mb.take_trace().expect("tracing is on");
+    let obs = mb.take_obs();
+    let samples = obs.samples.expect("sampling is on");
+    let profile = obs.profile.expect("profiling is on");
+    let health = obs.health.expect("the health bus is on");
+    let reorder = obs.reorder.expect("the reorder sketch is on");
+    let trace = obs.trace.expect("tracing is on");
     let trace_events_dropped = trace.dropped;
     let analysis = analyze(&trace);
     let alerts = evaluate(&cfg.rules, &health, Some(&samples), Some(&reorder));

@@ -122,15 +122,16 @@ pub fn run_with_config(cfg: &RateConfig, mut mb_config: MiddleboxConfig) -> Rate
 
     let stats = mb.stats().clone();
     let processed = stats.processed() - processed_before;
+    let obs = mb.take_obs();
     RateResult {
         processed_pps: processed as f64 / cfg.duration.as_secs_f64(),
         offered_pps,
         nic_cap_drops: stats.nic_cap_drops,
         queue_drops: stats.queue_drops,
         per_core: stats.per_core_processed(),
-        probes: mb.probes().cloned(),
-        trace: mb.take_trace(),
-        samples: mb.take_samples(),
+        probes: obs.probes,
+        trace: obs.trace,
+        samples: obs.samples,
         stats,
     }
 }
@@ -198,6 +199,7 @@ pub fn run_checking_state(cfg: &RateConfig) -> (RateResult, u64) {
         .nf()
         .missing_state
         .load(std::sync::atomic::Ordering::Relaxed);
+    let obs = mb.take_obs();
     (
         RateResult {
             processed_pps: processed as f64 / cfg.duration.as_secs_f64(),
@@ -205,9 +207,9 @@ pub fn run_checking_state(cfg: &RateConfig) -> (RateResult, u64) {
             nic_cap_drops: stats.nic_cap_drops,
             queue_drops: stats.queue_drops,
             per_core: stats.per_core_processed(),
-            probes: mb.probes().cloned(),
-            trace: mb.take_trace(),
-            samples: mb.take_samples(),
+            probes: obs.probes,
+            trace: obs.trace,
+            samples: obs.samples,
             stats,
         },
         missing,

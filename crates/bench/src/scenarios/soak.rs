@@ -318,7 +318,7 @@ pub fn run(cfg: &SoakConfig) -> SoakResult {
         recoveries: mb.recoveries().to_vec(),
         reconfigs: mb.reconfigs().to_vec(),
         timeline,
-        samples: mb.take_samples(),
+        samples: mb.take_obs().samples,
         horizon: cfg.horizon,
         offered,
         injected,

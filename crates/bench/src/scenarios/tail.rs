@@ -146,9 +146,10 @@ pub fn run(cfg: &TailConfig) -> TailRun {
     }
 
     let stats = mb.stats().clone();
-    let trace = mb.take_trace().expect("tracing is on");
-    let report = mb.take_tail().expect("tail attribution is on");
-    let flight = mb.take_flight().expect("the flight recorder is on");
+    let obs = mb.take_obs();
+    let trace = obs.trace.expect("tracing is on");
+    let report = obs.tail.expect("tail attribution is on");
+    let flight = obs.flight.expect("the flight recorder is on");
     TailRun {
         offline: tail_attribution(&trace, cfg.threshold.as_ps()),
         report,

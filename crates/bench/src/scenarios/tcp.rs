@@ -636,6 +636,7 @@ pub fn run_with_mb_config(cfg: &TcpConfig, mut mb_config: MiddleboxConfig) -> Tc
         delivered.push(flow.sender.delivered());
     }
     let total_bps = per_flow_bps.iter().sum();
+    let obs = scenario.mb.take_obs();
     TcpResult {
         jain: jain_fairness_index(&per_flow_bps),
         per_flow_bps,
@@ -649,9 +650,9 @@ pub fn run_with_mb_config(cfg: &TcpConfig, mut mb_config: MiddleboxConfig) -> Tc
         reo_wnd_us,
         delivered,
         stats: scenario.mb.stats().clone(),
-        latency_probes: scenario.mb.probes().cloned(),
-        trace: scenario.mb.take_trace(),
-        samples: scenario.mb.take_samples(),
+        latency_probes: obs.probes,
+        trace: obs.trace,
+        samples: obs.samples,
     }
 }
 

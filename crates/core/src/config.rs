@@ -68,9 +68,10 @@ impl DispatchMode {
 
 /// Observability switches shared by both runtimes.
 ///
-/// Both cost *nothing* when off: the runtimes hold an `Option` per
-/// facility and skip clock reads, flow hashing, and event recording
-/// entirely on the `None` path (verified by the `obs` group in
+/// All cost *nothing* when off: the one sink both runtimes report to
+/// ([`crate::obs_sink`]) holds no storage for a plane that is off, and
+/// the runtimes skip clock reads, flow hashing, and event recording
+/// entirely (verified by the `obs` group in
 /// `crates/bench/benches/microbench.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObsConfig {
@@ -82,7 +83,8 @@ pub struct ObsConfig {
     pub latency: bool,
     /// Capacity of each per-core trace ring, in events. When a ring
     /// fills, further events on that core are counted and discarded —
-    /// tracing never grows unbounded.
+    /// tracing never grows unbounded (the bound holds for the whole
+    /// run, however many phases it has).
     pub trace_ring_capacity: usize,
     /// Periodically sample per-core delta counters into bounded
     /// [`sprayer_obs::TimeSeries`] buckets (retrievable as a
@@ -141,7 +143,7 @@ pub struct ObsConfig {
     pub tail_threshold_ticks: u64,
     /// Run the crash flight recorder: an always-on, fixed-memory
     /// keep-newest ring of recent events per core
-    /// ([`sprayer_obs::FlightRecorder`]) that freezes on a critical
+    /// ([`sprayer_obs::FlightRing`]) that freezes on a critical
     /// health event and dumps a `sprayer-flight/1` snapshot. Per-batch
     /// (batch boundaries, redirects, drops, health events), so it stays
     /// on the threaded runtime's batch path like `sample`/`profile`.

@@ -34,8 +34,9 @@
 //! | [`runtime_sim`] | the deterministic discrete-event middlebox used by every experiment |
 //! | [`runtime_threads`] | a real `std::thread` runtime over crossbeam rings, functionally equivalent |
 //! | [`stats`] | per-core and aggregate runtime statistics |
+//! | [`obs_sink`] | the observation seam: both runtimes report datapath events to one sink (hub / lane / [`obs_sink::ObsReport`]) that owns the eight [`config::ObsConfig`] planes |
 //!
-//! Optional per-packet event tracing and latency histograms live in the
+//! The planes' primitives (rings, histograms, sketches) live in the
 //! `sprayer-obs` crate and are switched on per run via
 //! [`config::ObsConfig`] (off — and zero-cost — by default).
 //!
@@ -97,6 +98,7 @@ pub mod coremap;
 pub mod elastic;
 pub mod engine;
 pub mod flowtable;
+pub mod obs_sink;
 pub mod runtime_sim;
 pub mod runtime_threads;
 pub mod scr;
@@ -112,6 +114,7 @@ pub use coremap::CoreMap;
 pub use elastic::{ReconfigReport, RecoveryReport};
 pub use engine::{Engine, PacketClass};
 pub use flowtable::FlowTable;
+pub use obs_sink::ObsReport;
 pub use runtime_sim::MiddleboxSim;
 pub use runtime_threads::{ThreadedMiddlebox, WorkerFailure};
 pub use scr::{SharedScrPlane, StateUpdate, UpdateOp};

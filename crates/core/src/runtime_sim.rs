@@ -15,25 +15,21 @@
 //! forwarded packets with their departure times.
 
 use crate::api::{NetworkFunction, NfConfig, Verdict, VerdictSink};
-use crate::config::{DispatchMode, MiddleboxConfig};
+use crate::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use crate::coremap::CoreMap;
 use crate::elastic::{ReconfigReport, RecoveryReport};
 use crate::engine::{self, Engine, PacketClass};
+use crate::obs_sink::{Completion, ObsHub, ObsLane, ObsReport};
 use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
 use crate::stats::{CoreStats, MiddleboxStats};
 use crate::tables::LocalTables;
 use sprayer_net::{FlowKey, Packet};
 use sprayer_nic::{Nic, NicConfig, RxSteering};
-use sprayer_obs::{
-    health_channel, health_kind_code, is_freeze_trigger, CoreSample, DropKind, EventKind,
-    ExpectedCounts, FlightEvent, FlightKind, FlightRecorder, FlightSnapshot, HealthBus,
-    HealthCollector, HealthEvent, HealthReport, LatencyProbes, ReorderReport, ReorderSketch,
-    SampleSet, Stage, StageProfiler, TailReport, TailSpans, TailTracker, TimeSeries, Trace,
-    TraceEvent, TraceMeta, TraceRing,
-};
+use sprayer_obs::{DropKind, FlightSnapshot, HealthEvent, LatencyProbes, Stage};
 use sprayer_sim::{BoundedFifo, Reservoir, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Trace timestamps are simulated-time picoseconds: 10^6 ticks/µs.
 const SIM_TICKS_PER_US: u64 = 1_000_000;
@@ -59,36 +55,6 @@ struct Job {
     relayed_at: Option<Time>,
 }
 
-/// The simulator's trace buffer plus the sequence counter (single
-/// threaded here, so a plain integer).
-///
-/// Unlike the threaded runtime — where each worker owns a ring so
-/// recording is lock-free — the single-threaded simulator records every
-/// core's events into *one* ring (each event carries its core id). One
-/// sequential write stream is markedly cheaper than eight interleaved
-/// ones, and the bound becomes global: `num_cores ×` the configured
-/// per-core capacity.
-struct SimTracer {
-    ring: TraceRing,
-    seq: u64,
-}
-
-impl SimTracer {
-    fn emit(&mut self, core: usize, ts: Time, kind: EventKind, flow: u64, pkt: u64, aux: u64) {
-        let ev = TraceEvent {
-            seq: self.seq,
-            ts: ts.as_ps(),
-            core: core as u16,
-            kind,
-            flow,
-            pkt,
-            aux,
-        };
-        self.seq += 1;
-        self.ring.push(ev);
-    }
-}
-
 /// What the core will do when its current service completes.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
@@ -108,9 +74,10 @@ struct CoreSim {
     /// busy-burst length is its analogue of the threaded runtime's batch
     /// size — both are recorded in [`crate::stats::CoreStats::batch_hist`].
     burst: u64,
-    /// SCR replay cycles folded into the in-flight service (zero outside
-    /// SCR mode), kept so completion-time tail attribution can
-    /// reconstruct the exact service start.
+    /// When the in-flight service began, and the SCR replay cycles
+    /// folded into its head (zero outside SCR mode): what the
+    /// completion reports besides the job.
+    current_start: Time,
     current_replay: u64,
 }
 
@@ -131,37 +98,11 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     stats: MiddleboxStats,
     egress: Vec<(Time, Packet)>,
     latency_us: Reservoir,
-    /// Present iff `config.obs.trace`.
-    tracer: Option<SimTracer>,
-    /// Present iff `config.obs.latency`.
-    probes: Option<LatencyProbes>,
-    /// Present iff `config.obs.sample`: one delta series per core on the
-    /// simulated-time (picosecond) grid.
-    samplers: Option<Vec<TimeSeries>>,
-    /// Present iff `config.obs.profile`: exact per-stage attribution of
-    /// the cycle model (each service event's composition is known, so
-    /// per-core stage ticks sum to [`CoreStats::busy_cycles`]).
-    profiler: Option<StageProfiler>,
-    /// Present iff `config.obs.health`: the bus (kept so the control
-    /// plane can emit through [`MiddleboxSim::emit_health`]) and the
-    /// collector drained by [`MiddleboxSim::take_health`].
-    health: Option<(HealthBus, HealthCollector)>,
-    /// Per-core queue high-water latch: a [`HealthEvent::QueueHighWater`]
-    /// fires on the upward crossing of 3/4 capacity and re-arms only
-    /// once the queue drains below half — edge-triggered, not per packet.
-    hwm_latched: Vec<bool>,
-    /// Present iff `config.obs.reorder`: the streaming reordering
-    /// estimator, fed one observation per NF completion.
-    reorder: Option<ReorderSketch>,
-    /// Present iff `config.obs.tail`: the tail-attribution tracker, fed
-    /// an exact per-stage span partition of every completion's sojourn
-    /// (the cycle model knows each component, so exemplar stage ticks
-    /// sum to the exemplars' sojourn to the picosecond).
-    tail: Option<TailTracker>,
-    /// Present iff `config.obs.flight`: the crash flight recorder —
-    /// keep-newest per-core rings of batch/redirect/drop/health events
-    /// that freeze when a critical health event fires.
-    flight: Option<FlightRecorder>,
+    /// Every plane of `config.obs`: one lane over all cores. What the
+    /// simulator adds to an event is exactness — each service's
+    /// composition is known, so profiled stage ticks sum to
+    /// [`CoreStats::busy_cycles`] and tail spans to the sojourn.
+    obs: ObsLane,
     /// Cores pause until this instant after a reconfiguration (the
     /// quiesce-and-migrate downtime). `Time::ZERO` = not frozen.
     frozen_until: Time,
@@ -274,6 +215,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 ring: BoundedFifo::new(config.ring_capacity),
                 current: None,
                 burst: 0,
+                current_start: Time::ZERO,
                 current_replay: 0,
             })
             .collect();
@@ -285,41 +227,9 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         let scr_guards = Self::scr_guards_for(&scr);
         let mut stats = MiddleboxStats::new(config.num_cores);
         stats.lifecycle_enabled = config.lifecycle.enabled();
-        let tracer = config.obs.trace.then(|| SimTracer {
-            ring: TraceRing::new(config.obs.trace_ring_capacity * config.num_cores),
-            seq: 0,
-        });
-        let probes = config.obs.latency.then(LatencyProbes::new);
-        let samplers = config.obs.sample.then(|| {
-            let interval = config.obs.sample_interval_us.max(1) * SIM_TICKS_PER_US;
-            (0..config.num_cores)
-                .map(|_| TimeSeries::new(interval, config.obs.sample_capacity.max(2)))
-                .collect()
-        });
         // Profile ticks are model cycles; the scale is cycles per µs.
-        let profiler = config.obs.profile.then(|| {
-            StageProfiler::new(
-                &nf.profile_label(),
-                config.clock.hz() / 1_000_000,
-                config.num_cores,
-            )
-        });
-        let health = config
-            .obs
-            .health
-            .then(|| health_channel(config.obs.health_capacity));
-        let reorder = config
-            .obs
-            .reorder
-            .then(|| ReorderSketch::new(config.obs.reorder_window, config.obs.reorder_max_flows));
-        let tail = config
-            .obs
-            .tail
-            .then(|| TailTracker::new(config.num_cores, config.obs.tail_threshold_ticks));
-        let flight = config
-            .obs
-            .flight
-            .then(|| FlightRecorder::new(config.num_cores, config.obs.flight_capacity));
+        let profile = (&*nf.profile_label(), config.clock.hz() / 1_000_000);
+        let obs = Self::obs_lane(config.obs, config.num_cores, profile);
         MiddleboxSim {
             nic: Nic::new(nic_config),
             coremap,
@@ -334,15 +244,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             stats,
             egress: Vec::new(),
             latency_us: Reservoir::new(200_000),
-            tracer,
-            probes,
-            samplers,
-            profiler,
-            health,
-            hwm_latched: vec![false; config.num_cores],
-            reorder,
-            tail,
-            flight,
+            obs,
             frozen_until: Time::ZERO,
             next_sweep: config
                 .lifecycle
@@ -362,33 +264,10 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         }
     }
 
-    /// Record a sampling delta for `core` at simulated time `ts`.
-    /// A no-op (`None` branch, no clock math) when sampling is off.
-    #[inline]
-    fn sample(&mut self, core: usize, ts: Time, f: impl FnOnce(&mut CoreSample)) {
-        if let Some(s) = self.samplers.as_mut() {
-            s[core].record(ts.as_ps(), f);
-        }
-    }
-
-    #[inline]
-    fn trace(&mut self, core: usize, ts: Time, kind: EventKind, flow: u64, pkt: u64, aux: u64) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.emit(core, ts, kind, flow, pkt, aux);
-        }
-    }
-
-    /// Attribute `ticks` model cycles on `core` to `stage`. A no-op when
-    /// profiling is off or the component is zero (payload-less packets
-    /// have no NF span).
-    #[inline]
-    fn profile(&mut self, core: usize, stage: Stage, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(core, stage, ticks);
-        }
+    /// One lane over all cores, on a fresh hub: ticks are simulated
+    /// picoseconds, `profile` is the NF label and model cycles per µs.
+    fn obs_lane(obs: ObsConfig, cores: usize, profile: (&str, u64)) -> ObsLane {
+        Arc::new(ObsHub::new(obs, "sim", SIM_TICKS_PER_US, profile, cores, 1)).lane(0..cores, true)
     }
 
     /// Fresh version guards for `plane`'s cores.
@@ -433,7 +312,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         self.stats.scr_applied += applied;
         let cycles = applied * self.config.scr_apply_cycles;
         self.stats.scr_replay_cycles += cycles;
-        self.profile(core, Stage::Classify, cycles);
+        self.obs.stage(core, Stage::Classify, cycles);
         cycles
     }
 
@@ -516,7 +395,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         self.stats.scr_log_drops += dropped;
         let cycles = sent * self.config.scr_publish_cycles;
         self.stats.per_core[core].busy_cycles += cycles;
-        self.profile(core, Stage::Redirect, cycles);
+        self.obs.stage(core, Stage::Redirect, cycles);
     }
 
     /// Replay every live core's pending updates (quiesced-plane
@@ -607,56 +486,12 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         self.stats.table_occupancy_hwm = self.stats.table_occupancy_hwm.max(self.stats.table_live);
     }
 
-    /// Record a flight-recorder event on `core` at simulated time `ts`.
-    /// A no-op (`None` branch) when the recorder is off or frozen.
-    #[inline]
-    fn record_flight(&mut self, core: usize, ts: Time, kind: FlightKind, a: u64, b: u64) {
-        if let Some(f) = self.flight.as_mut() {
-            f.record(
-                core,
-                FlightEvent {
-                    ts: ts.as_ps(),
-                    kind,
-                    a,
-                    b,
-                },
-            );
-        }
-    }
-
-    /// Emit a health event stamped with simulated time `ts`. A no-op
-    /// (`None` branch) when the health bus is off. The flight recorder
-    /// (when on) mirrors every event into the affected core's ring and
-    /// freezes on the critical kinds — the black box stops writing the
-    /// instant the crash is on record.
-    fn emit_health_at(&mut self, ts: Time, event: HealthEvent) {
-        if let Some(f) = self.flight.as_mut() {
-            let kind = event.kind();
-            let core = event.core().unwrap_or(0);
-            f.record(
-                core,
-                FlightEvent {
-                    ts: ts.as_ps(),
-                    kind: FlightKind::Health,
-                    a: health_kind_code(kind),
-                    b: core as u64,
-                },
-            );
-            if is_freeze_trigger(kind) {
-                f.freeze(ts.as_ps(), kind, core as u16);
-            }
-        }
-        if let Some((bus, _)) = self.health.as_ref() {
-            bus.emit(ts.as_ps(), event);
-        }
-    }
-
     /// Emit a health event at the current simulated time — the hook the
     /// control plane (chaos/elastic controllers) uses to put its own
     /// lifecycle events (fault injections, scaling decisions) on the
     /// same bus as the runtime's.
     pub fn emit_health(&mut self, event: HealthEvent) {
-        self.emit_health_at(self.now, event);
+        self.obs.health(self.now.as_ps(), event);
     }
 
     /// The configuration in use.
@@ -678,96 +513,27 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// [`crate::config::ObsConfig::latency`] is on. Values are
     /// nanoseconds of simulated time.
     pub fn probes(&self) -> Option<&LatencyProbes> {
-        self.probes.as_ref()
+        self.obs.probes()
     }
 
-    /// Detach the captured event trace, when
-    /// [`crate::config::ObsConfig::trace`] is on.
-    ///
-    /// Consumes the tracer (recording stops), stamps the trace with the
-    /// current [`MiddleboxStats`] as the expected counts, and merges
-    /// the per-core rings into global sequence order. Call once, after
-    /// the run.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        let tracer = self.tracer.take()?;
-        let s = &self.stats;
-        let meta = TraceMeta {
-            runtime: "sim".to_string(),
-            ticks_per_us: SIM_TICKS_PER_US,
-            num_cores: self.config.num_cores,
-            expected: Some(ExpectedCounts {
-                offered: s.offered,
-                processed: s.processed(),
-                forwarded: s.forwarded,
-                nf_drops: s.nf_drops,
-                nic_cap_drops: s.nic_cap_drops,
-                queue_drops: s.queue_drops,
-                ring_drops: s.ring_drops,
-                redirects: s.redirects(),
-            }),
-        };
-        Some(Trace::assemble(meta, vec![tracer.ring]))
-    }
-
-    /// Detach the per-core sampling series, when
-    /// [`crate::config::ObsConfig::sample`] is on.
-    ///
-    /// Consumes the samplers (recording stops) and aligns every core's
-    /// series to a common bucket interval. Tick unit is simulated-time
-    /// picoseconds (`ticks_per_us = 10^6`). Call once, after the run.
-    pub fn take_samples(&mut self) -> Option<SampleSet> {
-        let cores = self.samplers.take()?;
-        Some(SampleSet::assemble(SIM_TICKS_PER_US, cores))
-    }
-
-    /// Detach the per-stage busy-cycle attribution, when
-    /// [`crate::config::ObsConfig::profile`] is on. Tick unit is model
-    /// cycles (`ticks_per_us` = the configured clock in MHz). Call
-    /// once, after the run.
-    pub fn take_profile(&mut self) -> Option<StageProfiler> {
-        self.profiler.take()
-    }
-
-    /// Drain the health bus into a report, when
-    /// [`crate::config::ObsConfig::health`] is on. Timestamps are
-    /// simulated-time picoseconds. Call once, after the run (recording
-    /// stops — the bus is dropped with the collector).
-    pub fn take_health(&mut self) -> Option<HealthReport> {
-        let (_bus, collector) = self.health.take()?;
-        Some(collector.collect(SIM_TICKS_PER_US))
-    }
-
-    /// Snapshot the streaming reordering estimate, when
-    /// [`crate::config::ObsConfig::reorder`] is on. Call once, after
-    /// the run (the sketch is consumed).
-    pub fn take_reorder(&mut self) -> Option<ReorderReport> {
-        self.reorder.take().map(|s| s.report())
-    }
-
-    /// Consume the tail tracker into its attribution report, when
-    /// [`crate::config::ObsConfig::tail`] is on. Call once, after the
-    /// run.
-    pub fn take_tail(&mut self) -> Option<TailReport> {
-        self.tail.take().map(|t| t.report())
-    }
-
-    /// Consume the flight recorder into a snapshot, when
-    /// [`crate::config::ObsConfig::flight`] is on. Call once, after the
-    /// run; for a mid-run (possibly frozen) view that leaves the
-    /// recorder in place, use [`MiddleboxSim::flight_snapshot`].
-    pub fn take_flight(&mut self) -> Option<FlightSnapshot> {
-        self.flight
-            .take()
-            .map(|f| f.snapshot("sim", SIM_TICKS_PER_US))
+    /// Detach everything the run observed: each field of the report is
+    /// `Some` iff its [`ObsConfig`] plane is on. The trace is stamped
+    /// with the current [`MiddleboxStats`] as its expected counts;
+    /// timestamps are simulated-time picoseconds (`ticks_per_us =
+    /// 10^6`), profile ticks model cycles. Call once, after the run:
+    /// recording stops, and a second call reports nothing.
+    pub fn take_obs(&mut self) -> ObsReport {
+        let off = Self::obs_lane(ObsConfig::disabled(), self.config.num_cores, ("", 1));
+        let lane = std::mem::replace(&mut self.obs, off);
+        let hub = lane.hub.clone();
+        hub.finish(vec![lane], &self.stats)
     }
 
     /// Snapshot the flight recorder without consuming it — the hook the
     /// ctl crate's alert→dump path uses to persist the black box the
     /// moment a critical alert fires, while the run continues.
     pub fn flight_snapshot(&self) -> Option<FlightSnapshot> {
-        self.flight
-            .as_ref()
-            .map(|f| f.snapshot("sim", SIM_TICKS_PER_US))
+        self.obs.flight_snapshot()
     }
 
     /// The flow tables (for assertions about state placement).
@@ -836,14 +602,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // Parse headers exactly once: the classification rides with the
         // job through queueing, redirect, and NF dispatch.
         let class = PacketClass::of(&pkt);
-        // The flow hash is only needed for trace events and the reorder
-        // sketch; skip the (cheap but nonzero) mix entirely when both
-        // are off.
-        let flow = if self.tracer.is_some() || self.reorder.is_some() {
-            class.key.map_or(0, |k| k.stable_hash())
-        } else {
-            0
-        };
+        let flow = self.obs.hub.flow_hash(class.key);
 
         let (queue, steering) = self.nic.steer(&pkt);
         let core = self.queue_map[usize::from(queue)];
@@ -864,16 +623,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 let interval = Time::from_ps((1e12 / cap) as u64);
                 if now < self.nic_admit_free {
                     self.stats.nic_cap_drops += 1;
-                    self.sample(core, now, |s| s.nic_cap_drops += 1);
-                    self.trace(
-                        core,
-                        now,
-                        EventKind::Drop,
-                        flow,
-                        id,
-                        DropKind::NicCap.to_aux(),
-                    );
-                    self.record_flight(core, now, FlightKind::Drop, DropKind::NicCap.to_aux(), 0);
+                    self.obs.drop(core, now.as_ps(), DropKind::NicCap, flow, id);
                     return;
                 }
                 // Work-conserving limiter with one interval of credit:
@@ -895,38 +645,15 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         };
         if self.cores[core].rx.push(job).is_err() {
             self.stats.queue_drops += 1;
-            self.sample(core, now, |s| s.queue_drops += 1);
-            self.trace(
-                core,
-                now,
-                EventKind::Drop,
-                flow,
-                id,
-                DropKind::QueueFull.to_aux(),
-            );
-            self.record_flight(core, now, FlightKind::Drop, DropKind::QueueFull.to_aux(), 0);
+            self.obs
+                .drop(core, now.as_ps(), DropKind::QueueFull, flow, id);
             return;
         }
-        self.trace(core, now, EventKind::IngressEnqueue, flow, id, 0);
+        self.obs.ingress(core, now.as_ps(), flow, id);
         let rx_depth = self.cores[core].rx.len() as u64;
         self.stats.per_core[core].observe_rx_depth(rx_depth);
-        self.sample(core, now, |s| {
-            s.rx_occupancy_hwm = s.rx_occupancy_hwm.max(rx_depth)
-        });
-        if self.health.is_some() && !self.hwm_latched[core] {
-            let capacity = self.config.queue_capacity as u64;
-            if rx_depth * 4 >= capacity * 3 {
-                self.hwm_latched[core] = true;
-                self.emit_health_at(
-                    now,
-                    HealthEvent::QueueHighWater {
-                        core,
-                        depth: rx_depth,
-                        capacity,
-                    },
-                );
-            }
-        }
+        self.obs
+            .sample(core, now.as_ps(), |s| s.rx_occupancy_hwm = rx_depth);
         self.kick(core, now);
     }
 
@@ -996,12 +723,11 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
 
     /// Start the next job on `core` if it is idle and work is available.
     fn kick(&mut self, core: usize, now: Time) {
-        // Re-arm the queue high-water latch once the queue has drained
-        // below half capacity (the latch is only ever set with the
-        // health bus on, so this is one bool test on the common path).
-        if self.hwm_latched[core] && self.cores[core].rx.len() * 2 < self.config.queue_capacity {
-            self.hwm_latched[core] = false;
-        }
+        // Every pick-up attempt — the one that ends each ingress
+        // included — shows the queue to the high-water latch.
+        let (depth, capacity) = (self.cores[core].rx.len(), self.config.queue_capacity);
+        self.obs
+            .queue_depth(core, depth as u64, capacity as u64, || now.as_ps());
         if self.cores[core].current.is_some() {
             return;
         }
@@ -1020,19 +746,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // connection packets into the connection handler.
         let (job, service_cycles, ring_dq_cycles) = if let Some(job) = self.cores[core].ring.pop() {
             if let Some(at) = job.relayed_at {
-                let transfer = now.saturating_sub(at);
-                self.trace(
-                    core,
-                    now,
-                    EventKind::RedirectIn,
-                    job.flow,
-                    job.id,
-                    transfer.as_ps(),
-                );
-                self.record_flight(core, now, FlightKind::RedirectIn, transfer.as_ps(), 0);
-                if let Some(p) = self.probes.as_mut() {
-                    p.redirect_ns.record(transfer.as_ps() / 1_000);
-                }
+                self.obs
+                    .redirect_in(core, now.as_ps(), now.saturating_sub(at).as_ps());
             }
             let cycles = self.config.ring_dequeue_cycles + self.config.service_cycles_for(&job.pkt);
             (job, cycles, self.config.ring_dequeue_cycles)
@@ -1050,10 +765,13 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 self.stats.per_core[core].busy_cycles += cycles;
                 // A redirect push is parse/classify work plus the ring
                 // enqueue — no NF, no tx on this core.
-                self.profile(core, Stage::Classify, self.config.overhead_cycles);
-                self.profile(core, Stage::Redirect, self.config.ring_enqueue_cycles);
+                self.obs
+                    .stage(core, Stage::Classify, self.config.overhead_cycles);
+                self.obs
+                    .stage(core, Stage::Redirect, self.config.ring_enqueue_cycles);
                 // Whole service attributed to the bucket it starts in.
-                self.sample(core, now, |s| s.busy_ticks += service.as_ps());
+                self.obs
+                    .sample(core, now.as_ps(), |s| s.busy_ticks = service.as_ps());
                 self.cores[core].current = Some((job, Effect::Redirect(target)));
                 self.schedule(done, core);
                 return;
@@ -1066,9 +784,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             let burst = self.cores[core].burst;
             self.stats.per_core[core].record_batch(burst);
             if burst > 0 {
-                self.trace(core, now, EventKind::Drain, 0, TraceEvent::NO_PKT, burst);
                 let depth = self.cores[core].rx.len() as u64;
-                self.record_flight(core, now, FlightKind::Batch, burst, depth);
+                self.obs.batch(core, now.as_ps(), burst, depth);
             }
             self.cores[core].burst = 0;
             return;
@@ -1077,23 +794,17 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // replica ahead of the service this core is about to start. The
         // replay is real work here — it extends the service.
         let replay_cycles = self.scr_replay(core);
-        // Service begins here; the NF-done event fires at completion.
-        self.trace(core, now, EventKind::NfStart, job.flow, job.id, 0);
-        if !job.via_ring {
-            if let Some(p) = self.probes.as_mut() {
-                p.queue_wait_ns
-                    .record(now.saturating_sub(job.arrival).as_ps() / 1_000);
-            }
-        }
+        // Service begins here; the completion event reports it.
         let service = self
             .config
             .clock
             .cycles_to_time(service_cycles + replay_cycles);
         let done = now + service;
         self.cores[core].burst += 1;
+        self.cores[core].current_start = now;
         self.cores[core].current_replay = replay_cycles;
         self.stats.per_core[core].busy_cycles += service_cycles + replay_cycles;
-        if self.profiler.is_some() {
+        if self.config.obs.profile {
             // Exact decomposition of the service: an optional ring
             // dequeue (redirected arrivals), the framework overhead —
             // split 3/4 rx/parse/classify, 1/4 verdict/tx, matching the
@@ -1102,12 +813,14 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             // so per-core stage ticks reproduce `busy_cycles` exactly.
             let overhead = self.config.overhead_cycles;
             let tx = overhead / 4;
-            self.profile(core, Stage::Classify, overhead - tx);
-            self.profile(core, Stage::Redirect, ring_dq_cycles);
-            self.profile(core, Stage::Nf, service_cycles - ring_dq_cycles - overhead);
-            self.profile(core, Stage::Tx, tx);
+            self.obs.stage(core, Stage::Classify, overhead - tx);
+            self.obs.stage(core, Stage::Redirect, ring_dq_cycles);
+            self.obs
+                .stage(core, Stage::Nf, service_cycles - ring_dq_cycles - overhead);
+            self.obs.stage(core, Stage::Tx, tx);
         }
-        self.sample(core, now, |s| s.busy_ticks += service.as_ps());
+        self.obs
+            .sample(core, now.as_ps(), |s| s.busy_ticks = service.as_ps());
         self.cores[core].current = Some((job, Effect::Process));
         self.schedule(done, core);
     }
@@ -1125,16 +838,9 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         match effect {
             Effect::Redirect(target) => {
                 self.stats.per_core[core].redirected_out += 1;
-                self.sample(core, now, |s| s.redirected_out += 1);
-                self.trace(
-                    core,
-                    now,
-                    EventKind::RedirectOut,
-                    job.flow,
-                    job.id,
-                    target as u64,
-                );
-                self.record_flight(core, now, FlightKind::RedirectOut, target as u64, 0);
+                self.obs.sample(core, now.as_ps(), |s| s.redirected_out = 1);
+                self.obs
+                    .redirect_out(core, now.as_ps(), job.flow, job.id, target);
                 let job = Job {
                     via_ring: true,
                     relayed_at: Some(now),
@@ -1149,28 +855,13 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                     self.stats.lost_packets += 1;
                 } else if self.cores[target].ring.push(job).is_err() {
                     self.stats.ring_drops += 1;
-                    self.sample(target, now, |s| s.ring_drops += 1);
-                    self.trace(
-                        target,
-                        now,
-                        EventKind::Drop,
-                        flow,
-                        id,
-                        DropKind::RingFull.to_aux(),
-                    );
-                    self.record_flight(
-                        target,
-                        now,
-                        FlightKind::Drop,
-                        DropKind::RingFull.to_aux(),
-                        0,
-                    );
+                    self.obs
+                        .drop(target, now.as_ps(), DropKind::RingFull, flow, id);
                 } else {
                     let depth = self.cores[target].ring.len() as u64;
                     self.stats.per_core[target].observe_ring_depth(depth);
-                    self.sample(target, now, |s| {
-                        s.ring_occupancy_hwm = s.ring_occupancy_hwm.max(depth)
-                    });
+                    self.obs
+                        .sample(target, now.as_ps(), |s| s.ring_occupancy_hwm = depth);
                     self.kick(target, now);
                 }
             }
@@ -1185,23 +876,6 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                     relayed_at,
                 } = job;
                 let is_conn = class.is_conn;
-                // Tail attribution reconstructs the service start from
-                // the same cycle decomposition `kick` scheduled with;
-                // `service_cycles_for` must see the packet before the NF
-                // mutates it, so this runs ahead of the batch call.
-                let replay_cyc = self.cores[core].current_replay;
-                let tail_start = self.tail.as_ref().map(|_| {
-                    let ring_dq = if via_ring {
-                        self.config.ring_dequeue_cycles
-                    } else {
-                        0
-                    };
-                    let svc = ring_dq + replay_cyc + self.config.service_cycles_for(&pkt);
-                    (
-                        now.saturating_sub(self.config.clock.cycles_to_time(svc)),
-                        ring_dq,
-                    )
-                });
                 // Advance the lazy lifecycle clock so this batch's
                 // writes carry fresh touch stamps (write-touch aging).
                 self.tables
@@ -1231,65 +905,51 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 engine::account(&mut self.stats.per_core[core], is_conn, via_ring);
                 let sojourn = now.saturating_sub(arrival);
                 self.latency_us.add(sojourn.as_us_f64());
-                if let Some(p) = self.probes.as_mut() {
-                    p.sojourn_ns.record(sojourn.as_ps() / 1_000);
-                }
-                if let (Some(tail), Some((start, ring_dq))) = (self.tail.as_mut(), tail_start) {
-                    // Exact span partition of the sojourn. The framework
-                    // overhead splits 3/4 classify, 1/4 tx (the same
-                    // split the stage profiler uses); ring-dequeue
-                    // cycles are charged to classify so redirect-transit
-                    // equals the offline analyzer's RedirectIn−RedirectOut
-                    // without any config knowledge; nf is the remainder,
-                    // so the five spans always sum to the sojourn.
-                    let overhead = self.config.overhead_cycles;
-                    let tx_cyc = overhead / 4;
-                    let clock = self.config.clock;
-                    // SCR replay cycles sit at the head of the service,
-                    // before classification — table maintenance ahead of
-                    // dispatch, charged to the classify span.
-                    let classify = clock
-                        .cycles_to_time(overhead - tx_cyc + ring_dq + replay_cyc)
-                        .as_ps();
-                    let tx = clock.cycles_to_time(tx_cyc).as_ps();
-                    let (queue_wait, redirect_transit) = match relayed_at {
-                        Some(at) => (
-                            at.saturating_sub(arrival).as_ps(),
-                            start.saturating_sub(at).as_ps(),
-                        ),
-                        None => (start.saturating_sub(arrival).as_ps(), 0),
+                // Exact partition of the service window, for tail
+                // attribution. The framework overhead splits 3/4
+                // classify, 1/4 tx (the same split the stage profiler
+                // uses); ring-dequeue cycles are charged to classify so
+                // redirect-transit equals the offline analyzer's
+                // RedirectIn−RedirectOut without any config knowledge;
+                // SCR replay cycles sit at the head of the service,
+                // before classification — table maintenance ahead of
+                // dispatch, charged to the classify span; the NF span is
+                // the remainder, so the spans always sum to the sojourn.
+                let (classify, tx) = if self.config.obs.tail {
+                    let (clock, tx_cyc) = (self.config.clock, self.config.overhead_cycles / 4);
+                    let ring_dq = match via_ring {
+                        true => self.config.ring_dequeue_cycles,
+                        false => 0,
                     };
-                    let nf = sojourn
-                        .as_ps()
-                        .saturating_sub(queue_wait + redirect_transit + classify + tx);
-                    tail.on_complete(
-                        core,
-                        TailSpans {
-                            queue_wait,
-                            classify,
-                            redirect_transit,
-                            nf,
-                            tx,
-                        },
-                    );
-                }
+                    let head = self.config.overhead_cycles - tx_cyc
+                        + ring_dq
+                        + self.cores[core].current_replay;
+                    (
+                        clock.cycles_to_time(head).as_ps(),
+                        clock.cycles_to_time(tx_cyc).as_ps(),
+                    )
+                } else {
+                    (0, 0)
+                };
                 let dropped = matches!(verdict, Verdict::Drop);
-                self.sample(core, now, |s| {
-                    s.processed += 1;
-                    s.redirected_in += u64::from(via_ring);
-                    s.forwarded += u64::from(!dropped);
-                    s.nf_drops += u64::from(dropped);
+                self.obs.sample(core, now.as_ps(), |s| {
+                    s.processed = 1;
+                    s.redirected_in = u64::from(via_ring);
+                    s.forwarded = u64::from(!dropped);
+                    s.nf_drops = u64::from(dropped);
                 });
-                self.trace(core, now, EventKind::NfDone, flow, id, u64::from(dropped));
-                if let Some(r) = self.reorder.as_mut() {
-                    // Feed the sketch the same (flow, arrival-ordinal)
-                    // pairs the offline analyzer inverts over; packets
-                    // without a parseable tuple (flow 0) are skipped on
-                    // both sides.
-                    if flow != 0 {
-                        r.on_complete(core, flow, id);
-                    }
-                }
+                let done = Completion {
+                    id,
+                    flow,
+                    arrival: arrival.as_ps(),
+                    relay: relayed_at.map(Time::as_ps),
+                    start: self.cores[core].current_start.as_ps(),
+                    done: now.as_ps(),
+                    dropped,
+                    classify,
+                    tx,
+                };
+                self.obs.complete(core, &done);
                 match verdict {
                     Verdict::Forward => {
                         self.stats.forwarded += 1;
@@ -1402,6 +1062,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 ring: BoundedFifo::new(self.config.ring_capacity),
                 current: None,
                 burst: 0,
+                current_start: Time::ZERO,
                 current_replay: 0,
             });
         }
@@ -1414,9 +1075,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             self.lost_baseline.push(0);
             self.stalled_until.push(Time::ZERO);
         }
-        while self.hwm_latched.len() < new_cores {
-            self.hwm_latched.push(false);
-        }
+        self.obs.grow(new_cores);
         self.queue_map = (0..new_cores).collect();
         // Next-epoch replay plane: fresh (empty) logs and guards at the
         // new core count. Every log was drained above, so the replicas
@@ -1425,16 +1084,6 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             self.scr = Some(SharedScrPlane::new(new_cores, self.config.scr_log_capacity));
             self.scr_guards = Self::scr_guards_for(&self.scr);
         }
-        if let Some(s) = self.samplers.as_mut() {
-            let interval = self.config.obs.sample_interval_us.max(1) * SIM_TICKS_PER_US;
-            while s.len() < new_cores {
-                s.push(TimeSeries::new(
-                    interval,
-                    self.config.obs.sample_capacity.max(2),
-                ));
-            }
-        }
-
         // Downtime: fixed epoch cost plus per-migrated-flow export and
         // import.
         let pause_cycles = self.config.reconfig_fixed_cycles
@@ -1456,7 +1105,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             };
             if self.cores[core].rx.push(job).is_err() {
                 self.stats.queue_drops += 1;
-                self.sample(core, now, |s| s.queue_drops += 1);
+                self.obs.sample(core, now.as_ps(), |s| s.queue_drops = 1);
             }
         }
         for core in 0..new_cores {
@@ -1474,8 +1123,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             downtime_ns: downtime.as_ps() / 1_000,
             at_ns: now.as_ps() / 1_000,
         };
-        self.emit_health_at(
-            now,
+        self.obs.health(
+            now.as_ps(),
             HealthEvent::ReconfigPhase {
                 epoch: report.epoch,
                 phase: "rescale",
@@ -1523,8 +1172,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         if let Some(plane) = self.scr.as_ref() {
             self.stats.scr_log_drops += plane.truncate(core);
         }
-        self.emit_health_at(
-            now,
+        self.obs.health(
+            now.as_ps(),
             HealthEvent::WorkerDeath {
                 core,
                 message: format!("injected crash ({lost} packets stranded)"),
@@ -1541,8 +1190,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         let now = self.now;
         assert!(core < self.cores.len(), "core out of range");
         self.stalled_until[core] = self.stalled_until[core].max(now + duration);
-        self.emit_health_at(
-            now,
+        self.obs.health(
+            now.as_ps(),
             HealthEvent::WatchdogFence {
                 core,
                 stalled_ticks: duration.as_ps(),
@@ -1646,7 +1295,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             };
             if self.cores[core].rx.push(job).is_err() {
                 self.stats.queue_drops += 1;
-                self.sample(core, now, |s| s.queue_drops += 1);
+                self.obs.sample(core, now.as_ps(), |s| s.queue_drops = 1);
             }
         }
         for &core in &survivors {
@@ -1668,8 +1317,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             downtime_ns: downtime.as_ps() / 1_000,
             at_ns: now.as_ps() / 1_000,
         };
-        self.emit_health_at(
-            now,
+        self.obs.health(
+            now.as_ps(),
             HealthEvent::ReconfigPhase {
                 epoch: report.epoch,
                 phase: "recover",
@@ -1687,6 +1336,7 @@ mod tests {
     use super::*;
     use crate::api::{FlowStateApi, NfDescriptor};
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
+    use sprayer_obs::CoreSample;
     use sprayer_sim::time::LinkSpeed;
 
     /// Test NF: stores the SYN arrival core in flow state; regular
@@ -2172,7 +1822,7 @@ mod tests {
         );
 
         // And the event trace satisfies every conservation identity.
-        let trace = mb.take_trace().expect("tracing enabled");
+        let trace = mb.take_obs().trace.expect("tracing enabled");
         assert_eq!(trace.dropped, 0, "default ring capacity must suffice here");
         let analysis = sprayer_obs::analyze(&trace);
         assert!(
@@ -2181,7 +1831,7 @@ mod tests {
             analysis.conservation.violations
         );
         assert_eq!(analysis.conservation.nf_done, s.processed());
-        assert!(mb.take_trace().is_none(), "trace detaches once");
+        assert!(mb.take_obs().trace.is_none(), "trace detaches once");
     }
 
     #[test]
@@ -2195,14 +1845,14 @@ mod tests {
         );
         mb.run_until(Time::from_ms(1));
         assert!(mb.probes().is_none());
-        assert!(mb.take_trace().is_none());
-        assert!(mb.take_samples().is_none());
-        assert!(mb.take_profile().is_none());
-        assert!(mb.take_health().is_none());
-        assert!(mb.take_reorder().is_none());
+        assert!(mb.take_obs().trace.is_none());
+        assert!(mb.take_obs().samples.is_none());
+        assert!(mb.take_obs().profile.is_none());
+        assert!(mb.take_obs().health.is_none());
+        assert!(mb.take_obs().reorder.is_none());
         assert!(mb.flight_snapshot().is_none());
-        assert!(mb.take_tail().is_none());
-        assert!(mb.take_flight().is_none());
+        assert!(mb.take_obs().tail.is_none());
+        assert!(mb.take_obs().flight.is_none());
     }
 
     #[test]
@@ -2241,13 +1891,14 @@ mod tests {
         assert!(mb.is_idle());
         let processed = mb.stats().processed();
 
-        let report = mb.take_tail().expect("tail attribution enabled");
+        let obs = mb.take_obs();
+        let report = obs.tail.expect("tail attribution enabled");
         assert_eq!(report.completions, processed);
         assert_eq!(report.exemplars, processed, "1-tick threshold captures all");
 
         // Offline ground truth from the event trace: pair each packet's
         // ingress, redirect, and completion events by id.
-        let trace = mb.take_trace().expect("tracing enabled");
+        let trace = obs.trace.expect("tracing enabled");
         assert_eq!(trace.dropped, 0);
         let mut ingress_ts = HashMap::new();
         let mut out_ts = HashMap::new();
@@ -2285,7 +1936,7 @@ mod tests {
         assert_eq!(report.stage_ticks(TailStage::QueueWait), queue_wait_sum);
         assert!(report.stage_ticks(TailStage::Nf) > 0);
         assert!(report.stage_ticks(TailStage::Tx) > 0);
-        assert!(mb.take_tail().is_none(), "tail report detaches once");
+        assert!(mb.take_obs().tail.is_none(), "tail report detaches once");
     }
 
     #[test]
@@ -2326,7 +1977,7 @@ mod tests {
         }
         mb.run_until(now + Time::from_secs(1));
 
-        let snap = mb.take_flight().expect("flight recorder enabled");
+        let snap = mb.take_obs().flight.expect("flight recorder enabled");
         assert_eq!(
             snap.recorded, frozen_recorded,
             "frozen ring stops recording"
@@ -2344,7 +1995,7 @@ mod tests {
         let text = flight::write_string(&snap);
         let back = flight::parse(&text).expect("dump parses");
         assert_eq!(back, snap);
-        assert!(mb.take_flight().is_none(), "snapshot detaches once");
+        assert!(mb.take_obs().flight.is_none(), "snapshot detaches once");
     }
 
     #[test]
@@ -2365,7 +2016,7 @@ mod tests {
         mb.run_until(now + Time::from_secs(1));
         assert!(mb.is_idle());
         let s = mb.stats().clone();
-        let p = mb.take_profile().expect("profiling enabled");
+        let p = mb.take_obs().profile.expect("profiling enabled");
         assert_eq!(p.nf(), "tracker");
         assert_eq!(p.ticks_per_us(), 2_000, "2 GHz = 2000 cycles/µs");
         // The attribution is exact: per core, the four stages sum to
@@ -2381,7 +2032,7 @@ mod tests {
         assert!(p.share(Stage::Nf) > 0.8, "nf share {}", p.share(Stage::Nf));
         let shares: f64 = Stage::ALL.into_iter().map(|st| p.share(st)).sum();
         assert!((shares - 1.0).abs() < 1e-12);
-        assert!(mb.take_profile().is_none(), "profile detaches once");
+        assert!(mb.take_obs().profile.is_none(), "profile detaches once");
     }
 
     #[test]
@@ -2408,7 +2059,7 @@ mod tests {
         });
         mb.run_until(mb.now() + Time::from_ms(10));
 
-        let report = mb.take_health().expect("health bus enabled");
+        let report = mb.take_obs().health.expect("health bus enabled");
         assert_eq!(report.ticks_per_us, 1_000_000);
         assert_eq!(report.dropped, 0);
         let counts = report.counts();
@@ -2418,7 +2069,7 @@ mod tests {
         assert_eq!(counts.get("fault_injected"), Some(&1));
         // Timestamps are monotone simulated picoseconds.
         assert!(report.records.windows(2).all(|w| w[0].ts <= w[1].ts));
-        assert!(mb.take_health().is_none(), "health detaches once");
+        assert!(mb.take_obs().health.is_none(), "health detaches once");
     }
 
     #[test]
@@ -2444,7 +2095,7 @@ mod tests {
         mb.run_until(now + Time::from_secs(1));
         assert!(mb.is_idle());
         assert!(mb.stats().max_rx_occupancy() * 4 >= 512 * 3);
-        let report = mb.take_health().expect("health bus enabled");
+        let report = mb.take_obs().health.expect("health bus enabled");
         assert_eq!(
             report.counts().get("queue_high_water"),
             Some(&1),
@@ -2474,8 +2125,9 @@ mod tests {
         assert!(mb.is_idle());
         assert_eq!(mb.stats().unaccounted(), 0);
 
-        let online = mb.take_reorder().expect("reorder sketch enabled");
-        let trace = mb.take_trace().expect("tracing enabled");
+        let obs = mb.take_obs();
+        let online = obs.reorder.expect("reorder sketch enabled");
+        let trace = obs.trace.expect("tracing enabled");
         assert_eq!(trace.dropped, 0);
         let offline = sprayer_obs::analyze(&trace);
         // The acceptance identity: the streaming reordered count equals
@@ -2489,7 +2141,7 @@ mod tests {
         );
         // The windowed depth estimate is a lower bound on the true max.
         assert!(online.depth_hist.max().unwrap_or(0) <= offline.max_depth());
-        assert!(mb.take_reorder().is_none(), "reorder detaches once");
+        assert!(mb.take_obs().reorder.is_none(), "reorder detaches once");
     }
 
     #[test]
@@ -2509,7 +2161,7 @@ mod tests {
         mb.run_until(now + Time::from_secs(1));
         assert!(mb.is_idle());
         let s = mb.stats().clone();
-        let set = mb.take_samples().expect("sampling enabled");
+        let set = mb.take_obs().samples.expect("sampling enabled");
         assert_eq!(set.ticks_per_us, 1_000_000);
         assert_eq!(set.num_cores(), 8);
         assert!(set.num_buckets() > 1, "a 400 µs run spans several buckets");
@@ -2539,7 +2191,7 @@ mod tests {
         let jain = set.jain_timeline();
         assert_eq!(jain.len(), set.num_buckets());
         assert!(jain.iter().all(|&j| (0.0..=1.0 + 1e-9).contains(&j)));
-        assert!(mb.take_samples().is_none(), "samples detach once");
+        assert!(mb.take_obs().samples.is_none(), "samples detach once");
     }
 
     #[test]
@@ -3358,7 +3010,7 @@ mod tests {
         // The attribution identity survives SCR's extra work: replay
         // (Classify) and publish (Redirect) cycles are both profiled
         // and both charged, so stage ticks still sum to busy cycles.
-        let p = mb.take_profile().expect("profiling enabled");
+        let p = mb.take_obs().profile.expect("profiling enabled");
         for (core, cp) in p.cores().iter().enumerate() {
             assert_eq!(
                 cp.total_ticks(),

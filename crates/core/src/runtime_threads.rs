@@ -79,6 +79,7 @@ use crate::config::{DispatchMode, LifecycleConfig, ObsConfig};
 use crate::coremap::CoreMap;
 use crate::elastic::ReconfigReport;
 use crate::engine::{self, Engine, PacketClass};
+use crate::obs_sink::{Completion, ObsHub, ObsLane};
 use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
 use crate::stats::{CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
 use crate::tables::{SharedCtx, SharedTables};
@@ -86,15 +87,12 @@ use crossbeam::queue::ArrayQueue;
 use sprayer_net::{FlowKey, Packet};
 use sprayer_nic::{Nic, NicConfig};
 use sprayer_obs::{
-    health_channel, health_kind_code, CoreSample, DropKind, EventKind, ExpectedCounts, FlightEvent,
-    FlightFreeze, FlightKind, FlightRing, FlightSnapshot, HealthBus, HealthEvent, HealthReport,
-    LatencyProbes, LiveSlots, ProfileSlots, ReorderReport, SampleSet, SharedReorderSketch, Stage,
-    StageProfile, StageProfiler, TailReport, TailSpans, TailTracker, TimeSeries, Trace, TraceEvent,
-    TraceMeta, TraceRing,
+    DropKind, FlightSnapshot, HealthEvent, HealthReport, LatencyProbes, LiveSlots, ProfileSlots,
+    ReorderReport, SampleSet, Stage, StageProfiler, TailReport, Trace,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Trace timestamps are wall-clock nanoseconds since the run's anchor
@@ -243,32 +241,6 @@ impl ThreadedConfig {
     }
 }
 
-/// Run-level flight-recorder latch shared by workers, the watchdog, and
-/// the runner (one per run, surviving phase barriers). Workers own
-/// their event rings; this is only the freeze state: a relaxed-read
-/// flag on the record path and a first-wins record of the trigger.
-struct FlightShared {
-    frozen: AtomicBool,
-    record: Mutex<Option<FlightFreeze>>,
-}
-
-impl FlightShared {
-    /// Latch the recorder on a critical event. First caller wins.
-    fn freeze(&self, ts: u64, kind: &str, core: u16) {
-        if self
-            .frozen
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            *self.record.lock().unwrap() = Some(FlightFreeze {
-                ts,
-                kind: kind.to_string(),
-                core,
-            });
-        }
-    }
-}
-
 /// Extract a displayable message from a captured panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -329,14 +301,15 @@ pub struct ThreadedOutcome {
     /// satisfy `stats.unaccounted() == 0`.
     pub stats: MiddleboxStats,
     /// The captured event trace, when [`ObsConfig::trace`] was on:
-    /// per-worker rings plus the ingress thread's, merged in global
-    /// sequence order and stamped with the final stats.
+    /// per-worker rings plus the ingress thread's — each bounded once
+    /// for the whole run — merged in global sequence order and stamped
+    /// with the final stats.
     pub trace: Option<Trace>,
     /// Merged per-worker latency histograms, when [`ObsConfig::latency`]
     /// was on. Values are wall-clock nanoseconds.
     pub probes: Option<LatencyProbes>,
     /// Per-core sampled delta series, when [`ObsConfig::sample`] was on:
-    /// one [`TimeSeries`] per worker on the wall-clock nanosecond grid
+    /// one [`sprayer_obs::TimeSeries`] per worker on the wall-clock nanosecond grid
     /// (`ticks_per_us = 1000`), continuous across phase barriers
     /// (all phases share one anchor `Instant`). Ingress-side queue
     /// drops are folded into the target worker's series.
@@ -369,22 +342,24 @@ pub struct ThreadedOutcome {
     /// hands packets to egress.
     pub reorder: Option<ReorderReport>,
     /// Tail-latency attribution, when [`ObsConfig::tail`] was on:
-    /// per-worker exemplar tables merged into one report. Spans are
-    /// wall nanoseconds at batch grain: a packet waits until its
-    /// batch's NF call starts and completes when that call returns
-    /// (that is when it can leave), so queue wait and redirect transit
-    /// run from the descriptor timestamps to the batch's start and the
-    /// NF span is the batch's service window. The framework classify/tx
-    /// overhead is not separable per packet on this runtime, so those
-    /// spans read 0 and the NF span absorbs them — the exact
-    /// decomposition lives in the simulator.
+    /// per-worker exemplar tables (each tracker lives for the whole
+    /// run, so a rolling threshold warms up once) merged into one
+    /// report. Spans are wall nanoseconds at batch grain: a packet
+    /// waits until its batch's NF call starts and completes when that
+    /// call returns (that is when it can leave), so queue wait and
+    /// redirect transit run from the descriptor timestamps to the
+    /// batch's start and the NF span is the batch's service window. The
+    /// framework classify/tx overhead is not separable per packet on
+    /// this runtime, so those spans read 0 and the NF span absorbs them
+    /// — the exact decomposition lives in the simulator.
     pub tail: Option<TailReport>,
     /// The flight-recorder snapshot, when [`ObsConfig::flight`] was on:
     /// each worker's last-N events (batch drains, redirects, ring-full
     /// drops), frozen at the first captured worker death or watchdog
     /// fence. Ingress-side events (queue-full drops, high-water
-    /// crossings) are not recorded on this runtime — the rings are
-    /// worker-owned.
+    /// crossings) are not recorded on this runtime: a ring has one
+    /// writer, its worker, and the ingress lane owns none — a second
+    /// writer per core would need a time-ordered merge.
     pub flight: Option<FlightSnapshot>,
     /// Most records any worker's SCR version guard held at once
     /// ([`ScrReplica::len_hwm`]; 0 outside SCR): what the guard floor
@@ -428,22 +403,9 @@ struct WorkerShared<NF: NetworkFunction> {
     /// Set by the worker that fired the injected fault, so the runner
     /// can disarm it for subsequent phases.
     fault_fired: AtomicBool,
-    obs: ObsConfig,
-    /// Live counter slots shared with an external observer, if any.
-    live: Option<Arc<LiveSlots>>,
-    /// Live stage-tick slots shared with an external observer, if any
-    /// (fed only when profiling is on).
-    profile_live: Option<Arc<ProfileSlots>>,
-    /// Producer handle of the health-event bus, when
-    /// [`ObsConfig::health`] is on. Cloned freely; never blocks.
-    health: Option<HealthBus>,
-    /// The shared streaming reorder sketch, when [`ObsConfig::reorder`]
-    /// is on. Sharded internally; workers feed it at NF completion.
-    reorder: Option<Arc<SharedReorderSketch>>,
-    /// The flight-recorder freeze latch, when [`ObsConfig::flight`] is
-    /// on. Workers record into their own rings until any of them (or
-    /// the watchdog) latches it.
-    flight: Option<Arc<FlightShared>>,
+    /// The run's observation hub: what the workers' lanes, the watchdog
+    /// (which reads progress from its live slots) and the runner share.
+    obs: Arc<ObsHub>,
     /// The SCR state-update multicast plane, when the phase runs under
     /// [`DispatchMode::Scr`] with a stateful NF. Workers publish their
     /// batch's updates into every live peer's log and replay their own
@@ -456,11 +418,6 @@ struct WorkerShared<NF: NetworkFunction> {
     scr_done: AtomicUsize,
     /// Wall-clock zero for trace timestamps (shared by all threads).
     anchor: Instant,
-    /// Global trace-event sequence, shared by workers and ingress.
-    /// One relaxed `fetch_add` per recorded event; untouched when
-    /// tracing is off. Seeded per phase so sequences are continuous
-    /// across phase barriers.
-    trace_seq: AtomicU64,
 }
 
 /// Per-worker mutable state for one phase.
@@ -473,21 +430,15 @@ struct Worker<'a, NF: NetworkFunction> {
     nf_drops: u64,
     ring_drops: u64,
     stats: CoreStats,
-    /// This worker's trace ring (iff tracing is on).
-    trace: Option<TraceRing>,
-    /// This worker's latency histograms (iff latency probes are on).
-    probes: Option<LatencyProbes>,
-    /// This worker's sampling series (iff sampling is on).
-    sampler: Option<TimeSeries>,
+    /// This worker's lane of the observation sink, borrowed for the
+    /// phase: the lane (its rings, series, tail threshold) outlives it.
+    lane: &'a mut ObsLane,
     /// Counter values already attributed to a sampling bucket. Deltas
     /// are taken against this watermark, so the nested drains on the
     /// work-conserving redirect path attribute each increment exactly
     /// once (the inner drain advances the watermark; the enclosing
     /// batch picks up only the remainder).
     mark: SampleMark,
-    /// This worker's stage breakdown (iff profiling is on), merged into
-    /// the run's [`StageProfiler`] at join time.
-    profile: Option<StageProfile>,
     /// Wall time already attributed to a profiled stage span. Spans are
     /// clamped to start at this watermark, so the nested drains on the
     /// work-conserving redirect path never double-attribute a window
@@ -519,11 +470,6 @@ struct Worker<'a, NF: NetworkFunction> {
     redirects: Vec<(Desc, usize)>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`].
     sink: VerdictSink,
-    /// This worker's flight-recorder ring (iff the recorder is on).
-    flight: Option<FlightRing>,
-    /// This worker's tail-attribution tracker (iff tail is on); its
-    /// report is merged into the run's at join time.
-    tail: Option<TailTracker>,
     /// This worker's SCR per-flow version guard (empty and untouched
     /// unless the phase has an SCR plane).
     scr_replica: ScrReplica,
@@ -584,13 +530,7 @@ struct WorkerResult {
     nf_drops: u64,
     ring_drops: u64,
     stats: CoreStats,
-    trace: Option<TraceRing>,
-    probes: Option<LatencyProbes>,
-    sampler: Option<TimeSeries>,
-    profile: Option<StageProfile>,
     failure: Option<WorkerFailure>,
-    flight: Option<FlightRing>,
-    tail: Option<TailReport>,
     scr_lag_hist: [u64; BATCH_HIST_BUCKETS],
     scr_guard_hwm: usize,
     table_hwm: u64,
@@ -732,79 +672,36 @@ impl ThreadedMiddlebox {
 
         let mut stats = MiddleboxStats::new(num_workers);
         stats.lifecycle_enabled = config.lifecycle.enabled();
-        let mut outcome = ThreadedOutcome {
-            forwarded: Vec::new(),
-            nf_drops: 0,
-            per_worker_processed: vec![0; num_workers],
-            redirects: 0,
-            stats: MiddleboxStats::new(num_workers),
-            trace: None,
-            probes: None,
-            samples: None,
-            reconfigs: Vec::new(),
-            failures: Vec::new(),
-            profile: None,
-            health: None,
-            reorder: None,
-            tail: None,
-            flight: None,
-            scr_guard_hwm: 0,
-        };
-        let obs = config.obs;
+        let mut forwarded: Vec<Packet> = Vec::new();
+        let mut per_worker_processed = vec![0u64; num_workers];
+        let mut scr_guard_hwm = 0;
         let anchor = Instant::now();
-        // Flight-recorder state: the freeze latch outlives every phase;
-        // per-worker rings accumulate here across phase barriers.
-        let flight_shared = obs.flight.then(|| {
-            Arc::new(FlightShared {
-                frozen: AtomicBool::new(false),
-                record: Mutex::new(None),
-            })
+        // One hub and one lane per worker (plus the ingress thread's)
+        // for the whole run: lanes outlive phases. The watchdog reads
+        // progress from the live slots; allocate internal ones when it
+        // is armed without an external reader.
+        let profile = (&*nf.profile_label(), THREAD_TICKS_PER_US);
+        let mut hub = ObsHub::new(
+            config.obs,
+            "threads",
+            THREAD_TICKS_PER_US,
+            profile,
+            num_workers,
+            num_workers,
+        );
+        hub.live = config.live.clone().or_else(|| {
+            config
+                .watchdog_deadline_ns
+                .map(|_| Arc::new(LiveSlots::new(num_workers)))
         });
-        let mut flight_rings: Option<Vec<FlightRing>> = obs.flight.then(|| {
-            (0..num_workers)
-                .map(|_| FlightRing::new(obs.flight_capacity))
-                .collect()
-        });
-        let mut tail_acc: Option<TailReport> = None;
-        // Health-plane accumulators: the bus producer is cloned into
-        // every phase's shared state; the collector is drained once at
-        // the end into one report covering the whole run.
-        let (health_bus, health_collector) = match obs.health {
-            true => {
-                let (b, c) = health_channel(obs.health_capacity);
-                (Some(b), Some(c))
-            }
-            false => (None, None),
-        };
-        let reorder_sketch = obs.reorder.then(|| {
-            Arc::new(SharedReorderSketch::new(
-                obs.reorder_window,
-                obs.reorder_max_flows,
-                num_workers,
-            ))
-        });
-        let mut profile_acc = obs
-            .profile
-            .then(|| StageProfiler::new(&nf.profile_label(), THREAD_TICKS_PER_US, num_workers));
-        // The ingress thread records admission events into its own ring;
-        // worker rings accumulate here across phases.
-        let mut ingress_ring = obs.trace.then(|| TraceRing::new(obs.trace_ring_capacity));
-        let mut worker_rings: Vec<TraceRing> = Vec::new();
-        let mut probes_acc = obs.latency.then(LatencyProbes::new);
-        // Sampling accumulators: per-worker series merged across phases
-        // (one anchor → one continuous tick space), plus the ingress
-        // thread's queue-drop series per target worker (drops never reach
-        // a worker, so only ingress can attribute them to a bucket).
-        let sample_interval = obs.sample_interval_us.max(1) * THREAD_TICKS_PER_US;
-        let new_series = || TimeSeries::new(sample_interval, obs.sample_capacity.max(2));
-        let mut sample_acc: Option<Vec<TimeSeries>> = obs
-            .sample
-            .then(|| (0..num_workers).map(|_| new_series()).collect());
-        let mut ingress_samplers: Option<Vec<TimeSeries>> = obs
-            .sample
-            .then(|| (0..num_workers).map(|_| new_series()).collect());
+        hub.profile_live = config.profile_live.clone();
+        let hub = Arc::new(hub);
+        let mut lanes: Vec<ObsLane> = (0..num_workers).map(|w| hub.lane(w..w + 1, true)).collect();
+        // The ingress thread records admission events, queue drops (a
+        // drop never reaches a worker, so only ingress can attribute it
+        // to a bucket) and high-water crossings into its own lane.
+        let mut ingress_lane = hub.lane(0..num_workers, false);
         let mut next_pkt_id: u64 = 0;
-        let mut seq_base: u64 = 0;
         for (phase_workers, packets) in phases {
             assert!(phase_workers >= 1);
             if phase_workers != cur_workers {
@@ -840,25 +737,14 @@ impl ThreadedMiddlebox {
                 coremap = new_map;
                 tables = new_tables;
                 cur_workers = phase_workers;
-                if let Some(bus) = &health_bus {
-                    bus.emit(
-                        at_ns,
-                        HealthEvent::ReconfigPhase {
-                            epoch: coremap.epoch(),
-                            phase: "rescale",
-                            cores: phase_workers,
-                        },
-                    );
-                }
+                let event = HealthEvent::ReconfigPhase {
+                    epoch: coremap.epoch(),
+                    phase: "rescale",
+                    cores: phase_workers,
+                };
+                hub.health(at_ns, event);
             }
             stats.offered += packets.len() as u64;
-            // The watchdog reads progress from the live slots; allocate
-            // internal ones when it is armed without an external reader.
-            let live_slots = match (&config.live, config.watchdog_deadline_ns) {
-                (Some(l), _) => Some(l.clone()),
-                (None, Some(_)) => Some(Arc::new(LiveSlots::new(cur_workers))),
-                (None, None) => None,
-            };
             let shared = WorkerShared::<NF> {
                 rx: (0..cur_workers)
                     .map(|_| ArrayQueue::new(config.queue_capacity))
@@ -879,30 +765,21 @@ impl ThreadedMiddlebox {
                 lost: AtomicU64::new(0),
                 fault: fault_pending,
                 fault_fired: AtomicBool::new(false),
-                obs,
-                live: live_slots,
-                profile_live: obs.profile.then(|| config.profile_live.clone()).flatten(),
-                health: health_bus.clone(),
-                reorder: reorder_sketch.clone(),
-                flight: flight_shared.clone(),
+                obs: hub.clone(),
                 scr: (config.mode == DispatchMode::Scr && !nf_config.stateless)
                     .then(|| SharedScrPlane::new(cur_workers, config.scr_log_capacity)),
                 scr_done: AtomicUsize::new(0),
                 anchor,
-                trace_seq: AtomicU64::new(seq_base),
             };
 
             let mut results: Vec<(usize, WorkerResult)> = Vec::new();
             let mut rx_hwm = vec![0u64; cur_workers];
-            // Per-queue high-water latches for the ingress health events:
-            // edge-triggered at 3/4 capacity, re-armed below 1/2.
-            let mut hwm_latched = vec![false; cur_workers];
             let watchdog_stop = AtomicBool::new(false);
             std::thread::scope(|s| {
                 let mut handles = Vec::new();
-                for worker in 0..cur_workers {
+                for (worker, lane) in lanes[..cur_workers].iter_mut().enumerate() {
                     let shared = &shared;
-                    handles.push(s.spawn(move || Worker::new(nf, shared, worker).run()));
+                    handles.push(s.spawn(move || Worker::new(nf, shared, worker, lane).run()));
                 }
                 let watchdog = config.watchdog_deadline_ns.map(|deadline_ns| {
                     let shared = &shared;
@@ -927,25 +804,16 @@ impl ThreadedMiddlebox {
                     // Parse headers exactly once: the classification
                     // rides with the descriptor through queues and rings.
                     let class = PacketClass::of(&pkt);
-                    // The reorder sketch keys on the same stable flow
-                    // hash the tracer uses.
-                    let flow = if obs.trace || obs.reorder {
-                        class.key.map_or(0, |k| k.stable_hash())
-                    } else {
-                        0
-                    };
-                    let arrival_ns = if obs.any() {
+                    let flow = hub.flow_hash(class.key);
+                    let arrival_ns = if config.obs.any() {
                         anchor.elapsed().as_nanos() as u64
                     } else {
                         0
                     };
-                    // Allocate the event's sequence number *before* the
-                    // push so a worker's first event for this packet
-                    // (whose sequence is allocated after its pop) always
-                    // sorts after the admission event.
-                    let pre_seq = obs
-                        .trace
-                        .then(|| shared.trace_seq.fetch_add(1, Ordering::Relaxed));
+                    // The admission event's sequence number is allocated
+                    // *before* the push, so a worker's first event for
+                    // this packet (allocated after its pop) sorts after.
+                    ingress_lane.reserve_seq();
                     // Claim before push: a consumer's per-batch decrement
                     // must never race the counter below zero.
                     shared.rx_remaining.fetch_add(1, Ordering::SeqCst);
@@ -966,22 +834,10 @@ impl ThreadedMiddlebox {
                                 admitted = true;
                                 let depth = shared.rx[q].len() as u64;
                                 rx_hwm[q] = rx_hwm[q].max(depth);
-                                if let Some(bus) = &health_bus {
-                                    let cap = config.queue_capacity as u64;
-                                    if !hwm_latched[q] && depth * 4 >= cap * 3 {
-                                        hwm_latched[q] = true;
-                                        bus.emit(
-                                            anchor.elapsed().as_nanos() as u64,
-                                            HealthEvent::QueueHighWater {
-                                                core: q,
-                                                depth,
-                                                capacity: cap,
-                                            },
-                                        );
-                                    } else if hwm_latched[q] && depth * 2 < cap {
-                                        hwm_latched[q] = false;
-                                    }
-                                }
+                                let capacity = config.queue_capacity as u64;
+                                ingress_lane.queue_depth(q, depth, capacity, || {
+                                    anchor.elapsed().as_nanos() as u64
+                                });
                                 break;
                             }
                             Err(back) => {
@@ -991,30 +847,14 @@ impl ThreadedMiddlebox {
                             }
                         }
                     }
-                    if !admitted {
+                    if admitted {
+                        ingress_lane.ingress(q, arrival_ns, flow, id);
+                    } else {
                         shared.rx_remaining.fetch_sub(1, Ordering::SeqCst);
                         stats.queue_drops += 1;
                         // Clock read only on this already-slow drop path.
-                        if let Some(samplers) = ingress_samplers.as_mut() {
-                            let ts = anchor.elapsed().as_nanos() as u64;
-                            samplers[q].record(ts, |s| s.queue_drops += 1);
-                        }
-                    }
-                    if let (Some(ring), Some(seq)) = (ingress_ring.as_mut(), pre_seq) {
-                        let (kind, aux) = if admitted {
-                            (EventKind::IngressEnqueue, 0)
-                        } else {
-                            (EventKind::Drop, DropKind::QueueFull.to_aux())
-                        };
-                        ring.push(TraceEvent {
-                            seq,
-                            ts: arrival_ns,
-                            core: q as u16,
-                            kind,
-                            flow,
-                            pkt: id,
-                            aux,
-                        });
+                        let ts = anchor.elapsed().as_nanos() as u64;
+                        ingress_lane.drop(q, ts, DropKind::QueueFull, flow, id);
                     }
                 }
                 shared.ingress_done.store(true, Ordering::SeqCst);
@@ -1028,26 +868,15 @@ impl ThreadedMiddlebox {
                         Ok(r) => results.push((worker, r)),
                         Err(payload) => {
                             let message = panic_message(payload.as_ref());
-                            if let Some(fs) = flight_shared.as_deref() {
-                                // A panic that escaped the guarded
-                                // dispatch never reached `record_death`;
-                                // latch here (the dead worker's ring is
-                                // lost with its thread).
-                                fs.freeze(
-                                    anchor.elapsed().as_nanos() as u64,
-                                    "worker_death",
-                                    worker as u16,
-                                );
-                            }
-                            if let Some(bus) = &health_bus {
-                                bus.emit(
-                                    anchor.elapsed().as_nanos() as u64,
-                                    HealthEvent::WorkerDeath {
-                                        core: worker,
-                                        message: message.clone(),
-                                    },
-                                );
-                            }
+                            // A panic that escaped the guarded dispatch
+                            // never reached `record_death`: latch and
+                            // announce here (the marker lives in the
+                            // freeze record only).
+                            let event = HealthEvent::WorkerDeath {
+                                core: worker,
+                                message: message.clone(),
+                            };
+                            hub.health(anchor.elapsed().as_nanos() as u64, event);
                             failures.push(WorkerFailure {
                                 core: worker,
                                 message,
@@ -1060,7 +889,6 @@ impl ThreadedMiddlebox {
                     failures.extend(h.join().unwrap_or_default());
                 }
             });
-            seq_base = shared.trace_seq.load(Ordering::SeqCst);
             if let Some(plane) = shared.scr.as_ref() {
                 // Final sweep: a publish that raced a dying peer's own
                 // log truncation can strand updates in a dead core's
@@ -1086,40 +914,18 @@ impl ThreadedMiddlebox {
                 if let Some(f) = r.failure {
                     failures.push(f);
                 }
-                outcome.per_worker_processed[worker] += r.stats.processed;
-                outcome.nf_drops += r.nf_drops;
+                per_worker_processed[worker] += r.stats.processed;
                 stats.nf_drops += r.nf_drops;
                 stats.ring_drops += r.ring_drops;
                 stats.forwarded += r.out.len() as u64;
-                outcome.forwarded.extend(r.out);
+                forwarded.extend(r.out);
                 stats.per_core[worker].merge(&r.stats);
                 stats.per_core[worker].observe_rx_depth(rx_hwm[worker]);
                 stats.table_occupancy_hwm = stats.table_occupancy_hwm.max(r.table_hwm);
                 for (bucket, n) in stats.scr_lag_hist.iter_mut().zip(r.scr_lag_hist) {
                     *bucket += n;
                 }
-                outcome.scr_guard_hwm = outcome.scr_guard_hwm.max(r.scr_guard_hwm);
-                if let Some(ring) = r.trace {
-                    worker_rings.push(ring);
-                }
-                if let (Some(acc), Some(p)) = (probes_acc.as_mut(), r.probes.as_ref()) {
-                    acc.merge(p);
-                }
-                if let (Some(acc), Some(s)) = (sample_acc.as_mut(), r.sampler.as_ref()) {
-                    acc[worker].merge(s);
-                }
-                if let (Some(acc), Some(p)) = (profile_acc.as_mut(), r.profile.as_ref()) {
-                    acc.merge_core(worker, p);
-                }
-                if let (Some(rings), Some(ring)) = (flight_rings.as_mut(), r.flight.as_ref()) {
-                    rings[worker].absorb(ring);
-                }
-                if let Some(t) = r.tail {
-                    match tail_acc.as_mut() {
-                        Some(acc) => acc.merge(&t),
-                        None => tail_acc = Some(t),
-                    }
-                }
+                scr_guard_hwm = scr_guard_hwm.max(r.scr_guard_hwm);
             }
         }
         // Lifecycle counters are cumulative on the shared tables (they
@@ -1135,61 +941,26 @@ impl ThreadedMiddlebox {
         stats.flows_dropped = lc.dropped;
         stats.table_live = tables.total_entries() as u64;
         stats.table_occupancy_hwm = stats.table_occupancy_hwm.max(stats.table_live);
-        outcome.redirects = stats.redirects();
-        outcome.trace = ingress_ring.map(|ir| {
-            let mut rings = worker_rings;
-            rings.push(ir);
-            let meta = TraceMeta {
-                runtime: "threads".to_string(),
-                ticks_per_us: THREAD_TICKS_PER_US,
-                num_cores: num_workers,
-                expected: Some(ExpectedCounts {
-                    offered: stats.offered,
-                    processed: stats.processed(),
-                    forwarded: stats.forwarded,
-                    nf_drops: stats.nf_drops,
-                    nic_cap_drops: stats.nic_cap_drops,
-                    queue_drops: stats.queue_drops,
-                    ring_drops: stats.ring_drops,
-                    redirects: stats.redirects(),
-                }),
-            };
-            Trace::assemble(meta, rings)
-        });
-        outcome.probes = probes_acc;
-        outcome.samples = sample_acc.map(|mut cores| {
-            if let Some(ing) = ingress_samplers {
-                for (c, i) in cores.iter_mut().zip(ing.iter()) {
-                    c.merge(i);
-                }
-            }
-            SampleSet::assemble(THREAD_TICKS_PER_US, cores)
-        });
-        outcome.stats = stats;
-        outcome.reconfigs = reconfigs;
-        outcome.failures = failures;
-        outcome.profile = profile_acc;
-        // Drop the master producer handle before draining so the
-        // collector sees every event (workers' clones are gone once the
-        // last phase joined).
-        drop(health_bus);
-        outcome.health = health_collector.map(|c| c.collect(THREAD_TICKS_PER_US));
-        outcome.reorder = reorder_sketch.map(|s| s.report());
-        // An empty-input run with tail on still reports (zeroes).
-        outcome.tail = tail_acc.or_else(|| {
-            obs.tail
-                .then(|| TailTracker::new(num_workers, obs.tail_threshold_ticks).report())
-        });
-        outcome.flight = flight_shared.map(|fs| {
-            let frozen = fs.record.lock().unwrap().take();
-            FlightSnapshot::assemble(
-                "threads",
-                THREAD_TICKS_PER_US,
-                frozen,
-                flight_rings.as_deref().unwrap_or(&[]),
-            )
-        });
-        outcome
+        lanes.push(ingress_lane);
+        let report = hub.finish(lanes, &stats);
+        ThreadedOutcome {
+            forwarded,
+            nf_drops: stats.nf_drops,
+            per_worker_processed,
+            redirects: stats.redirects(),
+            stats,
+            trace: report.trace,
+            probes: report.probes,
+            samples: report.samples,
+            reconfigs,
+            failures,
+            profile: report.profile,
+            health: report.health,
+            reorder: report.reorder,
+            tail: report.tail,
+            flight: report.flight,
+            scr_guard_hwm,
+        }
     }
 }
 
@@ -1206,6 +977,7 @@ fn watchdog_loop<NF: NetworkFunction>(
     deadline_ns: u64,
 ) -> Vec<WorkerFailure> {
     let watch = shared
+        .obs
         .live
         .as_deref()
         .expect("watchdog requires live slots");
@@ -1232,25 +1004,16 @@ fn watchdog_loop<NF: NetworkFunction>(
                 let since = *stalled_since[w].get_or_insert_with(Instant::now);
                 if since.elapsed() >= deadline {
                     shared.dead[w].store(true, Ordering::SeqCst);
-                    if let Some(fs) = shared.flight.as_deref() {
-                        // The fenced worker's ring freezes as-is; the
-                        // marker lives in the freeze record only (the
-                        // ring is owned by the wedged thread).
-                        fs.freeze(
-                            shared.anchor.elapsed().as_nanos() as u64,
-                            "watchdog_fence",
-                            w as u16,
-                        );
-                    }
-                    if let Some(bus) = &shared.health {
-                        bus.emit(
-                            shared.anchor.elapsed().as_nanos() as u64,
-                            HealthEvent::WatchdogFence {
-                                core: w,
-                                stalled_ticks: since.elapsed().as_nanos() as u64,
-                            },
-                        );
-                    }
+                    // The fenced worker's ring freezes as-is; the
+                    // marker lives in the freeze record only (the ring
+                    // is owned by the wedged thread).
+                    let event = HealthEvent::WatchdogFence {
+                        core: w,
+                        stalled_ticks: since.elapsed().as_nanos() as u64,
+                    };
+                    shared
+                        .obs
+                        .health(shared.anchor.elapsed().as_nanos() as u64, event);
                     failures.push(WorkerFailure {
                         core: w,
                         message: format!(
@@ -1273,7 +1036,7 @@ fn watchdog_loop<NF: NetworkFunction>(
 }
 
 impl<'a, NF: NetworkFunction> Worker<'a, NF> {
-    fn new(nf: &'a NF, shared: &'a WorkerShared<NF>, id: usize) -> Self {
+    fn new(nf: &'a NF, shared: &'a WorkerShared<NF>, id: usize, lane: &'a mut ObsLane) -> Self {
         Worker {
             nf,
             shared,
@@ -1283,19 +1046,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             nf_drops: 0,
             ring_drops: 0,
             stats: CoreStats::default(),
-            trace: shared
-                .obs
-                .trace
-                .then(|| TraceRing::new(shared.obs.trace_ring_capacity)),
-            probes: shared.obs.latency.then(LatencyProbes::new),
-            sampler: shared.obs.sample.then(|| {
-                TimeSeries::new(
-                    shared.obs.sample_interval_us.max(1) * THREAD_TICKS_PER_US,
-                    shared.obs.sample_capacity.max(2),
-                )
-            }),
+            lane,
             mark: SampleMark::default(),
-            profile: shared.obs.profile.then(StageProfile::default),
             prof_mark_ns: 0,
             failure: None,
             fault_fired: false,
@@ -1304,14 +1056,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             scratch_meta: Vec::new(),
             redirects: Vec::new(),
             sink: VerdictSink::with_capacity(shared.batch_size),
-            flight: shared
-                .flight
-                .is_some()
-                .then(|| FlightRing::new(shared.obs.flight_capacity)),
-            tail: shared
-                .obs
-                .tail
-                .then(|| TailTracker::new(shared.rx.len(), shared.obs.tail_threshold_ticks)),
             scr_replica: ScrReplica::new(),
             scr_lag_hist: [0; BATCH_HIST_BUCKETS],
             scr_done_marked: false,
@@ -1324,17 +1068,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             },
             table_hwm: 0,
             evictions_hooked: 0,
-        }
-    }
-
-    /// Record one event into this worker's flight ring. A no-op when
-    /// the recorder is off or the run-level latch has frozen.
-    #[inline]
-    fn record_flight(&mut self, ts: u64, kind: FlightKind, a: u64, b: u64) {
-        if let (Some(ring), Some(fs)) = (self.flight.as_mut(), self.shared.flight.as_deref()) {
-            if !fs.frozen.load(Ordering::Relaxed) {
-                ring.push(FlightEvent { ts, kind, a, b });
-            }
         }
     }
 
@@ -1360,20 +1093,9 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     fn fire_fault(&mut self, kind: &'static str) {
         self.fault_fired = true;
         self.shared.fault_fired.store(true, Ordering::SeqCst);
-        if self.shared.flight.is_some() {
-            let ts = self.now_ns();
-            let code = health_kind_code("fault_injected");
-            self.record_flight(ts, FlightKind::Health, code, self.id as u64);
-        }
-        if let Some(bus) = &self.shared.health {
-            bus.emit(
-                self.now_ns(),
-                HealthEvent::FaultInjected {
-                    kind,
-                    core: self.id,
-                },
-            );
-        }
+        let core = self.id;
+        self.lane
+            .health(self.now_ns(), HealthEvent::FaultInjected { kind, core });
     }
 
     /// Nanoseconds since the run anchor. Read twice per non-empty batch
@@ -1383,13 +1105,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// observability plane, the lifecycle clock or a fault path.
     fn now_ns(&self) -> u64 {
         self.shared.anchor.elapsed().as_nanos() as u64
-    }
-
-    /// True when per-batch deltas must be computed (sampling series
-    /// and/or live slots). Off on both counts → zero clock reads.
-    #[inline]
-    fn sampling(&self) -> bool {
-        self.sampler.is_some() || self.shared.live.is_some()
     }
 
     /// Close a non-empty batch: charge its wall-clock busy window into
@@ -1407,24 +1122,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let end_ns = self.now_ns();
         let busy_ticks = end_ns.saturating_sub(start_ns.max(self.mark.end_ns));
         self.stats.busy_cycles += busy_ticks;
-        if !self.sampling() {
-            self.mark.end_ns = end_ns;
-            return;
-        }
-        let d = CoreSample {
-            processed: self.stats.processed - self.mark.processed,
-            forwarded: self.out.len() as u64 - self.mark.forwarded,
-            nf_drops: self.nf_drops - self.mark.nf_drops,
-            queue_drops: 0,
-            ring_drops: self.ring_drops - self.mark.ring_drops,
-            nic_cap_drops: 0,
-            redirected_in: self.stats.redirected_in - self.mark.redirected_in,
-            redirected_out: self.stats.redirected_out - self.mark.redirected_out,
-            rx_occupancy_hwm: rx_depth,
-            ring_occupancy_hwm: ring_depth,
-            busy_ticks,
-        };
-        self.mark = SampleMark {
+        let was = self.mark;
+        let now = SampleMark {
             processed: self.stats.processed,
             forwarded: self.out.len() as u64,
             nf_drops: self.nf_drops,
@@ -1433,11 +1132,21 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             redirected_out: self.stats.redirected_out,
             end_ns,
         };
-        if let Some(s) = self.sampler.as_mut() {
-            s.record(start_ns, |b| b.merge(&d));
-        }
-        if let Some(live) = self.shared.live.as_deref() {
-            live.add(self.id, &d);
+        self.mark = now;
+        // The delta is computed only if the series or the live slots
+        // will take it.
+        self.lane.sample(self.id, start_ns, |d| {
+            d.processed = now.processed - was.processed;
+            d.forwarded = now.forwarded - was.forwarded;
+            d.nf_drops = now.nf_drops - was.nf_drops;
+            d.ring_drops = now.ring_drops - was.ring_drops;
+            d.redirected_in = now.redirected_in - was.redirected_in;
+            d.redirected_out = now.redirected_out - was.redirected_out;
+            d.rx_occupancy_hwm = rx_depth;
+            d.ring_occupancy_hwm = ring_depth;
+            d.busy_ticks = busy_ticks;
+        });
+        if let Some(live) = self.shared.obs.live.as_deref() {
             // The memory pane's view: own-core occupancy gauge (one
             // read-lock on our own table) and the running hook-confirmed
             // eviction total.
@@ -1453,7 +1162,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// profiling is off.
     #[inline]
     fn prof_start(&self) -> u64 {
-        if self.profile.is_some() {
+        if self.shared.obs.cfg.profile {
             self.now_ns()
         } else {
             0
@@ -1465,18 +1174,13 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// work-conserving redirect path re-enters `drain_ring` mid-span)
     /// attribute every nanosecond to exactly one stage.
     fn prof_span(&mut self, stage: Stage, start_ns: u64) {
-        if self.profile.is_none() {
+        if !self.shared.obs.cfg.profile {
             return;
         }
-        let end_ns = self.shared.anchor.elapsed().as_nanos() as u64;
+        let end_ns = self.now_ns();
         let ticks = end_ns.saturating_sub(start_ns.max(self.prof_mark_ns));
         self.prof_mark_ns = end_ns;
-        if let Some(p) = self.profile.as_mut() {
-            p.record(stage, ticks);
-        }
-        if let Some(slots) = self.shared.profile_live.as_deref() {
-            slots.add(self.id, stage, ticks);
-        }
+        self.lane.stage(self.id, stage, ticks);
     }
 
     /// Declare this worker dead after a captured NF panic: raise the
@@ -1486,47 +1190,17 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// many descriptors die with it.
     fn record_death(&mut self, message: String) {
         self.shared.dead[self.id].store(true, Ordering::SeqCst);
-        if self.shared.flight.is_some() {
-            // Stamp the crash into our own ring, then latch the run
-            // (first crash wins): the marker must land before the latch
-            // turns `record_flight` into a no-op.
-            let ts = self.now_ns();
-            let code = health_kind_code("worker_death");
-            self.record_flight(ts, FlightKind::Health, code, self.id as u64);
-            self.record_flight(ts, FlightKind::Freeze, code, self.id as u64);
-            if let Some(fs) = self.shared.flight.as_deref() {
-                fs.freeze(ts, "worker_death", self.id as u16);
-            }
-        }
-        if let Some(bus) = &self.shared.health {
-            bus.emit(
-                self.now_ns(),
-                HealthEvent::WorkerDeath {
-                    core: self.id,
-                    message: message.clone(),
-                },
-            );
-        }
+        // The crash is stamped into our own ring, then latches the run
+        // (first crash wins).
+        let event = HealthEvent::WorkerDeath {
+            core: self.id,
+            message: message.clone(),
+        };
+        self.lane.health(self.now_ns(), event);
         self.failure = Some(WorkerFailure {
             core: self.id,
             message,
         });
-    }
-
-    /// Record one trace event (no-op when tracing is off).
-    fn emit(&mut self, core: usize, ts: u64, kind: EventKind, flow: u64, pkt: u64, aux: u64) {
-        if let Some(ring) = self.trace.as_mut() {
-            let seq = self.shared.trace_seq.fetch_add(1, Ordering::Relaxed);
-            ring.push(TraceEvent {
-                seq,
-                ts,
-                core: core as u16,
-                kind,
-                flow,
-                pkt,
-                aux,
-            });
-        }
     }
 
     fn run(mut self) -> WorkerResult {
@@ -1608,13 +1282,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             nf_drops: self.nf_drops,
             ring_drops: self.ring_drops,
             stats: self.stats,
-            trace: self.trace,
-            probes: self.probes,
-            sampler: self.sampler,
-            profile: self.profile,
             failure: self.failure,
-            flight: self.flight,
-            tail: self.tail.map(|t| t.report()),
             scr_lag_hist: self.scr_lag_hist,
             scr_guard_hwm: self.scr_replica.len_hwm(),
             table_hwm: self.table_hwm,
@@ -1939,7 +1607,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         if self.scratch_pkts.is_empty() {
             return;
         }
-        let obs_on = self.shared.obs.any();
+        let obs_on = self.shared.obs.cfg.any();
         let cut = self.panic_cut(self.scratch_pkts.len());
         if cut.is_some() {
             self.fire_fault("crash");
@@ -2014,57 +1682,25 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// nothing.
     fn observe_completions(&mut self, completed: usize, via_ring: bool, t0: u64) {
         let t1 = self.now_ns();
-        for i in 0..completed {
-            let m = self.scratch_meta[i];
-            let dropped = self.sink.verdicts()[i] == Verdict::Drop;
-            // A redirected packet's wait splits at its ring push.
-            let (queue_wait, redirect_transit) = if via_ring {
-                (
-                    m.relay_ns.saturating_sub(m.arrival_ns),
-                    t0.saturating_sub(m.relay_ns),
-                )
-            } else {
-                (t0.saturating_sub(m.arrival_ns), 0)
-            };
-            let (core, flow, id) = (self.id, m.flow, m.id);
-            if via_ring {
-                self.emit(core, t0, EventKind::RedirectIn, flow, id, redirect_transit);
-            }
-            self.emit(core, t0, EventKind::NfStart, flow, id, 0);
-            self.emit(core, t1, EventKind::NfDone, flow, id, u64::from(dropped));
-            if let Some(p) = self.probes.as_mut() {
-                // Redirected packets report ring latency where local
-                // ones report queue wait (admission to NF start).
-                if via_ring {
-                    p.redirect_ns.record(redirect_transit);
-                } else {
-                    p.queue_wait_ns.record(queue_wait);
-                }
-                p.sojourn_ns.record(t1.saturating_sub(m.arrival_ns));
-            }
-            if let Some(tail) = self.tail.as_mut() {
+        for (m, verdict) in self.scratch_meta[..completed]
+            .iter()
+            .zip(self.sink.verdicts())
+        {
+            let done = Completion {
+                id: m.id,
+                flow: m.flow,
+                arrival: m.arrival_ns,
+                relay: via_ring.then_some(m.relay_ns),
+                start: t0,
+                done: t1,
+                dropped: *verdict == Verdict::Drop,
                 // Classify/tx framework overhead is not separable per
                 // packet here, so those spans are 0 and the NF span
                 // absorbs them.
-                tail.on_complete(
-                    self.id,
-                    TailSpans {
-                        queue_wait,
-                        classify: 0,
-                        redirect_transit,
-                        nf: t1.saturating_sub(t0),
-                        tx: 0,
-                    },
-                );
-            }
-            // Streaming reorder estimate: completion order vs arrival
-            // ordinal, same (flow, id) pairs the offline analyzer sees.
-            // Unparseable packets (flow 0) are skipped on both sides.
-            if let Some(sketch) = self.shared.reorder.as_deref() {
-                if flow != 0 {
-                    sketch.on_complete(core, flow, id);
-                }
-            }
+                classify: 0,
+                tx: 0,
+            };
+            self.lane.complete(self.id, &done);
         }
     }
 
@@ -2076,7 +1712,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         self.stats.observe_ring_depth(depth);
         debug_assert!(self.scratch_pkts.is_empty());
         // The flight recorder reads a ring batch's redirect-push stamps.
-        let keep_meta = self.shared.obs.any() || self.flight.is_some();
+        let flight = self.shared.obs.cfg.flight;
+        let keep_meta = self.shared.obs.cfg.any() || flight;
         let c0 = self.prof_start();
         let mut n = 0u64;
         while n < self.shared.batch_size as u64 {
@@ -2102,24 +1739,16 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             .fetch_sub(n, Ordering::SeqCst);
         self.stats.record_batch(n);
         self.stats.redirected_in += n;
-        if self.flight.is_some() {
-            self.record_flight(sample_start, FlightKind::Batch, n, depth);
+        self.lane.batch(self.id, sample_start, n, depth);
+        if flight {
             // One transfer-latency event per redirected descriptor,
             // measured push → this drain (`relay_ns` is stamped on the
             // redirect path whenever the recorder is on).
-            for i in 0..self.scratch_meta.len() {
-                let transfer = sample_start.saturating_sub(self.scratch_meta[i].relay_ns);
-                self.record_flight(sample_start, FlightKind::RedirectIn, transfer, 0);
+            for m in &self.scratch_meta {
+                let transfer = sample_start.saturating_sub(m.relay_ns);
+                self.lane.redirect_in(self.id, sample_start, transfer);
             }
         }
-        self.emit(
-            self.id,
-            sample_start,
-            EventKind::Drain,
-            0,
-            TraceEvent::NO_PKT,
-            n,
-        );
         self.process_batch_local(true);
         self.close_batch(sample_start, 0, depth);
         true
@@ -2132,7 +1761,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let depth = rx.len() as u64;
         self.stats.observe_rx_depth(depth);
         debug_assert!(self.scratch_pkts.is_empty() && self.redirects.is_empty());
-        let keep_meta = self.shared.obs.any();
+        let keep_meta = self.shared.obs.cfg.any();
         let c0 = self.prof_start();
         let mut n = 0u64;
         while n < self.shared.batch_size as u64 {
@@ -2158,7 +1787,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         // Batch formation — pops plus the per-packet core-picker
         // decision — is classify work.
         self.prof_span(Stage::Classify, c0);
-        self.record_flight(sample_start, FlightKind::Batch, n, depth);
         // Register this batch's redirects BEFORE releasing its rx claim:
         // between the two updates `rx_remaining` still covers the batch,
         // and afterwards `redirects_outstanding` covers the in-flight
@@ -2171,14 +1799,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
         self.shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
         self.stats.record_batch(n);
-        self.emit(
-            self.id,
-            sample_start,
-            EventKind::Drain,
-            0,
-            TraceEvent::NO_PKT,
-            n,
-        );
+        self.lane.batch(self.id, sample_start, n, depth);
         self.process_batch_local(false);
         self.close_batch(sample_start, depth, 0);
         true
@@ -2189,23 +1810,16 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// is dropped and accounted in `ring_drops`.
     fn push_redirect(&mut self, target: usize, mut desc: Desc) {
         self.stats.redirected_out += 1;
-        if self.shared.obs.any() || self.flight.is_some() {
+        let DescMeta { id, flow, .. } = desc.meta;
+        // A per-packet plane or the flight recorder reads the stamps.
+        let observed = self.shared.obs.cfg.any() || self.shared.obs.cfg.flight;
+        if observed {
             desc.meta.relay_ns = self.now_ns();
+            // Emitted *before* the push so this event's sequence precedes
+            // the consumer's RedirectIn (allocated after its pop).
+            self.lane
+                .redirect_out(self.id, desc.meta.relay_ns, flow, id, target);
         }
-        // Emitted *before* the push so this event's sequence precedes the
-        // consumer's RedirectIn (whose sequence is allocated after pop).
-        let DescMeta {
-            id, flow, relay_ns, ..
-        } = desc.meta;
-        self.emit(
-            self.id,
-            relay_ns,
-            EventKind::RedirectOut,
-            flow,
-            id,
-            target as u64,
-        );
-        self.record_flight(relay_ns, FlightKind::RedirectOut, target as u64, 0);
         for attempt in 0..=self.shared.redirect_retries {
             if self.shared.dead[target].load(Ordering::SeqCst) {
                 // The designated core is declared failed: this
@@ -2235,20 +1849,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             }
         }
         self.ring_drops += 1;
-        let drop_ns = if self.shared.obs.any() || self.flight.is_some() {
-            self.now_ns()
-        } else {
-            0
-        };
-        self.emit(
-            target,
-            drop_ns,
-            EventKind::Drop,
-            flow,
-            id,
-            DropKind::RingFull.to_aux(),
-        );
-        self.record_flight(drop_ns, FlightKind::Drop, DropKind::RingFull.to_aux(), 0);
+        if observed {
+            let drop_ns = self.now_ns();
+            self.lane
+                .drop(target, drop_ns, DropKind::RingFull, flow, id);
+        }
         self.shared
             .redirects_outstanding
             .fetch_sub(1, Ordering::SeqCst);
@@ -2260,6 +1865,7 @@ mod tests {
     use super::*;
     use crate::api::{FlowStateApi, NfDescriptor};
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
+    use sprayer_obs::CoreSample;
 
     /// NAT-ish test NF: SYN installs state on the designated core;
     /// regular packets must find it (from any worker) or be dropped.
@@ -2684,6 +2290,70 @@ mod tests {
         assert_eq!(seqs.len(), trace.events.len(), "duplicate trace sequences");
     }
 
+    /// 8 000 packets (SYNs first, so redirects happen) as one phase or
+    /// as `phases` equal ones.
+    fn eight_thousand(phases: usize) -> Vec<Vec<Packet>> {
+        let mut pkts = syn_phase(400);
+        pkts.extend(data_phase(16, 475));
+        assert_eq!(pkts.len(), 8_000);
+        pkts.chunks(8_000 / phases)
+            .map(<[Packet]>::to_vec)
+            .collect()
+    }
+
+    #[test]
+    fn the_trace_bound_is_per_run_not_per_phase() {
+        let nf = TrackerNf;
+        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        config.obs = ObsConfig::tracing_with_capacity(100);
+        // Every event the run emitted, held or dropped, except the
+        // `Drain` markers (how many batches form is the scheduler's).
+        let emitted = |phases: usize| {
+            let out = ThreadedMiddlebox::run(&config, &nf, eight_thousand(phases));
+            let s = &out.stats;
+            assert_eq!(s.unaccounted(), 0, "{s:?}");
+            let trace = out.trace.expect("trace requested");
+            assert!(
+                trace.events.len() <= 300,
+                "{phases} phases hold {} events: two worker lanes and the \
+                 ingress lane are bounded at 100 each for the whole run",
+                trace.events.len()
+            );
+            let batches: u64 = s.per_core.iter().map(|c| c.batches()).sum();
+            let redirected_in: u64 = s.per_core.iter().map(|c| c.redirected_in).sum();
+            let total = trace.events.len() as u64 + trace.dropped;
+            assert_eq!(
+                total - batches,
+                s.offered + s.redirects() + redirected_in + s.ring_drops + 2 * s.processed(),
+                "{phases} phases: one event per admission or queue drop, redirect \
+                 push and pickup, ring drop, NF start and NF done"
+            );
+            total - batches
+        };
+        assert_eq!(emitted(20), emitted(1));
+    }
+
+    #[test]
+    fn a_rolling_tail_threshold_survives_phase_barriers() {
+        let nf = TrackerNf;
+        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        config.obs = ObsConfig::tail_attribution();
+        for phases in [1, 20] {
+            let out = ThreadedMiddlebox::run(&config, &nf, eight_thousand(phases));
+            let tail = out.tail.expect("tail attribution requested");
+            assert!(tail.rolling);
+            assert_eq!(tail.completions, 8_000, "{phases} phases");
+            // 400 packets a phase over two workers never reach the 256
+            // completions a tracker warms up on; the run's 8 000 do.
+            assert_ne!(tail.threshold_ticks, u64::MAX, "{phases} phases: warmed up");
+            // Whether a later completion beats the rolling p99 is the
+            // scheduler's to decide once barriers keep the queues short
+            // (a cold first phase can hold the p99 for the whole run);
+            // in one phase ingress outruns the workers and it must.
+            assert!(phases > 1 || tail.exemplars > 0, "no exemplar in one phase");
+        }
+    }
+
     #[test]
     fn disabled_obs_returns_no_trace_or_probes() {
         let nf = TrackerNf;
@@ -2834,6 +2504,26 @@ mod tests {
         // The dying worker stamped the marker into its own ring.
         let last = snap.per_core[1].last().expect("marker stamped");
         assert_eq!(last.kind, FlightKind::Freeze);
+        // One clock read per health event: the black box and the health
+        // report agree on when it happened.
+        let health = out.health.expect("the recorder's preset arms the bus");
+        let on_bus = |kind: &str| {
+            let rec = health.records.iter().find(|r| r.event.kind() == kind);
+            rec.unwrap_or_else(|| panic!("{kind}: no record on the bus"))
+                .ts
+        };
+        let in_ring = |kind: &str| {
+            let code = sprayer_obs::health_kind_code(kind);
+            let mut ring = snap.per_core[1].iter();
+            let marker = ring.find(|e| e.kind == FlightKind::Health && e.a == code);
+            marker
+                .unwrap_or_else(|| panic!("{kind}: no marker in the ring"))
+                .ts
+        };
+        assert_eq!(in_ring("fault_injected"), on_bus("fault_injected"));
+        assert_eq!(in_ring("worker_death"), on_bus("worker_death"));
+        assert_eq!(freeze.ts, on_bus("worker_death"), "freeze record vs bus");
+        assert_eq!(last.ts, freeze.ts, "freeze marker vs freeze record");
         // Dump → parse is lossless (the blackbox analyzer's read path).
         let text = flight::write_string(&snap);
         assert_eq!(flight::parse(&text).expect("dump parses"), snap);

@@ -322,7 +322,7 @@ proptest! {
         prop_assert!(mb.is_idle());
 
         let s = mb.stats().clone();
-        let set = mb.take_samples().expect("sampling enabled");
+        let set = mb.take_obs().samples.expect("sampling enabled");
         prop_assert_eq!(set.num_cores(), 8);
         let totals = set.totals();
         for (core, cs) in s.per_core.iter().enumerate() {

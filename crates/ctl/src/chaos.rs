@@ -416,7 +416,8 @@ mod tests {
 
         let health = ctl
             .middlebox_mut()
-            .take_health()
+            .take_obs()
+            .health
             .expect("health bus armed via ObsConfig");
         let counts = health.counts();
         assert_eq!(counts.get("fault_injected"), Some(&2), "{counts:?}");

@@ -11,7 +11,9 @@
 //! fence, adversarial collapse, drop storm — see [`is_freeze_trigger`])
 //! the recorder **freezes**: a [`FlightKind::Freeze`] marker is stamped
 //! into the affected core's ring and all further recording becomes a
-//! no-op, preserving the pre-crash window. The frozen state dumps as a
+//! no-op, preserving the pre-crash window (the rings' owner and the
+//! latch live in `sprayer::obs_sink`; this module is the ring, the
+//! event vocabulary and the dump). The frozen state dumps as a
 //! versioned [`FLIGHT_SCHEMA`] snapshot (same line-oriented idiom as
 //! `trace_io`: one flat JSON header, then one CSV event per line) that
 //! the `blackbox` bin parses and renders post-mortem.
@@ -187,19 +189,6 @@ impl FlightRing {
         out.extend_from_slice(&self.buf[..self.start]);
         out
     }
-
-    /// Fold another ring's contents into this one, preserving
-    /// keep-newest semantics: the other ring's held events are replayed
-    /// oldest-first (overwriting this ring's oldest when full) and its
-    /// already-overwritten count carries over, so `recorded` /
-    /// `overwritten` stay exact. The threaded runtime uses this to
-    /// accumulate one ring per worker across phase barriers.
-    pub fn absorb(&mut self, other: &FlightRing) {
-        self.total += other.overwritten();
-        for ev in other.events_in_order() {
-            self.push(ev);
-        }
-    }
 }
 
 /// Why (and where) a recorder froze.
@@ -211,77 +200,6 @@ pub struct FlightFreeze {
     pub kind: String,
     /// The core the trigger concerned.
     pub core: u16,
-}
-
-/// The simulator-side recorder: one ring per core plus the freeze
-/// latch. (The threaded runtime gives each worker its own
-/// [`FlightRing`] and a shared atomic freeze flag, then assembles a
-/// [`FlightSnapshot`] at join.)
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    rings: Vec<FlightRing>,
-    frozen: Option<FlightFreeze>,
-}
-
-impl FlightRecorder {
-    /// A recorder over `num_cores` cores, `capacity` events per core.
-    pub fn new(num_cores: usize, capacity: usize) -> Self {
-        FlightRecorder {
-            rings: (0..num_cores).map(|_| FlightRing::new(capacity)).collect(),
-            frozen: None,
-        }
-    }
-
-    /// True once a critical event latched the recorder.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// Record one event on `core`. A no-op once frozen — the pre-crash
-    /// window must survive unmolested.
-    #[inline]
-    pub fn record(&mut self, core: usize, ev: FlightEvent) {
-        if self.frozen.is_some() {
-            return;
-        }
-        if let Some(ring) = self.rings.get_mut(core) {
-            ring.push(ev);
-        }
-    }
-
-    /// Freeze on a critical health event. First trigger wins; the
-    /// affected core's ring gets a [`FlightKind::Freeze`] marker as its
-    /// final event.
-    pub fn freeze(&mut self, ts: u64, kind: &str, core: u16) {
-        if self.frozen.is_some() {
-            return;
-        }
-        if let Some(ring) = self.rings.get_mut(core as usize) {
-            ring.push(FlightEvent {
-                ts,
-                kind: FlightKind::Freeze,
-                a: health_kind_code(kind),
-                b: u64::from(core),
-            });
-        }
-        self.frozen = Some(FlightFreeze {
-            ts,
-            kind: kind.to_string(),
-            core,
-        });
-    }
-
-    /// Package the rings into a snapshot.
-    pub fn snapshot(&self, runtime: &str, ticks_per_us: u64) -> FlightSnapshot {
-        FlightSnapshot {
-            runtime: runtime.to_string(),
-            ticks_per_us,
-            frozen: self.frozen.clone(),
-            per_core: self.rings.iter().map(|r| r.events_in_order()).collect(),
-            recorded: self.rings.iter().map(|r| r.recorded()).sum(),
-            overwritten: self.rings.iter().map(|r| r.overwritten()).sum(),
-        }
-    }
 }
 
 /// One run's flight-recorder state, ready to dump, parse, and render.
@@ -302,8 +220,7 @@ pub struct FlightSnapshot {
 }
 
 impl FlightSnapshot {
-    /// Assemble from per-worker rings (threaded runtime) plus the
-    /// shared freeze record.
+    /// Assemble from one ring per core plus the run's freeze record.
     pub fn assemble(
         runtime: &str,
         ticks_per_us: u64,
@@ -523,41 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_replays_held_events_and_carries_the_loss_count() {
-        let mut acc = FlightRing::new(3);
-        acc.push(ev(0, FlightKind::Batch, 1, 0));
-        let mut phase = FlightRing::new(3);
-        for i in 0..5u64 {
-            phase.push(ev(10 + i, FlightKind::Batch, i, 0));
-        }
-        acc.absorb(&phase);
-        // Keep-newest across the merge: the accumulator's old event and
-        // the phase's own two overwritten events are all gone.
-        let ts: Vec<u64> = acc.events_in_order().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![12, 13, 14]);
-        assert_eq!(acc.recorded(), 6, "1 + all 5 the phase ever recorded");
-        assert_eq!(acc.overwritten(), 3);
-    }
-
-    #[test]
-    fn recorder_freezes_first_wins_and_stops_recording() {
-        let mut rec = FlightRecorder::new(2, 8);
-        rec.record(0, ev(10, FlightKind::Batch, 4, 1));
-        rec.freeze(20, "worker_death", 1);
-        assert!(rec.is_frozen());
-        rec.record(0, ev(30, FlightKind::Batch, 4, 1)); // ignored
-        rec.freeze(40, "drop_storm", 0); // ignored: first wins
-        let snap = rec.snapshot("sim", 1_000_000);
-        let f = snap.frozen.as_ref().unwrap();
-        assert_eq!((f.ts, f.kind.as_str(), f.core), (20, "worker_death", 1));
-        assert_eq!(snap.per_core[0].len(), 1, "post-freeze events dropped");
-        // The freeze marker is the affected core's final event.
-        let last = snap.per_core[1].last().unwrap();
-        assert_eq!(last.kind, FlightKind::Freeze);
-        assert_eq!(last.a, health_kind_code("worker_death"));
-    }
-
-    #[test]
     fn health_kind_codes_match_the_health_event_names() {
         // The code table must track HealthEvent::kind exactly.
         let events = [
@@ -619,16 +501,22 @@ mod tests {
     }
 
     fn sample_snapshot(frozen: bool) -> FlightSnapshot {
-        let mut rec = FlightRecorder::new(2, 4);
-        rec.record(0, ev(100, FlightKind::Batch, 8, 3));
-        rec.record(1, ev(110, FlightKind::RedirectOut, 0, 0));
-        rec.record(0, ev(120, FlightKind::RedirectIn, 250, 0));
-        rec.record(1, ev(130, FlightKind::Drop, 1, 0));
-        rec.record(0, ev(140, FlightKind::Health, 1, 0));
-        if frozen {
-            rec.freeze(150, "drop_storm", 1);
-        }
-        rec.snapshot("sim", 1_000_000)
+        let mut rings = [FlightRing::new(4), FlightRing::new(4)];
+        rings[0].push(ev(100, FlightKind::Batch, 8, 3));
+        rings[1].push(ev(110, FlightKind::RedirectOut, 0, 0));
+        rings[0].push(ev(120, FlightKind::RedirectIn, 250, 0));
+        rings[1].push(ev(130, FlightKind::Drop, 1, 0));
+        rings[0].push(ev(140, FlightKind::Health, 1, 0));
+        let freeze = frozen.then(|| {
+            let code = health_kind_code("drop_storm");
+            rings[1].push(ev(150, FlightKind::Freeze, code, 1));
+            FlightFreeze {
+                ts: 150,
+                kind: "drop_storm".to_string(),
+                core: 1,
+            }
+        });
+        FlightSnapshot::assemble("sim", 1_000_000, freeze, &rings)
     }
 
     #[test]

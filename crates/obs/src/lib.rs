@@ -9,8 +9,7 @@
 //!   event log. Each threaded-runtime worker owns a ring (the
 //!   single-threaded simulator uses one for all cores), so recording is
 //!   an unsynchronized write into chunked storage; a single shared
-//!   sequence counter (one relaxed `fetch_add` per event in the
-//!   threaded runtime, a plain increment in the simulator) gives a
+//!   sequence counter (one relaxed `fetch_add` per event) gives a
 //!   global order to merge on.
 //! * [`Histogram`] — an HDR-style log-linear histogram over `u64`
 //!   values with merge, exact counts, and bounded-relative-error
@@ -41,10 +40,11 @@
 //!   completions record per-stage span breakdowns into a per-(stage,
 //!   core) histogram table (the `tail_*` metric set), so a p999 comes
 //!   with a *where*.
-//! * [`FlightRecorder`] — the crash flight recorder: always-on,
-//!   fixed-memory keep-newest per-core event rings that freeze on a
-//!   critical health event and dump a [`flight`] (`sprayer-flight/1`)
-//!   snapshot for the `blackbox` post-mortem analyzer.
+//! * [`FlightRing`] — the crash flight recorder's storage: always-on,
+//!   fixed-memory keep-newest per-core event rings that (under the
+//!   freeze latch `sprayer::obs_sink` keeps) stop at a critical health
+//!   event and dump a [`flight`] (`sprayer-flight/1`) snapshot for the
+//!   `blackbox` post-mortem analyzer.
 //!
 //! The crate deliberately depends on nothing but the (vendored) serde
 //! façade and `parking_lot`: both `sprayer` (core) and the benches can
@@ -80,7 +80,7 @@ pub use analyze::{
 pub use event::{DropKind, EventKind, TraceEvent};
 pub use flight::{
     health_kind_code, health_kind_name, is_freeze_trigger, FlightEvent, FlightFreeze, FlightKind,
-    FlightRecorder, FlightRing, FlightSnapshot, FLIGHT_SCHEMA,
+    FlightRing, FlightSnapshot, FLIGHT_SCHEMA,
 };
 pub use health::{
     health_channel, HealthBus, HealthCollector, HealthEvent, HealthRecord, HealthReport,

@@ -114,8 +114,8 @@ impl StageProfiler {
         self.cores[core].record(stage, ticks);
     }
 
-    /// Fold a finished core-profile in (the threaded runtime merges one
-    /// per worker at join time).
+    /// Fold a finished core-profile in (the runtimes' sink merges one
+    /// per covered core when a run finishes).
     pub fn merge_core(&mut self, core: usize, profile: &StageProfile) {
         if core >= self.cores.len() {
             self.cores.resize(core + 1, StageProfile::default());

@@ -58,8 +58,9 @@ impl FlowReorder {
 }
 
 /// Bounded online reordering estimator over one stream of NF
-/// completions (one per simulator, one per shard in the threaded
-/// runtime's [`SharedReorderSketch`]).
+/// completions: one shard of the [`SharedReorderSketch`] the runtimes'
+/// sink keeps (the simulator runs one shard, the threaded runtime one
+/// per worker).
 #[derive(Debug)]
 pub struct ReorderSketch {
     window: usize,
@@ -150,9 +151,8 @@ impl ReorderSketch {
     }
 }
 
-/// Sharded wrapper for the threaded runtime: workers complete packets
-/// concurrently, so flows are sharded over independently locked
-/// sketches (a flow always lands in the same shard, which is all the
+/// Sharded wrapper: threaded workers complete packets concurrently,
+/// so flows are sharded over independently locked sketches (a flow always lands in the same shard, which is all the
 /// per-flow math needs; cross-flow aggregates merge at report time).
 #[derive(Debug)]
 pub struct SharedReorderSketch {

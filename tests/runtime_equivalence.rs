@@ -21,12 +21,14 @@ use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::runtime_sim::MiddleboxSim;
 use sprayer::runtime_threads::{ThreadedConfig, ThreadedFault, ThreadedMiddlebox, ThreadedOutcome};
 use sprayer::stats::MiddleboxStats;
+use sprayer::ObsReport;
 use sprayer_net::flow::splitmix64;
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_nf::firewall::{AclRule, Action, FirewallNf};
 use sprayer_nf::load_balancer::Backend;
 use sprayer_nf::nat::NatNf;
 use sprayer_nf::{DpiNf, LoadBalancerNf, MonitorNf, Nat64Nf, RedundancyNf, SyntheticNf};
+use sprayer_obs::{analyze, EventKind, ExpectedCounts};
 use sprayer_sim::Time;
 
 const NAT_IP: u32 = 0xc633_640a;
@@ -84,13 +86,13 @@ fn phases(flows: u32, packets_per_flow: u32, port_of: impl Fn(u32) -> u16) -> Ve
 
 /// Run `phases` through the simulator with the same phase barriers the
 /// threaded runtime's `process_phases` provides, drain fully, and return
-/// the forwarded packets plus the final stats.
-fn run_sim_obs<NF: NetworkFunction>(
+/// the forwarded packets, the final stats and what the planes saw.
+fn run_sim_report<NF: NetworkFunction>(
     mode: DispatchMode,
     nf: NF,
     phases: &[Vec<Packet>],
     obs: ObsConfig,
-) -> (Vec<Packet>, MiddleboxStats) {
+) -> (Vec<Packet>, MiddleboxStats, ObsReport) {
     // Same core count as the threaded runtime, or the core maps (and
     // hence redirect decisions) would differ.
     let config = MiddleboxConfig {
@@ -113,7 +115,18 @@ fn run_sim_obs<NF: NetworkFunction>(
         assert!(mb.is_idle(), "phase must drain fully");
         forwarded.extend(mb.take_egress().into_iter().map(|(_, p)| p));
     }
-    (forwarded, mb.stats().clone())
+    let stats = mb.stats().clone();
+    (forwarded, stats, mb.take_obs())
+}
+
+fn run_sim_obs<NF: NetworkFunction>(
+    mode: DispatchMode,
+    nf: NF,
+    phases: &[Vec<Packet>],
+    obs: ObsConfig,
+) -> (Vec<Packet>, MiddleboxStats) {
+    let (forwarded, stats, _) = run_sim_report(mode, nf, phases, obs);
+    (forwarded, stats)
 }
 
 fn run_sim<NF: NetworkFunction>(
@@ -475,6 +488,119 @@ fn every_plane_on_changes_no_threaded_outcome() {
             "{what}: state counters"
         );
         assert_eq!(on.stats.scr_replay_gap(), 0, "{what}: replicas converge");
+    }
+}
+
+/// What one runtime's report must say about a drained run, whatever its
+/// clock: returns the per-kind counts of the packet-path trace events.
+fn check_report(what: &str, stats: &MiddleboxStats, report: &ObsReport) -> [u64; 6] {
+    let trace = report.trace.as_ref().expect("tracing on");
+    let expected = ExpectedCounts {
+        offered: stats.offered,
+        processed: stats.processed(),
+        forwarded: stats.forwarded,
+        nf_drops: stats.nf_drops,
+        nic_cap_drops: stats.nic_cap_drops,
+        queue_drops: stats.queue_drops,
+        ring_drops: stats.ring_drops,
+        redirects: stats.redirects(),
+    };
+    assert_eq!(trace.meta.expected, Some(expected), "{what}: trace stamp");
+    assert_eq!(trace.dropped, 0, "{what}: the default rings hold this run");
+    let c = analyze(trace).conservation;
+    assert!(c.ok(), "{what}: {:?}", c.violations);
+    let admitted = stats.offered - stats.nic_cap_drops - stats.queue_drops;
+    assert_eq!(
+        (c.ingress_enqueued, c.nf_done, c.forwarded, c.nf_drops),
+        (admitted, stats.processed(), stats.forwarded, stats.nf_drops),
+        "{what}: trace counts vs stats"
+    );
+    assert_eq!(
+        (c.redirect_out, c.ring_drops, c.queue_drops, c.nic_cap_drops),
+        (
+            stats.redirects(),
+            stats.ring_drops,
+            stats.queue_drops,
+            stats.nic_cap_drops
+        ),
+        "{what}: trace counts vs stats"
+    );
+    let probes = report.probes.as_ref().expect("latency on");
+    let tail = report.tail.as_ref().expect("tail on");
+    assert_eq!(
+        probes.sojourn_ns.count(),
+        stats.processed(),
+        "{what}: sojourns"
+    );
+    assert_eq!(
+        tail.completions,
+        stats.processed(),
+        "{what}: tail completions"
+    );
+    // Every packet of the workload parses to a tuple.
+    let reorder = report.reorder.as_ref().expect("reorder on");
+    assert_eq!(
+        reorder.completions + reorder.untracked,
+        stats.processed(),
+        "{what}: reorder sketch"
+    );
+    let health = report.health.as_ref().expect("health on").counts();
+    for kind in ["worker_death", "watchdog_fence"] {
+        assert!(!health.contains_key(kind), "{what}: {health:?}");
+    }
+    let flight = report.flight.as_ref().expect("flight on");
+    assert!(flight.frozen.is_none(), "{what}: a healthy run froze");
+    assert!(flight.recorded > 0, "{what}: an empty black box");
+    assert!(report.samples.is_some() && report.profile.is_some());
+    [
+        EventKind::IngressEnqueue,
+        EventKind::NfStart,
+        EventKind::NfDone,
+        EventKind::RedirectOut,
+        EventKind::RedirectIn,
+        EventKind::Drop,
+    ]
+    .map(|kind| trace.count_of(kind))
+}
+
+#[test]
+fn the_runtimes_reports_agree_on_what_a_clock_cannot_change() {
+    let acl = vec![
+        AclRule::allow_dst_port(443),
+        AclRule::default_action(Action::Deny),
+    ];
+    let port_of = |f: u32| if f.is_multiple_of(2) { 443 } else { 8081 };
+    let work = phases(16, 12, port_of);
+    let every_plane = ObsConfig {
+        trace: true,
+        latency: true,
+        sample: true,
+        profile: true,
+        health: true,
+        reorder: true,
+        tail: true,
+        flight: true,
+        ..ObsConfig::disabled()
+    };
+    for mode in DispatchMode::ALL {
+        let nf = || FirewallNf::new(acl.clone());
+        let (_, sim_stats, sim) = run_sim_report(mode, nf(), &work, every_plane);
+        let thr = run_threaded_cfg(mode, &nf(), &work, 32, every_plane);
+        let thr_report = ObsReport {
+            trace: thr.trace,
+            probes: thr.probes,
+            samples: thr.samples,
+            profile: thr.profile,
+            health: thr.health,
+            reorder: thr.reorder,
+            tail: thr.tail,
+            flight: thr.flight,
+        };
+        assert_eq!(
+            check_report(&format!("report/{mode}/sim"), &sim_stats, &sim),
+            check_report(&format!("report/{mode}/threads"), &thr.stats, &thr_report),
+            "report/{mode}: per-kind trace event counts differ across runtimes"
+        );
     }
 }
 
