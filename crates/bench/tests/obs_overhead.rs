@@ -5,10 +5,10 @@
 //! only), the threaded dataplane's wall time over a fixed workload
 //! must stay within 5% of the obs-off time. Per-packet planes
 //! (tracing, latency probes, the reorder sketch, tail attribution) run
-//! on the same batch path but stamp every descriptor at ingress and
-//! walk each completed batch once more; a second test budgets tail
-//! attribution + flight against the latency-histogram plane, which
-//! already pays for that, the same way.
+//! on the same batch path but label every descriptor at ingress (one
+//! clock read per burst) and walk each completed batch once more; a
+//! second test budgets tail attribution + flight against the
+//! latency-histogram plane, which already pays for that, the same way.
 //!
 //! Timing a threaded run in a shared CI container is noisy, so the
 //! comparison is min-of-K (the minimum is the least noisy location

@@ -300,10 +300,12 @@ impl ObsConfig {
         }
     }
 
-    /// True if a *per-packet* facility is enabled: ingress stamps each
-    /// descriptor (arrival time, flow hash) and the threaded worker
-    /// walks every completed NF batch once more to feed the planes —
-    /// on the same batch path it runs with everything off. Sampling
+    /// True if a *per-packet* facility is enabled: ingress labels each
+    /// descriptor (its flow hash, and the arrival time its burst of
+    /// `batch_size` admissions shares — one clock read per burst) and
+    /// the threaded worker walks every completed NF batch once more to
+    /// feed the planes — on the same batch path it runs with everything
+    /// off, with two more clock reads per batch. Sampling
     /// and stage profiling are deliberately excluded: they need only a
     /// few clock reads per batch, which the runtimes gate on
     /// [`ObsConfig::sample`] /

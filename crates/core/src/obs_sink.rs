@@ -23,7 +23,14 @@
 //! is one predictable branch. Timestamps are the runtime's ticks
 //! (simulator: picoseconds of simulated time; threads: wall nanoseconds
 //! since the run's anchor); stage ticks may use a second scale (the
-//! simulator profiles in model cycles).
+//! simulator profiles in model cycles). The sink stamps nothing itself,
+//! so the grain is the runtime's: the simulator's instants are exact;
+//! on threads a packet's arrival is its ingress burst's clock read
+//! (never later than its push) and its start and end are its batch's.
+//! Completions arrive a batch at a time (`ObsLane::complete_batch`):
+//! the per-packet planes are fed packet by packet, the reorder sketch
+//! once per batch — it observes batch-completion order, which is the
+//! order the timestamps already tell.
 
 use crate::config::ObsConfig;
 use crate::stats::MiddleboxStats;
@@ -50,14 +57,15 @@ pub(crate) struct ObsHub {
     /// The bus never blocks (a full bus counts the loss); the collector
     /// leaves at [`ObsHub::finish`].
     health: Option<(HealthBus, Mutex<Option<HealthCollector>>)>,
-    /// Sharded internally; lanes feed it at NF completion.
+    /// Sharded internally; lanes feed it a completed batch at a time.
     reorder: Option<SharedReorderSketch>,
     /// The flight recorder's latch: a relaxed-read flag on the record
     /// path and a first-wins record of the trigger.
     frozen: AtomicBool,
     freeze: Mutex<Option<FlightFreeze>>,
     /// Global trace-event sequence: one relaxed `fetch_add` per
-    /// recorded event, untouched when tracing is off.
+    /// recorded event, untouched when tracing is off or the event's
+    /// ring is full.
     trace_seq: AtomicU64,
     /// Slots an outside observer polls while the run executes: sampled
     /// batch deltas and profiled spans are mirrored into them.
@@ -360,6 +368,11 @@ impl ObsLane {
     #[inline]
     fn emit(&mut self, core: usize, ts: u64, kind: EventKind, flow: u64, pkt: u64, aux: u64) {
         if let Some(ring) = self.trace.as_mut() {
+            // A full ring refuses before anything is spent on the event:
+            // kept events carry gapless sequence numbers.
+            if !ring.admit() {
+                return;
+            }
             let seq = self
                 .reserved_seq
                 .take()
@@ -395,10 +408,11 @@ impl ObsLane {
     /// A thread that hands a packet to another calls this *before* the
     /// hand-off, so the receiver's first event for the packet (whose
     /// sequence is allocated after it takes the packet) always sorts
-    /// after this lane's.
+    /// after this lane's. A full ring reserves nothing: the event will
+    /// be refused (and counted) when it comes.
     #[inline]
     pub fn reserve_seq(&mut self) {
-        if self.trace.is_some() {
+        if self.trace.as_ref().is_some_and(|ring| !ring.is_full()) {
             self.reserved_seq = Some(self.hub.trace_seq.fetch_add(1, Ordering::Relaxed));
         }
     }
@@ -472,19 +486,43 @@ impl ObsLane {
 
     /// `core` popped a descriptor that spent `transfer` ticks in its
     /// ring — the pickup as the core's black box sees it. The packet's
-    /// own `RedirectIn` trace event is [`ObsLane::complete`]'s: its
-    /// transit ends when its service begins.
+    /// own `RedirectIn` trace event is [`ObsLane::complete_batch`]'s:
+    /// its transit ends when its service begins.
     #[inline]
     pub fn redirect_in(&mut self, core: usize, ts: u64, transfer: u64) {
         self.flight(core, ts, FlightKind::RedirectIn, transfer, 0);
     }
 
-    /// The NF finished a packet on `core`: its `RedirectIn` (if it was
-    /// redirected), `NfStart` and `NfDone` trace events, its latency
-    /// samples, its tail spans — which partition its sojourn — and its
-    /// place in its flow's completion order.
+    /// The NF finished a batch on `core` (the simulator: a batch of
+    /// one), `batch` in completion order. Each packet gets its
+    /// `RedirectIn` (if it was redirected), `NfStart` and `NfDone`
+    /// trace events, its latency samples and its tail spans — which
+    /// partition its sojourn; the batch as a whole takes its place in
+    /// its flows' completion order.
     #[inline]
-    pub fn complete(&mut self, core: usize, c: &Completion) {
+    pub fn complete_batch<I>(&mut self, core: usize, batch: I)
+    where
+        I: IntoIterator<Item = Completion>,
+        I::IntoIter: Clone,
+    {
+        let batch = batch.into_iter();
+        // Streaming reorder estimate: completion order vs arrival
+        // ordinal, the same (flow, id) pairs the offline analyzer
+        // inverts over. Packets without a parseable tuple (flow 0) are
+        // skipped on both sides.
+        if let Some(sketch) = self.hub.reorder.as_ref() {
+            let pairs = batch.clone().filter(|c| c.flow != 0);
+            sketch.on_complete_batch(core, pairs.map(|c| (c.flow, c.id)));
+        }
+        for c in batch {
+            self.complete(core, &c);
+        }
+    }
+
+    /// One packet of [`ObsLane::complete_batch`]: everything but the
+    /// reorder sketch.
+    #[inline]
+    fn complete(&mut self, core: usize, c: &Completion) {
         // A redirected packet's wait splits at its ring push.
         let (queue_wait, transit) = match c.relay {
             Some(at) => (at.saturating_sub(c.arrival), c.start.saturating_sub(at)),
@@ -515,15 +553,6 @@ impl ObsLane {
                 tx: c.tx,
             };
             tail.on_complete(core, spans);
-        }
-        // Streaming reorder estimate: completion order vs arrival
-        // ordinal, the same (flow, id) pairs the offline analyzer
-        // inverts over. Packets without a parseable tuple (flow 0) are
-        // skipped on both sides.
-        if let Some(sketch) = self.hub.reorder.as_ref() {
-            if c.flow != 0 {
-                sketch.on_complete(core, c.flow, c.id);
-            }
         }
     }
 
@@ -720,6 +749,9 @@ mod tests {
         }
         let trace = finish(lane).trace.unwrap();
         assert_eq!((trace.events.len(), trace.dropped), (6, 4));
+        // A refused event claims no sequence number: no gaps.
+        let seqs: Vec<u64> = trace.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 5]);
         assert_eq!(trace.meta.runtime, "sim");
         assert!(trace.meta.expected.is_some());
     }
@@ -738,14 +770,14 @@ mod tests {
             classify: 0,
             tx: 0,
         };
-        lane.complete(0, &local);
+        lane.complete_batch(0, [local]);
         let redirected = Completion {
             relay: Some(2_000),
             start: 9_000,
             done: 9_000,
             ..local
         };
-        lane.complete(0, &redirected);
+        lane.complete_batch(0, [redirected]);
         let p = lane.probes().unwrap();
         assert_eq!(p.queue_wait_ns.max(), Some(4));
         assert_eq!(p.redirect_ns.max(), Some(7));

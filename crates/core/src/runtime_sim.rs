@@ -949,7 +949,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                     classify,
                     tx,
                 };
-                self.obs.complete(core, &done);
+                self.obs.complete_batch(core, [done]);
                 match verdict {
                     Verdict::Forward => {
                         self.stats.forwarded += 1;

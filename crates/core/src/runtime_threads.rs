@@ -266,15 +266,16 @@ struct Desc {
 /// planes read once the batch it was staged into has run. The
 /// timestamps are stamped only when a per-packet plane or the flight
 /// recorder wants them (0 otherwise); the per-batch busy-time clock
-/// reads in `drain_rx`/`drain_ring`/`close_batch` happen regardless and
-/// never touch the descriptor.
+/// reads in `drain_rx`/`drain_ring`/`process_batch_local` happen
+/// regardless and never touch the descriptor.
 #[derive(Clone, Copy)]
 struct DescMeta {
     /// Arrival ordinal across the whole run (trace packet id).
     id: u64,
     /// Stable flow hash (0 when tracing is off or tuple unparseable).
     flow: u64,
-    /// Ingress timestamp, ns since the run anchor (0 when obs is off).
+    /// Ingress timestamp, ns since the run anchor: the clock read of
+    /// the ingress burst the packet was admitted in (0 when obs is off).
     arrival_ns: u64,
     /// Redirect-push timestamp for ring-latency probes (0 until set).
     relay_ns: u64,
@@ -337,9 +338,9 @@ pub struct ThreadedOutcome {
     pub health: Option<HealthReport>,
     /// The streaming reorder estimate, when [`ObsConfig::reorder`] was
     /// on: per-flow reordered-completion counts (exact) and bounded
-    /// windowed depth histograms, fed per packet in batch order as each
-    /// NF batch completes — the order in which the batched dataplane
-    /// hands packets to egress.
+    /// windowed depth histograms, fed a completed NF batch at a time,
+    /// in batch order — the order in which the batched dataplane hands
+    /// packets to egress.
     pub reorder: Option<ReorderReport>,
     /// Tail-latency attribution, when [`ObsConfig::tail`] was on:
     /// per-worker exemplar tables (each tracker lives for the whole
@@ -418,6 +419,9 @@ struct WorkerShared<NF: NetworkFunction> {
     scr_done: AtomicUsize,
     /// Wall-clock zero for trace timestamps (shared by all threads).
     anchor: Instant,
+    /// Clock reads the phase's workers made, for [`clock_reads`].
+    #[cfg(test)]
+    clock_reads: AtomicU64,
 }
 
 /// Per-worker mutable state for one phase.
@@ -770,6 +774,8 @@ impl ThreadedMiddlebox {
                     .then(|| SharedScrPlane::new(cur_workers, config.scr_log_capacity)),
                 scr_done: AtomicUsize::new(0),
                 anchor,
+                #[cfg(test)]
+                clock_reads: AtomicU64::new(0),
             };
 
             let mut results: Vec<(usize, WorkerResult)> = Vec::new();
@@ -788,7 +794,14 @@ impl ThreadedMiddlebox {
                 });
 
                 // Ingress on this thread: classify and enqueue with
-                // bounded backpressure.
+                // bounded backpressure. Arrivals are stamped a burst at
+                // a time: one clock read labels the next `batch_size`
+                // admissions, and a fresh one follows a backpressure
+                // yield — a stamp is never later than the push it
+                // labels, and over-states a packet's wait by at most
+                // the burst it rode in, the grain the worker's batch
+                // stamps already have.
+                let (mut arrival_ns, mut stamped) = (0, 0);
                 for pkt in packets {
                     let (queue, _) = nic.steer(&pkt);
                     let q = usize::from(queue);
@@ -805,11 +818,15 @@ impl ThreadedMiddlebox {
                     // rides with the descriptor through queues and rings.
                     let class = PacketClass::of(&pkt);
                     let flow = hub.flow_hash(class.key);
-                    let arrival_ns = if config.obs.any() {
-                        anchor.elapsed().as_nanos() as u64
-                    } else {
-                        0
-                    };
+                    if config.obs.any() {
+                        if stamped == 0 {
+                            arrival_ns = anchor.elapsed().as_nanos() as u64;
+                            stamped = config.batch_size;
+                            #[cfg(test)]
+                            clock_reads::count(clock_reads::INGRESS, 1);
+                        }
+                        stamped -= 1;
+                    }
                     // The admission event's sequence number is allocated
                     // *before* the push, so a worker's first event for
                     // this packet (allocated after its pop) sorts after.
@@ -844,6 +861,10 @@ impl ThreadedMiddlebox {
                                 desc = back;
                                 rx_hwm[q] = rx_hwm[q].max(shared.rx[q].capacity() as u64);
                                 std::thread::yield_now();
+                                // Whoever is admitted next waited less.
+                                stamped = 0;
+                                #[cfg(test)]
+                                clock_reads::count(clock_reads::YIELDS, 1);
                             }
                         }
                     }
@@ -906,6 +927,11 @@ impl ThreadedMiddlebox {
                     stats.scr_log_occupancy_hwm.max(plane.occupancy_hwm());
             }
             stats.lost_packets += shared.lost.load(Ordering::SeqCst);
+            #[cfg(test)]
+            clock_reads::count(
+                clock_reads::WORKER,
+                shared.clock_reads.load(Ordering::Relaxed),
+            );
             if shared.fault_fired.load(Ordering::SeqCst) {
                 fault_pending = None;
             }
@@ -1100,26 +1126,31 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
 
     /// Nanoseconds since the run anchor. Read twice per non-empty batch
     /// whatever the configuration (the batch's start in
-    /// `drain_rx`/`drain_ring`, its end in `close_batch`: that pair is
-    /// [`CoreStats::busy_cycles`]); every other caller is gated on an
-    /// observability plane, the lifecycle clock or a fault path.
+    /// `drain_rx`/`drain_ring`, its end in `process_batch_local`: that
+    /// pair is [`CoreStats::busy_cycles`]). The planes add at most four
+    /// more, because a stage boundary is one instant, read once and
+    /// handed on: where batch formation began (profiling), the NF
+    /// call's start and its end (profiling or a per-packet plane), and
+    /// the end of an SCR publish. Every other caller is a redirect
+    /// stamp, the lifecycle clock or a fault path.
     fn now_ns(&self) -> u64 {
+        #[cfg(test)]
+        self.shared.clock_reads.fetch_add(1, Ordering::Relaxed);
         self.shared.anchor.elapsed().as_nanos() as u64
     }
 
-    /// Close a non-empty batch: charge its wall-clock busy window into
-    /// [`CoreStats::busy_cycles`] and — when sampling or live telemetry
-    /// is on — fold every counter delta since the last watermark into
-    /// the bucket that `start_ns` (the batch's first clock read) falls
-    /// in. Called once per non-empty batch; two clock reads per call,
-    /// none per packet.
+    /// Close a non-empty batch: charge its wall-clock busy window
+    /// `start_ns..end_ns` (the batch's two unconditional clock reads)
+    /// into [`CoreStats::busy_cycles`] and — when sampling or live
+    /// telemetry is on — fold every counter delta since the last
+    /// watermark into the bucket that `start_ns` falls in. Called once
+    /// per non-empty batch; reads no clock itself.
     ///
     /// Busy time is watermarked: a nested drain on the work-conserving
     /// redirect path already claimed its window, so the enclosing batch
     /// charges only the remainder — nested drains are never
     /// double-counted.
-    fn close_batch(&mut self, start_ns: u64, rx_depth: u64, ring_depth: u64) {
-        let end_ns = self.now_ns();
+    fn close_batch(&mut self, start_ns: u64, end_ns: u64, rx_depth: u64, ring_depth: u64) {
         let busy_ticks = end_ns.saturating_sub(start_ns.max(self.mark.end_ns));
         self.stats.busy_cycles += busy_ticks;
         let was = self.mark;
@@ -1158,26 +1189,33 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
     }
 
-    /// A profiled span's starting clock read; 0 (and no read) when
-    /// profiling is off.
+    /// A clock read only `wanted` planes pay for; 0 (and no read)
+    /// otherwise.
     #[inline]
-    fn prof_start(&self) -> u64 {
-        if self.shared.obs.cfg.profile {
+    fn now_if(&self, wanted: bool) -> u64 {
+        if wanted {
             self.now_ns()
         } else {
             0
         }
     }
 
-    /// Attribute the wall time since `start_ns` to `stage`. Spans are
+    /// A profiled span's starting clock read, where no earlier span
+    /// ends; 0 (and no read) when profiling is off.
+    #[inline]
+    fn prof_start(&self) -> u64 {
+        self.now_if(self.shared.obs.cfg.profile)
+    }
+
+    /// Attribute the wall time `start_ns..end_ns` to `stage`; the
+    /// caller read `end_ns` and starts its next span there. Spans are
     /// clamped to the profiling watermark, so sections that nest (the
     /// work-conserving redirect path re-enters `drain_ring` mid-span)
     /// attribute every nanosecond to exactly one stage.
-    fn prof_span(&mut self, stage: Stage, start_ns: u64) {
+    fn prof_span(&mut self, stage: Stage, start_ns: u64, end_ns: u64) {
         if !self.shared.obs.cfg.profile {
             return;
         }
-        let end_ns = self.now_ns();
         let ticks = end_ns.saturating_sub(start_ns.max(self.prof_mark_ns));
         self.prof_mark_ns = end_ns;
         self.lane.stage(self.id, stage, ticks);
@@ -1321,7 +1359,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         if guard.prune_due() {
             guard.forget_below(floor);
         }
-        self.prof_span(Stage::Classify, c0);
+        let c1 = self.prof_start();
+        self.prof_span(Stage::Classify, c0, c1);
         applied
     }
 
@@ -1332,15 +1371,14 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// can never downgrade a newer local write, and send the run to
     /// each peer found alive, asked once per batch (a dead peer's log
     /// is dark, not leaking: the copies were never owed to it) — cloned
-    /// for all but the last, which takes the ops themselves. Profiled
-    /// as redirect work — the update log is SCR's replacement for
-    /// redirection.
+    /// for all but the last, which takes the ops themselves. The
+    /// callers profile it as redirect work — the update log is SCR's
+    /// replacement for redirection.
     fn scr_publish(&mut self, pkts: &[Packet], conn: &[bool]) {
         let shared = self.shared;
         let Some(plane) = shared.scr.as_ref() else {
             return;
         };
-        let r0 = self.prof_start();
         let mut ops = std::mem::take(&mut self.scr_ops);
         ops.clear();
         let nf = self.nf;
@@ -1367,7 +1405,6 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             }
         }
         self.scr_ops = ops;
-        self.prof_span(Stage::Redirect, r0);
     }
 
     /// Send one batch's ops, numbered from `first`, to `peer`'s log.
@@ -1464,7 +1501,10 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             .max(self.shared.tables.total_entries() as u64);
         self.ctx.sweep_idle(now_us);
         if self.shared.scr.is_some() {
+            let r0 = self.prof_start();
             self.scr_publish(&[], &[]);
+            let r1 = self.prof_start();
+            self.prof_span(Stage::Redirect, r0, r1);
         }
         self.run_eviction_hooks();
     }
@@ -1556,7 +1596,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// in-flight packet and the never-started rest die with the worker
     /// (their redirect registrations were all released up front, so only
     /// the loss count remains to settle).
-    fn process_batch_local(&mut self, via_ring: bool) {
+    ///
+    /// `start_ns` is the batch's first clock read, where its redirect
+    /// span begins; the return value is its last, where its tx span —
+    /// and the busy window `close_batch` charges — ends.
+    fn process_batch_local(&mut self, via_ring: bool, start_ns: u64) -> u64 {
         debug_assert_eq!(self.scratch_pkts.len(), self.scratch_conn.len());
         if self.failure.is_none() {
             // Every redirect leaves before the NF runs. `push_redirect`'s
@@ -1569,14 +1613,9 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             let conn = std::mem::take(&mut self.scratch_conn);
             let meta = std::mem::take(&mut self.scratch_meta);
             let mut redirects = std::mem::take(&mut self.redirects);
-            let r0 = self.prof_start();
             for (desc, core) in redirects.drain(..) {
                 self.push_redirect(core, desc);
             }
-            // Nested drains inside `push_redirect` advanced the
-            // profiling watermark, so this span charges only the pushes
-            // themselves.
-            self.prof_span(Stage::Redirect, r0);
             self.redirects = redirects;
             self.scratch_pkts = pkts;
             self.scratch_conn = conn;
@@ -1602,18 +1641,29 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                     .redirects_outstanding
                     .fetch_sub(unpushed_redirects, Ordering::SeqCst);
             }
-            return;
-        }
-        if self.scratch_pkts.is_empty() {
-            return;
+            return self.now_ns();
         }
         let obs_on = self.shared.obs.cfg.any();
+        // The instants between the batch's two unconditional reads are
+        // read only if a plane will look at them.
+        let timed = obs_on || self.shared.obs.cfg.profile;
+        if self.scratch_pkts.is_empty() {
+            // Every packet of the batch left for its designated core.
+            let end_ns = self.now_ns();
+            self.prof_span(Stage::Redirect, start_ns, end_ns);
+            return end_ns;
+        }
         let cut = self.panic_cut(self.scratch_pkts.len());
         if cut.is_some() {
             self.fire_fault("crash");
         }
-        let n0 = self.prof_start();
-        let t0 = if obs_on { self.now_ns() } else { 0 };
+        // One instant ends the redirect span, starts the NF span and is
+        // the service start of every packet of the batch. Nested drains
+        // inside `push_redirect` advanced the profiling watermark, so
+        // the redirect span charges only what this batch itself did
+        // since `start_ns`: its accounting and its pushes.
+        let t0 = self.now_if(timed);
+        self.prof_span(Stage::Redirect, start_ns, t0);
         let dispatch = {
             let nf = self.nf;
             let ctx = &mut self.ctx;
@@ -1629,7 +1679,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                 }
             }))
         };
-        self.prof_span(Stage::Nf, n0);
+        // Likewise where the NF span ends: every completed packet of
+        // the batch is done here, unless SCR still has to publish what
+        // it wrote.
+        let mut t1 = self.now_if(timed);
+        self.prof_span(Stage::Nf, t0, t1);
         let completed = self.sink.len();
         if let Err(payload) = dispatch {
             // Account the packet that was on the NF when it went down
@@ -1649,9 +1703,12 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             self.scr_publish(&pkts[..completed], &conn[..completed]);
             self.scratch_pkts = pkts;
             self.scratch_conn = conn;
+            let published = self.now_if(timed);
+            self.prof_span(Stage::Redirect, t1, published);
+            t1 = published;
         }
         if obs_on {
-            self.observe_completions(completed, via_ring, t0);
+            self.observe_completions(completed, via_ring, t0, t1);
         }
         for (i, pkt) in self.scratch_pkts.drain(..).enumerate() {
             if i >= completed {
@@ -1665,28 +1722,28 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
         self.scratch_conn.clear();
         self.scratch_meta.clear();
-        // The watermark confines this span to the post-NF remainder:
-        // the per-packet planes and verdict accounting.
-        self.prof_span(Stage::Tx, n0);
+        // The post-NF remainder — the per-packet planes and verdict
+        // accounting — is tx work, and its end is the batch's.
+        let end_ns = self.now_ns();
+        self.prof_span(Stage::Tx, t1, end_ns);
+        end_ns
     }
 
     /// Feed the per-packet planes from a finished NF call: one pass, in
     /// batch order, over the `completed` prefix of the staged metadata.
     /// Timestamps are batch-grain because that is what batching does to
     /// a packet: every packet of the batch stopped waiting at `t0`
-    /// (read just before the NF call) and can leave at `t1` (read here:
-    /// NF returned, SCR updates published), so two clock reads per
-    /// batch give each packet its queue wait, ring transit, service
-    /// window and sojourn, and the spans partition the sojourn exactly.
+    /// (read just before the NF call) and can leave at `t1` (NF
+    /// returned, SCR updates published), so two clock reads per batch
+    /// give each packet its queue wait, ring transit, service window
+    /// and sojourn, and the spans partition the sojourn exactly.
     /// Packets a mid-batch panic cut off never completed and report
     /// nothing.
-    fn observe_completions(&mut self, completed: usize, via_ring: bool, t0: u64) {
-        let t1 = self.now_ns();
-        for (m, verdict) in self.scratch_meta[..completed]
+    fn observe_completions(&mut self, completed: usize, via_ring: bool, t0: u64, t1: u64) {
+        let batch = self.scratch_meta[..completed]
             .iter()
             .zip(self.sink.verdicts())
-        {
-            let done = Completion {
+            .map(|(m, verdict)| Completion {
                 id: m.id,
                 flow: m.flow,
                 arrival: m.arrival_ns,
@@ -1699,9 +1756,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                 // absorbs them.
                 classify: 0,
                 tx: 0,
-            };
-            self.lane.complete(self.id, &done);
-        }
+            });
+        self.lane.complete_batch(self.id, batch);
     }
 
     /// Drain one batch from this worker's ring. Returns true if any
@@ -1714,7 +1770,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         // The flight recorder reads a ring batch's redirect-push stamps.
         let flight = self.shared.obs.cfg.flight;
         let keep_meta = self.shared.obs.cfg.any() || flight;
-        let c0 = self.prof_start();
+        // Polling an empty ring is not a span: no read for it.
+        let c0 = (depth > 0).then(|| self.prof_start());
         let mut n = 0u64;
         while n < self.shared.batch_size as u64 {
             let Some(desc) = ring.pop() else {
@@ -1731,7 +1788,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
         let sample_start = self.now_ns();
         // Pulling redirected descriptors off the ring is redirect work.
-        self.prof_span(Stage::Redirect, c0);
+        self.prof_span(Stage::Redirect, c0.unwrap_or(sample_start), sample_start);
         // Per-batch accounting: these descriptors are now owned by this
         // worker and will be processed before its next shutdown check.
         self.shared
@@ -1749,8 +1806,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                 self.lane.redirect_in(self.id, sample_start, transfer);
             }
         }
-        self.process_batch_local(true);
-        self.close_batch(sample_start, 0, depth);
+        let end_ns = self.process_batch_local(true, sample_start);
+        self.close_batch(sample_start, end_ns, 0, depth);
         true
     }
 
@@ -1762,7 +1819,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         self.stats.observe_rx_depth(depth);
         debug_assert!(self.scratch_pkts.is_empty() && self.redirects.is_empty());
         let keep_meta = self.shared.obs.cfg.any();
-        let c0 = self.prof_start();
+        // Polling an empty queue is not a span: no read for it.
+        let c0 = (depth > 0).then(|| self.prof_start());
         let mut n = 0u64;
         while n < self.shared.batch_size as u64 {
             let Some(desc) = rx.pop() else {
@@ -1786,7 +1844,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         let sample_start = self.now_ns();
         // Batch formation — pops plus the per-packet core-picker
         // decision — is classify work.
-        self.prof_span(Stage::Classify, c0);
+        self.prof_span(Stage::Classify, c0.unwrap_or(sample_start), sample_start);
         // Register this batch's redirects BEFORE releasing its rx claim:
         // between the two updates `rx_remaining` still covers the batch,
         // and afterwards `redirects_outstanding` covers the in-flight
@@ -1800,8 +1858,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         self.shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
         self.stats.record_batch(n);
         self.lane.batch(self.id, sample_start, n, depth);
-        self.process_batch_local(false);
-        self.close_batch(sample_start, depth, 0);
+        let end_ns = self.process_batch_local(false, sample_start);
+        self.close_batch(sample_start, end_ns, depth, 0);
         true
     }
 
@@ -1857,6 +1915,39 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         self.shared
             .redirects_outstanding
             .fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A census of the clock reads the runs started on this thread made,
+/// so a test can hold the runtime to its per-batch and per-burst
+/// budgets. Workers count into their phase's `WorkerShared`; the runner
+/// folds that in here at the phase's end.
+#[cfg(test)]
+mod clock_reads {
+    use std::cell::Cell;
+
+    /// Worker-side reads of `now_ns`.
+    pub const WORKER: usize = 0;
+    /// Ingress arrival stamps.
+    pub const INGRESS: usize = 1;
+    /// Ingress backpressure yields.
+    pub const YIELDS: usize = 2;
+
+    thread_local! {
+        static COUNTS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    pub fn count(which: usize, n: u64) {
+        COUNTS.with(|c| {
+            let mut counts = c.get();
+            counts[which] += n;
+            c.set(counts);
+        });
+    }
+
+    /// This thread's counts so far, reset to zero.
+    pub fn take() -> [u64; 3] {
+        COUNTS.with(|c| c.replace([0; 3]))
     }
 }
 
@@ -2879,6 +2970,20 @@ mod tests {
         }
     }
 
+    fn every_plane() -> ObsConfig {
+        ObsConfig {
+            trace: true,
+            latency: true,
+            sample: true,
+            profile: true,
+            health: true,
+            reorder: true,
+            tail: true,
+            flight: true,
+            ..ObsConfig::disabled()
+        }
+    }
+
     #[test]
     fn every_plane_on_still_runs_the_nf_on_whole_batches() {
         // Looking must not change what you see: with all eight planes
@@ -2890,17 +2995,7 @@ mod tests {
             held: AtomicBool::new(false),
         };
         let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
-        config.obs = ObsConfig {
-            trace: true,
-            latency: true,
-            sample: true,
-            profile: true,
-            health: true,
-            reorder: true,
-            tail: true,
-            flight: true,
-            ..ObsConfig::disabled()
-        };
+        config.obs = every_plane();
         let mut pkts = syn_phase(16);
         pkts.extend(data_phase(16, 20));
         let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
@@ -2914,6 +3009,80 @@ mod tests {
         let analysis = sprayer_obs::analyze(out.trace.as_ref().unwrap());
         assert!(analysis.conservation.ok(), "{:?}", analysis.conservation);
         assert_eq!(analysis.conservation.nf_done, s.processed());
+    }
+
+    /// Observation is priced per batch and per ingress burst, not per
+    /// packet: with every plane on a worker reads the clock at most six
+    /// times per non-empty batch (plus one stamp per redirect it
+    /// pushes), with none on exactly twice; ingress stamps a burst at a
+    /// time. And the coarser stamps still order every packet's life.
+    #[test]
+    fn every_plane_on_reads_the_clock_per_batch_and_per_burst() {
+        use sprayer_obs::EventKind;
+        let nf = TrackerNf;
+        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        // Closed loop: every packet is admitted, so every packet has a life.
+        config.ingress_retries = usize::MAX;
+        let batches = |s: &MiddleboxStats| s.per_core.iter().map(|c| c.batches()).sum::<u64>();
+
+        clock_reads::take();
+        let out = ThreadedMiddlebox::run(&config, &nf, eight_thousand(2));
+        let [worker, ingress, _] = clock_reads::take();
+        assert_eq!(out.stats.unaccounted(), 0);
+        assert_eq!(worker, 2 * batches(&out.stats), "all off: start and end");
+        assert_eq!(ingress, 0, "all off: no arrival stamps");
+
+        config.obs = every_plane();
+        let out = ThreadedMiddlebox::run(&config, &nf, eight_thousand(2));
+        let [worker, ingress, yields] = clock_reads::take();
+        let s = &out.stats;
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        assert!(
+            s.redirects() > 0,
+            "the SYNs must exercise the redirect path"
+        );
+        let redirect_stamps = s.redirects() + s.ring_drops;
+        assert!(
+            worker <= 6 * batches(s) + redirect_stamps,
+            "{worker} worker reads over {} batches, {redirect_stamps} redirect stamps",
+            batches(s)
+        );
+        assert!(worker >= 2 * batches(s));
+        let bursts = s.offered / config.batch_size as u64;
+        assert!(
+            ingress <= bursts + yields + 2,
+            "{ingress} arrival stamps: {bursts} bursts, {yields} yields, 2 phases"
+        );
+
+        let trace = out.trace.as_ref().expect("trace requested");
+        assert_eq!(trace.dropped, 0, "default ring fits this run");
+        let analysis = sprayer_obs::analyze(trace);
+        assert!(analysis.conservation.ok(), "{:?}", analysis.conservation);
+        // Per packet: admitted, then started, then done; and the
+        // arrival stamps never run backwards in arrival order.
+        let mut life = vec![[None; 3]; s.offered as usize];
+        for e in &trace.events {
+            let stage = match e.kind {
+                EventKind::IngressEnqueue => 0,
+                EventKind::NfStart => 1,
+                EventKind::NfDone => 2,
+                _ => continue,
+            };
+            life[e.pkt as usize][stage] = Some(e.ts);
+        }
+        let mut last_arrival = 0;
+        for (id, stamps) in life.iter().enumerate() {
+            let [Some(arrival), Some(start), Some(done)] = *stamps else {
+                panic!("packet {id} is missing an event: {stamps:?}");
+            };
+            assert!(arrival <= start && start <= done, "packet {id}: {stamps:?}");
+            assert!(
+                last_arrival <= arrival,
+                "packet {id} arrived before {}",
+                id - 1
+            );
+            last_arrival = arrival;
+        }
     }
 
     /// Worker 0 goes silent with a detection deadline shorter than the

@@ -1,9 +1,13 @@
 //! Typed dataplane trace events.
 //!
 //! One event is 48 bytes; recording one is a bounds-checked `Vec` push
-//! into a pre-allocated per-core ring plus (in the threaded runtime) a
+//! into a chunked per-core ring plus (in the threaded runtime) a
 //! relaxed `fetch_add` on the shared sequence counter — cheap enough to
-//! keep on under load.
+//! keep on under load, and a full ring is asked first, so an event it
+//! would refuse costs neither. Timestamps are whatever grain the
+//! runtime reads its clock at: exact in the simulator; on threads one
+//! read per ingress burst and per batch boundary, shared by the packets
+//! it covers.
 
 use serde::{Deserialize, Serialize};
 

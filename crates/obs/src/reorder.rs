@@ -24,11 +24,42 @@
 //! The sketch timestamps nothing; ordinals are the runtime's global
 //! per-packet ingress ids, strictly increasing in arrival order within
 //! a flow, exactly what the offline analyzer inverts over.
+//!
+//! Two things keep an in-order completion — almost all of them — cheap.
+//! The flow map hashes nothing: its keys are the runtimes' stable flow
+//! hashes, already splitmix-mixed (the shard selector of
+//! [`SharedReorderSketch`] leans on the same fact), so `FlowHash`
+//! passes them through; keys that are *not* mixed — or that a sender
+//! crafted to collide under the fixed mix — only cluster in the table,
+//! lengthening a probe by at most `max_flows` entries; they cannot make
+//! an answer wrong. And a completion whose
+//! ordinal exceeds the flow's largest so far skips the window scan:
+//! every ordinal in the window is at most that largest, so nothing in
+//! it overtook this packet and its depth is exactly 0.
 
 use crate::hist::Histogram;
 use crate::registry::MetricsRegistry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The flow map's hasher: the key is the hash. See the module docs.
+#[derive(Debug, Default, Clone, Copy)]
+struct FlowHash(u64);
+
+impl Hasher for FlowHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("flow keys are u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
 
 /// Log-linear resolution of the depth histogram (matches
 /// [`Histogram::latency`]'s default so reports merge).
@@ -65,7 +96,7 @@ impl FlowReorder {
 pub struct ReorderSketch {
     window: usize,
     max_flows: usize,
-    flows: HashMap<u64, FlowReorder>,
+    flows: HashMap<u64, FlowReorder, BuildHasherDefault<FlowHash>>,
     depth_hist: Histogram,
     completions: u64,
     reordered: u64,
@@ -81,7 +112,7 @@ impl ReorderSketch {
         ReorderSketch {
             window: window.max(1),
             max_flows: max_flows.max(1),
-            flows: HashMap::new(),
+            flows: HashMap::default(),
             depth_hist: Histogram::new(DEPTH_HIST_SUB_BITS),
             completions: 0,
             reordered: 0,
@@ -106,8 +137,13 @@ impl ReorderSketch {
             }
         };
         self.completions += 1;
-        // Everything in the ring completed earlier; count overtakers.
-        let depth = st.recent.iter().filter(|&&o| o > ordinal).count() as u64;
+        // Everything in the ring completed earlier; count overtakers —
+        // of which a new largest ordinal has none.
+        let depth = if ordinal > st.max_ord {
+            0
+        } else {
+            st.recent.iter().filter(|&&o| o > ordinal).count() as u64
+        };
         if st.count > 0 && ordinal < st.max_ord {
             self.reordered += 1;
             if core >= self.per_core.len() {
@@ -152,8 +188,12 @@ impl ReorderSketch {
 }
 
 /// Sharded wrapper: threaded workers complete packets concurrently,
-/// so flows are sharded over independently locked sketches (a flow always lands in the same shard, which is all the
-/// per-flow math needs; cross-flow aggregates merge at report time).
+/// so flows are sharded over independently locked sketches (a flow
+/// always lands in the same shard, which is all the per-flow math
+/// needs; cross-flow aggregates merge at report time). Fed a completed
+/// batch at a time, so a writer pays for a lock per shard and batch,
+/// not per packet, and what the sketch observes is batch-completion
+/// order — the order a batched dataplane releases packets in.
 #[derive(Debug)]
 pub struct SharedReorderSketch {
     shards: Vec<Mutex<ReorderSketch>>,
@@ -173,11 +213,22 @@ impl SharedReorderSketch {
         }
     }
 
-    /// Record one completion (see [`ReorderSketch::on_complete`]).
-    pub fn on_complete(&self, core: usize, flow: u64, ordinal: u64) -> u64 {
-        // Flow hashes are already splitmix-mixed; low bits shard fine.
-        let shard = (flow & self.mask) as usize;
-        self.shards[shard].lock().on_complete(core, flow, ordinal)
+    /// Record the `(flow, ordinal)` completions of one batch that
+    /// finished on `core`, in batch order (see
+    /// [`ReorderSketch::on_complete`]). The batch is walked once per
+    /// shard and each shard it touches is locked once; a flow's
+    /// completions stay in the order given, and no aggregate depends on
+    /// how flows interleave.
+    pub fn on_complete_batch(&self, core: usize, batch: impl Iterator<Item = (u64, u64)> + Clone) {
+        for (index, shard) in self.shards.iter().enumerate() {
+            let mut sketch = None;
+            // Flow hashes are already splitmix-mixed; low bits shard fine.
+            for (flow, ordinal) in batch.clone().filter(|p| p.0 & self.mask == index as u64) {
+                sketch
+                    .get_or_insert_with(|| shard.lock())
+                    .on_complete(core, flow, ordinal);
+            }
+        }
     }
 
     /// Merge every shard's aggregates into one report.
@@ -316,29 +367,65 @@ mod tests {
         assert_eq!(r.completions, 2);
     }
 
-    #[test]
-    fn sharded_sketch_matches_a_single_sketch() {
+    /// Feed `stream` to a sharded sketch `batch` completions at a time
+    /// and check its report against a single sketch fed one by one,
+    /// whose report is returned.
+    fn assert_batches_match_single(stream: &[(usize, u64, u64)], batch: usize) -> ReorderReport {
         let shared = SharedReorderSketch::new(8, 64, 4);
         let mut single = ReorderSketch::new(8, 64);
+        for &(core, flow, ord) in stream {
+            single.on_complete(core, flow, ord);
+        }
+        // A batch completes on one core: cut the stream where it changes.
+        for run in stream.chunk_by(|a, b| a.0 == b.0) {
+            for part in run.chunks(batch) {
+                shared.on_complete_batch(part[0].0, part.iter().map(|&(_, f, o)| (f, o)));
+            }
+        }
+        let (r1, r2) = (shared.report(), single.report());
+        assert_eq!(r1.completions, r2.completions, "batch {batch}");
+        assert_eq!(r1.reordered, r2.reordered, "batch {batch}");
+        assert_eq!(r1.per_core, r2.per_core, "batch {batch}");
+        assert_eq!(r1.flows_tracked, r2.flows_tracked, "batch {batch}");
+        assert_eq!(r1.depth_hist, r2.depth_hist, "batch {batch}");
+        r2
+    }
+
+    #[test]
+    fn sharded_sketch_matches_a_single_sketch() {
         // Deterministic pseudo-random interleaving of 8 flows.
         let mut ords = [0u64; 8];
         let mut state = 0x9e3779b97f4a7c15u64;
+        let mut stream = Vec::new();
         for _ in 0..500 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let flow = state >> 61;
             let core = (state >> 32) as usize % 3;
-            // Occasionally complete "out of order" by skipping ahead.
-            let ord = ords[flow as usize] + 1 + (state % 3);
-            ords[flow as usize] = ord;
-            let a = shared.on_complete(core, flow, ord);
-            let b = single.on_complete(core, flow, ord);
-            assert_eq!(a, b);
+            // Mostly ascending per flow, with steps back: real inversions.
+            let ord = (ords[flow as usize] + 1 + (state % 3)).saturating_sub((state >> 8) % 4);
+            ords[flow as usize] = ords[flow as usize].max(ord);
+            stream.push((core, flow, ord));
         }
-        let (r1, r2) = (shared.report(), single.report());
-        assert_eq!(r1.completions, r2.completions);
-        assert_eq!(r1.reordered, r2.reordered);
-        assert_eq!(r1.per_core, r2.per_core);
-        assert_eq!(r1.flows_tracked, r2.flows_tracked);
+        for batch in [1, 7, 32] {
+            let r = assert_batches_match_single(&stream, batch);
+            assert!(r.reordered > 20, "the stream must exercise the window scan");
+        }
+    }
+
+    #[test]
+    fn unmixed_keys_only_cluster_they_stay_correct() {
+        // Keys 1..=64 are the pass-through hasher's worst case (one
+        // control tag, consecutive buckets). Flow f completes ordinals
+        // 2, 1, 3: one reordered packet of depth 1 each.
+        let stream: Vec<(usize, u64, u64)> = [2, 1, 3]
+            .iter()
+            .flat_map(|&ord| (1..=64).map(move |flow| (0, flow, ord)))
+            .collect();
+        for batch in [1, 7, 32] {
+            let r = assert_batches_match_single(&stream, batch);
+            assert_eq!((r.flows_tracked, r.completions, r.reordered), (64, 192, 64));
+            assert_eq!(r.depth_hist.sum(), 64);
+        }
     }
 
     #[test]
