@@ -42,7 +42,7 @@ fn churn_rate(config: MiddleboxConfig, flows: u32, data_per_flow: u32) -> (f64, 
         );
     }
     mb.run_until(now + Time::from_secs(2));
-    let finished_at = mb.take_egress().last().map(|&(t, _)| t).unwrap_or(now);
+    let finished_at = mb.take_egress().next_back().map(|(t, _)| t).unwrap_or(now);
     let s = mb.stats();
     let redirects: u64 = s.per_core.iter().map(|c| c.redirected_out).sum();
     // Completion-bound rate: processed packets over the makespan.

@@ -10,7 +10,10 @@
 //! is the replication follow-up: also flat (sprayed), with the
 //! redirect-free connection path traded for per-update replay work.
 //!
-//! `--mode=<rss|sprayer|scr>` (repeatable) restricts the run.
+//! `--mode=<rss|sprayer|scr>` (repeatable) restricts the run. Telemetry
+//! goes to `results/fig7_telemetry.json`, or `fig7_quick_telemetry.json`
+//! under `--quick` (the copy CI gates), so the two never clobber each
+//! other.
 
 use sprayer::config::DispatchMode;
 use sprayer_bench::report::{fmt_f, json_array, mode_slug, modes_from_args, save_json, Table};
@@ -107,7 +110,12 @@ fn main() {
     let mut reg = MetricsRegistry::new();
     reg.set_str("figure", "7");
     reg.set_raw_json("datapoints", json_array(&telemetry));
-    save_json("fig7_telemetry", &reg.to_json());
+    let name = if quick {
+        "fig7_quick_telemetry"
+    } else {
+        "fig7_telemetry"
+    };
+    save_json(name, &reg.to_json());
     println!(
         "paper shape: Sprayer flat (~1.5 Mpps / ~9 Gbps); RSS ramps with flows and\n\
          overtakes slightly once enough flows cover all cores (no reordering);\n\

@@ -254,10 +254,12 @@ impl TcpScenario {
     }
 
     /// 12 bytes of timestamp-style TCP options with varying content, so
-    /// checksums are uniform as on real traffic.
-    fn ts_option(&mut self) -> Vec<u8> {
+    /// checksums are uniform as on real traffic, in a buffer with room
+    /// for `extra` more option bytes.
+    fn ts_option(&mut self, extra: usize) -> Vec<u8> {
         let v = self.rng.next_u64();
-        let mut opts = vec![0x01, 0x01, 0x08, 0x0a]; // NOP NOP TS(10)
+        let mut opts = Vec::with_capacity(12 + extra);
+        opts.extend_from_slice(&[0x01, 0x01, 0x08, 0x0a]); // NOP NOP TS(10)
         opts.extend_from_slice(&v.to_be_bytes());
         opts
     }
@@ -277,15 +279,15 @@ impl TcpScenario {
     /// the 32-bit wire fields are lossless.
     fn build_ack(&mut self, f: usize, info: AckInfo) -> Packet {
         let tuple = self.flows[f].tuple.reversed();
-        let mut opts = self.ts_option();
-        let blocks: Vec<(u64, u64)> = info.dsack.into_iter().chain(info.sack).collect();
-        if !blocks.is_empty() {
-            opts.extend_from_slice(&[0x01, 0x01]); // NOP NOP
-            opts.push(0x05); // SACK
-            opts.push(2 + 8 * blocks.len() as u8);
-            for (start, end) in &blocks {
-                opts.extend_from_slice(&(*start as u32).to_be_bytes());
-                opts.extend_from_slice(&(*end as u32).to_be_bytes());
+        let blocks = info.dsack.into_iter().chain(info.sack);
+        let n = blocks.clone().count();
+        let mut opts = self.ts_option(if n == 0 { 0 } else { 4 + 8 * n });
+        if n > 0 {
+            // NOP NOP SACK(len)
+            opts.extend_from_slice(&[0x01, 0x01, 0x05, 2 + 8 * n as u8]);
+            for (start, end) in blocks {
+                opts.extend_from_slice(&(start as u32).to_be_bytes());
+                opts.extend_from_slice(&(end as u32).to_be_bytes());
             }
         }
         let mut pkt_hdr =
@@ -368,16 +370,24 @@ impl TcpScenario {
         }
     }
 
-    /// Route one middlebox egress packet to its endpoint.
-    fn route_egress(&mut self, at: Time, pkt: Packet, sched: &mut Scheduler<Ev>) {
+    /// Route one middlebox egress packet to its endpoint. (Takes the
+    /// fields it reads, not `&self`: the caller holds `mb` draining.)
+    fn route_egress(
+        flows: &[Flow],
+        by_key: &HashMap<FlowKey, usize>,
+        hop_delay: Time,
+        at: Time,
+        pkt: Packet,
+        sched: &mut Scheduler<Ev>,
+    ) {
         let Some(tuple) = pkt.tuple() else { return };
-        let Some(&f) = self.by_key.get(&tuple.key()) else {
+        let Some(&f) = by_key.get(&tuple.key()) else {
             return;
         };
         let flags = pkt.meta().tcp_flags.unwrap_or_default();
-        let forward = tuple.src_addr == self.flows[f].tuple.src_addr
-            && tuple.src_port == self.flows[f].tuple.src_port;
-        let deliver = at.max(sched.time()) + self.cfg.hop_delay;
+        let forward =
+            tuple.src_addr == flows[f].tuple.src_addr && tuple.src_port == flows[f].tuple.src_port;
+        let deliver = at.max(sched.time()) + hop_delay;
         if forward {
             if flags.contains(TcpFlags::SYN) {
                 sched.at(deliver, Ev::IngressServer(f, ServerFrame::SynAck));
@@ -399,22 +409,21 @@ impl TcpScenario {
             if flags.contains(TcpFlags::SYN) {
                 sched.at(deliver, Ev::EstablishedAt(f));
             } else {
-                let info = sprayer_net::TcpHeader::parse(
-                    &pkt.bytes()[usize::from(pkt.meta().l4_offset.unwrap())..],
-                )
-                .map(|h| {
-                    let (sack, dsack) = Self::decode_sack(&h.options, u64::from(h.ack));
-                    AckInfo {
-                        ack: u64::from(h.ack),
-                        sack,
-                        dsack,
-                    }
-                })
-                .unwrap_or(AckInfo {
-                    ack: 0,
-                    sack: None,
-                    dsack: None,
-                });
+                // Read in place: `TcpHeader::parse` would copy the
+                // options out.
+                let tcp = &pkt.bytes()[usize::from(pkt.meta().l4_offset.unwrap())..];
+                let info = sprayer_net::tcp::validate(tcp)
+                    .map(|h| {
+                        let ack = u64::from(u32::from_be_bytes(tcp[8..12].try_into().unwrap()));
+                        let options = &tcp[sprayer_net::TCP_HEADER_LEN..usize::from(h.header_len)];
+                        let (sack, dsack) = Self::decode_sack(options, ack);
+                        AckInfo { ack, sack, dsack }
+                    })
+                    .unwrap_or(AckInfo {
+                        ack: 0,
+                        sack: None,
+                        dsack: None,
+                    });
                 sched.at(deliver, Ev::AckAtSender(f, info));
             }
         }
@@ -456,7 +465,7 @@ impl Model for TcpScenario {
             Ev::IngressClient(f, frame) => {
                 let pkt = match frame {
                     ClientFrame::Syn => {
-                        let opts = self.ts_option();
+                        let opts = self.ts_option(0);
                         let tuple = self.flows[f].tuple;
                         let mut hdr = sprayer_net::TcpHeader::simple(
                             tuple.src_port,
@@ -561,7 +570,7 @@ impl TcpScenario {
         let pkt = match frame {
             ServerFrame::SynAck => {
                 let tuple = self.flows[f].tuple.reversed();
-                let opts = self.ts_option();
+                let opts = self.ts_option(0);
                 let mut hdr = sprayer_net::TcpHeader::simple(
                     tuple.src_port,
                     tuple.dst_port,
@@ -580,8 +589,15 @@ impl TcpScenario {
 
     fn drain_and_tick(&mut self, now: Time, sched: &mut Scheduler<Ev>) {
         let _ = now;
-        for (at, pkt) in self.mb.take_egress() {
-            self.route_egress(at, pkt, sched);
+        let TcpScenario {
+            mb,
+            flows,
+            by_key,
+            cfg,
+            ..
+        } = self;
+        for (at, pkt) in mb.take_egress() {
+            Self::route_egress(flows, by_key, cfg.hop_delay, at, pkt, sched);
         }
         self.schedule_mb_tick(sched);
     }

@@ -6,7 +6,7 @@
 //! to designated cores, local processing of regular packets — and a
 //! cycle-accurate cost model for the NF body.
 //!
-//! [`MiddleboxSim`] owns a private event heap so it can run standalone
+//! [`MiddleboxSim`] owns a private event queue so it can run standalone
 //! ([`MiddleboxSim::run_until`]) or be co-simulated with other models
 //! (e.g. TCP endpoints): call [`MiddleboxSim::ingress`] as packets
 //! arrive, [`MiddleboxSim::advance_until`] to process internal events up
@@ -26,9 +26,7 @@ use crate::tables::LocalTables;
 use sprayer_net::{FlowKey, Packet};
 use sprayer_nic::{Nic, NicConfig, RxSteering};
 use sprayer_obs::{DropKind, FlightSnapshot, HealthEvent, LatencyProbes, Stage};
-use sprayer_sim::{BoundedFifo, Reservoir, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use sprayer_sim::{BoundedFifo, EventQueue, Reservoir, Time};
 use std::sync::Arc;
 
 /// Trace timestamps are simulated-time picoseconds: 10^6 ticks/µs.
@@ -90,8 +88,8 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     nf: NF,
     nf_config: NfConfig,
     cores: Vec<CoreSim>,
-    heap: BinaryHeap<Reverse<(Time, u64, usize)>>,
-    seq: u64,
+    /// Service completions, keyed by core.
+    events: EventQueue<usize>,
     now: Time,
     /// Earliest time the Flow Director path can admit the next packet.
     nic_admit_free: Time,
@@ -237,8 +235,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             nf,
             nf_config,
             cores,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             now: Time::ZERO,
             nic_admit_free: Time::ZERO,
             stats,
@@ -400,7 +397,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
 
     /// Replay every live core's pending updates (quiesced-plane
     /// convergence: before a rescale, at recovery, and whenever the
-    /// event heap runs dry — an idle core polls its log, so replicas
+    /// event queue runs dry — an idle core polls its log, so replicas
     /// converge at rest and [`MiddleboxStats::scr_replay_gap`] closes).
     fn scr_drain_live(&mut self) {
         if self.scr.is_none() {
@@ -569,14 +566,15 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         &self.nf
     }
 
-    /// Forwarded packets with their departure times, draining the buffer.
-    pub fn take_egress(&mut self) -> Vec<(Time, Packet)> {
-        std::mem::take(&mut self.egress)
+    /// Forwarded packets with their departure times, drained in order.
+    /// The buffer keeps its capacity for the packets forwarded next.
+    pub fn take_egress(&mut self) -> std::vec::Drain<'_, (Time, Packet)> {
+        self.egress.drain(..)
     }
 
     /// Time of the earliest pending internal event, if any.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.events.peek_time()
     }
 
     /// Current internal clock (the last event processed or ingress seen).
@@ -585,8 +583,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     }
 
     fn schedule(&mut self, at: Time, core: usize) {
-        self.heap.push(Reverse((at, self.seq, core)));
-        self.seq += 1;
+        self.events.push(at, core);
     }
 
     /// A packet arrives from the wire at `now`.
@@ -677,11 +674,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
 
     /// Process all internal events at or before `deadline`.
     pub fn advance_until(&mut self, deadline: Time) {
-        while let Some(Reverse((t, _, _))) = self.heap.peek() {
-            if *t > deadline {
-                break;
-            }
-            let Reverse((t, _, core)) = self.heap.pop().expect("peeked");
+        while let Some((t, core)) = self.events.pop_until(deadline) {
             self.now = self.now.max(t);
             self.complete(core, t);
             // Aging runs between events, at event granularity: each
@@ -697,11 +690,11 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // idle replica's log would otherwise materialize after the
         // last sweep and survive until the next advance. Then drain
         // again so the sweep's eviction Dels land on every replica.
-        if self.heap.is_empty() {
+        if self.events.is_empty() {
             self.scr_drain_live();
         }
         self.maybe_sweep(self.now);
-        if self.heap.is_empty() {
+        if self.events.is_empty() {
             self.scr_drain_live();
         }
         self.sync_lifecycle();
@@ -714,7 +707,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
 
     /// True when no core is busy and no work is queued.
     pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
             && self
                 .cores
                 .iter()
@@ -1055,7 +1048,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         self.coremap = new_map;
 
         // Grow per-core structures on scale-up (never shrink: removed
-        // cores keep their history and stale heap events stay in range).
+        // cores keep their history and stale queued events stay in range).
         while self.cores.len() < new_cores {
             self.cores.push(CoreSim {
                 rx: BoundedFifo::new(self.config.queue_capacity),
@@ -2225,11 +2218,11 @@ mod tests {
             PacketBuilder::new().tcp(t, 0, 0, TcpFlags::SYN, b""),
         );
         mb.run_until(Time::from_ms(1));
-        let egress = mb.take_egress();
+        let egress: Vec<_> = mb.take_egress().collect();
         assert_eq!(egress.len(), 1);
         assert!(egress[0].0 > Time::ZERO);
         assert_eq!(egress[0].1.tuple(), Some(t));
-        assert!(mb.take_egress().is_empty(), "take_egress drains");
+        assert_eq!(mb.take_egress().len(), 0, "take_egress drains");
     }
 
     /// NF that counts migration-hook invocations, to pin the export /

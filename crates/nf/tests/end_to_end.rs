@@ -45,7 +45,7 @@ fn nat_scenario(mode: DispatchMode) {
         );
     }
     mb.run_until(now + Time::from_ms(5));
-    let opened = mb.take_egress();
+    let opened: Vec<_> = mb.take_egress().collect();
     assert_eq!(
         opened.len(),
         flows as usize,
@@ -83,7 +83,7 @@ fn nat_scenario(mode: DispatchMode) {
         }
     }
     mb.run_until(now + Time::from_ms(50));
-    let data_out = mb.take_egress();
+    let data_out: Vec<_> = mb.take_egress().collect();
     assert_eq!(
         data_out.len(),
         (flows * per_flow) as usize,
@@ -284,7 +284,7 @@ fn load_balancer_keeps_flow_affinity_under_spraying() {
         }
     }
     mb.run_until(now + Time::from_ms(10));
-    let egress = mb.take_egress();
+    let egress: Vec<_> = mb.take_egress().collect();
     assert_eq!(egress.len(), (flows * 21) as usize);
 
     // Every packet of a flow must go to one backend, despite spraying.

@@ -2,8 +2,29 @@
 //!
 //! A simulation is a [`Model`] — a state machine with an event type — run
 //! by [`Simulation`]. Handlers schedule future events through a
-//! [`Scheduler`]; the engine orders them by time, breaking ties by
-//! insertion order so runs are fully deterministic.
+//! [`Scheduler`], a view of the simulation's one [`EventQueue`].
+//!
+//! # Ordering contract
+//!
+//! Events fire in time order; events at the same instant fire in the
+//! order they were scheduled — by [`Simulation::schedule`] or by any
+//! handler, across the whole run — so runs are fully deterministic.
+//! [`EventQueue`] keeps that order with a 16-byte heap key:
+//!
+//! ```text
+//!  127            64 63            24 23        0
+//! +----------------+----------------+-----------+
+//! | time (ps, u64) | insertion seq  | slab slot |
+//! +----------------+----------------+-----------+
+//! ```
+//!
+//! The sequence number is unique and sits above the slot, so comparing
+//! keys compares `(time, seq)`, and the slot — where the payload waits,
+//! out of line, in a reused slab — never decides an order. Two bounds
+//! follow from the widths, and each is an `assert!`, never a silent
+//! misorder: at most 2^40 insertions over a queue's life
+//! ([`EventQueue::MAX_INSERTIONS`]) and at most 2^24 events queued at
+//! once ([`EventQueue::MAX_LIVE`]).
 
 use crate::time::Time;
 use std::cmp::Reverse;
@@ -18,9 +39,121 @@ pub trait Model {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Handed to event handlers for scheduling future events.
+const SLOT_BITS: u32 = 24;
+const SEQ_BITS: u32 = 40;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// A min-queue of timed events in exact `(time, insertion)` order (see
+/// the [module docs](self)). The heap holds only `u128` keys; payloads
+/// sit in a slab whose slots are reused, so a push or pop moves 16 bytes
+/// through the heap and the slab never outgrows the peak number of
+/// events queued at once.
+pub struct EventQueue<E> {
+    heap: BinaryHeap<Reverse<u128>>,
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
+    seq: u64,
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Insertions a queue accepts over its life (the key's `seq` field).
+    pub const MAX_INSERTIONS: u64 = 1 << SEQ_BITS;
+    /// Events a queue holds at once (the key's slot field).
+    pub const MAX_LIVE: usize = 1 << SLOT_BITS;
+
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Queue `event` at `at`, after every event already queued at `at`.
+    pub fn push(&mut self, at: Time, event: E) {
+        assert!(
+            self.seq < Self::MAX_INSERTIONS,
+            "event queue: more than 2^{SEQ_BITS} insertions"
+        );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                assert!(
+                    self.slab.len() < Self::MAX_LIVE,
+                    "event queue: more than 2^{SLOT_BITS} events queued at once"
+                );
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let low = self.seq << SLOT_BITS | u64::from(slot);
+        self.seq += 1;
+        self.heap
+            .push(Reverse(u128::from(at.as_ps()) << 64 | u128::from(low)));
+    }
+
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<(Time, E)> {
+        let Reverse(key) = self.heap.pop()?;
+        let slot = (key as u64 & SLOT_MASK) as u32;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("a queued key names a live slot");
+        self.free.push(slot);
+        Some((Time::from_ps((key >> 64) as u64), event))
+    }
+
+    /// Remove and return the earliest event if it is due at or before
+    /// `deadline`.
+    pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, E)> {
+        if self.peek_time()? > deadline {
+            return None;
+        }
+        self.pop()
+    }
+
+    /// When the earliest event is due.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap
+            .peek()
+            .map(|&Reverse(key)| Time::from_ps((key >> 64) as u64))
+    }
+
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// A queue whose next insertion is number `seq` and whose slab
+    /// already spans `slots` slots, none free — the overflow tests'
+    /// shortcut to the edges of both key fields.
+    #[cfg(test)]
+    fn starting_at(seq: u64, slots: usize) -> Self {
+        let mut slab = Vec::new();
+        slab.resize_with(slots, || None);
+        EventQueue {
+            slab,
+            seq,
+            ..Self::default()
+        }
+    }
+}
+
+/// Handed to event handlers for scheduling future events: a view of the
+/// simulation's [`EventQueue`] at the current instant.
 pub struct Scheduler<E> {
-    pending: Vec<(Time, E)>,
+    queue: EventQueue<E>,
     now: Time,
     stop: bool,
 }
@@ -33,18 +166,18 @@ impl<E> Scheduler<E> {
             "cannot schedule into the past: {at:?} < {:?}",
             self.now
         );
-        self.pending.push((at, event));
+        self.queue.push(at, event);
     }
 
     /// Schedule `event` after a delay from now.
     pub fn after(&mut self, delay: Time, event: E) {
-        self.pending.push((self.now + delay, event));
+        self.queue.push(self.now + delay, event);
     }
 
     /// Schedule `event` immediately (still after the current handler
     /// returns, and after previously scheduled same-time events).
     pub fn now(&mut self, event: E) {
-        self.pending.push((self.now, event));
+        self.queue.push(self.now, event);
     }
 
     /// The current simulated time.
@@ -58,35 +191,10 @@ impl<E> Scheduler<E> {
     }
 }
 
-struct HeapEntry<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The event loop driving a [`Model`].
 pub struct Simulation<M: Model> {
     model: M,
-    heap: BinaryHeap<Reverse<HeapEntry<M::Event>>>,
-    now: Time,
-    seq: u64,
+    sched: Scheduler<M::Event>,
     events_processed: u64,
 }
 
@@ -95,27 +203,23 @@ impl<M: Model> Simulation<M> {
     pub fn new(model: M) -> Self {
         Simulation {
             model,
-            heap: BinaryHeap::new(),
-            now: Time::ZERO,
-            seq: 0,
+            sched: Scheduler {
+                queue: EventQueue::new(),
+                now: Time::ZERO,
+                stop: false,
+            },
             events_processed: 0,
         }
     }
 
     /// Schedule an initial event before running.
     pub fn schedule(&mut self, at: Time, event: M::Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.heap.push(Reverse(HeapEntry {
-            at,
-            seq: self.seq,
-            event,
-        }));
-        self.seq += 1;
+        self.sched.at(at, event);
     }
 
     /// The current simulated time.
     pub fn now(&self) -> Time {
-        self.now
+        self.sched.now
     }
 
     /// Total events processed so far.
@@ -141,28 +245,14 @@ impl<M: Model> Simulation<M> {
     /// Process a single event. Returns `false` if the queue was empty or a
     /// handler requested a stop.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(entry)) = self.heap.pop() else {
+        let Some((at, event)) = self.sched.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.at >= self.now, "event heap yielded a past event");
-        self.now = entry.at;
-        let mut sched = Scheduler {
-            pending: Vec::new(),
-            now: self.now,
-            stop: false,
-        };
-        self.model.handle(self.now, entry.event, &mut sched);
+        debug_assert!(at >= self.sched.now, "event queue yielded a past event");
+        self.sched.now = at;
+        self.model.handle(at, event, &mut self.sched);
         self.events_processed += 1;
-        let stop = sched.stop;
-        for (at, event) in sched.pending {
-            self.heap.push(Reverse(HeapEntry {
-                at,
-                seq: self.seq,
-                event,
-            }));
-            self.seq += 1;
-        }
-        !stop
+        !std::mem::take(&mut self.sched.stop)
     }
 
     /// Run until the queue is empty or a handler stops the simulation.
@@ -174,8 +264,8 @@ impl<M: Model> Simulation<M> {
     /// `deadline` are processed), the queue empties, or a handler stops.
     pub fn run_until(&mut self, deadline: Time) {
         loop {
-            match self.heap.peek() {
-                Some(Reverse(e)) if e.at <= deadline => {
+            match self.sched.queue.peek_time() {
+                Some(at) if at <= deadline => {
                     if !self.step() {
                         return;
                     }
@@ -184,8 +274,8 @@ impl<M: Model> Simulation<M> {
                     // Advance the clock to the deadline so throughput
                     // denominators are well-defined even if the system
                     // went idle early.
-                    if self.now < deadline {
-                        self.now = deadline;
+                    if self.sched.now < deadline {
+                        self.sched.now = deadline;
                     }
                     return;
                 }
@@ -316,5 +406,147 @@ mod tests {
         let mut sim = Simulation::new(Bad);
         sim.schedule(Time::from_ns(5), ());
         sim.run();
+    }
+
+    #[test]
+    fn handler_events_tie_after_earlier_ones_in_call_order() {
+        struct Fanout(Vec<u32>);
+        impl Model for Fanout {
+            type Event = u32;
+            fn handle(&mut self, now: Time, id: u32, sched: &mut Scheduler<u32>) {
+                self.0.push(id);
+                if id == 0 {
+                    sched.now(10);
+                    sched.at(now, 11);
+                    sched.after(Time::ZERO, 12);
+                }
+            }
+        }
+        let mut sim = Simulation::new(Fanout(vec![]));
+        sim.schedule(Time::from_ns(5), 0);
+        sim.schedule(Time::from_ns(5), 1);
+        sim.run();
+        assert_eq!(sim.model().0, vec![0, 1, 10, 11, 12]);
+    }
+
+    /// One step of the queue model test. Times come from a narrow band
+    /// (or the full `u64` range) so fresh pushes collide too.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        Push(u64, u32),
+        Pop,
+        PopUntil(u64),
+    }
+
+    fn arb_time() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..16, any::<u64>()]
+    }
+
+    fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+        prop_oneof![
+            (arb_time(), any::<u32>()).prop_map(|(t, id)| QueueOp::Push(t, id)),
+            (arb_time(), any::<u32>()).prop_map(|(t, id)| QueueOp::Push(t, id)),
+            Just(QueueOp::Pop),
+            arb_time().prop_map(QueueOp::PopUntil),
+        ]
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `EventQueue` against the `(time, seq, payload)` heap it
+        /// replaced: every pop identical, payload included, under any
+        /// push/pop interleaving — with every other push tied to the
+        /// time of an earlier one — and the slab exactly as large as
+        /// the most events ever queued at once.
+        #[test]
+        fn event_queue_matches_the_reference_heap(
+            ops in vec(arb_queue_op(), 1..400),
+            ties in vec(any::<prop::sample::Index>(), 400),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let (mut seq, mut pushes, mut peak) = (0u64, 0usize, 0usize);
+            let mut times = Vec::new();
+            for op in ops {
+                match op {
+                    QueueOp::Push(fresh, id) => {
+                        let t = if pushes % 2 == 1 {
+                            times[ties[pushes].index(times.len())]
+                        } else {
+                            fresh
+                        };
+                        pushes += 1;
+                        times.push(t);
+                        queue.push(Time::from_ps(t), id);
+                        reference.push(Reverse((Time::from_ps(t), seq, id)));
+                        seq += 1;
+                    }
+                    QueueOp::Pop => {
+                        let want = reference.pop().map(|Reverse((t, _, id))| (t, id));
+                        prop_assert_eq!(queue.pop(), want);
+                    }
+                    QueueOp::PopUntil(deadline) => {
+                        let deadline = Time::from_ps(deadline);
+                        let want = match reference.peek() {
+                            Some(&Reverse((t, _, _))) if t <= deadline => {
+                                reference.pop().map(|Reverse((t, _, id))| (t, id))
+                            }
+                            _ => None,
+                        };
+                        prop_assert_eq!(queue.pop_until(deadline), want);
+                    }
+                }
+                peak = peak.max(reference.len());
+                prop_assert_eq!(queue.heap.len(), reference.len());
+                prop_assert_eq!(
+                    queue.peek_time(),
+                    reference.peek().map(|Reverse((t, _, _))| *t)
+                );
+                prop_assert_eq!(queue.slab.len(), peak);
+            }
+            while let Some(Reverse((t, _, id))) = reference.pop() {
+                prop_assert_eq!(queue.pop(), Some((t, id)));
+            }
+            prop_assert!(queue.is_empty() && queue.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn the_last_insertions_before_the_seq_limit_still_order_exactly() {
+        let mut queue = EventQueue::starting_at(EventQueue::<u32>::MAX_INSERTIONS - 3, 0);
+        queue.push(Time::from_ps(u64::MAX), 0);
+        queue.push(Time::from_ps(7), 1);
+        queue.push(Time::from_ps(7), 2);
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (Time::from_ps(7), 1),
+                (Time::from_ps(7), 2),
+                (Time::from_ps(u64::MAX), 0),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^40 insertions")]
+    fn seq_overflow_panics() {
+        let mut queue = EventQueue::starting_at(EventQueue::<()>::MAX_INSERTIONS - 1, 0);
+        queue.push(Time::ZERO, ());
+        queue.push(Time::ZERO, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^24 events queued at once")]
+    fn slot_overflow_panics() {
+        let mut queue = EventQueue::starting_at(0, EventQueue::<()>::MAX_LIVE - 1);
+        // The last slot is usable, and reusable once freed...
+        queue.push(Time::ZERO, ());
+        assert_eq!(queue.pop(), Some((Time::ZERO, ())));
+        queue.push(Time::ZERO, ());
+        // ...but a second live event has no slot to go to.
+        queue.push(Time::ZERO, ());
     }
 }

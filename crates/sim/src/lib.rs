@@ -7,7 +7,8 @@
 //! * [`time`] — picosecond-resolution simulated time, with conversions to
 //!   CPU cycles at a configurable clock (the paper's Xeons run at 2.0 GHz),
 //! * [`engine`] — a generic event loop: user models define an event type
-//!   and a handler; ties are broken deterministically,
+//!   and a handler; one exact-order [`EventQueue`] breaks ties by
+//!   insertion,
 //! * [`queue`] — bounded FIFOs with drop accounting (NIC rx queues,
 //!   inter-core descriptor rings),
 //! * [`stats`] — streaming mean/variance, exact-percentile reservoirs and
@@ -28,7 +29,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Model, Scheduler, Simulation};
+pub use engine::{EventQueue, Model, Scheduler, Simulation};
 pub use queue::BoundedFifo;
 pub use rng::SimRng;
 pub use stats::{Histogram, Reservoir, Welford};

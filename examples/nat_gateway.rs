@@ -69,7 +69,7 @@ fn main() {
             }
         }
         mb.run_until(now + Time::from_ms(10));
-        let egress = mb.take_egress();
+        let egress: Vec<_> = mb.take_egress().collect();
 
         // Verify translation consistency per flow.
         let mut violations = 0;

@@ -192,7 +192,7 @@ fn runtimes_agree_on_nat_outcomes() {
         mb.ingress(now, pkt.clone());
     }
     mb.run_until(now + Time::from_ms(5));
-    let sim_egress = mb.take_egress();
+    let sim_egress: Vec<_> = mb.take_egress().collect();
 
     // Same forward counts, and every egress packet translated.
     assert_eq!(

@@ -113,7 +113,7 @@ fn run_sim_report<NF: NetworkFunction>(
         now += Time::from_ms(10);
         mb.run_until(now);
         assert!(mb.is_idle(), "phase must drain fully");
-        forwarded.extend(mb.take_egress().into_iter().map(|(_, p)| p));
+        forwarded.extend(mb.take_egress().map(|(_, p)| p));
     }
     let stats = mb.stats().clone();
     (forwarded, stats, mb.take_obs())
@@ -647,7 +647,7 @@ fn elastic_transitions_agree_across_runtimes() {
             now += Time::from_ms(10);
             mb.run_until(now);
             assert!(mb.is_idle(), "elastic phase must drain fully");
-            sim_fwd.extend(mb.take_egress().into_iter().map(|(_, p)| p));
+            sim_fwd.extend(mb.take_egress().map(|(_, p)| p));
         }
         let sim_stats = mb.stats().clone();
         let sim_reconfigs = mb.reconfigs().to_vec();
@@ -746,7 +746,7 @@ fn check_chaos_panic<NF: NetworkFunction>(
         now += Time::from_ms(10);
         mb.run_until(now);
         assert!(mb.is_idle(), "chaos phase must drain fully");
-        sim_fwd.extend(mb.take_egress().into_iter().map(|(_, p)| p));
+        sim_fwd.extend(mb.take_egress().map(|(_, p)| p));
     }
     let sim_stats = mb.stats().clone();
 
