@@ -9,10 +9,12 @@
 //!
 //! This crate provides discrete-event TCP endpoints:
 //!
-//! * [`sender`] — a window-limited bulk sender with slow start,
-//!   congestion avoidance, NewReno-style fast retransmit / fast recovery
-//!   on three duplicate ACKs (no SACK), RTO with exponential backoff and
-//!   Karn's algorithm, and a pluggable congestion-control algorithm;
+//! * [`sender`] — a window-limited bulk sender with a SACK scoreboard
+//!   and RFC 6675 pipe accounting, RACK time-based loss detection with a
+//!   reordering window widened on DSACK evidence, tail-loss probes, DSACK
+//!   undo of spurious recoveries, RTO with exponential backoff,
+//!   timestamp-style RTT sampling, and a pluggable congestion-control
+//!   algorithm;
 //! * [`congestion`] — [`congestion::Cubic`] (RFC 8312, the Linux default
 //!   the paper uses, untuned) and [`congestion::Reno`] for comparison;
 //! * [`rtt`] — RFC 6298 smoothed RTT estimation;
@@ -27,15 +29,16 @@
 //! independently testable — including under adversarial reordering.
 //!
 //! Simplifications relative to a production stack (documented in
-//! DESIGN.md): byte-stream only (no content), no SACK (amplifies
-//! reordering sensitivity, making the experiment *harder* for Sprayer),
-//! no window scaling limits (receive window assumed ample), no Nagle
-//! (iperf bulk transfer), no ECN.
+//! DESIGN.md): byte-stream only (no content), one SACK block per ACK
+//! (the most recent, as RFC 2018 orders them), no window scaling limits
+//! (receive window assumed ample), no Nagle (iperf bulk transfer), no
+//! ECN.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod congestion;
+mod ranges;
 pub mod receiver;
 pub mod rtt;
 pub mod sender;
