@@ -1,6 +1,6 @@
 //! Post-mortem rendering of a crash flight-recorder dump.
 //!
-//! The `blackbox` binary's logic, kept in the library so the smoke test
+//! What `sprayer-bench blackbox` prints, kept in the library so the smoke test
 //! (and anything else) can render a [`FlightSnapshot`] without shelling
 //! out: a timeline view of the last milliseconds before the freeze,
 //! grouped per core, plus an optional tail-attribution table read from
@@ -245,7 +245,7 @@ mod tests {
     fn tail_table_labels_any_dispatch_mode_from_the_document() {
         // The renderer must not keep its own mode list: whatever slug a
         // figure wrote (here the third mode, derived from Display, the
-        // same way the fig binaries derive it) comes back verbatim.
+        // same way the experiments derive it) comes back verbatim.
         let mut t = TailTracker::new(1, 10);
         t.on_complete(
             0,

@@ -2,16 +2,16 @@
 //! committed baseline.
 //!
 //! The simulator is deterministic, so the registry documents the
-//! experiment binaries write (`results/*_telemetry.json`) reproduce
-//! byte-for-byte on an unchanged tree — which makes them usable as
-//! regression baselines (`results/baselines/`). The gate parses both
-//! sides with [`MetricsRegistry::parse_document`] (any schema version),
+//! experiments write (`results/*_telemetry.json`) reproduce byte-for-byte
+//! on an unchanged tree — which makes them usable as regression
+//! baselines (`results/baselines/`). The gate parses both sides with
+//! [`MetricsRegistry::parse_document`] (the current schema version),
 //! flattens numeric leaves to dotted paths, and compares the subset of
 //! leaves that name a *gated metric* (throughput, fairness, coverage —
 //! see [`rule_for`]) under per-metric relative thresholds. Everything
 //! else in the document is context, not a gate.
 //!
-//! Consumers: the `bench_gate` binary (CI job `bench-gate`) walks every
+//! Consumers: `sprayer-bench gate` (CI job `bench-gate`) walks every
 //! baseline, writes a `BENCH_<name>.json` trajectory artifact per
 //! comparison, and exits 0 (pass), 1 (error: unreadable/missing/shape
 //! mismatch), or 2 (regression).
@@ -58,7 +58,7 @@ impl GateRule {
 }
 
 /// The gate policy for a leaf metric name, or `None` if the leaf is
-/// context only. Matches the field names the experiment binaries emit;
+/// context only. Matches the field names the experiments emit;
 /// only *object fields* are gated (array elements — e.g. per-bucket
 /// `jain` timeline entries — are trajectory data, not gates).
 pub fn rule_for(metric: &str) -> Option<GateRule> {
@@ -246,17 +246,13 @@ pub struct MetricDiff {
 pub struct GateReport {
     /// Gate name (the baseline file stem).
     pub name: String,
-    /// Schema version of the committed baseline.
-    pub baseline_version: u64,
-    /// Schema version of the fresh document.
-    pub current_version: u64,
     /// Every gated metric found in the baseline, in document order.
     pub metrics: Vec<MetricDiff>,
     /// Gated baseline paths with no counterpart in the fresh document —
     /// a shape mismatch, reported as an error (exit 1), not a pass.
     pub missing: Vec<String>,
     /// Gated fresh-document paths with no counterpart in the baseline:
-    /// *new* metrics a binary started emitting after the baseline was
+    /// *new* metrics an experiment started emitting after the baseline was
     /// committed. Not a failure (the values have no reference yet), but
     /// surfaced so the baseline gets refreshed instead of the new
     /// metrics riding ungated forever.
@@ -298,8 +294,6 @@ impl GateReport {
         let mut reg = MetricsRegistry::new();
         reg.set_str("kind", "bench_gate");
         reg.set_str("gate", &self.name);
-        reg.set_u64("baseline_schema_version", self.baseline_version);
-        reg.set_u64("current_schema_version", self.current_version);
         reg.set_u64("gated_metrics", self.metrics.len() as u64);
         reg.set_u64("regressions", self.regressions() as u64);
         reg.set_raw_json("metrics", crate::report::json_array(&items));
@@ -328,13 +322,13 @@ fn json_num(v: f64) -> String {
 }
 
 /// Gate a fresh telemetry document against a committed baseline. Both
-/// must parse as telemetry documents (any supported schema version);
+/// must parse as telemetry documents of the current schema version;
 /// metric selection runs over the *baseline*, so adding new metrics to
-/// a binary never breaks the gate until the baseline is refreshed.
+/// an experiment never breaks the gate until the baseline is refreshed.
 pub fn compare(name: &str, baseline: &str, current: &str) -> Result<GateReport, String> {
-    let (baseline_version, bdoc) =
+    let (_, bdoc) =
         MetricsRegistry::parse_document(baseline).map_err(|e| format!("{name}: baseline: {e}"))?;
-    let (current_version, cdoc) =
+    let (_, cdoc) =
         MetricsRegistry::parse_document(current).map_err(|e| format!("{name}: current: {e}"))?;
 
     let fresh_leaves = flatten_numeric(&cdoc);
@@ -387,8 +381,6 @@ pub fn compare(name: &str, baseline: &str, current: &str) -> Result<GateReport, 
     }
     Ok(GateReport {
         name: name.to_string(),
-        baseline_version,
-        current_version,
         metrics,
         missing,
         added,
@@ -398,6 +390,14 @@ pub fn compare(name: &str, baseline: &str, current: &str) -> Result<GateReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A current-version document with the given top-level fields.
+    fn doc(fields: &str) -> String {
+        format!(
+            "{{\"schema_version\":{},{fields}}}",
+            sprayer_obs::TELEMETRY_SCHEMA_VERSION
+        )
+    }
 
     #[test]
     fn rules_cover_the_emitted_metric_names_and_nothing_else() {
@@ -530,41 +530,37 @@ mod tests {
 
     #[test]
     fn throughput_drop_beyond_threshold_regresses_and_gain_never_does() {
-        let base = "{\"schema_version\":3,\"datapoints\":[{\"mpps\":10.0,\"cycles\":0}]}";
-        let drop = "{\"schema_version\":3,\"datapoints\":[{\"mpps\":8.0,\"cycles\":0}]}";
-        let gain = "{\"schema_version\":3,\"datapoints\":[{\"mpps\":13.0,\"cycles\":0}]}";
-        let ok = "{\"schema_version\":3,\"datapoints\":[{\"mpps\":9.5,\"cycles\":0}]}";
-        let r = compare("t", base, drop).unwrap();
+        let base = doc("\"datapoints\":[{\"mpps\":10.0,\"cycles\":0}]");
+        let drop = doc("\"datapoints\":[{\"mpps\":8.0,\"cycles\":0}]");
+        let gain = doc("\"datapoints\":[{\"mpps\":13.0,\"cycles\":0}]");
+        let ok = doc("\"datapoints\":[{\"mpps\":9.5,\"cycles\":0}]");
+        let r = compare("t", &base, &drop).unwrap();
         assert_eq!(r.regressions(), 1);
         assert!(!r.ok());
-        assert!(compare("t", base, gain).unwrap().ok());
-        assert!(compare("t", base, ok).unwrap().ok());
+        assert!(compare("t", &base, &gain).unwrap().ok());
+        assert!(compare("t", &base, &ok).unwrap().ok());
         // `cycles` is context: never gated, never "missing".
         assert_eq!(r.metrics.len(), 1);
     }
 
     #[test]
     fn lower_is_better_metrics_gate_the_other_way_with_abs_slack() {
-        let base = "{\"deviation\":0.02}";
+        let base = doc("\"deviation\":0.02");
+        let gate = |cur: &str| compare("t", &base, &doc(cur)).unwrap();
         // 0.02 -> 0.06 is within the 0.05 absolute slack.
-        assert!(compare("t", base, "{\"deviation\":0.06}").unwrap().ok());
-        assert_eq!(
-            compare("t", base, "{\"deviation\":0.2}")
-                .unwrap()
-                .regressions(),
-            1
-        );
+        assert!(gate("\"deviation\":0.06").ok());
+        assert_eq!(gate("\"deviation\":0.2").regressions(), 1);
         // Improvement is always fine.
-        assert!(compare("t", base, "{\"deviation\":0.0}").unwrap().ok());
+        assert!(gate("\"deviation\":0.0").ok());
     }
 
     #[test]
     fn timeline_arrays_are_trajectory_not_gates() {
         // A sampler block's per-bucket `jain` entries are array elements:
         // context. Only the scalar field gates.
-        let base = "{\"jain\":0.99,\"samples\":{\"jain\":[1.0,0.2,0.9]}}";
-        let cur = "{\"jain\":0.99,\"samples\":{\"jain\":[0.1,0.1,0.1]}}";
-        let r = compare("t", base, cur).unwrap();
+        let base = doc("\"jain\":0.99,\"samples\":{\"jain\":[1.0,0.2,0.9]}");
+        let cur = doc("\"jain\":0.99,\"samples\":{\"jain\":[0.1,0.1,0.1]}");
+        let r = compare("t", &base, &cur).unwrap();
         assert!(r.ok());
         assert_eq!(r.metrics.len(), 1);
         assert_eq!(r.metrics[0].path, "jain");
@@ -572,9 +568,9 @@ mod tests {
 
     #[test]
     fn missing_gated_paths_are_errors_not_passes() {
-        let base = "{\"datapoints\":[{\"mpps\":10.0},{\"mpps\":11.0}]}";
-        let cur = "{\"datapoints\":[{\"mpps\":10.0}]}";
-        let r = compare("t", base, cur).unwrap();
+        let base = doc("\"datapoints\":[{\"mpps\":10.0},{\"mpps\":11.0}]");
+        let cur = doc("\"datapoints\":[{\"mpps\":10.0}]");
+        let r = compare("t", &base, &cur).unwrap();
         assert_eq!(r.missing, vec!["datapoints[1].mpps".to_string()]);
         assert!(!r.ok());
     }
@@ -584,11 +580,12 @@ mod tests {
         // The fresh document grew a gated metric (and a gated datapoint
         // field) the committed baseline has never seen: still a pass,
         // but the additions are named so the baseline gets refreshed.
-        let base = "{\"mpps\":10.0,\"flows\":4}";
-        let cur = "{\"mpps\":10.0,\"flows\":4,\
-                    \"reconfig_migrated_flows_total\":3,\
-                    \"datapoints\":[{\"jain\":0.97,\"cycles\":7}]}";
-        let r = compare("t", base, cur).unwrap();
+        let base = doc("\"mpps\":10.0,\"flows\":4");
+        let cur = doc(
+            "\"mpps\":10.0,\"flows\":4,\"reconfig_migrated_flows_total\":3,\
+             \"datapoints\":[{\"jain\":0.97,\"cycles\":7}]",
+        );
+        let r = compare("t", &base, &cur).unwrap();
         assert!(r.ok(), "new metrics alone must not fail the gate");
         assert_eq!(
             r.added,
@@ -599,7 +596,7 @@ mod tests {
         );
         // Context-only additions (`cycles`) are not reported, and an
         // unchanged pair reports nothing.
-        assert!(compare("t", base, base).unwrap().added.is_empty());
+        assert!(compare("t", &base, &base).unwrap().added.is_empty());
         // The additions survive into the trajectory artifact.
         let (_, doc) = MetricsRegistry::parse_document(&r.to_json()).unwrap();
         let added = doc.get("added").unwrap().as_array().unwrap();
@@ -609,9 +606,9 @@ mod tests {
 
     #[test]
     fn report_serializes_as_a_parseable_registry_document() {
-        let base = "{\"mpps\":10.0,\"jain\":0.9}";
-        let cur = "{\"mpps\":7.0,\"jain\":0.91}";
-        let r = compare("g", base, cur).unwrap();
+        let base = doc("\"mpps\":10.0,\"jain\":0.9");
+        let cur = doc("\"mpps\":7.0,\"jain\":0.91");
+        let r = compare("g", &base, &cur).unwrap();
         let (v, doc) = MetricsRegistry::parse_document(&r.to_json()).unwrap();
         assert_eq!(v, sprayer_obs::TELEMETRY_SCHEMA_VERSION);
         assert_eq!(doc.get("gate").unwrap().as_str(), Some("g"));
@@ -623,8 +620,12 @@ mod tests {
 
     #[test]
     fn unreadable_documents_error() {
-        assert!(compare("t", "not json", "{}").is_err());
-        assert!(compare("t", "{}", "[1]").is_err());
-        assert!(compare("t", "{\"schema_version\":99}", "{}").is_err());
+        let ok = doc("\"mpps\":1.0");
+        assert!(compare("t", "not json", &ok).is_err());
+        assert!(compare("t", &ok, "[1]").is_err());
+        assert!(compare("t", "{\"schema_version\":99}", &ok).is_err());
+        // A document from an older schema is regenerated, not read.
+        assert!(compare("t", "{\"schema_version\":3,\"mpps\":1.0}", &ok).is_err());
+        assert!(compare("t", &ok, &ok).is_ok());
     }
 }

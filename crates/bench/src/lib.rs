@@ -1,7 +1,10 @@
 //! # sprayer-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index), built on reusable scenarios:
+//! One binary, `sprayer-bench`, runs every table/figure of the paper's
+//! evaluation (see DESIGN.md's per-experiment index) and the tools
+//! around them: `run <experiment>`, `run --baselines`, `gate`, `top`,
+//! `blackbox` and `trace`. The experiments live in the binary; this
+//! library holds what they are built on:
 //!
 //! * [`scenarios::rate`] — open-loop processing-rate measurement
 //!   (Figs. 6a, 7a): MoonGen-style 64 B packets at line rate into the
@@ -16,15 +19,15 @@
 //!   the online table against the offline trace replay;
 //! * [`report`] — aligned table / CSV output;
 //! * [`blackbox`] — post-mortem rendering of a crash flight-recorder
-//!   dump (the `blackbox` binary's logic);
-//! * [`livetop`] — frame rendering for the `live_top` dashboard
+//!   dump (what `sprayer-bench blackbox` prints);
+//! * [`livetop`] — frame rendering for the `sprayer-bench top` dashboard
 //!   (per-core rates, elastic footer, stage breakdown, SLO alerts);
 //! * [`gate`] — the benchmark regression gate: diffs fresh telemetry
 //!   documents against the committed baselines in `results/baselines/`
-//!   (driven by the `bench_gate` binary and the `bench-gate` CI job).
+//!   (driven by `sprayer-bench gate` and the `bench-gate` CI job).
 //!
-//! Run `cargo run -p sprayer-bench --release --bin <experiment>`;
-//! binaries print the paper's series plus the values measured here.
+//! Run `cargo run --release -p sprayer-bench -- run <experiment>`;
+//! experiments print the paper's series plus the values measured here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

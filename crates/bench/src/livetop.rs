@@ -1,5 +1,5 @@
-//! Frame rendering for the `live_top` dashboard, extracted from the
-//! binary so the layout logic is unit-testable.
+//! Frame rendering for the `sprayer-bench top` dashboard, kept out of
+//! the binary so the layout logic is unit-testable.
 //!
 //! One [`Frame`] is a pair of [`LiveCore`] snapshots (previous and
 //! current poll) plus the optional panes: the elastic reconfiguration
@@ -10,6 +10,7 @@
 
 use sprayer::ReconfigReport;
 use sprayer_obs::{Alert, LiveCore, Stage, TailReport, TailStage, STAGE_COUNT};
+use sprayer_sim::stats::jain_fairness_index;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -21,16 +22,6 @@ pub struct ElasticStatus {
     pub in_progress: AtomicBool,
     /// Recent reconfiguration reports, oldest first.
     pub events: Mutex<Vec<ReconfigReport>>,
-}
-
-/// Jain's fairness index over per-core rates.
-pub fn jain(xs: &[f64]) -> f64 {
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq <= 0.0 {
-        return 1.0;
-    }
-    sum * sum / (xs.len() as f64 * sq)
 }
 
 /// A per-core × per-stage tick matrix, as returned by
@@ -113,7 +104,7 @@ pub fn render(f: &Frame) -> String {
         out,
         "total {:.2} Mpps | Jain {:.3} | {} runs | {:.1}s elapsed",
         total / 1e6,
-        jain(&rates),
+        jain_fairness_index(&rates),
         f.runs,
         f.elapsed,
     );

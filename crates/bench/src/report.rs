@@ -1,4 +1,4 @@
-//! Minimal tabular/CSV reporting for experiment binaries.
+//! Minimal tabular/CSV reporting for the experiments.
 
 use std::fmt::Write as _;
 
@@ -75,31 +75,6 @@ impl Table {
         }
         out
     }
-
-    /// Write the CSV next to the repo's results (best effort; prints the
-    /// path on success).
-    pub fn save_csv(&self, name: &str) {
-        let dir = std::path::Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let path = dir.join(format!("{name}.csv"));
-            if std::fs::write(&path, self.to_csv()).is_ok() {
-                println!("[saved {}]", path.display());
-            }
-        }
-    }
-}
-
-/// Write a pre-serialized JSON document to `results/<name>.json` (best
-/// effort, like [`Table::save_csv`]). The experiment binaries use this for
-/// per-datapoint [`sprayer::stats::MiddleboxStats::to_json`] telemetry.
-pub fn save_json(name: &str, json: &str) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if std::fs::write(&path, json).is_ok() {
-            println!("[saved {}]", path.display());
-        }
-    }
 }
 
 /// Build a JSON array document from per-datapoint JSON objects, one per
@@ -130,25 +105,6 @@ pub fn fmt_f(v: f64, decimals: usize) -> String {
 /// `DispatchMode::from_str`, which accepts the lowercase spelling).
 pub fn mode_slug(mode: sprayer::config::DispatchMode) -> String {
     mode.to_string().to_ascii_lowercase()
-}
-
-/// Dispatch modes selected on the command line: every `--mode=<name>`
-/// argument (repeatable, parsed case-insensitively via the
-/// `DispatchMode` `FromStr`), or `default` in order when none is given.
-pub fn modes_from_args(
-    default: &[sprayer::config::DispatchMode],
-) -> Vec<sprayer::config::DispatchMode> {
-    let picked: Vec<sprayer::config::DispatchMode> = std::env::args()
-        .filter_map(|a| {
-            a.strip_prefix("--mode=")
-                .map(|m| m.parse().unwrap_or_else(|e| panic!("{e}")))
-        })
-        .collect();
-    if picked.is_empty() {
-        default.to_vec()
-    } else {
-        picked
-    }
 }
 
 #[cfg(test)]

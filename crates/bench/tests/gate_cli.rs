@@ -1,7 +1,8 @@
-//! End-to-end tests of the `bench_gate` binary: exit codes 0/1/2 and the
-//! `BENCH_*.json` trajectory artifacts, driven against synthetic
-//! baseline/result directories (including the acceptance fixture: a
-//! −20% throughput perturbation must exit 2).
+//! End-to-end tests of the `sprayer-bench` command line. Mostly `gate`:
+//! exit codes 0/1/2 and the `BENCH_*.json` trajectory artifacts, driven
+//! against synthetic baseline/result directories (including the
+//! acceptance fixture: a −20% throughput perturbation must exit 2). Then
+//! the usage errors of the command line itself, which all exit 1.
 
 use sprayer_obs::MetricsRegistry;
 use std::path::{Path, PathBuf};
@@ -30,14 +31,19 @@ fn doc(mpps: f64, jain: f64) -> String {
     reg.to_json()
 }
 
+fn bench() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_sprayer-bench"))
+}
+
 fn run_gate(baselines: &Path, results: &Path) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+    bench()
+        .arg("gate")
         .arg("--baselines")
         .arg(baselines)
         .arg("--results")
         .arg(results)
         .output()
-        .expect("bench_gate runs")
+        .expect("sprayer-bench runs")
 }
 
 #[test]
@@ -48,7 +54,7 @@ fn identical_documents_pass_with_exit_0_and_write_the_artifact() {
     let out = run_gate(&baselines, &results);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    // The trajectory artifact is a parseable v3 registry document.
+    // The trajectory artifact is a parseable, current-version registry document.
     let artifact = std::fs::read_to_string(results.join("BENCH_fig6_telemetry.json")).unwrap();
     let (v, parsed) = MetricsRegistry::parse_document(&artifact).unwrap();
     assert_eq!(v, sprayer_obs::TELEMETRY_SCHEMA_VERSION);
@@ -114,7 +120,8 @@ fn only_flag_restricts_gating_and_regression_beats_error() {
     // `a` regresses; `b` has no fresh document (an error) — but with
     // --only a, only `a` is gated and the regression exit code wins.
     std::fs::write(results.join("a.json"), doc(5.0, 0.99)).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+    let out = bench()
+        .arg("gate")
         .arg("--baselines")
         .arg(&baselines)
         .arg("--results")
@@ -127,4 +134,73 @@ fn only_flag_restricts_gating_and_regression_beats_error() {
     // Without --only: both run; regression still wins over the error.
     let out = run_gate(&baselines, &results);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+/// Every experiment name the usage message must list.
+const EXPERIMENTS: [&str; 17] = [
+    "fig1",
+    "fig2",
+    "table1",
+    "fig6",
+    "fig7",
+    "fig8_latency",
+    "fig9",
+    "fig_elastic",
+    "fig_chaos",
+    "fig_health",
+    "fig_tail",
+    "fig_soak",
+    "ablation_checksum",
+    "ablation_dpi",
+    "ablation_redirect",
+    "ablation_subset",
+    "hotpath_smoke",
+];
+
+fn assert_usage_error(out: &std::process::Output) {
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let listed = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("experiments: "))
+        .unwrap_or_else(|| panic!("no experiment list in: {stderr}"));
+    let listed: Vec<&str> = listed.split_whitespace().collect();
+    assert_eq!(listed, EXPERIMENTS, "{stderr}");
+}
+
+#[test]
+fn unknown_subcommand_exits_1_with_usage() {
+    assert_usage_error(&bench().arg("frobnicate").output().unwrap());
+    assert_usage_error(&bench().output().unwrap());
+}
+
+#[test]
+fn unknown_experiment_exits_1_with_usage() {
+    let (_, results) = scratch("unknown_experiment");
+    let out = bench()
+        .args(["run", "table1", "fig10"])
+        .current_dir(results.parent().unwrap())
+        .output()
+        .unwrap();
+    assert_usage_error(&out);
+    // Names are checked before anything runs: table1 printed nothing.
+    assert!(out.stdout.is_empty(), "{out:?}");
+}
+
+#[test]
+fn baseline_naming_no_experiment_exits_1_before_running_anything() {
+    let (_, results) = scratch("stray_baseline");
+    let baselines = results.join("baselines");
+    std::fs::create_dir_all(&baselines).unwrap();
+    std::fs::write(baselines.join("ablation_checksum_telemetry.json"), "{}").unwrap();
+    std::fs::write(baselines.join("fig10_quick_telemetry.json"), "{}").unwrap();
+    let out = bench()
+        .args(["run", "--baselines"])
+        .current_dir(results.parent().unwrap())
+        .output()
+        .unwrap();
+    assert_usage_error(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fig10_quick_telemetry.json"), "{stderr}");
+    assert!(!results.join("ablation_checksum.csv").exists());
 }

@@ -1,5 +1,5 @@
 //! Validation of the closed-loop TCP scenario against the paper's
-//! qualitative results (shortened windows; the figure binaries use the
+//! qualitative results (shortened windows; the figure experiments use the
 //! full windows).
 
 use sprayer::config::DispatchMode;

@@ -260,7 +260,7 @@ impl ObsConfig {
 
     /// The full online health plane: sampling + stage profiling +
     /// health events + the streaming reorder sketch. This is the
-    /// configuration `fig_health` and `live_top --health` run with.
+    /// configuration `fig_health` and `sprayer-bench top --health` run with.
     pub fn health_plane() -> Self {
         ObsConfig {
             sample: true,

@@ -26,7 +26,7 @@ use crate::tables::LocalTables;
 use sprayer_net::{FlowKey, Packet};
 use sprayer_nic::{Nic, NicConfig, RxSteering};
 use sprayer_obs::{DropKind, FlightSnapshot, HealthEvent, LatencyProbes, Stage};
-use sprayer_sim::{BoundedFifo, EventQueue, Reservoir, Time};
+use sprayer_sim::{BoundedFifo, EventQueue, Time};
 use std::sync::Arc;
 
 /// Trace timestamps are simulated-time picoseconds: 10^6 ticks/µs.
@@ -95,7 +95,6 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     nic_admit_free: Time,
     stats: MiddleboxStats,
     egress: Vec<(Time, Packet)>,
-    latency_us: Reservoir,
     /// Every plane of `config.obs`: one lane over all cores. What the
     /// simulator adds to an event is exactness — each service's
     /// composition is known, so profiled stage ticks sum to
@@ -240,7 +239,6 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             nic_admit_free: Time::ZERO,
             stats,
             egress: Vec::new(),
-            latency_us: Reservoir::new(200_000),
             obs,
             frozen_until: Time::ZERO,
             next_sweep: config
@@ -499,11 +497,6 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// Aggregate statistics so far.
     pub fn stats(&self) -> &MiddleboxStats {
         &self.stats
-    }
-
-    /// End-to-end latency samples (arrival → NF completion), microseconds.
-    pub fn latency_us(&self) -> &Reservoir {
-        &self.latency_us
     }
 
     /// The runtime-emitted latency histograms, when
@@ -896,8 +889,6 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 // their Dels just shipped; run the NF's hook.
                 self.run_eviction_hooks(core);
                 engine::account(&mut self.stats.per_core[core], is_conn, via_ring);
-                let sojourn = now.saturating_sub(arrival);
-                self.latency_us.add(sojourn.as_us_f64());
                 // Exact partition of the service window, for tail
                 // attribution. The framework overhead splits 3/4
                 // classify, 1/4 tx (the same split the stage profiler
@@ -2189,7 +2180,8 @@ mod tests {
 
     #[test]
     fn latency_at_low_load_is_service_time() {
-        let config = cfg(DispatchMode::Rss, 2_000);
+        let mut config = cfg(DispatchMode::Rss, 2_000);
+        config.obs = ObsConfig::latency();
         // Service = (120 + 2000) cycles at 2 GHz = 1.06 us.
         let mut mb = MiddleboxSim::new(config, TrackerNf);
         let t = flow(1);
@@ -2201,10 +2193,11 @@ mod tests {
             mb.ingress(now, p);
         }
         mb.run_until(now + Time::from_ms(1));
-        let p50 = mb.latency_us().median().unwrap();
+        let sojourn = &mb.probes().expect("latency probes on").sojourn_ns;
+        let p50 = sojourn.p50().unwrap();
         assert!(
-            (p50 - 1.06).abs() < 0.02,
-            "p50 {p50} should equal the service time"
+            p50.abs_diff(1_060) < 20,
+            "p50 {p50} ns should equal the service time"
         );
     }
 

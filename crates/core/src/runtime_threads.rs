@@ -142,13 +142,13 @@ pub struct ThreadedConfig {
     /// [`CoreStats::busy_cycles`].
     pub obs: ObsConfig,
     /// Live per-core counter slots for external observation while the
-    /// run executes (e.g. the `live_top` dashboard). Workers `fetch_add`
+    /// run executes (e.g. the `sprayer-bench top` dashboard). Workers `fetch_add`
     /// their per-batch deltas into the shared slots; a reader polls
     /// [`LiveSlots::snapshot`] from any thread. `None` (the default)
     /// costs nothing.
     pub live: Option<Arc<LiveSlots>>,
     /// Live per-core *stage* tick slots for external observation while
-    /// the run executes (the `live_top` stage-breakdown pane). Only fed
+    /// the run executes (the `sprayer-bench top` stage-breakdown pane). Only fed
     /// when [`ObsConfig::profile`] is also on; workers `fetch_add` each
     /// profiled span into the shared slots. `None` (the default) costs
     /// nothing.

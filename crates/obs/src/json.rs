@@ -1,10 +1,9 @@
 //! A minimal JSON reader for telemetry documents.
 //!
 //! The registry *writes* JSON by hand ([`crate::MetricsRegistry`]); this
-//! module is the matching read path, added for schema v3 so consumers —
-//! the `bench_gate` regression gate foremost — can load documents this
-//! repo produced (any schema version) without pulling a JSON crate into
-//! the vendored dependency set. It is a strict recursive-descent parser
+//! module is the matching read path, so consumers — the bench regression
+//! gate foremost — can load the documents this repo produces without
+//! pulling a JSON crate into the vendored dependency set. It is a strict recursive-descent parser
 //! for the JSON subset the registry emits: objects, arrays, strings with
 //! the registry's escapes, numbers, booleans, null. Numbers are read as
 //! `f64`, which is lossless for every counter the telemetry documents

@@ -23,8 +23,8 @@
 //!   drop rate); [`LiveSlots`] is the lock-free live-view counterpart.
 //! * [`MetricsRegistry`] — an ordered name→value snapshot that
 //!   serializes one versioned JSON telemetry document, with a read path
-//!   ([`JsonValue`], `MetricsRegistry::parse_document`) accepting every
-//!   schema version this repo has emitted.
+//!   ([`JsonValue`], `MetricsRegistry::parse_document`) that accepts
+//!   the current schema version only.
 //! * [`mod@analyze`] / [`trace_io`] — offline replay: per-flow reordering
 //!   depth, latency breakdowns, conservation checks against
 //!   the runtime's own counters, and a stable on-disk trace format.

@@ -248,7 +248,7 @@ fn finite(v: f64) -> f64 {
     }
 }
 
-/// Lock-free live stage counters for external observers (`live_top`'s
+/// Lock-free live stage counters for external observers (`sprayer-bench top`'s
 /// stage-breakdown pane), mirroring the `LiveSlots` pattern: workers
 /// add relaxed deltas per batch, observers snapshot whenever they like.
 #[derive(Debug)]

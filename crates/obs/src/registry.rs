@@ -1,6 +1,6 @@
 //! A versioned, ordered metrics snapshot.
 //!
-//! [`MetricsRegistry`] is the one way experiment binaries build their
+//! [`MetricsRegistry`] is the one way the experiments build their
 //! telemetry JSON: insertion-ordered `name → value` pairs serialized as
 //! a single object whose first field is always `"schema_version"`.
 //! Values can be integers, floats, strings, pre-serialized JSON blocks
@@ -9,34 +9,16 @@
 use crate::hist::Histogram;
 use crate::json::JsonValue;
 
-/// Version of the telemetry JSON documents the benches emit.
+/// Version of the telemetry JSON documents the benches emit, and the
+/// only one [`MetricsRegistry::parse_document`] reads: every document in
+/// the tree is regenerated when it moves.
 ///
-/// * v1 — the ad-hoc `results/fig{6,7}_telemetry.json` lines (no
-///   version field).
-/// * v2 — registry-built documents: every record carries
-///   `"schema_version": 2`; existing field names are unchanged and new
-///   records may add histogram blocks.
-/// * v3 — documents may embed time-series sampling blocks
-///   (`SampleSet::to_json` objects: per-core bucketed deltas plus
-///   `jain`/`util_skew`/`drop_rate` timelines). Purely additive: every
-///   v2 field keeps its name and shape, so v2 readers ignoring unknown
-///   fields still work.
-/// * v4 — the health plane: documents may carry the `profile_*` metric
-///   set (per-stage busy-time attribution, `StageProfiler::export`),
-///   the `health_*` set (structured event records plus SLO alert
-///   records, `export_health_telemetry`), and the `reorder_*` set (the
-///   streaming reordering-depth sketch, `ReorderReport::export`).
-///   Again purely additive — v3 readers ignoring unknown fields still
-///   work.
-/// * v5 — tail attribution and the flight recorder: documents may carry
-///   the `tail_*` metric set (exemplar-based per-stage slow-packet
-///   breakdowns, `TailReport::export`), the `flight_*` set (crash
-///   flight-recorder snapshot summary, `FlightSnapshot::export`), and
-///   the bounded-ring loss counters promoted from internal state
-///   (`trace_events_dropped` alongside the existing
-///   `health_events_dropped` / `reorder_untracked_completions`). Purely
-///   additive — v4 readers ignoring unknown fields still work, and
-///   [`MetricsRegistry::parse_document`] reads v1 through v5.
+/// v5 documents may carry, beside the per-datapoint stats blocks and
+/// histograms, time-series sampling blocks (`SampleSet::to_json`), the
+/// health plane's `profile_*`/`health_*`/`reorder_*` metric sets, tail
+/// attribution's `tail_*` set, the flight recorder's `flight_*` summary,
+/// and the bounded-ring loss counters (`trace_events_dropped`,
+/// `health_events_dropped`, `reorder_untracked_completions`).
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 5;
 
 #[derive(Debug, Clone)]
@@ -134,30 +116,23 @@ impl MetricsRegistry {
         s
     }
 
-    /// Parse a telemetry document produced by any schema version this
-    /// repo has emitted: v1 documents carry no `schema_version` field
-    /// (the ad-hoc pre-registry JSON) and are reported as version 1;
-    /// v2 through v5 declare themselves. Returns `(version, document)`; errors
-    /// on malformed JSON, a non-object root, or a version newer than
-    /// [`TELEMETRY_SCHEMA_VERSION`] (forward compatibility is not
-    /// promised — regenerate or upgrade instead of misreading).
+    /// Parse a telemetry document. Returns `(version, document)`; errors
+    /// on malformed JSON, a non-object root, or any `schema_version`
+    /// other than [`TELEMETRY_SCHEMA_VERSION`] (a missing one included):
+    /// regenerate an old document instead of misreading it.
     pub fn parse_document(text: &str) -> Result<(u64, JsonValue), String> {
         let doc = JsonValue::parse(text)?;
         if doc.as_object().is_none() {
             return Err("telemetry document root must be an object".to_string());
         }
-        let version = match doc.get("schema_version") {
-            None => 1,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| "schema_version must be a non-negative integer".to_string())?,
-        };
-        if version > TELEMETRY_SCHEMA_VERSION {
+        let version = doc.get("schema_version").and_then(JsonValue::as_u64);
+        if version != Some(TELEMETRY_SCHEMA_VERSION) {
             return Err(format!(
-                "telemetry schema_version {version} is newer than supported {TELEMETRY_SCHEMA_VERSION}"
+                "telemetry schema_version {version:?} is not {TELEMETRY_SCHEMA_VERSION}: \
+                 regenerate the document"
             ));
         }
-        Ok((version, doc))
+        Ok((TELEMETRY_SCHEMA_VERSION, doc))
     }
 }
 
@@ -216,59 +191,19 @@ mod tests {
     }
 
     #[test]
-    fn parser_reads_v1_and_v2_documents() {
-        // v1: the pre-registry ad-hoc format, no schema_version field.
-        let (v1, doc) =
-            MetricsRegistry::parse_document("{\"figure\":\"6a\",\"mode\":\"RSS\",\"mpps\":1.25}")
-                .unwrap();
-        assert_eq!(v1, 1);
-        assert_eq!(doc.get("mpps").unwrap().as_f64(), Some(1.25));
-        // v2: a registry document written before the v3 bump. Same
-        // field names and shapes; only the version differs.
-        let (v2, doc) = MetricsRegistry::parse_document(
-            "{\"schema_version\":2,\"figure\":\"6\",\"datapoints\":[{\"cycles\":0}]}",
-        )
-        .unwrap();
-        assert_eq!(v2, 2);
-        assert_eq!(
-            doc.get("datapoints").unwrap().as_array().unwrap()[0]
-                .get("cycles")
-                .unwrap()
-                .as_u64(),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn parser_reads_documents_written_before_the_v5_bump() {
-        // v3: a registry document with a sampling block but none of the
-        // v4 `profile_*`/`health_*`/`reorder_*` sets. Same field names
-        // and shapes; only the version differs — the 2→3→4→5 ladder
-        // stays readable end to end.
-        let (v3, doc) = MetricsRegistry::parse_document(
-            "{\"schema_version\":3,\"figure\":\"9\",\
-             \"samples\":{\"jain\":[1.0,0.5],\"per_core\":[]}}",
-        )
-        .unwrap();
-        assert_eq!(v3, 3);
-        let jain = doc.get("samples").unwrap().get("jain").unwrap();
-        assert_eq!(jain.as_array().unwrap().len(), 2);
-        // v4: a health-plane document written before the v5 bump.
-        let (v4, doc) = MetricsRegistry::parse_document(
-            "{\"schema_version\":4,\"health_alerts_total\":2,\
-             \"profile_nf_share\":0.75}",
-        )
-        .unwrap();
-        assert_eq!(v4, 4);
-        assert_eq!(doc.get("health_alerts_total").unwrap().as_u64(), Some(2));
-        // v5: current documents self-describe and parse back.
-        let (v5, doc) = MetricsRegistry::parse_document(
-            "{\"schema_version\":5,\"tail_exemplars\":3,\
-             \"flight_frozen\":1,\"trace_events_dropped\":0}",
-        )
-        .unwrap();
-        assert_eq!(v5, TELEMETRY_SCHEMA_VERSION);
-        assert_eq!(doc.get("tail_exemplars").unwrap().as_u64(), Some(3));
+    fn parser_rejects_documents_from_older_versions() {
+        // v1 (no schema_version field) through v4: the shapes were
+        // compatible, but nothing in the tree is older than the current
+        // version, so an old document is an error, not a silent read.
+        for old in [
+            "{\"figure\":\"6a\",\"mpps\":1.25}",
+            "{\"schema_version\":2,\"datapoints\":[{\"cycles\":0}]}",
+            "{\"schema_version\":3,\"samples\":{\"jain\":[1.0]}}",
+            "{\"schema_version\":4,\"health_alerts_total\":2}",
+        ] {
+            let err = MetricsRegistry::parse_document(old).unwrap_err();
+            assert!(err.contains("schema_version"), "{old}: {err}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! run while it executes: a flat array of per-core atomic counters that
 //! workers `fetch_add` their batch deltas into (relaxed ordering — the
 //! reader wants a cheap, approximately-consistent snapshot, not a
-//! linearizable one). The `live_top` dashboard polls
+//! linearizable one). The `sprayer-bench top` dashboard polls
 //! [`LiveSlots::snapshot`] and diffs successive snapshots into rates.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -10,7 +10,7 @@
 //!   `seq,ts,core,kind,flow,pkt,aux` CSV (kind by its stable name).
 //!
 //! [`parse`] is strict: an unknown schema tag, malformed event line, or
-//! event-count mismatch against the header is an error, so `trace_report`
+//! event-count mismatch against the header is an error, so `sprayer-bench trace`
 //! can fail CI on schema drift.
 
 use crate::event::{EventKind, TraceEvent};

@@ -11,8 +11,7 @@
 //!   insertion,
 //! * [`queue`] — bounded FIFOs with drop accounting (NIC rx queues,
 //!   inter-core descriptor rings),
-//! * [`stats`] — streaming mean/variance, exact-percentile reservoirs and
-//!   log-binned histograms for latency tails,
+//! * [`stats`] — streaming mean/variance and Jain's fairness index,
 //! * [`rng`] — a small, pinned PRNG (SplitMix64 core) with uniform /
 //!   exponential / shuffling helpers so experiments reproduce bit-for-bit
 //!   across platforms and `rand` version bumps.
@@ -32,5 +31,5 @@ pub mod time;
 pub use engine::{EventQueue, Model, Scheduler, Simulation};
 pub use queue::BoundedFifo;
 pub use rng::SimRng;
-pub use stats::{Histogram, Reservoir, Welford};
+pub use stats::Welford;
 pub use time::{ClockFreq, Time};

@@ -1,11 +1,10 @@
 //! Streaming statistics for experiment probes.
 //!
 //! * [`Welford`] — numerically stable mean/variance,
-//! * [`Reservoir`] — exact percentiles over bounded sample counts (RTT
-//!   distributions in Fig. 8 involve at most a few hundred thousand
-//!   samples, well within memory),
-//! * [`Histogram`] — log-binned counts for unbounded streams,
 //! * [`jain_fairness_index`] — the fairness metric of Fig. 9.
+//!
+//! Latency distributions are `sprayer_obs::Histogram`s, recorded by the
+//! runtimes' latency probes.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,180 +55,6 @@ impl Welford {
     }
 }
 
-/// Exact-percentile sample store.
-///
-/// Keeps every sample up to `max_samples`; beyond that, falls back to
-/// uniform reservoir sampling (Vitter's algorithm R) so percentiles remain
-/// unbiased estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Reservoir {
-    samples: Vec<f64>,
-    max_samples: usize,
-    seen: u64,
-    /// Tiny embedded LCG for reservoir replacement decisions; decoupled
-    /// from model RNGs so adding a probe never perturbs a simulation.
-    rng_state: u64,
-}
-
-impl Reservoir {
-    /// A reservoir holding up to `max_samples` values.
-    pub fn new(max_samples: usize) -> Self {
-        assert!(max_samples > 0);
-        Reservoir {
-            samples: Vec::new(),
-            max_samples,
-            seen: 0,
-            rng_state: 0x853c_49e6_748f_ea9b,
-        }
-    }
-
-    /// Record an observation.
-    pub fn add(&mut self, x: f64) {
-        self.seen += 1;
-        if self.samples.len() < self.max_samples {
-            self.samples.push(x);
-        } else {
-            // Algorithm R: replace a random slot with probability k/seen.
-            self.rng_state = self
-                .rng_state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (self.rng_state >> 16) % self.seen;
-            if (j as usize) < self.max_samples {
-                self.samples[j as usize] = x;
-            }
-        }
-    }
-
-    /// Total observations offered (not just retained).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) by linear interpolation, or `None`
-    /// if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let pos = q * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-
-    /// Median shortcut.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// 99th percentile shortcut (the paper reports p99 RTTs).
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Minimum retained sample.
-    pub fn min(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .min_by(|a, b| a.partial_cmp(b).expect("NaN"))
-    }
-
-    /// Maximum retained sample.
-    pub fn max(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .max_by(|a, b| a.partial_cmp(b).expect("NaN"))
-    }
-
-    /// Mean of retained samples.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-}
-
-/// Log-binned histogram for unbounded positive streams.
-///
-/// Bins are half-open intervals `[2^(k/sub), 2^((k+1)/sub))` — i.e. `sub`
-/// sub-buckets per octave — giving bounded relative error on quantiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    sub: u32,
-    underflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with `sub` sub-buckets per power of two (8 gives ≤ ~9 %
-    /// relative quantile error).
-    pub fn new(sub: u32) -> Self {
-        assert!(sub >= 1);
-        Histogram {
-            counts: vec![0; 64 * sub as usize],
-            sub,
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    fn bucket_of(&self, x: f64) -> Option<usize> {
-        // NaN deliberately lands in the underflow bin too.
-        if x.is_nan() || x < 1.0 {
-            return None;
-        }
-        let idx = (x.log2() * f64::from(self.sub)).floor() as usize;
-        Some(idx.min(self.counts.len() - 1))
-    }
-
-    /// Record an observation (values `< 1.0` land in the underflow bin).
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        match self.bucket_of(x) {
-            Some(b) => self.counts[b] += 1,
-            None => self.underflow += 1,
-        }
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate `q`-quantile: the geometric midpoint of the bucket in
-    /// which the quantile falls.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return None;
-        }
-        let rank = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = self.underflow;
-        if rank <= cum {
-            return Some(0.5);
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if rank <= cum {
-                let lo = 2f64.powf(i as f64 / f64::from(self.sub));
-                let hi = 2f64.powf((i + 1) as f64 / f64::from(self.sub));
-                return Some((lo * hi).sqrt());
-            }
-        }
-        None
-    }
-}
-
 /// Jain's fairness index over per-flow throughputs (Fig. 9).
 ///
 /// `(Σx)² / (n · Σx²)`: 1.0 when all shares are equal, `1/n` in the worst
@@ -271,54 +96,6 @@ mod tests {
         w.add(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn reservoir_exact_quantiles_small_n() {
-        let mut r = Reservoir::new(1000);
-        for i in 1..=100 {
-            r.add(f64::from(i));
-        }
-        assert_eq!(r.median(), Some(50.5));
-        assert!((r.quantile(0.99).unwrap() - 99.01).abs() < 1e-9);
-        assert_eq!(r.min(), Some(1.0));
-        assert_eq!(r.max(), Some(100.0));
-        assert_eq!(r.quantile(0.0), Some(1.0));
-        assert_eq!(r.quantile(1.0), Some(100.0));
-    }
-
-    #[test]
-    fn reservoir_subsamples_beyond_capacity() {
-        let mut r = Reservoir::new(100);
-        for i in 0..10_000 {
-            r.add(f64::from(i));
-        }
-        assert_eq!(r.seen(), 10_000);
-        // The median of uniform 0..10000 should be near 5000.
-        let med = r.median().unwrap();
-        assert!((med - 5000.0).abs() < 1500.0, "median {med} too far off");
-    }
-
-    #[test]
-    fn histogram_quantiles_have_bounded_relative_error() {
-        let mut h = Histogram::new(8);
-        for i in 1..=100_000u32 {
-            h.add(f64::from(i));
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((p50 / 50_000.0 - 1.0).abs() < 0.10, "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((p99 / 99_000.0 - 1.0).abs() < 0.10, "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_underflow_bin() {
-        let mut h = Histogram::new(4);
-        h.add(0.25);
-        h.add(0.5);
-        h.add(16.0);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.quantile(0.1), Some(0.5));
     }
 
     #[test]

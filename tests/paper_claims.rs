@@ -1,10 +1,10 @@
 //! Repo-level integration tests: the paper's headline claims, asserted
 //! across the whole stack through the public API (what a downstream user
-//! would write). Heavier sweeps live in the `sprayer-bench` binaries;
+//! would write). Heavier sweeps live in the `sprayer-bench` experiments;
 //! these are the fast, always-on versions.
 
 use sprayer::api::{FlowStateApi, NetworkFunction, Verdict};
-use sprayer::config::{DispatchMode, MiddleboxConfig};
+use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::coremap::CoreMap;
 use sprayer::runtime_sim::MiddleboxSim;
 use sprayer::runtime_threads::ThreadedMiddlebox;
@@ -211,7 +211,8 @@ fn runtimes_agree_on_nat_outcomes() {
 #[test]
 fn simulator_is_deterministic() {
     let run = || {
-        let config = MiddleboxConfig::paper_testbed_with_cycles(DispatchMode::Sprayer, 3_000);
+        let mut config = MiddleboxConfig::paper_testbed_with_cycles(DispatchMode::Sprayer, 3_000);
+        config.obs = ObsConfig::latency();
         let mut mb = MiddleboxSim::new(config, SyntheticNf::for_simulator());
         let t = FiveTuple::tcp(1, 2, 3, 4);
         let mut now = Time::ZERO;
@@ -227,7 +228,7 @@ fn simulator_is_deterministic() {
         (
             mb.stats().forwarded,
             mb.stats().per_core_processed(),
-            mb.latency_us().p99(),
+            mb.probes().expect("latency probes on").sojourn_ns.clone(),
         )
     };
     assert_eq!(run(), run());
