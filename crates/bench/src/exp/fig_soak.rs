@@ -3,7 +3,7 @@
 //!
 //! Heavy-tailed TCP flow churn runs for the whole horizon with the
 //! flow-table lifecycle on (FIN-driven reclaim, idle aging, LRU
-//! backstop) while one composed [`SoakPlan`] fires a checksum-collapse
+//! backstop) while one composed [`Plan`] fires a checksum-collapse
 //! burst, a worker-core crash with watchdog recovery, and a planned
 //! scale-up/scale-down pair. The run hard-asserts the soak invariants
 //! in every dispatch mode: flat steady-state table occupancy, every
@@ -18,7 +18,7 @@
 //! `recovery_*`/`reconfig_*` metric sets, and the full
 //! occupancy/eviction-reason timeline as trajectory data.
 //!
-//! [`SoakPlan`]: sprayer_ctl::SoakPlan
+//! [`Plan`]: sprayer_ctl::Plan
 
 use crate::{Report, RunArgs};
 use sprayer::config::DispatchMode;

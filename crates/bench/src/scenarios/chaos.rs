@@ -1,7 +1,7 @@
 //! Mid-run core failure under adversarial traffic (`fig_chaos`).
 //!
 //! An open-loop MoonGen trace is offered to an elastic middlebox driven
-//! by a [`sprayer_ctl::ChaosController`]. A sixth of the way into the
+//! by a [`sprayer_ctl::Controller`]. A sixth of the way into the
 //! measured window an attacker injects a burst of checksum-crafted
 //! packets (every TCP checksum identical — the traffic that defeats
 //! checksum-bit spraying), then bursts of truncated and garbage frames
@@ -20,12 +20,10 @@
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::stats::MiddleboxStats;
 use sprayer::RecoveryReport;
-use sprayer_ctl::{AdversarialProfile, ChaosController, FaultPlan};
-use sprayer_net::{PacketBuilder, TcpFlags};
+use sprayer_ctl::{Action, AdversarialProfile, Controller, Plan};
 use sprayer_nf::SyntheticNf;
 use sprayer_obs::{FlightSnapshot, SampleSet};
 use sprayer_sim::Time;
-use sprayer_trafficgen::moongen::{Arrivals, MoonGen};
 use std::path::PathBuf;
 
 /// Parameters of a chaos run.
@@ -155,83 +153,48 @@ pub fn run(cfg: &ChaosConfig) -> ChaosResult {
     mb_config.num_cores = cfg.cores;
     mb_config.obs = cfg.obs;
 
-    let mut gen = MoonGen::new(cfg.num_flows, cfg.offered_pps, Arrivals::Constant, cfg.seed);
-
-    // Warmup instants are known up front (one SYN per flow at 2 µs
-    // spacing, then 1 ms of settling), so the whole fault schedule can
-    // be laid out before the first packet: attack bursts at 1/6 and
-    // 1/4, the crash at 1/3 of the measured window.
-    let syn_end = Time::from_us(2 * cfg.num_flows as u64);
-    let warmup_end = syn_end + Time::from_ms(1);
-    let frac = |num: u64, den: u64| Time::from_ps(cfg.duration.as_ps() * num / den);
+    // The fault schedule, at fractions of the measured window: attack
+    // bursts at 1/6, 1/4 and 7/24, the crash at 1/3.
+    let warmup_end = super::warmup_end(cfg.num_flows);
+    let at = |num: u64, den: u64| warmup_end + Time::from_ps(cfg.duration.as_ps() * num / den);
     let half_burst = (cfg.attack_burst / 2).max(1);
-    let plan = FaultPlan::new()
+    let collapse = AdversarialProfile::LowEntropyChecksum {
+        target: cfg.attack_checksum,
+    };
+    let plan = Plan::new(warmup_end + cfg.duration)
         .detect_within(cfg.detect_deadline)
-        .adversarial_at_time(
-            warmup_end + frac(1, 6),
-            AdversarialProfile::LowEntropyChecksum {
-                target: cfg.attack_checksum,
-            },
-            cfg.attack_burst,
+        .at(at(1, 6), Action::Burst(collapse, cfg.attack_burst))
+        .at(
+            at(1, 4),
+            Action::Burst(AdversarialProfile::TruncatedFrames, half_burst),
         )
-        .adversarial_at_time(
-            warmup_end + frac(1, 4),
-            AdversarialProfile::TruncatedFrames,
-            half_burst,
+        .at(
+            at(7, 24),
+            Action::Burst(AdversarialProfile::GarbageHeaders, half_burst),
         )
-        .adversarial_at_time(
-            warmup_end + frac(7, 24),
-            AdversarialProfile::GarbageHeaders,
-            half_burst,
-        )
-        .crash_at_time(warmup_end + frac(1, 3), cfg.fail_core);
-    let mut ctl = ChaosController::new(mb_config, SyntheticNf::for_simulator(), plan, cfg.seed)
+        .at(at(1, 3), Action::Crash(cfg.fail_core));
+    let mut ctl = Controller::new(mb_config, SyntheticNf::for_simulator(), plan, cfg.seed)
         .expect("static fault schedule is valid");
     if let Some(path) = &cfg.flight_dump {
         ctl = ctl.dump_flight_to(path.clone());
     }
+    let processed_pps = super::drive_moongen(
+        &mut ctl,
+        cfg.num_flows,
+        cfg.offered_pps,
+        cfg.seed,
+        cfg.duration,
+    );
 
-    // Connection setup, outside the measured window.
-    let mut t = Time::ZERO;
-    for tuple in gen.flows().to_vec() {
-        ctl.offer(t, PacketBuilder::new().tcp(tuple, 0, 0, TcpFlags::SYN, b""));
-        t += Time::from_us(2);
-    }
-    ctl.middlebox_mut().run_until(warmup_end);
-    let _ = ctl.middlebox_mut().take_egress();
-    let processed_before = ctl.middlebox().stats().processed();
-
-    // Measured window; the controller fires due faults and recoveries
-    // between packets.
-    let horizon = warmup_end + cfg.duration;
-    loop {
-        let (at, pkt) = gen.next_packet();
-        let at = warmup_end + at;
-        if at >= horizon {
-            break;
-        }
-        ctl.offer(at, pkt);
-    }
-    ctl.finish(horizon);
-    let injected = ctl.injected();
-    let flight_dumped = ctl.flight_dumped().map(PathBuf::from);
-
+    let (injected, flight_dumped) = (ctl.injected(), ctl.flight_dumped().map(PathBuf::from));
     let mut mb = ctl.into_middlebox();
-    let processed_window = mb.stats().processed() - processed_before;
-    // Drain the queued tail so the end-of-run block is
-    // conservation-clean; the rate is measured over the window only.
-    let mut drain = horizon;
-    while !mb.is_idle() {
-        drain += Time::from_ms(1);
-        mb.run_until(drain);
-    }
     let stats = mb.stats().clone();
     let obs = mb.take_obs();
     ChaosResult {
         recoveries: mb.recoveries().to_vec(),
         samples: obs.samples,
         offered_pps: cfg.offered_pps,
-        processed_pps: processed_window as f64 / cfg.duration.as_secs_f64(),
+        processed_pps,
         stats,
         injected,
         injected_malformed: 2 * u64::from(half_burst),

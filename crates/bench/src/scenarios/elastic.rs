@@ -1,7 +1,7 @@
 //! Elastic scale-up/scale-down measurement (`fig_elastic`).
 //!
 //! An open-loop MoonGen trace is offered to an *elastic* middlebox
-//! driven by a [`sprayer_ctl::ElasticController`]: the run starts on
+//! driven by a [`sprayer_ctl::Controller`]: the run starts on
 //! `start_cores`, scales to `high_cores` a third of the way through the
 //! measured window, and scales back down at two thirds. Offered load is
 //! chosen above the small configuration's capacity, so the per-core
@@ -19,12 +19,10 @@
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::stats::MiddleboxStats;
 use sprayer::ReconfigReport;
-use sprayer_ctl::{ElasticController, ReconfigPlan};
-use sprayer_net::{PacketBuilder, TcpFlags};
+use sprayer_ctl::{Action, Controller, Plan};
 use sprayer_nf::SyntheticNf;
 use sprayer_obs::SampleSet;
 use sprayer_sim::Time;
-use sprayer_trafficgen::moongen::{Arrivals, MoonGen};
 
 /// Parameters of an elastic run.
 #[derive(Debug, Clone)]
@@ -106,60 +104,29 @@ pub fn run(cfg: &ElasticConfig) -> ElasticResult {
     mb_config.num_cores = cfg.start_cores;
     mb_config.obs = cfg.obs;
 
-    let mut gen = MoonGen::new(cfg.num_flows, cfg.offered_pps, Arrivals::Constant, cfg.seed);
-
-    // The warmup instants are known up front (one SYN per flow at 2 µs
-    // spacing, then 1 ms of settling), so the whole plan can be
-    // scheduled before the first packet.
-    let syn_end = Time::from_us(2 * cfg.num_flows as u64);
-    let warmup_end = syn_end + Time::from_ms(1);
+    // Up at one third of the measured window, down at two thirds.
+    let warmup_end = super::warmup_end(cfg.num_flows);
     let third = Time::from_ps(cfg.duration.as_ps() / 3);
-    let plan = ReconfigPlan::new()
-        .at_time(warmup_end + third, cfg.high_cores)
-        .at_time(warmup_end + third + third, cfg.start_cores);
-    let mut ctl = ElasticController::new(mb_config, SyntheticNf::for_simulator(), plan)
+    let plan = Plan::new(warmup_end + cfg.duration)
+        .at(warmup_end + third, Action::Rescale(cfg.high_cores))
+        .at(warmup_end + third + third, Action::Rescale(cfg.start_cores));
+    let mut ctl = Controller::new(mb_config, SyntheticNf::for_simulator(), plan, cfg.seed)
         .expect("static up/down plan is valid");
-
-    // Connection setup, outside the measured window.
-    let mut t = Time::ZERO;
-    for tuple in gen.flows().to_vec() {
-        ctl.offer(t, PacketBuilder::new().tcp(tuple, 0, 0, TcpFlags::SYN, b""));
-        t += Time::from_us(2);
-    }
-    ctl.middlebox_mut().run_until(warmup_end);
-    let _ = ctl.middlebox_mut().take_egress();
-    let processed_before = ctl.middlebox().stats().processed();
-
-    // Measured window; the controller fires due transitions between
-    // packets.
-    let horizon = warmup_end + cfg.duration;
-    loop {
-        let (at, pkt) = gen.next_packet();
-        let at = warmup_end + at;
-        if at >= horizon {
-            break;
-        }
-        ctl.offer(at, pkt);
-    }
-    ctl.finish(horizon);
+    let processed_pps = super::drive_moongen(
+        &mut ctl,
+        cfg.num_flows,
+        cfg.offered_pps,
+        cfg.seed,
+        cfg.duration,
+    );
 
     let mut mb = ctl.into_middlebox();
-    let processed_window = mb.stats().processed() - processed_before;
-    // Drain the queued tail past the horizon so the end-of-run telemetry
-    // block is conservation-clean (`unaccounted() == 0`); the rate is
-    // still measured over the window only.
-    let mut drain = horizon;
-    while !mb.is_idle() {
-        drain += Time::from_ms(1);
-        mb.run_until(drain);
-    }
-    let stats = mb.stats().clone();
     ElasticResult {
         reports: mb.reconfigs().to_vec(),
+        stats: mb.stats().clone(),
         samples: mb.take_obs().samples,
         offered_pps: cfg.offered_pps,
-        processed_pps: processed_window as f64 / cfg.duration.as_secs_f64(),
-        stats,
+        processed_pps,
     }
 }
 

@@ -18,14 +18,12 @@
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::stats::MiddleboxStats;
 use sprayer::RecoveryReport;
-use sprayer_ctl::{AdversarialProfile, ChaosController, FaultPlan};
-use sprayer_net::{PacketBuilder, TcpFlags};
+use sprayer_ctl::{Action, AdversarialProfile, Controller, Plan};
 use sprayer_nf::SyntheticNf;
 use sprayer_obs::{
     analyze, evaluate, Alert, HealthReport, ReorderReport, SampleSet, SloRules, StageProfiler,
 };
 use sprayer_sim::Time;
-use sprayer_trafficgen::moongen::{Arrivals, MoonGen};
 
 /// Parameters of a health-plane run. Same fault shape as
 /// [`super::chaos::ChaosConfig`]; the difference is what is observed.
@@ -129,59 +127,32 @@ pub fn run(cfg: &HealthConfig) -> HealthResult {
         ..ObsConfig::health_plane()
     };
 
-    let mut gen = MoonGen::new(cfg.num_flows, cfg.offered_pps, Arrivals::Constant, cfg.seed);
-
-    let syn_end = Time::from_us(2 * cfg.num_flows as u64);
-    let warmup_end = syn_end + Time::from_ms(1);
-    let frac = |num: u64, den: u64| Time::from_ps(cfg.duration.as_ps() * num / den);
+    let warmup_end = super::warmup_end(cfg.num_flows);
+    let at = |num: u64, den: u64| warmup_end + Time::from_ps(cfg.duration.as_ps() * num / den);
     let half_burst = (cfg.attack_burst / 2).max(1);
-    let plan = FaultPlan::new()
+    let collapse = AdversarialProfile::LowEntropyChecksum {
+        target: cfg.attack_checksum,
+    };
+    let plan = Plan::new(warmup_end + cfg.duration)
         .detect_within(cfg.detect_deadline)
-        .adversarial_at_time(
-            warmup_end + frac(1, 6),
-            AdversarialProfile::LowEntropyChecksum {
-                target: cfg.attack_checksum,
-            },
-            cfg.attack_burst,
+        .at(at(1, 6), Action::Burst(collapse, cfg.attack_burst))
+        .at(
+            at(1, 4),
+            Action::Burst(AdversarialProfile::TruncatedFrames, half_burst),
         )
-        .adversarial_at_time(
-            warmup_end + frac(1, 4),
-            AdversarialProfile::TruncatedFrames,
-            half_burst,
-        )
-        .crash_at_time(warmup_end + frac(1, 3), cfg.fail_core);
-    let mut ctl = ChaosController::new(mb_config, SyntheticNf::for_simulator(), plan, cfg.seed)
+        .at(at(1, 3), Action::Crash(cfg.fail_core));
+    let mut ctl = Controller::new(mb_config, SyntheticNf::for_simulator(), plan, cfg.seed)
         .expect("static fault schedule is valid");
+    let processed_pps = super::drive_moongen(
+        &mut ctl,
+        cfg.num_flows,
+        cfg.offered_pps,
+        cfg.seed,
+        cfg.duration,
+    );
 
-    // Connection setup, outside the measured window.
-    let mut t = Time::ZERO;
-    for tuple in gen.flows().to_vec() {
-        ctl.offer(t, PacketBuilder::new().tcp(tuple, 0, 0, TcpFlags::SYN, b""));
-        t += Time::from_us(2);
-    }
-    ctl.middlebox_mut().run_until(warmup_end);
-    let _ = ctl.middlebox_mut().take_egress();
-    let processed_before = ctl.middlebox().stats().processed();
-
-    let horizon = warmup_end + cfg.duration;
-    loop {
-        let (at, pkt) = gen.next_packet();
-        let at = warmup_end + at;
-        if at >= horizon {
-            break;
-        }
-        ctl.offer(at, pkt);
-    }
-    ctl.finish(horizon);
     let injected = ctl.injected();
-
     let mut mb = ctl.into_middlebox();
-    let processed_window = mb.stats().processed() - processed_before;
-    let mut drain = horizon;
-    while !mb.is_idle() {
-        drain += Time::from_ms(1);
-        mb.run_until(drain);
-    }
     let stats = mb.stats().clone();
     let obs = mb.take_obs();
     let samples = obs.samples.expect("sampling is on");
@@ -203,7 +174,7 @@ pub fn run(cfg: &HealthConfig) -> HealthResult {
         offline_reordered: analysis.reordered_packets(),
         offline_max_depth: analysis.max_depth(),
         offered_pps: cfg.offered_pps,
-        processed_pps: processed_window as f64 / cfg.duration.as_secs_f64(),
+        processed_pps,
         injected,
         trace_events_dropped,
     }

@@ -2,11 +2,11 @@
 //!
 //! Heavy-tailed TCP flow churn from the bounded-memory
 //! [`ChurnGen`] stream runs against a middlebox with the flow-table
-//! lifecycle on (idle aging + LRU backstop) while a composed
-//! [`SoakPlan`] fires everything the repertoire has *in one run*: a
-//! checksum-collapse burst, a worker-core crash with watchdog
-//! recovery, and a planned scale-up/scale-down pair — windows kept
-//! disjoint by [`SoakPlan::validate`].
+//! lifecycle on (idle aging + LRU backstop) while one [`Plan`] fires
+//! everything the repertoire has *in one run*: a checksum-collapse
+//! burst, a worker-core crash with watchdog recovery, and a planned
+//! scale-up/scale-down pair — windows kept disjoint by
+//! [`Plan::validate`].
 //!
 //! The claim under test is the bounded-memory one: with FIN-driven
 //! reclaim, idle aging, and the LRU backstop, table occupancy reaches a
@@ -22,7 +22,7 @@
 use sprayer::config::{DispatchMode, LifecycleConfig, MiddleboxConfig, ObsConfig};
 use sprayer::stats::MiddleboxStats;
 use sprayer::{ReconfigReport, RecoveryReport};
-use sprayer_ctl::{AdversarialProfile, FaultPlan, ReconfigPlan, SoakController, SoakPlan};
+use sprayer_ctl::{Action, AdversarialProfile, Controller, Plan};
 use sprayer_nf::SyntheticNf;
 use sprayer_obs::SampleSet;
 use sprayer_sim::Time;
@@ -49,9 +49,6 @@ pub struct SoakConfig {
     pub attack_checksum: u16,
     /// Idle timeout for the table lifecycle, µs.
     pub idle_timeout_us: u64,
-    /// Declared quiesce budget per rescale (the composition validator's
-    /// exclusion window around each reconfiguration).
-    pub quiesce: Time,
     /// Occupancy/eviction snapshot cadence.
     pub snapshot_every: Time,
     /// Soak horizon: churn spawns stop here; active flows drain past it.
@@ -95,7 +92,6 @@ impl SoakConfig {
             attack_burst: 512,
             attack_checksum: 0x00ff,
             idle_timeout_us: 8_000,
-            quiesce: Time::from_us(200),
             snapshot_every: Time::from_ms(2),
             horizon,
             churn,
@@ -238,35 +234,20 @@ pub fn run(cfg: &SoakConfig) -> SoakResult {
 
     // The composed schedule, at fractions of the horizon: the burst at
     // 1/4, the crash at 5/12, the rescale pair at 7/12 and 3/4 — every
-    // window disjoint, which validate() re-checks against the declared
-    // quiesce budget before the dataplane exists.
+    // window disjoint, which the plan's validation re-checks before the
+    // dataplane exists.
     let frac = |num: u64, den: u64| Time::from_ps(cfg.horizon.as_ps() * num / den);
-    let plan = SoakPlan::new(cfg.horizon)
-        .with_reconfig(
-            ReconfigPlan::new()
-                .at_time(frac(7, 12), cfg.rescale_to)
-                .at_time(frac(3, 4), cfg.cores),
-        )
-        .with_faults(
-            FaultPlan::new()
-                .detect_within(cfg.detect_deadline)
-                .adversarial_at_time(
-                    frac(1, 4),
-                    AdversarialProfile::LowEntropyChecksum {
-                        target: cfg.attack_checksum,
-                    },
-                    cfg.attack_burst,
-                )
-                .crash_at_time(frac(5, 12), cfg.fail_core),
-        );
-    let mut ctl = SoakController::new(
-        mb_config,
-        SyntheticNf::for_simulator(),
-        plan,
-        cfg.quiesce,
-        cfg.seed,
-    )
-    .expect("composed soak schedule is valid");
+    let collapse = AdversarialProfile::LowEntropyChecksum {
+        target: cfg.attack_checksum,
+    };
+    let plan = Plan::new(cfg.horizon)
+        .detect_within(cfg.detect_deadline)
+        .at(frac(1, 4), Action::Burst(collapse, cfg.attack_burst))
+        .at(frac(5, 12), Action::Crash(cfg.fail_core))
+        .at(frac(7, 12), Action::Rescale(cfg.rescale_to))
+        .at(frac(3, 4), Action::Rescale(cfg.cores));
+    let mut ctl = Controller::new(mb_config, SyntheticNf::for_simulator(), plan, cfg.seed)
+        .expect("composed soak schedule is valid");
 
     // Drive the churn, snapshotting occupancy and the eviction-reason
     // counters between packets. Snapshots fire *before* the packet that
@@ -275,7 +256,7 @@ pub fn run(cfg: &SoakConfig) -> SoakResult {
     let mut timeline: Vec<SoakSample> = Vec::new();
     let mut next_snap = cfg.snapshot_every;
     let mut last_at = Time::ZERO;
-    let snap = |ctl: &mut SoakController<SyntheticNf>, at: Time, out: &mut Vec<SoakSample>| {
+    let snap = |ctl: &mut Controller<SyntheticNf>, at: Time, out: &mut Vec<SoakSample>| {
         ctl.tick(at);
         let s = ctl.middlebox().stats();
         out.push(SoakSample {

@@ -20,7 +20,9 @@
 //!   [`NetworkFunction::handle_batch`], with the verdict-cursor contract
 //!   the threaded runtime's panic accounting depends on;
 //! * **outcome accounting** ([`account`]) — the per-core counter updates
-//!   both [`crate::stats::CoreStats`] projections are built from.
+//!   both [`crate::stats::CoreStats`] projections are built from;
+//! * **NIC steering** (`nic_config`) — what each dispatch mode
+//!   programs into the NIC, at start-up and at every epoch transition.
 //!
 //! The runtimes implement [`Engine`] (three accessors) and get the
 //! dispatch decision as a provided method — one implementation, two
@@ -30,6 +32,7 @@ use crate::api::{FlowStateApi, NetworkFunction, Verdict, VerdictSink};
 use crate::config::DispatchMode;
 use crate::stats::CoreStats;
 use sprayer_net::{FlowKey, Packet};
+use sprayer_nic::NicConfig;
 
 /// Per-packet classification, computed once at ingress ("headers parsed
 /// once") and reused at every later decision point: redirect selection,
@@ -132,6 +135,29 @@ pub fn account(stats: &mut CoreStats, is_conn: bool, via_ring: bool) {
     }
     if via_ring {
         stats.redirected_in += 1;
+    }
+}
+
+/// The NIC steering `mode` programs over `queues` receive queues: a
+/// fresh round-robin indirection table under RSS, fresh checksum-spray
+/// filters otherwise. SCR sprays exactly like Sprayer — the difference
+/// is what happens after the NIC (a state-update log instead of
+/// redirect rings). The Flow Director cap and the spray subset bind
+/// only when set; the threaded runtime models no wall-clock rate limit
+/// and passes neither.
+pub(crate) fn nic_config(
+    mode: DispatchMode,
+    queues: usize,
+    fdir_cap_pps: Option<f64>,
+    spray_subset_k: Option<usize>,
+) -> NicConfig {
+    match mode {
+        DispatchMode::Rss => NicConfig::rss(queues),
+        DispatchMode::Sprayer | DispatchMode::Scr => NicConfig {
+            fdir_rate_cap_pps: fdir_cap_pps,
+            spray_subset_k,
+            ..NicConfig::sprayer(queues)
+        },
     }
 }
 

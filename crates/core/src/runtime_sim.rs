@@ -22,9 +22,9 @@ use crate::engine::{self, Engine, PacketClass};
 use crate::obs_sink::{Completion, ObsHub, ObsLane, ObsReport};
 use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
 use crate::stats::{CoreStats, MiddleboxStats};
-use crate::tables::LocalTables;
+use crate::tables::{FailoverStats, LocalTables};
 use sprayer_net::{FlowKey, Packet};
-use sprayer_nic::{Nic, NicConfig, RxSteering};
+use sprayer_nic::{Nic, RxSteering};
 use sprayer_obs::{DropKind, FlightSnapshot, HealthEvent, LatencyProbes, Stage};
 use sprayer_sim::{BoundedFifo, EventQueue, Time};
 use std::sync::Arc;
@@ -77,6 +77,37 @@ struct CoreSim {
     /// completion reports besides the job.
     current_start: Time,
     current_replay: u64,
+}
+
+impl CoreSim {
+    /// An idle core with empty queues sized per `config`.
+    fn new(config: &MiddleboxConfig) -> Self {
+        CoreSim {
+            rx: BoundedFifo::new(config.queue_capacity),
+            ring: BoundedFifo::new(config.ring_capacity),
+            current: None,
+            burst: 0,
+            current_start: Time::ZERO,
+            current_replay: 0,
+        }
+    }
+}
+
+/// How an epoch transition remaps the cores.
+#[derive(Debug, Clone, Copy)]
+enum Remap {
+    /// A planned rescale to this many cores.
+    Rescale(usize),
+    /// An unplanned failover away from this dead core.
+    Failover(usize),
+}
+
+/// What one epoch transition moved and cost, for its caller's report.
+struct Transition {
+    now: Time,
+    moved: FailoverStats,
+    migrated_packets: u64,
+    downtime: Time,
 }
 
 /// The simulated middlebox.
@@ -165,30 +196,18 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         Self::build(config, nf, true)
     }
 
-    /// The NIC configuration for this dispatch mode at a queue count —
-    /// used at construction and again on every reconfiguration (the
-    /// "reprogram the NIC" step: a fresh round-robin indirection table
-    /// under RSS, fresh checksum-spray filters under Sprayer).
-    fn nic_config_for(config: &MiddleboxConfig, num_queues: usize) -> NicConfig {
-        match config.mode {
-            DispatchMode::Rss => NicConfig::rss(num_queues),
-            // SCR sprays exactly like Sprayer — the difference is what
-            // happens after the NIC (a state-update log instead of
-            // redirect rings) — so both share the spray steering. The
-            // Flow Director cap only binds when `fdir_cap_pps` is set;
-            // `paper_testbed` leaves it `None` under SCR, since no
-            // perfect-filter redirect rules are needed there.
-            DispatchMode::Sprayer | DispatchMode::Scr => NicConfig {
-                fdir_rate_cap_pps: config.fdir_cap_pps,
-                spray_subset_k: config.spray_subset_k,
-                ..NicConfig::sprayer(num_queues)
-            },
-        }
+    /// The NIC for this configuration's dispatch mode at a queue count —
+    /// built at construction and again at every epoch transition (the
+    /// "reprogram the NIC" step). `paper_testbed` leaves the Flow
+    /// Director cap `None` under SCR, since no perfect-filter redirect
+    /// rules are needed there.
+    fn nic_for(config: &MiddleboxConfig, queues: usize) -> Nic {
+        let (cap, subset) = (config.fdir_cap_pps, config.spray_subset_k);
+        Nic::new(engine::nic_config(config.mode, queues, cap, subset))
     }
 
     fn build(config: MiddleboxConfig, nf: NF, elastic: bool) -> Self {
         let nf_config = nf.config();
-        let nic_config = Self::nic_config_for(&config, config.num_cores);
         // Under subset spraying, a flow's packets only visit the k queues
         // anchored at its RSS queue — so its state must live there too:
         // the designated core follows the RSS map (the subset anchor)
@@ -207,14 +226,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         let mut tables = LocalTables::new(coremap.clone(), nf_config.flow_table_capacity);
         tables.set_lifecycle(config.lifecycle);
         let cores = (0..config.num_cores)
-            .map(|_| CoreSim {
-                rx: BoundedFifo::new(config.queue_capacity),
-                ring: BoundedFifo::new(config.ring_capacity),
-                current: None,
-                burst: 0,
-                current_start: Time::ZERO,
-                current_replay: 0,
-            })
+            .map(|_| CoreSim::new(&config))
             .collect();
         // A stateless NF has nothing to replicate: SCR degenerates to
         // pure spraying and the plane (and its per-update costs) is
@@ -228,7 +240,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         let profile = (&*nf.profile_label(), config.clock.hz() / 1_000_000);
         let obs = Self::obs_lane(config.obs, config.num_cores, profile);
         MiddleboxSim {
-            nic: Nic::new(nic_config),
+            nic: Self::nic_for(&config, config.num_cores),
             coremap,
             tables,
             nf,
@@ -470,15 +482,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// every control-plane transition), so `stats()` always reflects
     /// the tables.
     fn sync_lifecycle(&mut self) {
-        let c = self.tables.counters();
-        self.stats.flows_created = c.created;
-        self.stats.fin_reclaimed = c.fin_reclaimed;
-        self.stats.idle_expired = c.idle_expired;
-        self.stats.lru_evicted = c.lru_evicted;
-        self.stats.replica_dels = c.replica_dels;
-        self.stats.flows_dropped = c.dropped;
-        self.stats.table_live = self.tables.total_entries() as u64;
-        self.stats.table_occupancy_hwm = self.stats.table_occupancy_hwm.max(self.stats.table_live);
+        let live = self.tables.total_entries();
+        self.stats.sync_lifecycle(self.tables.counters(), live);
     }
 
     /// Emit a health event at the current simulated time — the hook the
@@ -984,139 +989,22 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             (0..self.failed.len()).all(|c| !self.failed[c] || self.coremap.is_failed(c)),
             "recover failed cores before a planned rescale"
         );
-        for c in 0..self.failed.len() {
-            if self.failed[c] {
-                self.failed[c] = false;
-                self.fail_time[c] = None;
-            }
-        }
-        self.advance_until(at);
-        let now = self.now;
+        self.failed.fill(false);
+        self.fail_time.fill(None);
         let from_cores = self.coremap.num_cores();
-
-        // Quiesce: strip every core of queued and in-service work. The
-        // already-scheduled completion events of cancelled services
-        // resolve as bare kicks.
-        let mut stranded: Vec<Job> = Vec::new();
-        for core in &mut self.cores {
-            if let Some((job, _)) = core.current.take() {
-                stranded.push(job);
-            }
-            while let Some(job) = core.ring.pop() {
-                stranded.push(job);
-            }
-            while let Some(job) = core.rx.pop() {
-                stranded.push(job);
-            }
-            core.burst = 0;
-        }
-
-        // Converge the SCR replicas before remapping: every live core
-        // replays its pending updates, so the union snapshot the Scr
-        // rescale branch builds is the *converged* state and joining
-        // cores bootstrap from snapshot + fully-drained log tail.
-        self.scr_drain_live();
-        // Flush staged lifecycle evictions too — the rescale resets the
-        // staging queues, and the hooks must run against the old epoch.
-        for core in 0..self.cores.len() {
-            self.run_eviction_hooks(core);
-        }
-
-        // Remap: next core-map epoch + NIC reprogram for the new queue
-        // count.
-        let new_map = self.coremap.rescaled(new_cores);
-        self.nic = Nic::new(Self::nic_config_for(&self.config, new_cores));
-
-        // Migrate: re-bucket the flow tables under the new map, running
-        // the NF's export/import hooks for each moved flow.
-        let nf = &self.nf;
-        let migration = self
-            .tables
-            .rescale(new_map.clone(), &mut |key, state, _from, to| {
-                nf.freeze_flow(key, state);
-                nf.adopt_flow(key, state, to);
-            });
-        self.coremap = new_map;
-
-        // Grow per-core structures on scale-up (never shrink: removed
-        // cores keep their history and stale queued events stay in range).
-        while self.cores.len() < new_cores {
-            self.cores.push(CoreSim {
-                rx: BoundedFifo::new(self.config.queue_capacity),
-                ring: BoundedFifo::new(self.config.ring_capacity),
-                current: None,
-                burst: 0,
-                current_start: Time::ZERO,
-                current_replay: 0,
-            });
-        }
-        while self.stats.per_core.len() < new_cores {
-            self.stats.per_core.push(CoreStats::default());
-        }
-        while self.failed.len() < new_cores {
-            self.failed.push(false);
-            self.fail_time.push(None);
-            self.lost_baseline.push(0);
-            self.stalled_until.push(Time::ZERO);
-        }
-        self.obs.grow(new_cores);
-        self.queue_map = (0..new_cores).collect();
-        // Next-epoch replay plane: fresh (empty) logs and guards at the
-        // new core count. Every log was drained above, so the replicas
-        // are converged and no version history is needed.
-        if self.scr.is_some() {
-            self.scr = Some(SharedScrPlane::new(new_cores, self.config.scr_log_capacity));
-            self.scr_guards = Self::scr_guards_for(&self.scr);
-        }
-        // Downtime: fixed epoch cost plus per-migrated-flow export and
-        // import.
-        let pause_cycles = self.config.reconfig_fixed_cycles
-            + self.config.migrate_flow_cycles * migration.migrated_flows;
-        let downtime = self.config.clock.cycles_to_time(pause_cycles);
-        self.frozen_until = now + downtime;
-
-        // Resume: re-admit the stranded packets through the new steering
-        // (they were admitted once already, so the Flow Director cap does
-        // not re-apply) and wake every active core at the thaw instant.
-        let migrated_packets = stranded.len() as u64;
-        for job in stranded {
-            let (queue, _) = self.nic.steer(&job.pkt);
-            let core = self.queue_map[usize::from(queue)];
-            let job = Job {
-                via_ring: false,
-                relayed_at: None,
-                ..job
-            };
-            if self.cores[core].rx.push(job).is_err() {
-                self.stats.queue_drops += 1;
-                self.obs.sample(core, now.as_ps(), |s| s.queue_drops = 1);
-            }
-        }
-        for core in 0..new_cores {
-            self.schedule(self.frozen_until, core);
-        }
-
+        let t = self.transition(at, Remap::Rescale(new_cores));
         let report = ReconfigReport {
             epoch: self.coremap.epoch(),
             mode: self.config.mode,
             from_cores,
             to_cores: new_cores,
-            migrated_flows: migration.migrated_flows,
-            retained_flows: migration.retained_flows,
-            migrated_packets,
-            downtime_ns: downtime.as_ps() / 1_000,
-            at_ns: now.as_ps() / 1_000,
+            migrated_flows: t.moved.migrated_flows,
+            retained_flows: t.moved.retained_flows,
+            migrated_packets: t.migrated_packets,
+            downtime_ns: t.downtime.as_ps() / 1_000,
+            at_ns: t.now.as_ps() / 1_000,
         };
-        self.obs.health(
-            now.as_ps(),
-            HealthEvent::ReconfigPhase {
-                epoch: report.epoch,
-                phase: "rescale",
-                cores: new_cores,
-            },
-        );
         self.reconfigs.push(report);
-        self.sync_lifecycle();
         report
     }
 
@@ -1135,18 +1023,9 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         self.lost_baseline[core] = self.stats.lost_packets;
         self.failed[core] = true;
         self.fail_time[core] = Some(now);
-        let c = &mut self.cores[core];
-        let mut lost = 0u64;
-        if c.current.take().is_some() {
-            lost += 1;
-        }
-        while c.ring.pop().is_some() {
-            lost += 1;
-        }
-        while c.rx.pop().is_some() {
-            lost += 1;
-        }
-        c.burst = 0;
+        let mut dead = Vec::new();
+        self.strand(core, &mut dead);
+        let lost = dead.len() as u64;
         self.stats.lost_packets += lost;
         // The dead core's inbound state-update log is truncated: the
         // updates it never replayed are drops, not a leak — the SCR
@@ -1200,75 +1079,144 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// reprogrammed over the surviving queue count and
     /// `detection_latency_ns` is `at` minus the injection instant.
     pub fn recover(&mut self, at: Time, failed_core: usize) -> RecoveryReport {
-        self.advance_until(at);
-        let now = self.now;
         assert!(self.failed[failed_core], "core {failed_core} is healthy");
         assert!(
             !self.coremap.is_failed(failed_core),
             "core {failed_core} already recovered"
         );
         let from_active = self.coremap.active_core_ids().len();
+        let t = self.transition(at, Remap::Failover(failed_core));
+        let fail_at = self.fail_time[failed_core].expect("failure recorded");
+        let report = RecoveryReport {
+            epoch: self.coremap.epoch(),
+            mode: self.config.mode,
+            failed_core,
+            from_active,
+            to_active: self.coremap.active_core_ids().len(),
+            migrated_flows: t.moved.migrated_flows,
+            retained_flows: t.moved.retained_flows,
+            flows_lost: t.moved.flows_lost,
+            packets_lost: self.stats.lost_packets - self.lost_baseline[failed_core],
+            detection_latency_ns: t.now.saturating_sub(fail_at).as_ps() / 1_000,
+            downtime_ns: t.downtime.as_ps() / 1_000,
+            at_ns: t.now.as_ps() / 1_000,
+        };
+        self.recoveries.push(report);
+        report
+    }
 
-        // Quiesce the survivors (the dead core was drained at injection).
+    /// Pull every queued and in-service job off `core` into `into`. The
+    /// already-scheduled completion event of a cancelled service
+    /// resolves as a bare kick.
+    fn strand(&mut self, core: usize, into: &mut Vec<Job>) {
+        let c = &mut self.cores[core];
+        into.extend(c.current.take().map(|(job, _)| job));
+        into.extend(std::iter::from_fn(|| c.ring.pop()));
+        into.extend(std::iter::from_fn(|| c.rx.pop()));
+        c.burst = 0;
+    }
+
+    /// The one epoch transition under [`Self::reconfigure`] and
+    /// [`Self::recover`], at `at`: quiesce every core, converge and
+    /// flush against the old epoch, remap the core map, NIC and tables,
+    /// then pause for the downtime, re-admit the stranded packets and
+    /// wake the active cores at the thaw instant.
+    fn transition(&mut self, at: Time, remap: Remap) -> Transition {
+        self.advance_until(at);
+        let now = self.now;
+
+        // Quiesce: strip every core of queued and in-service work (a
+        // crashed core was already drained at injection).
         let mut stranded: Vec<Job> = Vec::new();
-        for core in &mut self.cores {
-            if let Some((job, _)) = core.current.take() {
-                stranded.push(job);
-            }
-            while let Some(job) = core.ring.pop() {
-                stranded.push(job);
-            }
-            while let Some(job) = core.rx.pop() {
-                stranded.push(job);
-            }
-            core.burst = 0;
+        for core in 0..self.cores.len() {
+            self.strand(core, &mut stranded);
         }
 
-        // Converge the survivors' SCR replicas (replay their pending
-        // logs) and re-truncate the dead core's — idempotent after the
-        // injection-time truncation, but a recovery driven by an
+        // Converge the SCR replicas before remapping: every live core
+        // replays its pending updates, so the union snapshot the Scr
+        // rescale branch builds is the *converged* state and joining
+        // cores bootstrap from snapshot + fully-drained log tail. A
+        // failover re-truncates the dead core's log — idempotent after
+        // the injection-time truncation, but a recovery driven by an
         // external watchdog may land before ours ran.
         self.scr_drain_live();
-        if let Some(plane) = self.scr.as_ref() {
-            self.stats.scr_log_drops += plane.truncate(failed_core);
+        let dead = match remap {
+            Remap::Rescale(_) => None,
+            Remap::Failover(core) => Some(core),
+        };
+        if let (Some(core), Some(plane)) = (dead, self.scr.as_ref()) {
+            self.stats.scr_log_drops += plane.truncate(core);
         }
-        // Flush staged lifecycle evictions against the old epoch (the
-        // failover resets the staging queues; a failed core cannot have
-        // any — sweeps skip it and its last batch drained its own).
+        // Flush staged lifecycle evictions too — the transition resets
+        // the staging queues, and the hooks must run against the old
+        // epoch (a failed core has none: sweeps skip it and its last
+        // batch drained its own).
         for core in 0..self.cores.len() {
             if !self.failed[core] {
                 self.run_eviction_hooks(core);
             }
         }
 
-        // Remap over the survivors and reprogram the NIC to their queue
-        // count; `queue_map` translates the shrunken queue space back to
-        // real core ids.
-        let new_map = self.coremap.without_core(failed_core);
-        let survivors = new_map.active_core_ids().to_vec();
-        self.nic = Nic::new(Self::nic_config_for(&self.config, survivors.len()));
-        self.queue_map = survivors.clone();
+        // Remap: next core-map epoch + NIC reprogram for the active
+        // queue count; `queue_map` translates the queue space back to
+        // real core ids (the identity unless a failover shrank it).
+        let new_map = match remap {
+            Remap::Rescale(cores) => self.coremap.rescaled(cores),
+            Remap::Failover(core) => self.coremap.without_core(core),
+        };
+        let active = new_map.active_core_ids().to_vec();
+        self.nic = Self::nic_for(&self.config, active.len());
+        self.queue_map = active.clone();
 
-        // Re-bucket the tables: the dead core's entries are discarded
-        // (flows_lost), surviving movers run the NF hooks.
+        // Migrate: re-bucket the flow tables under the new map, running
+        // the NF's export/import hooks for each moved flow; a failover
+        // discards the dead core's entries (flows_lost).
         let nf = &self.nf;
-        let failover = self.tables.fail_core(
-            failed_core,
-            new_map.clone(),
-            &mut |key, state, _from, to| {
+        let moved = self
+            .tables
+            .enter_epoch(new_map.clone(), dead, &mut |key, state, _from, to| {
                 nf.freeze_flow(key, state);
                 nf.adopt_flow(key, state, to);
-            },
-        );
+            });
         self.coremap = new_map;
+
+        if let Remap::Rescale(new_cores) = remap {
+            // Grow per-core structures on scale-up (never shrink: removed
+            // cores keep their history and stale queued events stay in
+            // range).
+            while self.cores.len() < new_cores {
+                self.cores.push(CoreSim::new(&self.config));
+            }
+            while self.stats.per_core.len() < new_cores {
+                self.stats.per_core.push(CoreStats::default());
+            }
+            while self.failed.len() < new_cores {
+                self.failed.push(false);
+                self.fail_time.push(None);
+                self.lost_baseline.push(0);
+                self.stalled_until.push(Time::ZERO);
+            }
+            self.obs.grow(new_cores);
+            // Next-epoch replay plane: fresh (empty) logs and guards at
+            // the new core count. Every log was drained above, so the
+            // replicas are converged and no version history is needed.
+            if self.scr.is_some() {
+                self.scr = Some(SharedScrPlane::new(new_cores, self.config.scr_log_capacity));
+                self.scr_guards = Self::scr_guards_for(&self.scr);
+            }
+        }
 
         // Downtime: fixed epoch cost plus per-migrated-flow export and
         // import (lost flows cost nothing — there is nothing to move).
         let pause_cycles = self.config.reconfig_fixed_cycles
-            + self.config.migrate_flow_cycles * failover.migrated_flows;
+            + self.config.migrate_flow_cycles * moved.migrated_flows;
         let downtime = self.config.clock.cycles_to_time(pause_cycles);
         self.frozen_until = now + downtime;
 
+        // Resume: re-admit the stranded packets through the new steering
+        // (they were admitted once already, so the Flow Director cap does
+        // not re-apply) and wake every active core at the thaw instant.
+        let migrated_packets = stranded.len() as u64;
         for job in stranded {
             let (queue, _) = self.nic.steer(&job.pkt);
             let core = self.queue_map[usize::from(queue)];
@@ -1282,36 +1230,26 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 self.obs.sample(core, now.as_ps(), |s| s.queue_drops = 1);
             }
         }
-        for &core in &survivors {
+        for &core in &active {
             self.schedule(self.frozen_until, core);
         }
 
-        let fail_at = self.fail_time[failed_core].expect("failure recorded");
-        let report = RecoveryReport {
+        let event = HealthEvent::ReconfigPhase {
             epoch: self.coremap.epoch(),
-            mode: self.config.mode,
-            failed_core,
-            from_active,
-            to_active: survivors.len(),
-            migrated_flows: failover.migrated_flows,
-            retained_flows: failover.retained_flows,
-            flows_lost: failover.flows_lost,
-            packets_lost: self.stats.lost_packets - self.lost_baseline[failed_core],
-            detection_latency_ns: now.saturating_sub(fail_at).as_ps() / 1_000,
-            downtime_ns: downtime.as_ps() / 1_000,
-            at_ns: now.as_ps() / 1_000,
-        };
-        self.obs.health(
-            now.as_ps(),
-            HealthEvent::ReconfigPhase {
-                epoch: report.epoch,
-                phase: "recover",
-                cores: report.to_active,
+            phase: match remap {
+                Remap::Rescale(_) => "rescale",
+                Remap::Failover(_) => "recover",
             },
-        );
-        self.recoveries.push(report);
+            cores: active.len(),
+        };
+        self.obs.health(now.as_ps(), event);
         self.sync_lifecycle();
-        report
+        Transition {
+            now,
+            moved,
+            migrated_packets,
+            downtime,
+        }
     }
 }
 

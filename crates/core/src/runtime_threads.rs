@@ -85,7 +85,7 @@ use crate::stats::{CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
 use crate::tables::{SharedCtx, SharedTables};
 use crossbeam::queue::ArrayQueue;
 use sprayer_net::{FlowKey, Packet};
-use sprayer_nic::{Nic, NicConfig};
+use sprayer_nic::Nic;
 use sprayer_obs::{
     DropKind, FlightSnapshot, HealthEvent, HealthReport, LatencyProbes, LiveSlots, ProfileSlots,
     ReorderReport, SampleSet, Stage, StageProfiler, TailReport, Trace,
@@ -660,14 +660,10 @@ impl ThreadedMiddlebox {
             nf_config.flow_table_capacity,
             config.lifecycle,
         );
-        let nic_config_for = |queues: usize| match config.mode {
-            DispatchMode::Rss => NicConfig::rss(queues),
-            // No rate cap here: wall-clock timing is not modeled. SCR
-            // sprays identically but needs no perfect filters at all
-            // (nothing is ever redirected).
-            DispatchMode::Sprayer | DispatchMode::Scr => NicConfig::sprayer_uncapped(queues),
-        };
-        let mut nic = Nic::new(nic_config_for(first_workers));
+        // No rate cap and no spray subset: wall-clock timing is not
+        // modeled here.
+        let nic_for = |queues: usize| Nic::new(engine::nic_config(config.mode, queues, None, None));
+        let mut nic = nic_for(first_workers);
         let mut cur_workers = first_workers;
         let mut reconfigs: Vec<ReconfigReport> = Vec::new();
         let mut failures: Vec<WorkerFailure> = Vec::new();
@@ -724,7 +720,7 @@ impl ThreadedMiddlebox {
                         nf.freeze_flow(key, state);
                         nf.adopt_flow(key, state, to);
                     });
-                nic = Nic::new(nic_config_for(phase_workers));
+                nic = nic_for(phase_workers);
                 reconfigs.push(ReconfigReport {
                     epoch: new_map.epoch(),
                     mode: config.mode,
@@ -958,15 +954,7 @@ impl ThreadedMiddlebox {
         // survive `rescaled` epoch transitions with the flow-entry
         // conservation identity rebalanced), so the final snapshot is
         // the run's total.
-        let lc = tables.counters();
-        stats.flows_created = lc.created;
-        stats.fin_reclaimed = lc.fin_reclaimed;
-        stats.idle_expired = lc.idle_expired;
-        stats.lru_evicted = lc.lru_evicted;
-        stats.replica_dels = lc.replica_dels;
-        stats.flows_dropped = lc.dropped;
-        stats.table_live = tables.total_entries() as u64;
-        stats.table_occupancy_hwm = stats.table_occupancy_hwm.max(stats.table_live);
+        stats.sync_lifecycle(tables.counters(), tables.total_entries());
         lanes.push(ingress_lane);
         let report = hub.finish(lanes, &stats);
         ThreadedOutcome {
@@ -1956,6 +1944,7 @@ mod tests {
     use super::*;
     use crate::api::{FlowStateApi, NfDescriptor};
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
+    use sprayer_nic::NicConfig;
     use sprayer_obs::CoreSample;
 
     /// NAT-ish test NF: SYN installs state on the designated core;

@@ -7,6 +7,7 @@
 //! ([`MiddleboxStats::unaccounted`]) is assertable on either path and
 //! experiment output carries one telemetry block regardless of runtime.
 
+use crate::tables::LifecycleCounters;
 use serde::{Deserialize, Serialize};
 
 // The batch-size bucket math lives in `sprayer-obs` next to the
@@ -188,6 +189,22 @@ impl MiddleboxStats {
             per_core: vec![CoreStats::default(); num_cores],
             ..Default::default()
         }
+    }
+
+    /// Copy the table layer's cumulative lifecycle counters and its
+    /// `live` entry count in, advancing the residency high-water mark —
+    /// the one sync both runtimes run (the simulator at every quiet
+    /// point, the threaded runtime once at the end of a run).
+    #[inline]
+    pub(crate) fn sync_lifecycle(&mut self, c: LifecycleCounters, live: usize) {
+        self.flows_created = c.created;
+        self.fin_reclaimed = c.fin_reclaimed;
+        self.idle_expired = c.idle_expired;
+        self.lru_evicted = c.lru_evicted;
+        self.replica_dels = c.replica_dels;
+        self.flows_dropped = c.dropped;
+        self.table_live = live as u64;
+        self.table_occupancy_hwm = self.table_occupancy_hwm.max(self.table_live);
     }
 
     /// Total packets the NF processed (forwarded + NF-dropped).

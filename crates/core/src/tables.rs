@@ -583,10 +583,12 @@ impl<S: Clone> LocalTables<S> {
     }
 
     /// Run the one epoch transition over these tables and install
-    /// `new_map`. The per-core logs start fresh and empty: batches never
-    /// span a barrier, and the runtime drains the staged evictions
-    /// before any epoch transition, so nothing is lost.
-    fn enter_epoch(
+    /// `new_map`: [`LocalTables::rescale`] with no `dead` core,
+    /// [`LocalTables::fail_core`] with one. The per-core logs start
+    /// fresh and empty: batches never span a barrier, and the runtime
+    /// drains the staged evictions before any epoch transition, so
+    /// nothing is lost.
+    pub(crate) fn enter_epoch(
         &mut self,
         new_map: CoreMap,
         dead: Option<usize>,

@@ -1,354 +1,51 @@
-//! Declarative fault-injection plans.
-//!
-//! A [`FaultPlan`] is to failures what [`crate::ReconfigPlan`] is to
-//! elasticity: an ordered schedule of bad things — worker crashes,
-//! stalls, and adversarial traffic bursts — each fired by a
-//! packet-count or time trigger. The same plan shape drives both
-//! runtimes: the [`crate::ChaosController`] executes it against the
-//! deterministic [`sprayer::MiddleboxSim`], while
-//! [`FaultPlan::threaded_fault`] projects the first crash/stall onto
-//! the thread runtime's [`sprayer::runtime_threads::ThreadedFault`].
-//!
-//! Crashes come paired with a **detection deadline**: the plan models a
-//! watchdog that notices the dead core only after
-//! [`FaultPlan::detect_deadline`] has elapsed, so recovery fires that
-//! much later and every packet the NIC steered at the corpse in between
-//! is honestly lost (the detection-latency cost the experiment
-//! measures).
-
-use crate::plan::Trigger;
-use sprayer::runtime_threads::ThreadedFault;
-use sprayer_sim::Time;
-
-/// The adversarial traffic families an attacker can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdversarialProfile {
-    /// Frames cut off inside their headers — must be dropped as
-    /// malformed at the NIC, never crash a parser.
-    TruncatedFrames,
-    /// IPv4-ethertype frames with garbage headers (bad version nibble).
-    GarbageHeaders,
-    /// Fully valid TCP packets engineered so every checksum equals
-    /// `target` — defeats checksum-bit spraying by collapsing the
-    /// spray onto one queue.
-    LowEntropyChecksum {
-        /// The TCP checksum every crafted packet carries.
-        target: u16,
-    },
-}
-
-/// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Kill a worker core dead: in-flight and queued packets are lost,
-    /// and the NIC keeps steering at the corpse until recovery.
-    CrashCore {
-        /// The core to kill.
-        core: usize,
-    },
-    /// Wedge a core for a while; its queues back up but it comes back.
-    StallCore {
-        /// The core to wedge.
-        core: usize,
-        /// How long it stays wedged.
-        duration: Time,
-    },
-    /// Inject a burst of adversarial traffic.
-    Adversarial {
-        /// What to inject.
-        profile: AdversarialProfile,
-        /// How many frames/packets.
-        count: u32,
-    },
-}
-
-/// A fault bound to its trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When to fire.
-    pub trigger: Trigger,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// Why a fault plan was rejected by [`FaultPlan::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPlanError {
-    /// An adversarial event injects zero packets.
-    EmptyBurst {
-        /// Index of the offending event.
-        index: usize,
-    },
-    /// A stall with zero duration is a no-op masquerading as a fault.
-    ZeroStall {
-        /// Index of the offending event.
-        index: usize,
-    },
-    /// Consecutive triggers of the same kind run backwards.
-    NonMonotonicTrigger {
-        /// Index of the event whose trigger precedes its predecessor's.
-        index: usize,
-    },
-    /// The detection deadline is zero — instant detection would hide
-    /// the cost the experiment exists to measure.
-    ZeroDeadline,
-}
-
-impl std::fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultPlanError::EmptyBurst { index } => {
-                write!(f, "fault event {index} injects an empty burst")
-            }
-            FaultPlanError::ZeroStall { index } => {
-                write!(f, "fault event {index} stalls for zero time")
-            }
-            FaultPlanError::NonMonotonicTrigger { index } => {
-                write!(f, "fault event {index} triggers before its predecessor")
-            }
-            FaultPlanError::ZeroDeadline => {
-                write!(f, "detection deadline must be nonzero")
-            }
-        }
-    }
-}
-
-/// An ordered schedule of faults plus the watchdog's detection deadline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The faults, in firing order.
-    pub events: Vec<FaultEvent>,
-    /// How long after a crash the watchdog notices and recovery starts.
-    pub detect_deadline: Time,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::new()
-    }
-}
-
-impl FaultPlan {
-    /// An empty plan with the default 100 µs detection deadline.
-    pub fn new() -> Self {
-        FaultPlan {
-            events: Vec::new(),
-            detect_deadline: Time::from_us(100),
-        }
-    }
-
-    /// Set the watchdog detection deadline.
-    pub fn detect_within(mut self, deadline: Time) -> Self {
-        self.detect_deadline = deadline;
-        self
-    }
-
-    /// Append a crash after `packets` offered packets.
-    pub fn crash_at_packet(mut self, packets: u64, core: usize) -> Self {
-        self.events.push(FaultEvent {
-            trigger: Trigger::AtPacket(packets),
-            kind: FaultKind::CrashCore { core },
-        });
-        self
-    }
-
-    /// Append a crash at simulated time `at`.
-    pub fn crash_at_time(mut self, at: Time, core: usize) -> Self {
-        self.events.push(FaultEvent {
-            trigger: Trigger::AtTime(at),
-            kind: FaultKind::CrashCore { core },
-        });
-        self
-    }
-
-    /// Append a stall after `packets` offered packets.
-    pub fn stall_at_packet(mut self, packets: u64, core: usize, duration: Time) -> Self {
-        self.events.push(FaultEvent {
-            trigger: Trigger::AtPacket(packets),
-            kind: FaultKind::StallCore { core, duration },
-        });
-        self
-    }
-
-    /// Append a stall at simulated time `at`.
-    pub fn stall_at_time(mut self, at: Time, core: usize, duration: Time) -> Self {
-        self.events.push(FaultEvent {
-            trigger: Trigger::AtTime(at),
-            kind: FaultKind::StallCore { core, duration },
-        });
-        self
-    }
-
-    /// Append an adversarial burst after `packets` offered packets.
-    pub fn adversarial_at_packet(
-        mut self,
-        packets: u64,
-        profile: AdversarialProfile,
-        count: u32,
-    ) -> Self {
-        self.events.push(FaultEvent {
-            trigger: Trigger::AtPacket(packets),
-            kind: FaultKind::Adversarial { profile, count },
-        });
-        self
-    }
-
-    /// Append an adversarial burst at simulated time `at`.
-    pub fn adversarial_at_time(
-        mut self,
-        at: Time,
-        profile: AdversarialProfile,
-        count: u32,
-    ) -> Self {
-        self.events.push(FaultEvent {
-            trigger: Trigger::AtTime(at),
-            kind: FaultKind::Adversarial { profile, count },
-        });
-        self
-    }
-
-    /// Check the schedule is executable.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
-        if self.detect_deadline == Time::ZERO {
-            return Err(FaultPlanError::ZeroDeadline);
-        }
-        for (index, ev) in self.events.iter().enumerate() {
-            match ev.kind {
-                FaultKind::Adversarial { count: 0, .. } => {
-                    return Err(FaultPlanError::EmptyBurst { index });
-                }
-                FaultKind::StallCore {
-                    duration: Time::ZERO,
-                    ..
-                } => {
-                    return Err(FaultPlanError::ZeroStall { index });
-                }
-                _ => {}
-            }
-            if index > 0 {
-                let bad = match (self.events[index - 1].trigger, ev.trigger) {
-                    (Trigger::AtPacket(a), Trigger::AtPacket(b)) => b < a,
-                    (Trigger::AtTime(a), Trigger::AtTime(b)) => b < a,
-                    _ => false,
-                };
-                if bad {
-                    return Err(FaultPlanError::NonMonotonicTrigger { index });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Project the first packet-triggered crash or stall onto the thread
-    /// runtime's fault hook ([`sprayer::runtime_threads::ThreadedConfig`]
-    /// `fault` field). The threaded runtime counts *processed* packets
-    /// per worker rather than offered packets globally, so the trigger
-    /// count is divided across workers by the caller's convention —
-    /// here it is passed through as-is, which fires no later than the
-    /// simulator's trigger would. Time triggers and adversarial events
-    /// have no threaded projection and are skipped.
-    pub fn threaded_fault(&self) -> Option<ThreadedFault> {
-        self.events
-            .iter()
-            .find_map(|ev| match (ev.trigger, ev.kind) {
-                (Trigger::AtPacket(n), FaultKind::CrashCore { core }) => {
-                    Some(ThreadedFault::Panic { core, after: n })
-                }
-                (Trigger::AtPacket(n), FaultKind::StallCore { core, duration }) => {
-                    Some(ThreadedFault::Stall {
-                        core,
-                        after: n,
-                        duration_ns: duration.as_ps() / 1_000,
-                    })
-                }
-                _ => None,
-            })
-    }
-}
+//! Validation of fault actions in a [`crate::Plan`]: crashes, stalls,
+//! bursts and the detection deadline.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::controller::tests::{after_packet, empty_plan};
+    use crate::plan::{Action, AdversarialProfile, PlanError};
+    use sprayer_sim::Time;
 
     #[test]
     fn builder_preserves_order_and_validates() {
-        let plan = FaultPlan::new()
-            .adversarial_at_packet(100, AdversarialProfile::TruncatedFrames, 32)
-            .crash_at_packet(500, 1)
+        let plan = empty_plan()
+            .at(
+                after_packet(100),
+                Action::Burst(AdversarialProfile::TruncatedFrames, 32),
+            )
+            .at(after_packet(500), Action::Crash(1))
             .detect_within(Time::from_us(50));
         assert_eq!(plan.events.len(), 2);
         assert_eq!(plan.detect_deadline, Time::from_us(50));
         assert_eq!(plan.validate(), Ok(()));
-        assert_eq!(FaultPlan::new().validate(), Ok(()), "empty plan is fine");
+        assert_eq!(empty_plan().validate(), Ok(()), "empty plan is fine");
     }
 
     #[test]
     fn degenerate_faults_are_rejected() {
-        let plan =
-            FaultPlan::new().adversarial_at_packet(10, AdversarialProfile::TruncatedFrames, 0);
-        assert_eq!(
-            plan.validate(),
-            Err(FaultPlanError::EmptyBurst { index: 0 })
-        );
-        let plan = FaultPlan::new().stall_at_packet(10, 0, Time::ZERO);
-        assert_eq!(plan.validate(), Err(FaultPlanError::ZeroStall { index: 0 }));
-        let plan = FaultPlan::new().detect_within(Time::ZERO);
-        assert_eq!(plan.validate(), Err(FaultPlanError::ZeroDeadline));
+        let burst = Action::Burst(AdversarialProfile::TruncatedFrames, 0);
+        let plan = empty_plan().at(after_packet(10), burst);
+        assert_eq!(plan.validate(), Err(PlanError::EmptyBurst { index: 0 }));
+        let plan = empty_plan().at(after_packet(10), Action::Stall(0, Time::ZERO));
+        assert_eq!(plan.validate(), Err(PlanError::ZeroStall { index: 0 }));
+        let plan = empty_plan().detect_within(Time::ZERO);
+        assert_eq!(plan.validate(), Err(PlanError::ZeroDeadline));
     }
 
     #[test]
     fn backwards_triggers_are_rejected() {
-        let plan = FaultPlan::new()
-            .crash_at_packet(100, 1)
-            .crash_at_packet(50, 2);
-        assert_eq!(
-            plan.validate(),
-            Err(FaultPlanError::NonMonotonicTrigger { index: 1 })
-        );
-        // Mixed kinds are sequenced by list order, not compared.
-        let plan = FaultPlan::new()
-            .crash_at_time(Time::from_ms(10), 1)
-            .crash_at_packet(1, 2);
-        assert_eq!(plan.validate(), Ok(()));
-    }
-
-    #[test]
-    fn threaded_projection_takes_the_first_crash_or_stall() {
-        let plan = FaultPlan::new()
-            .adversarial_at_packet(10, AdversarialProfile::TruncatedFrames, 4)
-            .crash_at_packet(200, 1);
-        assert_eq!(
-            plan.threaded_fault(),
-            Some(ThreadedFault::Panic {
-                core: 1,
-                after: 200
-            })
-        );
-        let plan = FaultPlan::new().stall_at_packet(64, 0, Time::from_us(400));
-        assert_eq!(
-            plan.threaded_fault(),
-            Some(ThreadedFault::Stall {
-                core: 0,
-                after: 64,
-                duration_ns: 400_000,
-            })
-        );
-        // Time triggers have no threaded projection.
-        let plan = FaultPlan::new().crash_at_time(Time::from_ms(1), 0);
-        assert_eq!(plan.threaded_fault(), None);
+        let plan = empty_plan()
+            .at(after_packet(100), Action::Crash(1))
+            .at(after_packet(50), Action::Crash(2));
+        assert_eq!(plan.validate(), Err(PlanError::OutOfOrder { index: 1 }));
     }
 
     #[test]
     fn errors_display_their_index() {
-        assert!(FaultPlanError::EmptyBurst { index: 3 }
-            .to_string()
-            .contains('3'));
-        assert!(FaultPlanError::ZeroStall { index: 2 }
-            .to_string()
-            .contains('2'));
-        assert!(FaultPlanError::NonMonotonicTrigger { index: 1 }
-            .to_string()
-            .contains('1'));
-        assert!(!FaultPlanError::ZeroDeadline.to_string().is_empty());
+        assert!(PlanError::EmptyBurst { index: 3 }.to_string().contains('3'));
+        assert!(PlanError::ZeroStall { index: 2 }.to_string().contains('2'));
+        assert!(PlanError::OutOfOrder { index: 1 }.to_string().contains('1'));
+        assert!(!PlanError::ZeroDeadline.to_string().is_empty());
     }
 }

@@ -1,51 +1,47 @@
-//! # sprayer-ctl — the elasticity control plane
+//! # sprayer-ctl — the control plane
 //!
-//! Online core scaling for a running Sprayer middlebox. The paper's §6
-//! argues that spraying makes elasticity cheap: because any core can
-//! process any packet, scaling up "requires no migration at all", while
-//! per-flow dispatch (RSS) must reprogram its indirection table and move
-//! every flow whose queue changed. This crate provides the control-plane
-//! pieces that turn that argument into a measurable experiment:
+//! Planned and unplanned epoch transitions for a running Sprayer
+//! middlebox. The paper's §6 argues that spraying makes elasticity
+//! cheap: because any core can process any packet, scaling up
+//! "requires no migration at all", while per-flow dispatch (RSS) must
+//! reprogram its indirection table and move every flow whose queue
+//! changed. The same designated-core mapping makes a crash cheap too:
+//! only the dead core's flows are lost. This crate turns both claims
+//! into measurable experiments:
 //!
-//! * [`plan`] — a declarative [`plan::ReconfigPlan`]: an ordered list of
-//!   epoch transitions, each fired by a packet-count or time trigger;
-//! * [`controller`] — the [`controller::ElasticController`] that drives a
-//!   [`sprayer::MiddleboxSim`] through a plan, firing transitions
-//!   between packets (quiesce → remap → migrate → resume, executed by
-//!   [`sprayer::MiddleboxSim::reconfigure`]);
+//! * [`plan`] — one time-ordered [`Plan`]: rescales, worker crashes and
+//!   stalls, and adversarial bursts on one simulated clock, plus the
+//!   watchdog's detection deadline and the horizon, validated before
+//!   the dataplane exists;
+//! * [`controller`] — the one [`Controller`] that drives a
+//!   [`sprayer::MiddleboxSim`] through a plan, firing actions between
+//!   packets in nominal-time order and recovering each crash at
+//!   `crash + detect_deadline` (the transitions themselves are
+//!   [`sprayer::MiddleboxSim::reconfigure`] and
+//!   [`sprayer::MiddleboxSim::recover`]);
 //! * [`telemetry`] — registry export of the resulting
-//!   [`sprayer::ReconfigReport`] series (migration cost, downtime).
+//!   [`sprayer::ReconfigReport`] and [`sprayer::RecoveryReport`] series
+//!   (`reconfig_*`, `recovery_*` and `fault_*` metric names).
 //!
-//! PR 5 extends the same shape to *unplanned* transitions:
-//!
-//! * [`fault`] — a declarative [`fault::FaultPlan`]: scheduled worker
-//!   crashes, stalls, and adversarial traffic bursts, plus the
-//!   watchdog's detection deadline;
-//! * [`chaos`] — the [`chaos::ChaosController`] that injects the
-//!   faults, schedules each crash's recovery at
-//!   `crash + detect_deadline` (via [`sprayer::MiddleboxSim::recover`]),
-//!   and yields the [`sprayer::RecoveryReport`] series;
-//! * [`telemetry::export_fault_telemetry`] — the matching registry
-//!   export (`recovery_*` / `fault_*` metric names).
-//!
-//! The threaded runtime reuses the same plan shape at phase granularity
-//! via [`sprayer::ThreadedMiddlebox::run_elastic`]; this crate focuses on
-//! the deterministic simulator, where downtime and migration cost are
-//! exactly attributable.
+//! The threaded runtime transitions at phase granularity via
+//! [`sprayer::ThreadedMiddlebox::run_elastic`]; this crate drives the
+//! deterministic simulator, where downtime, migration cost and
+//! detection latency are exactly attributable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod controller;
-pub mod fault;
 pub mod plan;
-pub mod soak;
 pub mod telemetry;
 
-pub use chaos::ChaosController;
-pub use controller::ElasticController;
-pub use fault::{AdversarialProfile, FaultEvent, FaultKind, FaultPlan, FaultPlanError};
-pub use plan::{PlanError, ReconfigEvent, ReconfigPlan, Trigger};
-pub use soak::{SoakController, SoakPlan, SoakPlanError};
+#[cfg(test)]
+mod chaos;
+#[cfg(test)]
+mod fault;
+#[cfg(test)]
+mod soak;
+
+pub use controller::Controller;
+pub use plan::{Action, AdversarialProfile, Plan, PlanError, RESCALE_WINDOW};
 pub use telemetry::{export_fault_telemetry, export_reconfig_telemetry};

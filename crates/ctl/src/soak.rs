@@ -1,552 +1,49 @@
-//! Scenario composition: one plan that runs elasticity, faults, and
-//! adversarial bursts *simultaneously* over a long horizon.
-//!
-//! A [`SoakPlan`] glues a [`ReconfigPlan`] and a [`FaultPlan`] into a
-//! single schedule for a multi-minute (simulated) soak. Composition is
-//! where independently-valid plans go wrong, so [`SoakPlan::validate`]
-//! enforces three properties the single-plan validators cannot see:
-//!
-//! 1. **Timed triggers only.** Packet-count triggers are rejected: the
-//!    two plans count different streams (a burst's packets advance one
-//!    plan's count but not the other's intuition of it), so cross-plan
-//!    ordering of `AtPacket` triggers is undefined. On a shared
-//!    simulated clock, `AtTime` triggers compose deterministically.
-//! 2. **No fault inside a quiesce window.** A reconfiguration at `t`
-//!    owns `[t, t + quiesce]` (the caller passes its conservative
-//!    quiesce+migrate bound at validation time); a crash or stall
-//!    scheduled inside it would hit a dataplane that is mid-migration.
-//! 3. **No reconfiguration inside a fault window.** A crash at `t` owns
-//!    its watchdog window `[t, t + detect_deadline]` and a stall owns
-//!    `[t, t + duration]`; a rescale scheduled inside either would race
-//!    the recovery's own epoch transition.
-//!
-//! Adversarial bursts are exempt from the window rules — they are
-//! traffic, not control-plane actions, and colliding them with a
-//! transition is exactly the stress a soak exists to apply.
-//!
-//! [`SoakController`] then executes the composed schedule against one
-//! [`MiddleboxSim`], merging the three event sources (reconfigs, faults,
-//! pending watchdog recoveries) in nominal-time order — not in
-//! per-plan order, which would invert firings when several events come
-//! due between two sparse packets.
-
-use crate::fault::{AdversarialProfile, FaultEvent, FaultKind, FaultPlan, FaultPlanError};
-use crate::plan::{PlanError, ReconfigEvent, ReconfigPlan, Trigger};
-use sprayer::api::NetworkFunction;
-use sprayer::config::MiddleboxConfig;
-use sprayer::runtime_sim::MiddleboxSim;
-use sprayer::{ReconfigReport, RecoveryReport};
-use sprayer_net::Packet;
-use sprayer_obs::HealthEvent;
-use sprayer_sim::Time;
-use sprayer_trafficgen::Adversary;
-
-/// Why a composed plan was rejected by [`SoakPlan::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SoakPlanError {
-    /// The reconfiguration sub-plan is invalid on its own.
-    Reconfig(PlanError),
-    /// The fault sub-plan is invalid on its own.
-    Fault(FaultPlanError),
-    /// A reconfiguration event uses a packet-count trigger.
-    UntimedReconfig {
-        /// Index of the offending event in the reconfig plan.
-        index: usize,
-    },
-    /// A fault event uses a packet-count trigger.
-    UntimedFault {
-        /// Index of the offending event in the fault plan.
-        index: usize,
-    },
-    /// An event (or its window) extends past the soak horizon.
-    BeyondHorizon {
-        /// Nominal end of the offending window.
-        window_end: Time,
-    },
-    /// A crash or stall is scheduled inside a reconfiguration's quiesce
-    /// window.
-    FaultDuringQuiesce {
-        /// Index of the offending fault event.
-        fault: usize,
-        /// Index of the reconfiguration whose window it violates.
-        reconfig: usize,
-    },
-    /// A reconfiguration is scheduled inside a crash's detection window
-    /// or a stall's wedged window.
-    ReconfigDuringFault {
-        /// Index of the offending reconfiguration event.
-        reconfig: usize,
-        /// Index of the fault whose window it violates.
-        fault: usize,
-    },
-}
-
-impl std::fmt::Display for SoakPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SoakPlanError::Reconfig(e) => write!(f, "reconfig sub-plan: {e}"),
-            SoakPlanError::Fault(e) => write!(f, "fault sub-plan: {e}"),
-            SoakPlanError::UntimedReconfig { index } => {
-                write!(f, "reconfig event {index} is packet-triggered; composed plans need timed triggers")
-            }
-            SoakPlanError::UntimedFault { index } => {
-                write!(
-                    f,
-                    "fault event {index} is packet-triggered; composed plans need timed triggers"
-                )
-            }
-            SoakPlanError::BeyondHorizon { window_end } => {
-                write!(
-                    f,
-                    "an event window ends at {} ns, past the soak horizon",
-                    window_end.as_ps() / 1_000
-                )
-            }
-            SoakPlanError::FaultDuringQuiesce { fault, reconfig } => {
-                write!(
-                    f,
-                    "fault event {fault} fires inside reconfig {reconfig}'s quiesce window"
-                )
-            }
-            SoakPlanError::ReconfigDuringFault { reconfig, fault } => {
-                write!(
-                    f,
-                    "reconfig event {reconfig} fires inside fault {fault}'s window"
-                )
-            }
-        }
-    }
-}
-
-/// A composed soak schedule: elasticity and failures on one clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoakPlan {
-    /// The elastic transitions.
-    pub reconfig: ReconfigPlan,
-    /// The faults (crashes, stalls, adversarial bursts) plus the
-    /// watchdog detection deadline.
-    pub faults: FaultPlan,
-    /// End of the soak: every event window must close before it, and
-    /// the driver keeps offering churn until it.
-    pub horizon: Time,
-}
-
-impl SoakPlan {
-    /// An empty soak over `horizon` (valid: plain churn, no events).
-    pub fn new(horizon: Time) -> Self {
-        SoakPlan {
-            reconfig: ReconfigPlan::new(),
-            faults: FaultPlan::new(),
-            horizon,
-        }
-    }
-
-    /// Attach the elastic schedule.
-    pub fn with_reconfig(mut self, plan: ReconfigPlan) -> Self {
-        self.reconfig = plan;
-        self
-    }
-
-    /// Attach the fault schedule.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// The exclusive window a fault occupies, `None` for bursts (and
-    /// for the packet-triggered events the timed check already rejects).
-    fn fault_window(&self, ev: &FaultEvent) -> Option<(Time, Time)> {
-        let Trigger::AtTime(t) = ev.trigger else {
-            return None;
-        };
-        match ev.kind {
-            FaultKind::CrashCore { .. } => Some((t, t + self.faults.detect_deadline)),
-            FaultKind::StallCore { duration, .. } => Some((t, t + duration)),
-            FaultKind::Adversarial { .. } => None,
-        }
-    }
-
-    /// Cross-validate the composition. `quiesce` is the caller's
-    /// conservative bound on one reconfiguration's quiesce-and-migrate
-    /// window (the simulator reports the exact cost only after the
-    /// fact, so composition is checked against a declared budget).
-    pub fn validate(&self, quiesce: Time) -> Result<(), SoakPlanError> {
-        self.reconfig.validate().map_err(SoakPlanError::Reconfig)?;
-        self.faults.validate().map_err(SoakPlanError::Fault)?;
-        for (index, ev) in self.reconfig.events.iter().enumerate() {
-            let Trigger::AtTime(t) = ev.trigger else {
-                return Err(SoakPlanError::UntimedReconfig { index });
-            };
-            let end = t + quiesce;
-            if end > self.horizon {
-                return Err(SoakPlanError::BeyondHorizon { window_end: end });
-            }
-        }
-        for (index, ev) in self.faults.events.iter().enumerate() {
-            let Trigger::AtTime(t) = ev.trigger else {
-                return Err(SoakPlanError::UntimedFault { index });
-            };
-            let end = self.fault_window(ev).map_or(t, |(_, e)| e);
-            if end > self.horizon {
-                return Err(SoakPlanError::BeyondHorizon { window_end: end });
-            }
-        }
-        // Windows, both ways. Quadratic in events — plans are tiny.
-        for (ri, rev) in self.reconfig.events.iter().enumerate() {
-            let Trigger::AtTime(rt) = rev.trigger else {
-                unreachable!("checked above");
-            };
-            let r_end = rt + quiesce;
-            for (fi, fev) in self.faults.events.iter().enumerate() {
-                let Trigger::AtTime(ft) = fev.trigger else {
-                    unreachable!("checked above");
-                };
-                if self.fault_window(fev).is_some() {
-                    // Fault inside the reconfig's quiesce window?
-                    if ft >= rt && ft <= r_end {
-                        return Err(SoakPlanError::FaultDuringQuiesce {
-                            fault: fi,
-                            reconfig: ri,
-                        });
-                    }
-                    // Reconfig inside the fault's window?
-                    let (fs, fe) = self.fault_window(fev).expect("checked");
-                    if rt >= fs && rt <= fe {
-                        return Err(SoakPlanError::ReconfigDuringFault {
-                            reconfig: ri,
-                            fault: fi,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The next control-plane action, in nominal-time order.
-enum Due {
-    Recovery,
-    Fault,
-    Reconfig,
-}
-
-/// Drives one [`MiddleboxSim`] through a composed [`SoakPlan`],
-/// merging reconfigurations, faults, and watchdog recoveries on the
-/// shared clock.
-pub struct SoakController<NF: NetworkFunction> {
-    mb: MiddleboxSim<NF>,
-    reconfigs: Vec<ReconfigEvent>,
-    next_reconfig: usize,
-    faults: Vec<FaultEvent>,
-    next_fault: usize,
-    detect_deadline: Time,
-    /// Crashed cores awaiting their watchdog deadline: `(due, core)`.
-    pending_recoveries: Vec<(Time, usize)>,
-    adversary: Adversary,
-    offered: u64,
-    injected: u64,
-    horizon: Time,
-}
-
-impl<NF: NetworkFunction> SoakController<NF> {
-    /// Build an elastic middlebox for `config`/`nf` and arm the
-    /// composed `plan`. The plan is cross-validated against `quiesce`
-    /// first; a rejected composition never touches the dataplane.
-    pub fn new(
-        config: MiddleboxConfig,
-        nf: NF,
-        plan: SoakPlan,
-        quiesce: Time,
-        seed: u64,
-    ) -> Result<Self, SoakPlanError> {
-        plan.validate(quiesce)?;
-        Ok(SoakController {
-            mb: MiddleboxSim::new_elastic(config, nf),
-            reconfigs: plan.reconfig.events,
-            next_reconfig: 0,
-            faults: plan.faults.events,
-            next_fault: 0,
-            detect_deadline: plan.faults.detect_deadline,
-            pending_recoveries: Vec::new(),
-            adversary: Adversary::new(seed),
-            offered: 0,
-            injected: 0,
-            horizon: plan.horizon,
-        })
-    }
-
-    /// The soak horizon the plan declared.
-    pub fn horizon(&self) -> Time {
-        self.horizon
-    }
-
-    /// Nominal time of an event already validated as timed.
-    fn timed(trigger: Trigger) -> Time {
-        match trigger {
-            Trigger::AtTime(t) => t,
-            Trigger::AtPacket(_) => {
-                unreachable!("SoakPlan::validate rejects packet triggers")
-            }
-        }
-    }
-
-    /// The earliest action due at or before `at`, if any. Ties resolve
-    /// recovery → fault → reconfig: a recovery at `t` restores capacity
-    /// the other two assume, and validation keeps real windows apart.
-    fn next_due(&self, at: Time) -> Option<(Time, Due)> {
-        let mut best: Option<(Time, Due)> = None;
-        if let Some((due, _)) = self
-            .pending_recoveries
-            .iter()
-            .min_by_key(|(due, _)| *due)
-            .filter(|(due, _)| *due <= at)
-        {
-            best = Some((*due, Due::Recovery));
-        }
-        if let Some(ev) = self.faults.get(self.next_fault) {
-            let t = Self::timed(ev.trigger);
-            if t <= at && best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-                best = Some((t, Due::Fault));
-            }
-        }
-        if let Some(ev) = self.reconfigs.get(self.next_reconfig) {
-            let t = Self::timed(ev.trigger);
-            if t <= at && best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-                best = Some((t, Due::Reconfig));
-            }
-        }
-        best
-    }
-
-    /// Fire every control-plane action due at `at`, in nominal-time
-    /// order across all three sources.
-    fn fire_due(&mut self, at: Time) {
-        while let Some((nominal, which)) = self.next_due(at) {
-            // Clamp to the dataplane clock: an action due while the
-            // simulator has advanced past its instant fires "now".
-            let when = nominal.max(self.mb.now());
-            match which {
-                Due::Recovery => {
-                    let idx = self
-                        .pending_recoveries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (due, _))| *due)
-                        .map(|(i, _)| i)
-                        .expect("next_due saw one");
-                    let (_, core) = self.pending_recoveries.swap_remove(idx);
-                    self.mb.recover(when, core);
-                }
-                Due::Fault => {
-                    let ev = self.faults[self.next_fault];
-                    self.next_fault += 1;
-                    match ev.kind {
-                        FaultKind::CrashCore { core } => {
-                            self.mb.emit_health(HealthEvent::FaultInjected {
-                                kind: "crash",
-                                core,
-                            });
-                            self.mb.inject_core_failure(when, core);
-                            self.pending_recoveries
-                                .push((when + self.detect_deadline, core));
-                        }
-                        FaultKind::StallCore { core, duration } => {
-                            self.mb.emit_health(HealthEvent::FaultInjected {
-                                kind: "stall",
-                                core,
-                            });
-                            self.mb.stall_core(when, core, duration);
-                        }
-                        FaultKind::Adversarial { profile, count } => {
-                            self.mb.emit_health(HealthEvent::FaultInjected {
-                                kind: "adversarial",
-                                core: usize::MAX,
-                            });
-                            self.inject_burst(when, profile, count);
-                        }
-                    }
-                }
-                Due::Reconfig => {
-                    let ev = self.reconfigs[self.next_reconfig];
-                    self.next_reconfig += 1;
-                    self.mb.reconfigure(when, ev.target_cores);
-                }
-            }
-        }
-    }
-
-    /// Inject `count` adversarial frames/packets back-to-back at wire
-    /// pace (one 64-byte slot ≈ 67 ns on 10 GbE) starting at `when`.
-    fn inject_burst(&mut self, when: Time, profile: AdversarialProfile, count: u32) {
-        for i in 0..u64::from(count) {
-            let at = when + Time::from_ns(i * 67);
-            match profile {
-                AdversarialProfile::TruncatedFrames => {
-                    let frame = self.adversary.truncated_frame();
-                    self.mb.ingress_frame(at, frame);
-                }
-                AdversarialProfile::GarbageHeaders => {
-                    let frame = self.adversary.garbage_frame();
-                    self.mb.ingress_frame(at, frame);
-                }
-                AdversarialProfile::LowEntropyChecksum { target } => {
-                    let pkt = self.adversary.crafted_burst(target, 1).pop().expect("one");
-                    self.mb.ingress(at, pkt);
-                }
-            }
-            self.injected += 1;
-        }
-    }
-
-    /// Fire everything due at `at` (in nominal-time order), then admit
-    /// `pkt`.
-    pub fn offer(&mut self, at: Time, pkt: Packet) {
-        self.fire_due(at);
-        self.mb.ingress(at, pkt);
-        self.offered += 1;
-    }
-
-    /// Advance the control plane and dataplane to `at` without offering
-    /// a packet — the periodic tick a snapshotting driver uses between
-    /// churn packets.
-    pub fn tick(&mut self, at: Time) {
-        self.fire_due(at);
-        self.mb.run_until(at);
-    }
-
-    /// Fire any remaining timed events up to `until`, recover every
-    /// still-pending crash (a soak never ends with a corpse
-    /// undetected), and run the dataplane until it drains.
-    pub fn finish(&mut self, until: Time) {
-        self.fire_due(until);
-        self.pending_recoveries.sort_by_key(|(due, _)| *due);
-        for (due, core) in std::mem::take(&mut self.pending_recoveries) {
-            let when = due.max(self.mb.now());
-            self.mb.recover(when, core);
-        }
-        self.mb.run_until(until);
-    }
-
-    /// Reconfiguration reports fired so far (planned rescales and
-    /// watchdog recoveries both run epoch transitions; these are the
-    /// planned ones).
-    pub fn reconfig_reports(&self) -> &[ReconfigReport] {
-        self.mb.reconfigs()
-    }
-
-    /// Recovery reports of every crash detected so far.
-    pub fn recoveries(&self) -> &[RecoveryReport] {
-        self.mb.recoveries()
-    }
-
-    /// Plan events not yet fired: `(reconfigs, faults)`.
-    pub fn pending_events(&self) -> (usize, usize) {
-        (
-            self.reconfigs.len() - self.next_reconfig,
-            self.faults.len() - self.next_fault,
-        )
-    }
-
-    /// Foreground packets offered through the controller.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Adversarial frames/packets injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// The driven middlebox.
-    pub fn middlebox(&self) -> &MiddleboxSim<NF> {
-        &self.mb
-    }
-
-    /// The driven middlebox, mutably (snapshots, egress draining).
-    pub fn middlebox_mut(&mut self) -> &mut MiddleboxSim<NF> {
-        &mut self.mb
-    }
-
-    /// Tear down, keeping the middlebox (reports stay on it).
-    pub fn into_middlebox(self) -> MiddleboxSim<NF> {
-        self.mb
-    }
-}
+//! Composition in one [`crate::Plan`]: rescales, faults and bursts on
+//! one clock — the window rules, and a long run that fires them all.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::controller::tests::{allow_all_firewall, config};
+    use crate::plan::{Action, AdversarialProfile, Plan, PlanError};
+    use crate::Controller;
     use sprayer::config::DispatchMode;
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
-    use sprayer_nf::firewall::{AclRule, Action, FirewallNf};
+    use sprayer_sim::Time;
 
-    fn allow_all_firewall() -> FirewallNf {
-        FirewallNf::new(vec![AclRule::default_action(Action::Allow)])
-    }
-
-    fn config(mode: DispatchMode, cores: usize) -> MiddleboxConfig {
-        let mut c = MiddleboxConfig::paper_testbed(mode);
-        c.num_cores = cores;
-        c
-    }
-
-    const QUIESCE: Time = Time::from_us(50);
-
-    fn timed_plan() -> SoakPlan {
-        SoakPlan::new(Time::from_ms(10))
-            .with_reconfig(
-                ReconfigPlan::new()
-                    .at_time(Time::from_ms(2), 4)
-                    .at_time(Time::from_ms(6), 2),
+    fn timed_plan() -> Plan {
+        Plan::new(Time::from_ms(10))
+            .at(Time::from_ms(2), Action::Rescale(4))
+            .at(Time::from_ms(4), Action::Crash(1))
+            .at(
+                Time::from_ms(5),
+                Action::Burst(
+                    AdversarialProfile::LowEntropyChecksum { target: 0x00ff },
+                    32,
+                ),
             )
-            .with_faults(
-                FaultPlan::new()
-                    .crash_at_time(Time::from_ms(4), 1)
-                    .adversarial_at_time(
-                        Time::from_ms(5),
-                        AdversarialProfile::LowEntropyChecksum { target: 0x00ff },
-                        32,
-                    )
-                    .detect_within(Time::from_us(20)),
-            )
+            .at(Time::from_ms(6), Action::Rescale(2))
+            .detect_within(Time::from_us(20))
     }
 
     #[test]
     fn disjoint_windows_validate() {
-        assert_eq!(timed_plan().validate(QUIESCE), Ok(()));
+        assert_eq!(timed_plan().validate(), Ok(()));
         // An empty soak is valid: plain churn.
-        assert_eq!(SoakPlan::new(Time::from_ms(1)).validate(QUIESCE), Ok(()));
-    }
-
-    #[test]
-    fn packet_triggers_are_rejected_in_composition() {
-        let plan =
-            SoakPlan::new(Time::from_ms(10)).with_reconfig(ReconfigPlan::new().at_packet(100, 4));
-        assert_eq!(
-            plan.validate(QUIESCE),
-            Err(SoakPlanError::UntimedReconfig { index: 0 })
-        );
-        let plan =
-            SoakPlan::new(Time::from_ms(10)).with_faults(FaultPlan::new().crash_at_packet(50, 1));
-        assert_eq!(
-            plan.validate(QUIESCE),
-            Err(SoakPlanError::UntimedFault { index: 0 })
-        );
+        assert_eq!(Plan::new(Time::from_ms(1)).validate(), Ok(()));
     }
 
     #[test]
     fn crash_inside_a_quiesce_window_is_rejected() {
-        // Reconfig at 2 ms owns [2 ms, 2 ms + 50 µs]; the crash lands
-        // 10 µs into it.
-        let plan = SoakPlan::new(Time::from_ms(10))
-            .with_reconfig(ReconfigPlan::new().at_time(Time::from_ms(2), 4))
-            .with_faults(FaultPlan::new().crash_at_time(Time::from_ms(2) + Time::from_us(10), 1));
+        // The rescale at 2 ms owns [2 ms, 2 ms + RESCALE_WINDOW]; the
+        // crash lands 10 µs into it.
+        let plan = Plan::new(Time::from_ms(10))
+            .at(Time::from_ms(2), Action::Rescale(4))
+            .at(Time::from_ms(2) + Time::from_us(10), Action::Crash(1));
         assert_eq!(
-            plan.validate(QUIESCE),
-            Err(SoakPlanError::FaultDuringQuiesce {
-                fault: 0,
-                reconfig: 0
+            plan.validate(),
+            Err(PlanError::FaultDuringRescale {
+                fault: 1,
+                rescale: 0
             })
         );
     }
@@ -555,28 +52,25 @@ mod tests {
     fn reconfig_inside_a_detection_window_is_rejected() {
         // Crash at 2 ms with a 100 µs watchdog owns [2 ms, 2.1 ms]; the
         // rescale lands 50 µs into it.
-        let plan = SoakPlan::new(Time::from_ms(10))
-            .with_reconfig(ReconfigPlan::new().at_time(Time::from_ms(2) + Time::from_us(50), 4))
-            .with_faults(
-                FaultPlan::new()
-                    .crash_at_time(Time::from_ms(2), 1)
-                    .detect_within(Time::from_us(100)),
-            );
+        let plan = Plan::new(Time::from_ms(10))
+            .at(Time::from_ms(2), Action::Crash(1))
+            .at(Time::from_ms(2) + Time::from_us(50), Action::Rescale(4))
+            .detect_within(Time::from_us(100));
         assert_eq!(
-            plan.validate(QUIESCE),
-            Err(SoakPlanError::ReconfigDuringFault {
-                reconfig: 0,
+            plan.validate(),
+            Err(PlanError::RescaleDuringFault {
+                rescale: 1,
                 fault: 0
             })
         );
         // A stall's wedged window blocks rescales the same way.
-        let plan = SoakPlan::new(Time::from_ms(10))
-            .with_reconfig(ReconfigPlan::new().at_time(Time::from_ms(3) + Time::from_us(100), 4))
-            .with_faults(FaultPlan::new().stall_at_time(Time::from_ms(3), 0, Time::from_us(400)));
+        let plan = Plan::new(Time::from_ms(10))
+            .at(Time::from_ms(3), Action::Stall(0, Time::from_us(400)))
+            .at(Time::from_ms(3) + Time::from_us(100), Action::Rescale(4));
         assert_eq!(
-            plan.validate(QUIESCE),
-            Err(SoakPlanError::ReconfigDuringFault {
-                reconfig: 0,
+            plan.validate(),
+            Err(PlanError::RescaleDuringFault {
+                rescale: 1,
                 fault: 0
             })
         );
@@ -584,43 +78,40 @@ mod tests {
 
     #[test]
     fn bursts_may_collide_with_anything() {
-        // The burst fires *during* the quiesce window — allowed: it is
+        // The burst fires *during* the rescale window — allowed: it is
         // traffic, and colliding it with a transition is the point.
-        let plan = SoakPlan::new(Time::from_ms(10))
-            .with_reconfig(ReconfigPlan::new().at_time(Time::from_ms(2), 4))
-            .with_faults(FaultPlan::new().adversarial_at_time(
+        let plan = Plan::new(Time::from_ms(10))
+            .at(Time::from_ms(2), Action::Rescale(4))
+            .at(
                 Time::from_ms(2) + Time::from_us(10),
-                AdversarialProfile::TruncatedFrames,
-                16,
-            ));
-        assert_eq!(plan.validate(QUIESCE), Ok(()));
+                Action::Burst(AdversarialProfile::TruncatedFrames, 16),
+            );
+        assert_eq!(plan.validate(), Ok(()));
     }
 
     #[test]
     fn windows_must_close_before_the_horizon() {
-        let plan = SoakPlan::new(Time::from_ms(1)).with_faults(
-            FaultPlan::new()
-                .crash_at_time(Time::from_ms(1) - Time::from_us(5), 0)
-                .detect_within(Time::from_us(100)),
-        );
+        let plan = Plan::new(Time::from_ms(1))
+            .at(Time::from_ms(1) - Time::from_us(5), Action::Crash(0))
+            .detect_within(Time::from_us(100));
         assert!(matches!(
-            plan.validate(QUIESCE),
-            Err(SoakPlanError::BeyondHorizon { .. })
+            plan.validate(),
+            Err(PlanError::BeyondHorizon { .. })
         ));
     }
 
     #[test]
     fn composed_soak_fires_everything_and_stays_conservative() {
-        let mut ctl = SoakController::new(
+        let plan = timed_plan();
+        let horizon = plan.horizon;
+        let mut ctl = Controller::new(
             config(DispatchMode::Sprayer, 2),
             allow_all_firewall(),
-            timed_plan(),
-            QUIESCE,
+            plan,
             11,
         )
         .unwrap();
         // Churn for the whole horizon: 32 flows, a packet every 2 µs.
-        let horizon = ctl.horizon();
         let mut at = Time::ZERO;
         let mut i = 0u32;
         while at < horizon {
@@ -638,9 +129,9 @@ mod tests {
         }
         ctl.finish(horizon + Time::from_ms(2));
 
-        assert_eq!(ctl.pending_events(), (0, 0), "every event must fire");
-        assert_eq!(ctl.reconfig_reports().len(), 2);
-        assert_eq!(ctl.recoveries().len(), 1);
+        assert!(ctl.pending_events().is_empty(), "every event must fire");
+        assert_eq!(ctl.middlebox().reconfigs().len(), 2);
+        assert_eq!(ctl.middlebox().recoveries().len(), 1);
         assert_eq!(ctl.injected(), 32);
         let stats = ctl.middlebox().stats();
         assert!(stats.lost_packets > 0, "the crash loses in-flight packets");
@@ -651,19 +142,15 @@ mod tests {
     fn sparse_traffic_fires_merged_events_in_nominal_order() {
         // Only two packets bracket the entire schedule: every event
         // comes due inside one fire_due call, and must still land
-        // crash → recovery → reconfig (nominal order), not plan order.
-        let plan = SoakPlan::new(Time::from_ms(10))
-            .with_reconfig(ReconfigPlan::new().at_time(Time::from_ms(5), 4))
-            .with_faults(
-                FaultPlan::new()
-                    .crash_at_time(Time::from_ms(2), 1)
-                    .detect_within(Time::from_us(20)),
-            );
-        let mut ctl = SoakController::new(
+        // crash → recovery → rescale (nominal order).
+        let plan = Plan::new(Time::from_ms(10))
+            .at(Time::from_ms(2), Action::Crash(1))
+            .at(Time::from_ms(5), Action::Rescale(4))
+            .detect_within(Time::from_us(20));
+        let mut ctl = Controller::new(
             config(DispatchMode::Sprayer, 2),
             allow_all_firewall(),
             plan,
-            QUIESCE,
             13,
         )
         .unwrap();
@@ -678,15 +165,16 @@ mod tests {
         );
         ctl.finish(Time::from_ms(12));
 
-        assert_eq!(ctl.recoveries().len(), 1);
-        assert_eq!(ctl.reconfig_reports().len(), 1);
-        let recovery_epoch = ctl.recoveries()[0].epoch;
-        let reconfig_epoch = ctl.reconfig_reports()[0].epoch;
+        let mb = ctl.middlebox();
+        assert_eq!(mb.recoveries().len(), 1);
+        assert_eq!(mb.reconfigs().len(), 1);
+        let recovery_epoch = mb.recoveries()[0].epoch;
+        let reconfig_epoch = mb.reconfigs()[0].epoch;
         assert!(
             recovery_epoch < reconfig_epoch,
             "the 2 ms crash (+20 µs recovery) must precede the 5 ms rescale: \
              recovery epoch {recovery_epoch}, reconfig epoch {reconfig_epoch}"
         );
-        assert_eq!(ctl.middlebox().stats().unaccounted(), 0);
+        assert_eq!(mb.stats().unaccounted(), 0);
     }
 }
