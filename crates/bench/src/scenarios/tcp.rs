@@ -23,7 +23,8 @@
 
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::runtime_sim::MiddleboxSim;
-use sprayer_net::{FiveTuple, FlowKey, Packet, PacketBuilder, TcpFlags};
+use sprayer::FlowTable;
+use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_nf::SyntheticNf;
 use sprayer_sim::stats::jain_fairness_index;
 use sprayer_sim::time::LinkSpeed;
@@ -31,7 +32,6 @@ use sprayer_sim::{Model, Scheduler, SimRng, Simulation, Time};
 use sprayer_tcp::{
     AckAction, AckInfo, CongestionControl, Cubic, Receiver, Reno, Sender, SenderConfig,
 };
-use std::collections::HashMap;
 
 /// Congestion-control choice for the senders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +137,21 @@ const DATA_FRAME: usize = 14 + 20 + 32 + MSS as usize;
 /// Wire size of a pure-ACK frame.
 const ACK_FRAME: usize = 66;
 
+// Event-queue lanes (`Scheduler::at_lane`): each carries a stream the
+// model schedules in time order, so only its next event sits in the
+// queue's heap. A lane cannot change the order events fire in.
+
+/// Client-link departures (`IngressClient`): they leave at the link's
+/// free time, which only grows.
+const CLIENT_LINK: usize = 0;
+/// Server-link re-entries (`IngressServerNow`), likewise.
+const SERVER_LINK: usize = 1;
+/// Delayed-ACK timers: one fixed delay after a clock that never runs
+/// backwards.
+const DELAYED_ACKS: usize = 2;
+/// Middlebox egress reaching an endpoint one hop delay later.
+const DELIVERIES: usize = 3;
+
 struct Flow {
     tuple: FiveTuple,
     sender: Sender,
@@ -192,12 +207,18 @@ struct TcpScenario {
     cfg: TcpConfig,
     mb: MiddleboxSim<SyntheticNf>,
     flows: Vec<Flow>,
-    by_key: HashMap<FlowKey, usize>,
+    /// Flow index by five-tuple key (either direction).
+    by_key: FlowTable<usize>,
     client_link_free: Time,
     server_link_free: Time,
     data_frame_time: Time,
     ack_frame_time: Time,
     builder: PacketBuilder,
+    /// Frame buffers of delivered packets, reused by the next frames
+    /// built: the steady state allocates none.
+    frames: Vec<Vec<u8>>,
+    /// TCP option bytes of the frame being built, reused likewise.
+    opts: Vec<u8>,
     rng: SimRng,
     finished: bool,
     /// Earliest MbTick currently scheduled (dedup: without this, every
@@ -211,7 +232,7 @@ impl TcpScenario {
         let mb = MiddleboxSim::new(mb_config, SyntheticNf::for_simulator());
         let mut rng = SimRng::seed_from(cfg.seed);
         let mut flows = Vec::new();
-        let mut by_key = HashMap::new();
+        let mut by_key = FlowTable::new();
         for i in 0..cfg.num_flows {
             let tuple = FiveTuple::tcp(
                 rng.next_u32() | 0x0a00_0000,
@@ -247,21 +268,22 @@ impl TcpScenario {
             data_frame_time: LinkSpeed::TEN_GBE.frame_time(DATA_FRAME),
             ack_frame_time: LinkSpeed::TEN_GBE.frame_time(ACK_FRAME),
             builder: PacketBuilder::new(),
+            frames: Vec::new(),
+            opts: Vec::new(),
             rng,
             finished: false,
             next_tick: None,
         }
     }
 
-    /// 12 bytes of timestamp-style TCP options with varying content, so
-    /// checksums are uniform as on real traffic, in a buffer with room
-    /// for `extra` more option bytes.
-    fn ts_option(&mut self, extra: usize) -> Vec<u8> {
+    /// Start the option bytes with 12 bytes of timestamp-style TCP
+    /// options with varying content, so checksums are uniform as on real
+    /// traffic.
+    fn ts_option(&mut self) {
         let v = self.rng.next_u64();
-        let mut opts = Vec::with_capacity(12 + extra);
-        opts.extend_from_slice(&[0x01, 0x01, 0x08, 0x0a]); // NOP NOP TS(10)
-        opts.extend_from_slice(&v.to_be_bytes());
-        opts
+        self.opts.clear();
+        self.opts.extend_from_slice(&[0x01, 0x01, 0x08, 0x0a]); // NOP NOP TS(10)
+        self.opts.extend_from_slice(&v.to_be_bytes());
     }
 
     fn build_data(&mut self, f: usize, seq: u64) -> Packet {
@@ -269,8 +291,26 @@ impl TcpScenario {
         // docs); seq is truncated to 32 bits for the header, full value
         // travels in the event.
         let payload = self.rng.next_u64().to_be_bytes();
-        self.builder
-            .tcp(self.flows[f].tuple, seq as u32, 0, TcpFlags::ACK, &payload)
+        let buf = self.frames.pop().unwrap_or_default();
+        self.builder.tcp_in(
+            buf,
+            self.flows[f].tuple,
+            seq as u32,
+            0,
+            TcpFlags::ACK,
+            &payload,
+        )
+    }
+
+    /// A payload-free frame with the current option bytes, in a
+    /// recycled buffer.
+    fn build_control(&mut self, tuple: FiveTuple, ack: u32, flags: TcpFlags) -> Packet {
+        let mut hdr = sprayer_net::TcpHeader::simple(tuple.src_port, tuple.dst_port, 0, flags);
+        hdr.ack = ack;
+        hdr.options = std::mem::take(&mut self.opts);
+        let pkt = build_frame(self.frames.pop().unwrap_or_default(), tuple, &hdr);
+        self.opts = hdr.options;
+        pkt
     }
 
     /// Build a pure ACK carrying a timestamp option (checksum entropy)
@@ -281,20 +321,17 @@ impl TcpScenario {
         let tuple = self.flows[f].tuple.reversed();
         let blocks = info.dsack.into_iter().chain(info.sack);
         let n = blocks.clone().count();
-        let mut opts = self.ts_option(if n == 0 { 0 } else { 4 + 8 * n });
+        self.ts_option();
         if n > 0 {
             // NOP NOP SACK(len)
-            opts.extend_from_slice(&[0x01, 0x01, 0x05, 2 + 8 * n as u8]);
+            self.opts
+                .extend_from_slice(&[0x01, 0x01, 0x05, 2 + 8 * n as u8]);
             for (start, end) in blocks {
-                opts.extend_from_slice(&(start as u32).to_be_bytes());
-                opts.extend_from_slice(&(end as u32).to_be_bytes());
+                self.opts.extend_from_slice(&(start as u32).to_be_bytes());
+                self.opts.extend_from_slice(&(end as u32).to_be_bytes());
             }
         }
-        let mut pkt_hdr =
-            sprayer_net::TcpHeader::simple(tuple.src_port, tuple.dst_port, 0, TcpFlags::ACK);
-        pkt_hdr.ack = info.ack as u32;
-        pkt_hdr.options = opts;
-        build_frame(tuple, pkt_hdr, &[])
+        self.build_control(tuple, info.ack as u32, TcpFlags::ACK)
     }
 
     /// Decode SACK/DSACK blocks from raw TCP option bytes: blocks ending
@@ -351,7 +388,8 @@ impl TcpScenario {
         while let Some(seg) = self.flows[f].sender.poll_segment(now) {
             let depart = self.client_link_free.max(now);
             self.client_link_free = depart + self.data_frame_time;
-            sched.at(
+            sched.at_lane(
+                CLIENT_LINK,
                 depart,
                 Ev::IngressClient(f, ClientFrame::Data { seq: seg.seq }),
             );
@@ -374,10 +412,10 @@ impl TcpScenario {
     /// fields it reads, not `&self`: the caller holds `mb` draining.)
     fn route_egress(
         flows: &[Flow],
-        by_key: &HashMap<FlowKey, usize>,
+        by_key: &FlowTable<usize>,
         hop_delay: Time,
         at: Time,
-        pkt: Packet,
+        pkt: &Packet,
         sched: &mut Scheduler<Ev>,
     ) {
         let Some(tuple) = pkt.tuple() else { return };
@@ -388,54 +426,50 @@ impl TcpScenario {
         let forward =
             tuple.src_addr == flows[f].tuple.src_addr && tuple.src_port == flows[f].tuple.src_port;
         let deliver = at.max(sched.time()) + hop_delay;
-        if forward {
+        // Read in place (`TcpHeader::parse` would copy the options out).
+        // The middlebox forwards only frames `Packet::parse` validated,
+        // so a TCP flow's header is whole.
+        const PARSED: &str = "egress frames are TCP frames Packet::parse validated";
+        let tcp = &pkt.bytes()[usize::from(pkt.meta().l4_offset.expect(PARSED))..];
+        let header = sprayer_net::tcp::validate(tcp).expect(PARSED);
+        let word = |off: usize| {
+            u64::from(u32::from_be_bytes(
+                tcp[off..off + 4].try_into().expect("a 4-byte slice"),
+            ))
+        };
+        let event = if forward {
             if flags.contains(TcpFlags::SYN) {
-                sched.at(deliver, Ev::IngressServer(f, ServerFrame::SynAck));
                 // (The server's SYN-ACK is serialized when it enters the
                 // middlebox, not here; see IngressServer.)
+                Ev::IngressServer(f, ServerFrame::SynAck)
             } else if pkt.payload().is_some_and(|p| !p.is_empty()) {
                 // Data arriving at the receiver.
-                let seq = u64::from(
-                    sprayer_net::TcpHeader::parse(
-                        &pkt.bytes()[usize::from(pkt.meta().l4_offset.unwrap())..],
-                    )
-                    .map(|h| h.seq)
-                    .unwrap_or(0),
-                );
-                sched.at(deliver, Ev::DeliveredData(f, seq));
-            }
-        } else {
-            // Reverse direction reaching the client.
-            if flags.contains(TcpFlags::SYN) {
-                sched.at(deliver, Ev::EstablishedAt(f));
+                Ev::DeliveredData(f, word(4))
             } else {
-                // Read in place: `TcpHeader::parse` would copy the
-                // options out.
-                let tcp = &pkt.bytes()[usize::from(pkt.meta().l4_offset.unwrap())..];
-                let info = sprayer_net::tcp::validate(tcp)
-                    .map(|h| {
-                        let ack = u64::from(u32::from_be_bytes(tcp[8..12].try_into().unwrap()));
-                        let options = &tcp[sprayer_net::TCP_HEADER_LEN..usize::from(h.header_len)];
-                        let (sack, dsack) = Self::decode_sack(options, ack);
-                        AckInfo { ack, sack, dsack }
-                    })
-                    .unwrap_or(AckInfo {
-                        ack: 0,
-                        sack: None,
-                        dsack: None,
-                    });
-                sched.at(deliver, Ev::AckAtSender(f, info));
+                return;
             }
-        }
+        } else if flags.contains(TcpFlags::SYN) {
+            // Reverse direction reaching the client.
+            Ev::EstablishedAt(f)
+        } else {
+            let ack = word(8);
+            let options = &tcp[sprayer_net::TCP_HEADER_LEN..usize::from(header.header_len)];
+            let (sack, dsack) = Self::decode_sack(options, ack);
+            Ev::AckAtSender(f, AckInfo { ack, sack, dsack })
+        };
+        sched.at_lane(DELIVERIES, deliver, event);
     }
 }
 
-fn build_frame(tuple: FiveTuple, tcp: sprayer_net::TcpHeader, payload: &[u8]) -> Packet {
+/// A payload-free TCP/IPv4 frame with `tcp`'s header, options included,
+/// written into `data` (whatever it held).
+fn build_frame(mut data: Vec<u8>, tuple: FiveTuple, tcp: &sprayer_net::TcpHeader) -> Packet {
     use sprayer_net::{EtherType, EthernetHeader, Ipv4Header, MacAddr};
-    let tcp_len = tcp.header_len() + payload.len();
+    let tcp_len = tcp.header_len();
     let ip = Ipv4Header::simple(tuple.src_addr, tuple.dst_addr, 6, tcp_len as u16);
     let frame_len = 14 + ip.header_len() + tcp_len;
-    let mut data = vec![0u8; frame_len.max(60)];
+    data.clear();
+    data.resize(frame_len.max(60), 0);
     EthernetHeader {
         dst: MacAddr::from_index(2),
         src: MacAddr::from_index(1),
@@ -444,11 +478,8 @@ fn build_frame(tuple: FiveTuple, tcp: sprayer_net::TcpHeader, payload: &[u8]) ->
     .emit(&mut data)
     .expect("sized");
     let ip_len = ip.emit(&mut data[14..]).expect("sized");
-    let l4 = 14 + ip_len;
-    let hlen = tcp
-        .emit(&mut data[l4..], ip.pseudo_header(), payload)
+    tcp.emit(&mut data[14 + ip_len..], ip.pseudo_header(), &[])
         .expect("sized");
-    data[l4 + hlen..l4 + hlen + payload.len()].copy_from_slice(payload);
     Packet::parse(data).expect("well-formed")
 }
 
@@ -460,26 +491,18 @@ impl Model for TcpScenario {
             Ev::Start(f) => {
                 let depart = self.client_link_free.max(now);
                 self.client_link_free = depart + self.ack_frame_time;
-                sched.at(depart, Ev::IngressClient(f, ClientFrame::Syn));
+                sched.at_lane(CLIENT_LINK, depart, Ev::IngressClient(f, ClientFrame::Syn));
             }
             Ev::IngressClient(f, frame) => {
                 let pkt = match frame {
                     ClientFrame::Syn => {
-                        let opts = self.ts_option(0);
-                        let tuple = self.flows[f].tuple;
-                        let mut hdr = sprayer_net::TcpHeader::simple(
-                            tuple.src_port,
-                            tuple.dst_port,
-                            0,
-                            TcpFlags::SYN,
-                        );
-                        hdr.options = opts;
-                        build_frame(tuple, hdr, &[])
+                        self.ts_option();
+                        self.build_control(self.flows[f].tuple, 0, TcpFlags::SYN)
                     }
                     ClientFrame::Data { seq } => self.build_data(f, seq),
                 };
                 self.mb.ingress(now, pkt);
-                self.drain_and_tick(now, sched);
+                self.drain_and_tick(sched);
             }
             Ev::IngressServer(f, frame) => {
                 // Frames from the server side serialize on the server link.
@@ -487,7 +510,7 @@ impl Model for TcpScenario {
                 self.server_link_free = depart + self.ack_frame_time;
                 if depart > now {
                     // Re-enter at the serialized time.
-                    sched.at(depart, Ev::IngressServerNow(f, frame));
+                    sched.at_lane(SERVER_LINK, depart, Ev::IngressServerNow(f, frame));
                     return;
                 }
                 self.ingress_server_now(f, frame, now, sched);
@@ -500,7 +523,7 @@ impl Model for TcpScenario {
                     self.next_tick = None;
                 }
                 self.mb.advance_until(now);
-                self.drain_and_tick(now, sched);
+                self.drain_and_tick(sched);
             }
             Ev::DeliveredData(f, seq) => {
                 let action = self.flows[f].receiver.on_segment(seq, u64::from(MSS));
@@ -509,7 +532,7 @@ impl Model for TcpScenario {
                         sched.now(Ev::IngressServer(f, ServerFrame::Ack { info }));
                     }
                     AckAction::Delayed => {
-                        sched.after(Time::from_us(200), Ev::DelayedAck(f));
+                        sched.at_lane(DELAYED_ACKS, now + Time::from_us(200), Ev::DelayedAck(f));
                     }
                     AckAction::None => {}
                 }
@@ -569,35 +592,30 @@ impl TcpScenario {
     ) {
         let pkt = match frame {
             ServerFrame::SynAck => {
+                self.ts_option();
                 let tuple = self.flows[f].tuple.reversed();
-                let opts = self.ts_option(0);
-                let mut hdr = sprayer_net::TcpHeader::simple(
-                    tuple.src_port,
-                    tuple.dst_port,
-                    0,
-                    TcpFlags::SYN | TcpFlags::ACK,
-                );
-                hdr.ack = 1;
-                hdr.options = opts;
-                build_frame(tuple, hdr, &[])
+                self.build_control(tuple, 1, TcpFlags::SYN | TcpFlags::ACK)
             }
             ServerFrame::Ack { info } => self.build_ack(f, info),
         };
         self.mb.ingress(now, pkt);
-        self.drain_and_tick(now, sched);
+        self.drain_and_tick(sched);
     }
 
-    fn drain_and_tick(&mut self, now: Time, sched: &mut Scheduler<Ev>) {
-        let _ = now;
+    /// Route what the middlebox forwarded, keep the frames' buffers,
+    /// and wake the middlebox for its next event.
+    fn drain_and_tick(&mut self, sched: &mut Scheduler<Ev>) {
         let TcpScenario {
             mb,
             flows,
             by_key,
             cfg,
+            frames,
             ..
         } = self;
         for (at, pkt) in mb.take_egress() {
-            Self::route_egress(flows, by_key, cfg.hop_delay, at, pkt, sched);
+            Self::route_egress(flows, by_key, cfg.hop_delay, at, &pkt, sched);
+            frames.push(pkt.into_bytes());
         }
         self.schedule_mb_tick(sched);
     }

@@ -129,3 +129,82 @@ fn runs_are_deterministic_per_seed() {
     assert_eq!(a.per_flow_bps, b.per_flow_bps);
     assert_eq!(a.fast_retransmits, b.fast_retransmits);
 }
+
+/// FNV-1a over bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One digest over everything a run computes: the middlebox stats, every
+/// TCP counter and each flow's delivered bytes.
+fn trajectory_digest(r: &sprayer_bench::scenarios::tcp::TcpResult) -> u64 {
+    let mut words = vec![
+        r.fast_retransmits,
+        r.rtos,
+        r.ooo_arrivals,
+        r.dup_acks,
+        r.probes,
+        r.spurious,
+    ];
+    words.extend(&r.delivered);
+    words.extend(r.reo_wnd_us.iter().map(|w| w.to_bits()));
+    let stats = r.stats.to_json();
+    fnv1a(
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .chain(stats.bytes()),
+    )
+}
+
+/// Four fig7b-like trajectories (8 flows, 10 000 cycles, seeds 1-4)
+/// of `mode` pinned bit for bit: the event loop may get faster, never
+/// different. The digests were recorded before the event queue grew
+/// lanes.
+fn assert_trajectories_pinned(mode: DispatchMode, pinned: [u64; 4]) {
+    let got: Vec<u64> = (1..=4)
+        .map(|seed| trajectory_digest(&run(&quick(mode, 10_000, 8, seed))))
+        .collect();
+    assert_eq!(got, pinned, "{mode:?}: a TCP trajectory changed");
+}
+
+#[test]
+fn rss_tcp_trajectories_are_pinned() {
+    assert_trajectories_pinned(
+        DispatchMode::Rss,
+        [
+            2391428396611991978,
+            16067073691070781749,
+            12521877940746844247,
+            9995695113473395209,
+        ],
+    );
+}
+
+#[test]
+fn sprayer_tcp_trajectories_are_pinned() {
+    assert_trajectories_pinned(
+        DispatchMode::Sprayer,
+        [
+            3541836076696826751,
+            1727651365779632177,
+            8625392659800595280,
+            1794186078976975270,
+        ],
+    );
+}
+
+#[test]
+fn scr_tcp_trajectories_are_pinned() {
+    assert_trajectories_pinned(
+        DispatchMode::Scr,
+        [
+            8229810721421357221,
+            13843356076229180605,
+            12025701748168662857,
+            10061223419396040019,
+        ],
+    );
+}

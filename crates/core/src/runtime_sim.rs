@@ -124,6 +124,9 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     now: Time,
     /// Earliest time the Flow Director path can admit the next packet.
     nic_admit_free: Time,
+    /// The Flow Director admission interval, `1 / fdir_cap_pps`; `None`
+    /// when uncapped.
+    fdir_interval: Option<Time>,
     stats: MiddleboxStats,
     egress: Vec<(Time, Packet)>,
     /// Every plane of `config.obs`: one lane over all cores. What the
@@ -249,6 +252,9 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             events: EventQueue::new(),
             now: Time::ZERO,
             nic_admit_free: Time::ZERO,
+            fdir_interval: config
+                .fdir_cap_pps
+                .map(|cap| Time::from_ps((1e12 / cap) as u64)),
             stats,
             egress: Vec::new(),
             obs,
@@ -477,11 +483,18 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     }
 
     /// Copy the table layer's cumulative lifecycle counters into the
-    /// stats block and advance the residency high-water mark. Called at
-    /// sync points (end of [`MiddleboxSim::advance_until`] and after
-    /// every control-plane transition), so `stats()` always reflects
-    /// the tables.
+    /// stats block and advance the residency high-water mark, so
+    /// `stats()` always reflects the tables. Called at four sync
+    /// points: after every completion (the high-water mark must see
+    /// the post-batch peak), after every idle sweep, at the end of
+    /// [`MiddleboxSim::advance_until`], and after every epoch
+    /// transition. A sync with the tables unchanged since the last one
+    /// ([`LocalTables::take_changed`]) would write the values already
+    /// there, so it returns at once.
     fn sync_lifecycle(&mut self) {
+        if !self.tables.take_changed() {
+            return;
+        }
         let live = self.tables.total_entries();
         self.stats.sync_lifecycle(self.tables.counters(), live);
     }
@@ -614,8 +627,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // perfect-filter path are admitted at no more than the cap;
         // excess packets are lost in the NIC.
         if steering == RxSteering::FlowDirector {
-            if let Some(cap) = self.config.fdir_cap_pps {
-                let interval = Time::from_ps((1e12 / cap) as u64);
+            if let Some(interval) = self.fdir_interval {
                 if now < self.nic_admit_free {
                     self.stats.nic_cap_drops += 1;
                     self.obs.drop(core, now.as_ps(), DropKind::NicCap, flow, id);

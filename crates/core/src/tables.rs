@@ -447,6 +447,9 @@ pub struct LocalTables<S> {
     shape: Shape,
     /// What the epochs already closed counted.
     carried: LifecycleCounters,
+    /// Set by every path that may move a counter or an entry count;
+    /// [`LocalTables::take_changed`] reads and clears it.
+    changed: bool,
 }
 
 impl<S: Clone> LocalTables<S> {
@@ -464,7 +467,16 @@ impl<S: Clone> LocalTables<S> {
                 lifecycle: LifecycleConfig::disabled(),
             },
             carried: LifecycleCounters::default(),
+            changed: true,
         }
+    }
+
+    /// Whether [`LocalTables::counters`] or an entry count may have
+    /// moved since the last call: inserts and removes through a
+    /// [`LocalCtx`], idle sweeps, replica writes and epoch transitions
+    /// all say so. Clears the flag.
+    pub(crate) fn take_changed(&mut self) -> bool {
+        std::mem::take(&mut self.changed)
     }
 
     /// Install the flow-lifecycle policy (idle timeout / LRU backstop).
@@ -499,6 +511,7 @@ impl<S: Clone> LocalTables<S> {
     /// the mutation log. Evicted entries are staged for the
     /// `evict_flow` hook ([`LocalTables::take_evictions`]).
     pub fn sweep_idle(&mut self, core: usize, now_us: u64) {
+        self.changed = true;
         self.cores[core].sweep_idle(&self.shape, core, now_us, &mut self.logs[core]);
     }
 
@@ -543,6 +556,7 @@ impl<S: Clone> LocalTables<S> {
 
     /// Open `core`'s replica for replayed state-updates.
     pub fn replica(&mut self, core: usize) -> ReplicaWriter<'_, S> {
+        self.changed = true;
         ReplicaWriter(&mut self.cores[core])
     }
 
@@ -600,6 +614,7 @@ impl<S: Clone> LocalTables<S> {
         self.cores = cores;
         self.carried = carried;
         self.shape.map = new_map;
+        self.changed = true;
         stats
     }
 }
@@ -626,11 +641,13 @@ impl<S: Clone> FlowStateApi<S> for LocalCtx<'_, S> {
 
     fn insert_local_flow(&mut self, key: FlowKey, state: S) -> InsertOutcome {
         let t = &mut *self.tables;
+        t.changed = true;
         t.cores[self.core].insert(&t.shape, key, state, &mut t.logs[self.core])
     }
 
     fn remove_local_flow(&mut self, key: &FlowKey) -> Option<S> {
         let t = &mut *self.tables;
+        t.changed = true;
         t.cores[self.core].remove(&t.shape, key, &mut t.logs[self.core])
     }
 

@@ -346,12 +346,31 @@ impl PacketBuilder {
         flags: TcpFlags,
         payload: &[u8],
     ) -> Packet {
+        self.tcp_in(Vec::new(), tuple, seq, ack, flags, payload)
+    }
+
+    /// [`PacketBuilder::tcp`] into `data`, whatever it held: a caller
+    /// that recycles frame buffers ([`Packet::into_bytes`]) builds
+    /// without allocating.
+    pub fn tcp_in(
+        &self,
+        mut data: Vec<u8>,
+        tuple: FiveTuple,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        payload: &[u8],
+    ) -> Packet {
         assert_eq!(tuple.protocol, Protocol::Tcp, "tuple must be TCP");
         let tcp_len = crate::tcp::TCP_HEADER_LEN + payload.len();
         let mut ip = Ipv4Header::simple(tuple.src_addr, tuple.dst_addr, proto::TCP, tcp_len as u16);
         ip.ttl = self.ttl;
         let frame_len = ETHERNET_HEADER_LEN + ip.header_len() + tcp_len;
-        let mut data = vec![0u8; frame_len.max(if self.pad_to_min { MIN_FRAME_LEN } else { 0 })];
+        data.clear();
+        data.resize(
+            frame_len.max(if self.pad_to_min { MIN_FRAME_LEN } else { 0 }),
+            0,
+        );
 
         let eth = EthernetHeader {
             dst: self.dst_mac,
@@ -449,6 +468,16 @@ mod tests {
         assert_eq!(p.payload().unwrap(), b"tiny");
         let empty = PacketBuilder::new().tcp(tcp_tuple(), 1, 2, TcpFlags::ACK, b"");
         assert_eq!(empty.payload().unwrap(), b"");
+    }
+
+    #[test]
+    fn a_recycled_buffer_builds_the_same_frame() {
+        let b = PacketBuilder::new();
+        let fresh = b.tcp(tcp_tuple(), 7, 9, TcpFlags::ACK, b"tiny");
+        let big = b.tcp(tcp_tuple(), 1, 2, TcpFlags::PSH, &[0xff; 200]);
+        let reused = b.tcp_in(big.into_bytes(), tcp_tuple(), 7, 9, TcpFlags::ACK, b"tiny");
+        assert_eq!(reused.bytes(), fresh.bytes());
+        assert_eq!(reused.meta(), fresh.meta());
     }
 
     #[test]

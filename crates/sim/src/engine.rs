@@ -25,10 +25,26 @@
 //! misorder: at most 2^40 insertions over a queue's life
 //! ([`EventQueue::MAX_INSERTIONS`]) and at most 2^24 events queued at
 //! once ([`EventQueue::MAX_LIVE`]).
+//!
+//! # Lanes
+//!
+//! A model that pushes a stream of events in time order — a link's
+//! departures, a fixed-delay timer — may push them on a *lane*
+//! ([`EventQueue::push_lane`], [`Scheduler::at_lane`]). Each event keeps
+//! the key a plain push would have given it, but only a lane's head
+//! sits in the heap; the rest wait in the lane's FIFO, and popping a
+//! head moves the next key of its lane into the heap. A lane's keys
+//! strictly increase, so its head is its smallest key, and the smallest
+//! key queued is always in the heap: pops come out in exactly the order
+//! of plain pushes, and the heap holds one key per busy lane instead of
+//! one per event. A lane push earlier than its lane's tail is a plain
+//! push, so a lane is only a cost hint: no use of one can change the
+//! order.
 
 use crate::time::Time;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A user-defined simulation model.
 pub trait Model {
@@ -43,6 +59,9 @@ const SLOT_BITS: u32 = 24;
 const SEQ_BITS: u32 = 40;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
+/// Marks a slab slot whose key was pushed on no lane.
+const NO_LANE: u32 = u32::MAX;
+
 /// A min-queue of timed events in exact `(time, insertion)` order (see
 /// the [module docs](self)). The heap holds only `u128` keys; payloads
 /// sit in a slab whose slots are reused, so a push or pop moves 16 bytes
@@ -50,9 +69,12 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 /// events queued at once.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<u128>>,
-    slab: Vec<Option<E>>,
+    /// Each live event and the lane its key was pushed on.
+    slab: Vec<Option<(E, u32)>>,
     free: Vec<u32>,
     seq: u64,
+    /// Each lane's keys in push order; the front one is in the heap.
+    lanes: Vec<VecDeque<u128>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -62,6 +84,7 @@ impl<E> Default for EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             seq: 0,
+            lanes: Vec::new(),
         }
     }
 }
@@ -79,13 +102,44 @@ impl<E> EventQueue<E> {
 
     /// Queue `event` at `at`, after every event already queued at `at`.
     pub fn push(&mut self, at: Time, event: E) {
+        let key = self.key(at, event, NO_LANE);
+        self.heap.push(Reverse(key));
+    }
+
+    /// [`EventQueue::push`], with the key queued behind lane `lane`'s
+    /// earlier keys rather than in the heap (see [Lanes](self#lanes)).
+    /// Lanes are numbered densely from 0 by the caller. A push earlier
+    /// than the lane's last one is a plain push.
+    pub fn push_lane(&mut self, lane: usize, at: Time, event: E) {
+        assert!(
+            lane < NO_LANE as usize,
+            "event queue: lane {lane} out of range"
+        );
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let tail = self.lanes[lane].back().map(|&key| (key >> 64) as u64);
+        if tail.is_some_and(|tail| at.as_ps() < tail) {
+            return self.push(at, event);
+        }
+        let key = self.key(at, event, lane as u32);
+        let queue = &mut self.lanes[lane];
+        if queue.is_empty() {
+            self.heap.push(Reverse(key));
+        }
+        queue.push_back(key);
+    }
+
+    /// Store `event` in a free slot and return its key: the next
+    /// insertion number, taken now, whichever lane the key waits on.
+    fn key(&mut self, at: Time, event: E, lane: u32) -> u128 {
         assert!(
             self.seq < Self::MAX_INSERTIONS,
             "event queue: more than 2^{SEQ_BITS} insertions"
         );
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(event);
+                self.slab[slot as usize] = Some((event, lane));
                 slot
             }
             None => {
@@ -93,24 +147,35 @@ impl<E> EventQueue<E> {
                     self.slab.len() < Self::MAX_LIVE,
                     "event queue: more than 2^{SLOT_BITS} events queued at once"
                 );
-                self.slab.push(Some(event));
+                self.slab.push(Some((event, lane)));
                 (self.slab.len() - 1) as u32
             }
         };
         let low = self.seq << SLOT_BITS | u64::from(slot);
         self.seq += 1;
-        self.heap
-            .push(Reverse(u128::from(at.as_ps()) << 64 | u128::from(low)));
+        u128::from(at.as_ps()) << 64 | u128::from(low)
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse(key) = self.heap.pop()?;
+        let mut top = self.heap.peek_mut()?;
+        let Reverse(key) = *top;
         let slot = (key as u64 & SLOT_MASK) as u32;
-        let event = self.slab[slot as usize]
+        let (event, lane) = self.slab[slot as usize]
             .take()
             .expect("a queued key names a live slot");
         self.free.push(slot);
+        // A lane's next key takes its head's place: one sift, not two.
+        let next = self.lanes.get_mut(lane as usize).and_then(|queue| {
+            queue.pop_front();
+            queue.front().copied()
+        });
+        match next {
+            Some(next) => *top = Reverse(next),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
         Some((Time::from_ps((key >> 64) as u64), event))
     }
 
@@ -130,7 +195,8 @@ impl<E> EventQueue<E> {
             .map(|&Reverse(key)| Time::from_ps((key >> 64) as u64))
     }
 
-    /// True when nothing is queued.
+    /// True when nothing is queued (a busy lane has its head in the
+    /// heap).
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -167,6 +233,18 @@ impl<E> Scheduler<E> {
             self.now
         );
         self.queue.push(at, event);
+    }
+
+    /// [`Scheduler::at`] on lane `lane` of the queue: for a stream of
+    /// events scheduled in time order (see
+    /// [`EventQueue::push_lane`]). The order events fire in is the same.
+    pub fn at_lane(&mut self, lane: usize, at: Time, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: {at:?} < {:?}",
+            self.now
+        );
+        self.queue.push_lane(lane, at, event);
     }
 
     /// Schedule `event` after a delay from now.
@@ -511,6 +589,128 @@ mod tests {
             }
             prop_assert!(queue.is_empty() && queue.pop().is_none());
         }
+    }
+
+    /// One step of the lane model test: a plain push, a lane push at a
+    /// time relative to that lane's last push (`back` pushes earlier,
+    /// taking the fallback), or a pop.
+    #[derive(Debug, Clone)]
+    enum LaneOp {
+        Push(u64, u32),
+        Lane {
+            lane: usize,
+            step: u64,
+            back: bool,
+            id: u32,
+        },
+        Pop,
+        PopUntil(u64),
+    }
+
+    fn arb_lane_push(back: bool) -> impl Strategy<Value = LaneOp> {
+        let step = prop_oneof![Just(0u64), 0u64..4, 0u64..64];
+        (0usize..4, step, any::<u32>()).prop_map(move |(lane, step, id)| LaneOp::Lane {
+            lane,
+            step,
+            back,
+            id,
+        })
+    }
+
+    fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
+        prop_oneof![
+            (arb_time(), any::<u32>()).prop_map(|(t, id)| LaneOp::Push(t, id)),
+            arb_lane_push(false),
+            arb_lane_push(false),
+            arb_lane_push(true),
+            Just(LaneOp::Pop),
+            arb_time().prop_map(LaneOp::PopUntil),
+        ]
+    }
+
+    proptest! {
+        /// Lane pushes mixed with plain ones on four lanes — exact ties
+        /// across lanes and with plain pushes, lane pushes earlier than
+        /// the lane's tail — pop exactly like the `(time, seq, payload)`
+        /// heap: every `pop`, `pop_until` and `peek_time`.
+        #[test]
+        fn lanes_match_the_reference_heap(
+            ops in vec(arb_lane_op(), 1..400),
+            ties in vec(any::<prop::sample::Index>(), 400),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let (mut seq, mut peak) = (0u64, 0usize);
+            let mut last = [0u64; 4];
+            let mut times = Vec::new();
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    LaneOp::Push(fresh, id) => {
+                        // Every other plain push ties an earlier push.
+                        let t = if i % 2 == 1 && !times.is_empty() {
+                            times[ties[i].index(times.len())]
+                        } else {
+                            fresh
+                        };
+                        times.push(t);
+                        queue.push(Time::from_ps(t), id);
+                        reference.push(Reverse((Time::from_ps(t), seq, id)));
+                        seq += 1;
+                    }
+                    LaneOp::Lane { lane, step, back, id } => {
+                        let t = if back {
+                            last[lane].saturating_sub(step)
+                        } else {
+                            last[lane].saturating_add(step)
+                        };
+                        last[lane] = t;
+                        times.push(t);
+                        queue.push_lane(lane, Time::from_ps(t), id);
+                        reference.push(Reverse((Time::from_ps(t), seq, id)));
+                        seq += 1;
+                    }
+                    LaneOp::Pop => {
+                        let want = reference.pop().map(|Reverse((t, _, id))| (t, id));
+                        prop_assert_eq!(queue.pop(), want);
+                    }
+                    LaneOp::PopUntil(deadline) => {
+                        let deadline = Time::from_ps(deadline);
+                        let want = match reference.peek() {
+                            Some(&Reverse((t, _, _))) if t <= deadline => {
+                                reference.pop().map(|Reverse((t, _, id))| (t, id))
+                            }
+                            _ => None,
+                        };
+                        prop_assert_eq!(queue.pop_until(deadline), want);
+                    }
+                }
+                peak = peak.max(reference.len());
+                prop_assert!(queue.heap.len() <= reference.len());
+                prop_assert_eq!(
+                    queue.peek_time(),
+                    reference.peek().map(|Reverse((t, _, _))| *t)
+                );
+                prop_assert_eq!(queue.slab.len(), peak);
+            }
+            while let Some(Reverse((t, _, id))) = reference.pop() {
+                prop_assert_eq!(queue.pop(), Some((t, id)));
+            }
+            prop_assert!(queue.is_empty() && queue.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn in_order_pushes_on_one_lane_keep_one_key_in_the_heap() {
+        let mut queue = EventQueue::new();
+        for id in 0..1_000u32 {
+            queue.push_lane(2, Time::from_ns(u64::from(id / 3)), id);
+            assert_eq!(queue.heap.len(), 1);
+        }
+        for id in 0..1_000u32 {
+            assert_eq!(queue.heap.len(), 1);
+            assert_eq!(queue.pop(), Some((Time::from_ns(u64::from(id / 3)), id)));
+        }
+        assert!(queue.is_empty());
     }
 
     #[test]
