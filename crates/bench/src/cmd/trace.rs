@@ -58,7 +58,7 @@ fn report(label: &str, trace: &Trace, analysis: &TraceAnalysis) -> bool {
     let c = &analysis.conservation;
     println!(
         "   conservation: enqueued={} nf_done={} forwarded={} nf_drops={} \
-         drops(nic/queue/ring)={}/{}/{} redirects(out/in)={}/{}",
+         drops(nic/queue/ring/dead-core)={}/{}/{}/{} redirects(out/in)={}/{}",
         c.ingress_enqueued,
         c.nf_done,
         c.forwarded,
@@ -66,6 +66,7 @@ fn report(label: &str, trace: &Trace, analysis: &TraceAnalysis) -> bool {
         c.nic_cap_drops,
         c.queue_drops,
         c.ring_drops,
+        c.dead_core_drops,
         c.redirect_out,
         c.redirect_in,
     );

@@ -90,7 +90,8 @@ pub(crate) struct ObsLane {
     base: usize,
     cores: Vec<CoreObs>,
     trace: Option<TraceRing>,
-    reserved_seq: Option<u64>,
+    /// Sequence numbers taken ahead for this lane's next events.
+    reserved: Range<u64>,
     probes: Option<LatencyProbes>,
     tail: Option<TailTracker>,
     live: Option<Arc<LiveSlots>>,
@@ -196,7 +197,7 @@ impl ObsHub {
             trace: cfg
                 .trace
                 .then(|| TraceRing::new(cfg.trace_ring_capacity * ring_cores)),
-            reserved_seq: None,
+            reserved: 0..0,
             probes: (datapath && cfg.latency).then(LatencyProbes::new),
             tail: (datapath && cfg.tail)
                 .then(|| TailTracker::new(self.num_cores, cfg.tail_threshold_ticks)),
@@ -374,8 +375,8 @@ impl ObsLane {
                 return;
             }
             let seq = self
-                .reserved_seq
-                .take()
+                .reserved
+                .next()
                 .unwrap_or_else(|| self.hub.trace_seq.fetch_add(1, Ordering::Relaxed));
             ring.push(TraceEvent {
                 seq,
@@ -404,16 +405,28 @@ impl ObsLane {
         }
     }
 
-    /// Allocate this lane's next trace event its sequence number now.
-    /// A thread that hands a packet to another calls this *before* the
-    /// hand-off, so the receiver's first event for the packet (whose
-    /// sequence is allocated after it takes the packet) always sorts
-    /// after this lane's. A full ring reserves nothing: the event will
-    /// be refused (and counted) when it comes.
+    /// True when this lane records trace events.
     #[inline]
-    pub fn reserve_seq(&mut self) {
-        if self.trace.as_ref().is_some_and(|ring| !ring.is_full()) {
-            self.reserved_seq = Some(self.hub.trace_seq.fetch_add(1, Ordering::Relaxed));
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Allocate this lane's next `n` trace events their sequence
+    /// numbers now, with one `fetch_add`. A thread that hands packets
+    /// to another calls this *before* the hand-off, so the receiver's
+    /// first event for each packet (whose sequence is allocated after
+    /// it takes the packet) always sorts after this lane's. Only what
+    /// the ring still has room for is reserved: the rest will be
+    /// refused (and counted) when it comes.
+    #[inline]
+    pub fn reserve_seqs(&mut self, n: u64) {
+        if let Some(ring) = self.trace.as_ref() {
+            debug_assert!(self.reserved.is_empty(), "reservation left unused");
+            let k = n.min(ring.room() as u64);
+            if k > 0 {
+                let first = self.hub.trace_seq.fetch_add(k, Ordering::Relaxed);
+                self.reserved = first..first + k;
+            }
         }
     }
 
@@ -433,10 +446,22 @@ impl ObsLane {
                 DropKind::NicCap => b.nic_cap_drops += 1,
                 DropKind::QueueFull => b.queue_drops += 1,
                 DropKind::RingFull => b.ring_drops += 1,
+                DropKind::DeadCore => {}
             });
         }
         self.emit(core, ts, EventKind::Drop, flow, id, kind.to_aux());
         self.flight(core, ts, FlightKind::Drop, kind.to_aux(), 0);
+    }
+
+    /// Packet `id` was steered to failed `core`'s queue and is lost
+    /// there. A trace event only, read at `now`: the flight recorder
+    /// and the sampled series see the loss in `lost_packets` instead.
+    #[inline]
+    pub fn lost(&mut self, core: usize, flow: u64, id: u64, now: impl FnOnce() -> u64) {
+        if self.tracing() {
+            let aux = DropKind::DeadCore.to_aux();
+            self.emit(core, now(), EventKind::Drop, flow, id, aux);
+        }
     }
 
     /// `core`'s receive queue holds `depth` of `capacity`. Edge
@@ -729,7 +754,7 @@ mod tests {
             1,
         ));
         let (mut worker, mut ingress) = (hub.lane(0..1, true), hub.lane(0..1, false));
-        ingress.reserve_seq();
+        ingress.reserve_seqs(1);
         // The worker is faster than the ingress thread's bookkeeping.
         worker.batch(0, 5, 1, 0);
         ingress.ingress(0, 1, 1, 0);

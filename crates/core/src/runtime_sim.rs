@@ -620,6 +620,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // are the detection-latency cost, accounted as lost.
         if self.failed[core] {
             self.stats.lost_packets += 1;
+            self.obs.lost(core, flow, id, || now.as_ps());
             return;
         }
 
@@ -1766,6 +1767,42 @@ mod tests {
         );
         assert_eq!(analysis.conservation.nf_done, s.processed());
         assert!(mb.take_obs().trace.is_none(), "trace detaches once");
+    }
+
+    /// A packet the NIC steers to a failed core's queue is lost without
+    /// ever being enqueued; its trace-only drop event keeps the trace's
+    /// ingress identity closed in every mode.
+    #[test]
+    fn steering_to_a_failed_core_keeps_the_trace_conserved() {
+        use crate::config::ObsConfig;
+        for mode in DispatchMode::ALL {
+            let mut config = cfg(mode, 5_000);
+            config.num_cores = 4;
+            config.obs = ObsConfig::tracing();
+            let mut mb = MiddleboxSim::new(config, TrackerNf);
+            mb.inject_core_failure(Time::ZERO, 2);
+            let mut now = Time::ZERO;
+            for i in 0u32..2_000 {
+                now += Time::from_ns(500);
+                let flags = if i < 16 { TcpFlags::SYN } else { TcpFlags::ACK };
+                let p = PacketBuilder::new().tcp(flow(i % 16), i, 0, flags, &payload(i));
+                mb.ingress(now, p);
+            }
+            mb.run_until(now + Time::from_secs(1));
+            let s = mb.stats().clone();
+            assert_eq!(s.offered, 2_000);
+            assert_eq!(s.unaccounted(), 0, "{mode:?}: {s:?}");
+            let trace = mb.take_obs().trace.expect("tracing enabled");
+            assert_eq!(trace.dropped, 0, "{mode:?}: default ring fits this run");
+            let c = sprayer_obs::analyze(&trace).conservation;
+            assert!(c.ok(), "{mode:?}: {:?}", c.violations);
+            assert!(
+                c.dead_core_drops > 0 && c.dead_core_drops <= s.lost_packets,
+                "{mode:?}: {} dead-core drops, {} lost",
+                c.dead_core_drops,
+                s.lost_packets
+            );
+        }
     }
 
     #[test]

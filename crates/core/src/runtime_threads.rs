@@ -22,11 +22,14 @@
 //! queue model, workers drain their queues in bounded batches
 //! ([`ThreadedConfig::batch_size`], default 32) rather than one packet at
 //! a time, and release their shutdown-protocol claims **per batch** —
-//! one atomic RMW per drain. Ingress is the exception: it claims
-//! `rx_remaining` with one SeqCst `fetch_add` per packet, before the
-//! push. Claiming once per 32-packet burst instead was measured on the
-//! lock-free ring and bought nothing (DESIGN.md, "What the ring is
-//! worth"), so the simpler per-packet claim stays. Every queue is
+//! one atomic RMW per drain. The receive queues carry **bursts**: the
+//! ingress thread fills one open burst of up to `batch_size` descriptors
+//! per queue and hands it over with one SeqCst `rx_remaining` claim
+//! (before the push), one push and one depth read, and a worker's
+//! receive batch is one pop. Claiming per burst while still moving per
+//! packet bought nothing on the lock-free ring; moving per burst took
+//! `steady`'s `pkt_ns.sprayer` down by about a sixth (DESIGN.md, "What
+//! the ring is worth"). Every queue is
 //! bounded: receive-queue overflow is an accounted
 //! [`MiddleboxStats::queue_drops`] event and ring overflow an accounted
 //! [`MiddleboxStats::ring_drops`] event, never unbounded growth. Redirect
@@ -63,8 +66,9 @@
 //!   dead, its queues are drained as losses, and a [`WorkerFailure`] is
 //!   recorded — this is how a *stalled* (not panicked) worker is fenced.
 //! * Ingress blackholes packets steered to a dead queue (the real NIC
-//!   keeps steering there until reprogrammed) and redirect pushes toward
-//!   a dead core's ring declare the descriptor lost instead of spinning.
+//!   keeps steering there until reprogrammed), each with a trace-only
+//!   [`DropKind::DeadCore`] event, and redirect pushes toward a dead
+//!   core's ring declare the descriptor lost instead of spinning.
 //!
 //! Every loss is accounted, so `stats.unaccounted() == 0` still holds
 //! after a crash — the conservation identity simply gains a
@@ -111,11 +115,15 @@ pub struct ThreadedConfig {
     /// Number of OS worker threads (one per simulated core).
     pub num_workers: usize,
     /// Maximum packets drained from a queue per poll — the DPDK burst
-    /// size. Accounting atomics are updated once per batch.
+    /// size. Accounting atomics are updated once per batch, and ingress
+    /// hands a receive queue this many packets per push (fewer only in
+    /// the bursts it flushes when a phase's input ends).
     pub batch_size: usize,
-    /// Per-worker receive-queue capacity in packets. Ingress retries a
-    /// full queue up to [`ThreadedConfig::ingress_retries`] times
-    /// (yielding so workers can drain), then counts a `queue_drop`.
+    /// Per-worker receive-queue capacity in packets, rounded up to whole
+    /// bursts of [`ThreadedConfig::batch_size`]. Ingress retries a full
+    /// queue up to [`ThreadedConfig::ingress_retries`] times (yielding
+    /// so workers can drain), then drops the burst: each of its packets
+    /// counts a `queue_drop`.
     pub queue_capacity: usize,
     /// Inter-core descriptor-ring capacity.
     pub ring_capacity: usize,
@@ -124,8 +132,9 @@ pub struct ThreadedConfig {
     /// after this many failed attempts the descriptor is dropped and
     /// counted in [`MiddleboxStats::ring_drops`].
     pub redirect_retries: usize,
-    /// Bounded spin for ingress pushes into a full receive queue before
-    /// counting a [`MiddleboxStats::queue_drops`].
+    /// Bounded spin for ingress pushes of a burst into a full receive
+    /// queue before counting its packets as
+    /// [`MiddleboxStats::queue_drops`].
     pub ingress_retries: usize,
     /// Per-core state-update log capacity under
     /// [`DispatchMode::Scr`]. A publish into a full peer log is a
@@ -252,8 +261,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// What flows through the receive queues and descriptor rings: the
-/// packet, its classification, and its trace identity and timestamps.
+/// What flows through the receive queues (a burst at a time) and the
+/// descriptor rings: the packet, its classification, and its trace
+/// identity and timestamps.
 struct Desc {
     pkt: Packet,
     /// Classification from ingress: headers are parsed once and the
@@ -274,14 +284,15 @@ struct DescMeta {
     id: u64,
     /// Stable flow hash (0 when tracing is off or tuple unparseable).
     flow: u64,
-    /// Ingress timestamp, ns since the run anchor: the clock read of
-    /// the ingress burst the packet was admitted in (0 when obs is off).
+    /// Ingress timestamp, ns since the run anchor: the clock read that
+    /// labelled its admission, one per `batch_size` admissions (0 when
+    /// obs is off).
     arrival_ns: u64,
     /// Redirect-push timestamp for ring-latency probes (0 until set).
     relay_ns: u64,
 }
 
-// Moved by value through every rx queue and ring: two cache lines at
+// Moved by value into every rx burst and ring: two cache lines at
 // most (ISSUE 12 sizing table, DESIGN.md "Bytes moved per packet").
 const _: () = assert!(std::mem::size_of::<Desc>() <= 128);
 
@@ -373,7 +384,9 @@ pub struct ThreadedOutcome {
 pub struct ThreadedMiddlebox;
 
 struct WorkerShared<NF: NetworkFunction> {
-    rx: Vec<ArrayQueue<Desc>>,
+    /// The NIC receive queues, a burst of up to `batch_size`
+    /// descriptors per slot: one claim, one push and one pop per burst.
+    rx: Vec<ArrayQueue<Vec<Desc>>>,
     rings: Vec<ArrayQueue<Desc>>,
     tables: SharedTables<NF::Flow>,
     coremap: CoreMap,
@@ -545,9 +558,10 @@ struct WorkerResult {
 /// survivors can terminate. Safe to race with the (zombie) worker's own
 /// drain: each descriptor is popped — and thus counted — exactly once.
 fn drain_dead_queues<NF: NetworkFunction>(shared: &WorkerShared<NF>, core: usize) {
-    while shared.rx[core].pop().is_some() {
-        shared.lost.fetch_add(1, Ordering::SeqCst);
-        shared.rx_remaining.fetch_sub(1, Ordering::SeqCst);
+    while let Some(burst) = shared.rx[core].pop() {
+        let n = burst.len() as u64;
+        shared.lost.fetch_add(n, Ordering::SeqCst);
+        shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
     }
     while shared.rings[core].pop().is_some() {
         shared.lost.fetch_add(1, Ordering::SeqCst);
@@ -558,6 +572,161 @@ fn drain_dead_queues<NF: NetworkFunction>(shared: &WorkerShared<NF>, core: usize
         // worker races the same truncation benignly from its zombie
         // loop; each update is popped — and counted — exactly once).
         plane.truncate(core);
+    }
+}
+
+/// The ingress thread's side of one phase: what the NIC does between
+/// steering a packet and a worker polling it. Each receive queue has
+/// one open burst; it is pushed when it holds `batch_size` packets,
+/// and every open burst is pushed when the phase's input ends.
+struct Ingress<'a, NF: NetworkFunction> {
+    shared: &'a WorkerShared<NF>,
+    config: &'a ThreadedConfig,
+    /// The burst being filled for each queue.
+    open: Vec<Vec<Desc>>,
+    /// Arrival stamps: one clock read labels the next `batch_size`
+    /// admissions, and a fresh one follows a backpressure yield — a
+    /// stamp is never later than the push it labels, and over-states a
+    /// packet's wait by the admissions that share it plus the time the
+    /// packet's burst took to fill.
+    arrival_ns: u64,
+    stamped: usize,
+    /// `(id, flow, arrival)` of the burst being pushed, kept while
+    /// tracing for the admission events emitted after the push.
+    traced: Vec<(u64, u64, u64)>,
+    /// Deepest each queue was seen after a push, in packets.
+    rx_hwm: Vec<u64>,
+    queue_drops: u64,
+    /// Packets steered to a failed core's queue.
+    lost: u64,
+}
+
+impl<'a, NF: NetworkFunction> Ingress<'a, NF> {
+    fn new(shared: &'a WorkerShared<NF>, config: &'a ThreadedConfig) -> Self {
+        let queues = shared.rx.len();
+        Ingress {
+            shared,
+            config,
+            open: (0..queues).map(|_| Vec::new()).collect(),
+            arrival_ns: 0,
+            stamped: 0,
+            traced: Vec::new(),
+            rx_hwm: vec![0; queues],
+            queue_drops: 0,
+            lost: 0,
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.shared.anchor.elapsed().as_nanos() as u64
+    }
+
+    /// Admit packet `id`, which the NIC steered to queue `q`, into that
+    /// queue's open burst, pushing the burst once it is full.
+    fn admit(&mut self, lane: &mut ObsLane, q: usize, pkt: Packet, id: u64) {
+        // Parse headers exactly once: the classification rides with the
+        // descriptor through queues and rings.
+        let class = PacketClass::of(&pkt);
+        let flow = self.shared.obs.flow_hash(class.key);
+        if self.shared.dead[q].load(Ordering::SeqCst) {
+            // The NIC keeps steering to the failed queue until a
+            // reconfiguration reprograms it; until then those packets
+            // are simply gone.
+            self.lost += 1;
+            lane.lost(q, flow, id, || self.now_ns());
+            return;
+        }
+        if self.shared.obs.cfg.any() {
+            if self.stamped == 0 {
+                self.arrival_ns = self.now_ns();
+                self.stamped = self.config.batch_size;
+                #[cfg(test)]
+                clock_reads::count(clock_reads::INGRESS, 1);
+            }
+            self.stamped -= 1;
+        }
+        let batch = self.config.batch_size;
+        let burst = &mut self.open[q];
+        if burst.capacity() == 0 {
+            burst.reserve_exact(batch);
+        }
+        burst.push(Desc {
+            pkt,
+            class,
+            meta: DescMeta {
+                id,
+                flow,
+                arrival_ns: self.arrival_ns,
+                relay_ns: 0,
+            },
+        });
+        if burst.len() == batch {
+            self.push(lane, q);
+        }
+    }
+
+    /// Push every open burst: the phase's input has ended.
+    fn flush(&mut self, lane: &mut ObsLane) {
+        for q in 0..self.open.len() {
+            if !self.open[q].is_empty() {
+                self.push(lane, q);
+            }
+        }
+    }
+
+    /// Push queue `q`'s open burst: one claim, one push, one depth read.
+    /// A burst the queue still refuses after the retries is dropped
+    /// whole, each packet an accounted `queue_drop`.
+    fn push(&mut self, lane: &mut ObsLane, q: usize) {
+        let mut burst = std::mem::take(&mut self.open[q]);
+        let n = burst.len() as u64;
+        // The burst's trace events get their sequence numbers *before*
+        // the push, so a worker's first event for any of its packets
+        // (allocated after its pop) sorts after.
+        lane.reserve_seqs(n);
+        if lane.tracing() {
+            self.traced.clear();
+            let meta = burst
+                .iter()
+                .map(|d| (d.meta.id, d.meta.flow, d.meta.arrival_ns));
+            self.traced.extend(meta);
+        }
+        // Claim before push: a consumer's per-batch decrement must
+        // never race the counter below zero.
+        let shared = self.shared;
+        shared.rx_remaining.fetch_add(n, Ordering::SeqCst);
+        let rx = &shared.rx[q];
+        let batch = self.config.batch_size as u64;
+        let capacity = rx.capacity() as u64 * batch;
+        for _ in 0..=self.config.ingress_retries {
+            match rx.push(burst) {
+                Ok(()) => {
+                    let depth = rx.len() as u64 * batch;
+                    self.rx_hwm[q] = self.rx_hwm[q].max(depth);
+                    lane.queue_depth(q, depth, capacity, || self.now_ns());
+                    for &(id, flow, arrival_ns) in &self.traced {
+                        lane.ingress(q, arrival_ns, flow, id);
+                    }
+                    return;
+                }
+                Err(back) => {
+                    burst = back;
+                    self.rx_hwm[q] = capacity;
+                    std::thread::yield_now();
+                    // Whoever is admitted next waited less.
+                    self.stamped = 0;
+                    #[cfg(test)]
+                    clock_reads::count(clock_reads::YIELDS, 1);
+                }
+            }
+        }
+        shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
+        self.queue_drops += n;
+        // Clock read only on this already-slow drop path.
+        let ts = self.now_ns();
+        for d in &burst {
+            lane.drop(q, ts, DropKind::QueueFull, d.meta.flow, d.meta.id);
+        }
     }
 }
 
@@ -747,7 +916,7 @@ impl ThreadedMiddlebox {
             stats.offered += packets.len() as u64;
             let shared = WorkerShared::<NF> {
                 rx: (0..cur_workers)
-                    .map(|_| ArrayQueue::new(config.queue_capacity))
+                    .map(|_| ArrayQueue::new(config.queue_capacity.div_ceil(config.batch_size)))
                     .collect(),
                 rings: (0..cur_workers)
                     .map(|_| ArrayQueue::new(config.ring_capacity))
@@ -775,7 +944,7 @@ impl ThreadedMiddlebox {
             };
 
             let mut results: Vec<(usize, WorkerResult)> = Vec::new();
-            let mut rx_hwm = vec![0u64; cur_workers];
+            let mut ingress = Ingress::new(&shared, config);
             let watchdog_stop = AtomicBool::new(false);
             std::thread::scope(|s| {
                 let mut handles = Vec::new();
@@ -789,91 +958,14 @@ impl ThreadedMiddlebox {
                     s.spawn(move || watchdog_loop(shared, stop, deadline_ns))
                 });
 
-                // Ingress on this thread: classify and enqueue with
-                // bounded backpressure. Arrivals are stamped a burst at
-                // a time: one clock read labels the next `batch_size`
-                // admissions, and a fresh one follows a backpressure
-                // yield — a stamp is never later than the push it
-                // labels, and over-states a packet's wait by at most
-                // the burst it rode in, the grain the worker's batch
-                // stamps already have.
-                let (mut arrival_ns, mut stamped) = (0, 0);
+                // Ingress on this thread: steer, classify and enqueue a
+                // burst at a time, with bounded backpressure.
                 for pkt in packets {
                     let (queue, _) = nic.steer(&pkt);
-                    let q = usize::from(queue);
-                    let id = next_pkt_id;
+                    ingress.admit(&mut ingress_lane, usize::from(queue), pkt, next_pkt_id);
                     next_pkt_id += 1;
-                    if shared.dead[q].load(Ordering::SeqCst) {
-                        // The NIC keeps steering to the failed queue
-                        // until a reconfiguration reprograms it; until
-                        // then those packets are simply gone.
-                        stats.lost_packets += 1;
-                        continue;
-                    }
-                    // Parse headers exactly once: the classification
-                    // rides with the descriptor through queues and rings.
-                    let class = PacketClass::of(&pkt);
-                    let flow = hub.flow_hash(class.key);
-                    if config.obs.any() {
-                        if stamped == 0 {
-                            arrival_ns = anchor.elapsed().as_nanos() as u64;
-                            stamped = config.batch_size;
-                            #[cfg(test)]
-                            clock_reads::count(clock_reads::INGRESS, 1);
-                        }
-                        stamped -= 1;
-                    }
-                    // The admission event's sequence number is allocated
-                    // *before* the push, so a worker's first event for
-                    // this packet (allocated after its pop) sorts after.
-                    ingress_lane.reserve_seq();
-                    // Claim before push: a consumer's per-batch decrement
-                    // must never race the counter below zero.
-                    shared.rx_remaining.fetch_add(1, Ordering::SeqCst);
-                    let mut desc = Desc {
-                        pkt,
-                        class,
-                        meta: DescMeta {
-                            id,
-                            flow,
-                            arrival_ns,
-                            relay_ns: 0,
-                        },
-                    };
-                    let mut admitted = false;
-                    for _ in 0..=config.ingress_retries {
-                        match shared.rx[q].push(desc) {
-                            Ok(()) => {
-                                admitted = true;
-                                let depth = shared.rx[q].len() as u64;
-                                rx_hwm[q] = rx_hwm[q].max(depth);
-                                let capacity = config.queue_capacity as u64;
-                                ingress_lane.queue_depth(q, depth, capacity, || {
-                                    anchor.elapsed().as_nanos() as u64
-                                });
-                                break;
-                            }
-                            Err(back) => {
-                                desc = back;
-                                rx_hwm[q] = rx_hwm[q].max(shared.rx[q].capacity() as u64);
-                                std::thread::yield_now();
-                                // Whoever is admitted next waited less.
-                                stamped = 0;
-                                #[cfg(test)]
-                                clock_reads::count(clock_reads::YIELDS, 1);
-                            }
-                        }
-                    }
-                    if admitted {
-                        ingress_lane.ingress(q, arrival_ns, flow, id);
-                    } else {
-                        shared.rx_remaining.fetch_sub(1, Ordering::SeqCst);
-                        stats.queue_drops += 1;
-                        // Clock read only on this already-slow drop path.
-                        let ts = anchor.elapsed().as_nanos() as u64;
-                        ingress_lane.drop(q, ts, DropKind::QueueFull, flow, id);
-                    }
                 }
+                ingress.flush(&mut ingress_lane);
                 shared.ingress_done.store(true, Ordering::SeqCst);
 
                 for (worker, h) in handles.into_iter().enumerate() {
@@ -922,7 +1014,9 @@ impl ThreadedMiddlebox {
                 stats.scr_log_occupancy_hwm =
                     stats.scr_log_occupancy_hwm.max(plane.occupancy_hwm());
             }
-            stats.lost_packets += shared.lost.load(Ordering::SeqCst);
+            stats.lost_packets += shared.lost.load(Ordering::SeqCst) + ingress.lost;
+            stats.queue_drops += ingress.queue_drops;
+            let rx_hwm = ingress.rx_hwm;
             #[cfg(test)]
             clock_reads::count(
                 clock_reads::WORKER,
@@ -1532,9 +1626,10 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
         loop {
             let mut any = false;
-            while self.shared.rx[self.id].pop().is_some() {
-                self.shared.lost.fetch_add(1, Ordering::SeqCst);
-                self.shared.rx_remaining.fetch_sub(1, Ordering::SeqCst);
+            while let Some(burst) = self.shared.rx[self.id].pop() {
+                let n = burst.len() as u64;
+                self.shared.lost.fetch_add(n, Ordering::SeqCst);
+                self.shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
                 any = true;
             }
             while self.shared.rings[self.id].pop().is_some() {
@@ -1799,34 +1894,31 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         true
     }
 
-    /// Drain one batch from this worker's receive queue. Returns true if
-    /// any packet was consumed.
+    /// Drain one burst — one batch — from this worker's receive queue.
+    /// Returns true if any packet was consumed.
     fn drain_rx(&mut self) -> bool {
         let rx = &self.shared.rx[self.id];
-        let depth = rx.len() as u64;
+        // In packets, counting every queued burst as full.
+        let depth = rx.len() as u64 * self.shared.batch_size as u64;
         self.stats.observe_rx_depth(depth);
         debug_assert!(self.scratch_pkts.is_empty() && self.redirects.is_empty());
         let keep_meta = self.shared.obs.cfg.any();
         // Polling an empty queue is not a span: no read for it.
         let c0 = (depth > 0).then(|| self.prof_start());
-        let mut n = 0u64;
-        while n < self.shared.batch_size as u64 {
-            let Some(desc) = rx.pop() else {
-                break;
-            };
-            n += 1;
+        let Some(burst) = rx.pop() else {
+            return false;
+        };
+        let n = burst.len() as u64;
+        for desc in burst {
             // Core picker (§3.3): the engine's redirect decision over
             // the ingress classification — connection packets whose
             // designated core is elsewhere are transferred, not
-            // processed. Locals are staged as they pop, straight into
-            // the buffer the NF runs on; redirects are set aside.
+            // processed. Locals are staged straight into the buffer the
+            // NF runs on; redirects are set aside.
             match Engine::redirect_target(self, &desc.class, self.id) {
                 None => self.stage_local(desc, keep_meta),
                 Some(core) => self.redirects.push((desc, core)),
             }
-        }
-        if n == 0 {
-            return false;
         }
         let redirects = self.redirects.len() as u64;
         let sample_start = self.now_ns();
@@ -3306,5 +3398,105 @@ mod tests {
             "the wide phase must use the joiners: {:?}",
             out.per_worker_processed
         );
+    }
+
+    /// A packet the NIC steers to a dead worker's queue is lost without
+    /// ever being enqueued; its trace-only drop event keeps the trace's
+    /// ingress identity closed in every mode.
+    #[test]
+    fn steering_to_a_dead_core_keeps_the_trace_conserved() {
+        for mode in DispatchMode::ALL {
+            let nf = TrackerNf;
+            let mut config = ThreadedConfig::new(mode, 2);
+            config.obs = ObsConfig::tracing();
+            config.fault = Some(ThreadedFault::Panic { core: 0, after: 0 });
+            let mut pkts = syn_phase(16);
+            pkts.extend(data_phase(16, 1_250));
+            let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+            let s = &out.stats;
+            assert_eq!(s.offered, 20_016);
+            assert_eq!(s.unaccounted(), 0, "{mode:?}: {s:?}");
+            assert_eq!(out.failures.len(), 1, "{mode:?}: {:?}", out.failures);
+            let trace = out.trace.as_ref().expect("trace requested");
+            assert_eq!(trace.dropped, 0, "{mode:?}: default ring fits this run");
+            let c = sprayer_obs::analyze(trace).conservation;
+            assert!(c.ok(), "{mode:?}: {:?}", c.violations);
+            assert!(
+                c.dead_core_drops > 0 && c.dead_core_drops <= s.lost_packets,
+                "{mode:?}: {} dead-core drops, {} lost",
+                c.dead_core_drops,
+                s.lost_packets
+            );
+        }
+    }
+
+    /// Open bursts are pushed when a phase's input ends, however few
+    /// packets they hold: nothing is left behind, in any mode or width.
+    #[test]
+    fn partial_bursts_flush_at_phase_end() {
+        let nf = TrackerNf;
+        let sizes = [1, 33, 8 * 32 + 5];
+        for mode in DispatchMode::ALL {
+            for workers in 1..=3 {
+                let config = ThreadedConfig::new(mode, workers);
+                let phases = sizes.iter().map(|&n| syn_phase(n)).collect();
+                let out = ThreadedMiddlebox::run(&config, &nf, phases);
+                let s = &out.stats;
+                let what = format!("{mode:?} on {workers}");
+                assert_eq!(s.forwarded, 1 + 33 + 8 * 32 + 5, "{what}: {s:?}");
+                assert_eq!(s.unaccounted(), 0, "{what}: {s:?}");
+            }
+        }
+    }
+
+    /// A burst the queue refuses is dropped whole — every packet a
+    /// `queue_drop` with one `QueueFull` event and no admission event —
+    /// with a queue capacity that is not a whole number of bursts.
+    #[test]
+    fn refused_bursts_drop_whole_and_trace_once() {
+        use sprayer_obs::EventKind;
+        use std::collections::BTreeMap;
+        let nf = TrackerNf;
+        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        config.obs = ObsConfig::tracing();
+        config.fault = Some(ThreadedFault::Stall {
+            core: 0,
+            after: 0,
+            duration_ns: 50_000_000,
+        });
+        config.ingress_retries = 0;
+        config.queue_capacity = 40;
+        let mut pkts = syn_phase(64);
+        pkts.extend(data_phase(64, 20));
+        let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+        let s = &out.stats;
+        assert!(s.queue_drops > 0, "{s:?}");
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        let trace = out.trace.as_ref().expect("trace requested");
+        assert_eq!(trace.dropped, 0, "default ring fits this run");
+        let c = sprayer_obs::analyze(trace).conservation;
+        assert!(c.ok(), "{:?}", c.violations);
+        assert_eq!(c.queue_drops, s.queue_drops);
+        // Per queue, in arrival order: admitted (true) or refused.
+        let mut fate: Vec<BTreeMap<u64, bool>> = vec![BTreeMap::new(); 2];
+        for e in &trace.events {
+            let admitted = match e.kind {
+                EventKind::IngressEnqueue => true,
+                EventKind::Drop if e.aux == DropKind::QueueFull.to_aux() => false,
+                _ => continue,
+            };
+            let seen = fate[usize::from(e.core)].insert(e.pkt, admitted);
+            assert!(seen.is_none(), "packet {} admitted or refused twice", e.pkt);
+        }
+        // Bursts are a queue's packets 32 at a time: each shares one fate.
+        for (q, packets) in fate.iter().enumerate() {
+            let fates: Vec<bool> = packets.values().copied().collect();
+            for burst in fates.chunks(config.batch_size) {
+                assert!(
+                    burst.iter().all(|&f| f == burst[0]),
+                    "queue {q}: a burst was split: {burst:?}"
+                );
+            }
+        }
     }
 }

@@ -10,10 +10,13 @@
 //!   its RSS baseline this way (§5, citing Woo et al.),
 //! * [`rss`] — RSS proper: key + 128-entry indirection table,
 //! * [`flowdirector`] — Intel Flow Director as a rule table with perfect
-//!   filters, flex-word matching, and the documented 8 K rule capacity.
+//!   filters, flex-word matching, and the documented 8 K rule capacity,
+//!   compiled into one exact-match index per filter shape so a lookup
+//!   costs one probe per shape, not one comparison per rule.
 //!   Sprayer's trick (§4) — rules that match the low bits of the TCP
 //!   *checksum* field so packets spread over queues regardless of flow —
-//!   is [`flowdirector::FlowDirector::install_checksum_spray`],
+//!   is [`flowdirector::FlowDirector::install_checksum_spray`], a single
+//!   shape,
 //! * [`nic`] — the assembled receive path: Flow Director first (as in the
 //!   82599 pipeline), RSS as fallback, per-queue counters, and the
 //!   empirically observed ~10 Mpps Flow Director rate limitation exposed

@@ -31,6 +31,9 @@ pub struct Conservation {
     pub queue_drops: u64,
     /// Ring overflow drops.
     pub ring_drops: u64,
+    /// Packets steered to a failed core's queue: never enqueued, part
+    /// of the runtime's `lost_packets`.
+    pub dead_core_drops: u64,
     /// Redirect sends / pickups.
     pub redirect_out: u64,
     /// Redirect pickups.
@@ -269,6 +272,7 @@ fn conservation(trace: &Trace) -> Conservation {
                 Some(DropKind::NicCap) => c.nic_cap_drops += 1,
                 Some(DropKind::QueueFull) => c.queue_drops += 1,
                 Some(DropKind::RingFull) => c.ring_drops += 1,
+                Some(DropKind::DeadCore) => c.dead_core_drops += 1,
                 None => c
                     .violations
                     .push(format!("drop event with unknown aux {}", ev.aux)),
@@ -299,8 +303,8 @@ fn conservation(trace: &Trace) -> Conservation {
     if let Some(e) = trace.meta.expected {
         let checks: [(&str, u64, u64); 6] = [
             (
-                "ingress enqueues vs offered - nic/queue drops",
-                c.ingress_enqueued,
+                "ingress enqueues + dead-core drops vs offered - nic/queue drops",
+                c.ingress_enqueued + c.dead_core_drops,
                 e.offered - e.nic_cap_drops - e.queue_drops,
             ),
             ("nf completions vs stats.processed", c.nf_done, e.processed),
@@ -644,6 +648,39 @@ mod tests {
         let c = analyze(&trace).conservation;
         assert!(!c.ok());
         assert!(c.violations.iter().any(|v| v.contains("forward")));
+    }
+
+    #[test]
+    fn dead_core_drops_close_the_ingress_identity() {
+        // Packet 1 was steered to a failed core: lost, never enqueued.
+        let mut events = vec![
+            ev(0, EventKind::IngressEnqueue, 0, 0),
+            ev(1, EventKind::Drop, 1, DropKind::DeadCore.to_aux()),
+            ev(2, EventKind::NfStart, 0, 0),
+            ev(3, EventKind::NfDone, 0, 0),
+        ];
+        let expected = ExpectedCounts {
+            offered: 2,
+            processed: 1,
+            forwarded: 1,
+            nf_drops: 0,
+            nic_cap_drops: 0,
+            queue_drops: 0,
+            ring_drops: 0,
+            redirects: 0,
+        };
+        let trace = |events| Trace {
+            meta: meta(Some(expected)),
+            events,
+            dropped: 0,
+        };
+        let c = analyze(&trace(events.clone())).conservation;
+        assert!(c.ok(), "violations: {:?}", c.violations);
+        assert_eq!((c.ingress_enqueued, c.dead_core_drops), (1, 1));
+
+        events.remove(1);
+        let c = analyze(&trace(events)).conservation;
+        assert!(c.violations.iter().any(|v| v.contains("dead-core")));
     }
 
     #[test]

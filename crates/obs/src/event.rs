@@ -80,8 +80,9 @@ impl core::fmt::Display for EventKind {
 }
 
 /// Where a dropped packet was lost (the `aux` payload of
-/// [`EventKind::Drop`]). Mirrors the three pre-NF drop counters of
-/// `MiddleboxStats`.
+/// [`EventKind::Drop`]). The first three mirror the pre-NF drop
+/// counters of `MiddleboxStats`; [`DropKind::DeadCore`] is part of its
+/// `lost_packets`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum DropKind {
@@ -91,6 +92,10 @@ pub enum DropKind {
     QueueFull,
     /// Inter-core descriptor-ring overflow.
     RingFull,
+    /// Steered to the queue of a core that had failed: the NIC keeps
+    /// steering there until it is reprogrammed, and nothing drains it.
+    /// Trace-only — it feeds no sampled series and no flight ring.
+    DeadCore,
 }
 
 impl DropKind {
@@ -105,6 +110,7 @@ impl DropKind {
             DropKind::NicCap => "nic_cap",
             DropKind::QueueFull => "queue_full",
             DropKind::RingFull => "ring_full",
+            DropKind::DeadCore => "dead_core",
         }
     }
 
@@ -114,6 +120,7 @@ impl DropKind {
             0 => Some(DropKind::NicCap),
             1 => Some(DropKind::QueueFull),
             2 => Some(DropKind::RingFull),
+            3 => Some(DropKind::DeadCore),
             _ => None,
         }
     }
@@ -167,7 +174,12 @@ mod tests {
 
     #[test]
     fn drop_kind_round_trips_through_aux() {
-        for d in [DropKind::NicCap, DropKind::QueueFull, DropKind::RingFull] {
+        for d in [
+            DropKind::NicCap,
+            DropKind::QueueFull,
+            DropKind::RingFull,
+            DropKind::DeadCore,
+        ] {
             assert_eq!(DropKind::from_aux(d.to_aux()), Some(d));
         }
         assert_eq!(DropKind::from_aux(99), None);

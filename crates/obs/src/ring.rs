@@ -64,6 +64,12 @@ impl TraceRing {
         self.len >= self.capacity
     }
 
+    /// Events the ring will still keep.
+    #[inline]
+    pub fn room(&self) -> usize {
+        self.capacity.saturating_sub(self.len)
+    }
+
     /// Ask before building an event: true if the next push will be
     /// kept. A full ring counts the drop here and says no, so the
     /// caller spends nothing — no sequence number, no event — on what
