@@ -17,7 +17,7 @@
 //!
 //! `--elastic` drives each iteration through an online scale-up and
 //! scale-down (`workers -> 2*workers -> workers` via
-//! [`ThreadedMiddlebox::run_elastic`]): the dashboard gains a
+//! [`ThreadedMiddlebox::run_steps`]): the dashboard gains a
 //! reconfiguration footer (cores joined/left, flows migrated, downtime)
 //! and rows for cores outside the active set disappear once they drain
 //! — a removed core never lingers as a stale zero row.
@@ -47,7 +47,7 @@
 
 use crate::Words;
 use sprayer::config::DispatchMode;
-use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
+use sprayer::runtime_threads::{Step, ThreadedConfig, ThreadedMiddlebox};
 use sprayer_bench::livetop::{render, ElasticStatus, Frame};
 use sprayer_net::flow::splitmix64;
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
@@ -152,14 +152,16 @@ fn drive(config: &ThreadedConfig, args: &Args, shared: &Shared) {
             let b = phases(20_000, (round << 1) | 1, flows)
                 .pop()
                 .expect("burst");
-            let plan = vec![
-                (low, std::mem::take(&mut a[0])),
-                (high, std::mem::take(&mut a[1])),
-                (low, b),
+            let steps = vec![
+                Step::Phase(std::mem::take(&mut a[0])),
+                Step::Rescale(high),
+                Step::Phase(std::mem::take(&mut a[1])),
+                Step::Rescale(low),
+                Step::Phase(b),
             ];
             let status = &shared.status;
             status.in_progress.store(true, Ordering::Relaxed);
-            let out = ThreadedMiddlebox::run_elastic(config, &nf, plan);
+            let out = ThreadedMiddlebox::run_steps(config, &nf, steps);
             status.in_progress.store(false, Ordering::Relaxed);
             let mut events = status.events.lock().expect("status lock");
             events.extend(out.reconfigs.iter().cloned());

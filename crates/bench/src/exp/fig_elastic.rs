@@ -20,7 +20,7 @@
 use crate::{migrated_totals, Report, RunArgs};
 use sprayer::config::DispatchMode;
 use sprayer_bench::report::{fmt_f, mode_slug, Table};
-use sprayer_bench::scenarios::elastic::{run as run_elastic, ElasticConfig};
+use sprayer_bench::scenarios::elastic::{self, ElasticConfig};
 use sprayer_ctl::export_reconfig_telemetry;
 use sprayer_obs::MetricsRegistry;
 use sprayer_sim::Time;
@@ -45,7 +45,7 @@ pub fn run(args: &RunArgs) -> Report {
     let mut telemetry: Vec<String> = Vec::new();
     let mut totals: Vec<(DispatchMode, u64)> = Vec::new();
     for &mode in &modes {
-        let r = run_elastic(&ElasticConfig::paper(mode, flows, duration, 1));
+        let r = elastic::run(&ElasticConfig::paper(mode, flows, duration, 1));
         assert_eq!(r.reports.len(), 2, "{mode}: both transitions must fire");
         for rep in &r.reports {
             table.row(vec![

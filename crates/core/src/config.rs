@@ -352,11 +352,14 @@ fn default_scr_apply_cycles() -> u64 {
     150
 }
 
-/// Default [`MiddleboxConfig::scr_log_capacity`]: per-core inbound
-/// state-update log capacity, in updates. Sized like the inter-core
-/// rings times the peer count so a full batch from every peer fits.
+/// Per-core inbound state-update log capacity, in updates: the
+/// default [`MiddleboxConfig::scr_log_capacity`] and the threaded
+/// runtime's fixed one. Sized like the inter-core rings times the peer
+/// count so a full batch from every peer fits.
+pub const SCR_LOG_CAPACITY: usize = 8192;
+
 fn default_scr_log_capacity() -> usize {
-    8192
+    SCR_LOG_CAPACITY
 }
 
 /// Default [`MiddleboxConfig::lifecycle`]: disabled — tables behave
@@ -455,19 +458,6 @@ pub struct MiddleboxConfig {
     pub queue_capacity: usize,
     /// Inter-core ring capacity in descriptors.
     pub ring_capacity: usize,
-    /// Batch size for queue draining (DPDK burst size, default 32).
-    ///
-    /// The simulator's cycle model folds per-packet batching savings into
-    /// `overhead_cycles` (the 120-cycle figure is a *batched* DPDK rx/tx
-    /// cost), so there the knob only affects NF `init` visibility, as in
-    /// the paper's §3.4. The real-thread runtime
-    /// ([`crate::runtime_threads::ThreadedConfig::batch_size`]) batches
-    /// for real: workers drain up to this many packets per queue poll and
-    /// update the shutdown-protocol atomics once per batch. Observed
-    /// batch sizes land in [`crate::stats::CoreStats::batch_hist`] on
-    /// both runtimes (the simulator records busy-burst lengths, its
-    /// event-model analogue).
-    pub batch_size: usize,
     /// Flow Director packet-rate ceiling (82599 erratum the paper hit:
     /// ~10 Mpps). Only applies in [`DispatchMode::Sprayer`].
     pub fdir_cap_pps: Option<f64>,
@@ -524,7 +514,6 @@ impl MiddleboxConfig {
             ring_enqueue_cycles: 50,
             queue_capacity: 512,
             ring_capacity: 1024,
-            batch_size: 32,
             fdir_cap_pps: match mode {
                 DispatchMode::Sprayer => Some(10.0e6),
                 // SCR sprays every packet, so it needs no Flow Director

@@ -50,21 +50,22 @@
 //!
 //! ## Failure model
 //!
-//! A worker can die mid-run — a panic inside the NF (injected via
-//! [`ThreadedFault::Panic`] or a genuine bug) or a silent stall
-//! ([`ThreadedFault::Stall`]). The runtime never lets either wedge the
-//! shutdown protocol:
+//! A worker can die mid-run — a panic inside the NF (a
+//! [`Step::Crash`] or a genuine bug) or a silent stall
+//! ([`Step::Stall`]). The runtime never lets either wedge the shutdown
+//! protocol:
 //!
 //! * NF dispatch runs under `catch_unwind`; a panicking worker marks
 //!   itself dead, counts the in-flight packet and the unprocessed
 //!   remainder of its batch as [`MiddleboxStats::lost_packets`], and
 //!   degrades to a *zombie drain loop* that keeps its queues empty (each
 //!   drained descriptor is an accounted loss) until the system settles.
-//! * With [`ThreadedConfig::watchdog_deadline_ns`] set, a watchdog
-//!   thread polls the workers' [`LiveSlots`] progress counters; a worker
-//!   with pending work and no progress for a full deadline is declared
-//!   dead, its queues are drained as losses, and a [`WorkerFailure`] is
-//!   recorded — this is how a *stalled* (not panicked) worker is fenced.
+//! * A run whose steps hold a [`Step::Stall`] spawns a watchdog thread
+//!   that polls the workers' [`LiveSlots`] progress counters; a worker
+//!   with pending work and no progress for the stall's `deadline_ns` is
+//!   declared dead, its queues are drained as losses, and a
+//!   [`WorkerFailure`] is recorded — this is how a *stalled* (not
+//!   panicked) worker is fenced.
 //! * Ingress blackholes packets steered to a dead queue (the real NIC
 //!   keeps steering there until reprogrammed), each with a trace-only
 //!   [`DropKind::DeadCore`] event, and redirect pushes toward a dead
@@ -79,7 +80,7 @@
 //! threads, no async runtime.
 
 use crate::api::{NetworkFunction, Verdict, VerdictSink};
-use crate::config::{DispatchMode, LifecycleConfig, ObsConfig};
+use crate::config::{DispatchMode, LifecycleConfig, ObsConfig, SCR_LOG_CAPACITY};
 use crate::coremap::CoreMap;
 use crate::elastic::ReconfigReport;
 use crate::engine::{self, Engine, PacketClass};
@@ -136,13 +137,6 @@ pub struct ThreadedConfig {
     /// queue before counting its packets as
     /// [`MiddleboxStats::queue_drops`].
     pub ingress_retries: usize,
-    /// Per-core state-update log capacity under
-    /// [`DispatchMode::Scr`]. A publish into a full peer log is a
-    /// single-attempt drop, counted in
-    /// [`MiddleboxStats::scr_log_drops`] (the receiving replica serves
-    /// stale reads until a later update for the flow lands). Ignored in
-    /// the other modes and for stateless NFs.
-    pub scr_log_capacity: usize,
     /// Observability switches (tracing, latency histograms, sampling,
     /// stage profiling, health events, reorder sketching). Off by
     /// default; near-zero-cost when off — no per-packet clock reads, no
@@ -162,18 +156,6 @@ pub struct ThreadedConfig {
     /// profiled span into the shared slots. `None` (the default) costs
     /// nothing.
     pub profile_live: Option<Arc<ProfileSlots>>,
-    /// Inject one worker fault into the run (tests and chaos
-    /// experiments). `None` (the default) injects nothing.
-    pub fault: Option<ThreadedFault>,
-    /// Arm the failure-detection watchdog: a worker with pending work
-    /// whose [`LiveSlots`] progress counters do not advance for this
-    /// many wall-clock nanoseconds is declared dead — its queues are
-    /// drained as [`MiddleboxStats::lost_packets`] so the survivors'
-    /// shutdown protocol still terminates, and a [`WorkerFailure`] is
-    /// recorded. Enabling the watchdog implicitly enables per-batch live
-    /// counters (internal slots are allocated if [`ThreadedConfig::live`]
-    /// is `None`). `None` (the default) spawns no watchdog.
-    pub watchdog_deadline_ns: Option<u64>,
     /// Flow-lifecycle policy: idle-timeout aging plus the bounded-memory
     /// LRU backstop. Disabled by default — entries then live until the
     /// NF removes them. The lifecycle clock is the wall clock in
@@ -182,30 +164,42 @@ pub struct ThreadedConfig {
     pub lifecycle: LifecycleConfig,
 }
 
-/// One injected worker fault, modelled on the failures the paper's
-/// deployment cares about: a core that dies outright and a core that
-/// goes silent for a while.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadedFault {
+/// One step of a [`ThreadedMiddlebox::run_steps`] run, taken in list
+/// order: a phase of packets, or an event at the barrier between two.
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// Admit these packets, then drain every queue: a barrier across
+    /// which flow tables persist (so, e.g., every SYN installs its state
+    /// before the next phase's data arrives, as TCP's handshake does).
+    Phase(Vec<Packet>),
+    /// Rescale to this many workers at the quiesced barrier: the
+    /// [`CoreMap`] advances a generation, the NIC is rebuilt, and
+    /// [`SharedTables::rescaled`] migrates each flow whose designated
+    /// core changed through [`NetworkFunction::freeze_flow`] /
+    /// [`NetworkFunction::adopt_flow`]. A no-op at the current width.
+    Rescale(usize),
     /// Worker `core` panics inside the NF once it has processed exactly
     /// `after` packets of a phase: the NF runs on the fatal batch's
     /// first packets up to that count, then panics. The panic is
     /// captured (never propagated); the worker is declared dead and its
-    /// pending work is accounted as lost.
+    /// pending work is accounted as lost. Armed from this step until it
+    /// fires; the count restarts at each phase.
     ///
     /// One ordering holds in every configuration: a batch's redirects
     /// leave before its NF call, so descriptors redirected out of the
     /// fatal batch survive (their designated cores process them); only
     /// the packet on the NF and the batch's unstarted local packets die
     /// with the worker.
-    Panic {
+    Crash {
         /// Worker that crashes.
         core: usize,
         /// Packets the worker processes before the crash.
         after: u64,
     },
     /// Worker `core` sleeps for `duration_ns` once it has processed
-    /// `after` packets — a stall, detectable only by the watchdog.
+    /// `after` packets of a phase, armed like a [`Step::Crash`]. The run
+    /// gets a watchdog (module docs, "Failure model") that fences a
+    /// worker with pending work and no progress for `deadline_ns`.
     Stall {
         /// Worker that stalls.
         core: usize,
@@ -213,6 +207,8 @@ pub enum ThreadedFault {
         after: u64,
         /// How long the worker stays silent.
         duration_ns: u64,
+        /// The watchdog's no-progress deadline.
+        deadline_ns: u64,
     },
 }
 
@@ -239,12 +235,9 @@ impl ThreadedConfig {
             ring_capacity: 1024,
             redirect_retries: 64,
             ingress_retries: 4096,
-            scr_log_capacity: 8192,
             obs: ObsConfig::disabled(),
             live: None,
             profile_live: None,
-            fault: None,
-            watchdog_deadline_ns: None,
             lifecycle: LifecycleConfig::disabled(),
         }
     }
@@ -301,13 +294,6 @@ const _: () = assert!(std::mem::size_of::<Desc>() <= 128);
 pub struct ThreadedOutcome {
     /// Forwarded packets, in completion order (spraying reorders!).
     pub forwarded: Vec<Packet>,
-    /// Packets dropped by NF verdict (same as `stats.nf_drops`).
-    pub nf_drops: u64,
-    /// Packets each worker processed.
-    pub per_worker_processed: Vec<u64>,
-    /// Connection packets redirected between workers (same as
-    /// `stats.redirects()`).
-    pub redirects: u64,
     /// The full telemetry block, identical in shape to the simulator's
     /// [`crate::runtime_sim::MiddleboxSim::stats`]. Fully drained runs
     /// satisfy `stats.unaccounted() == 0`.
@@ -326,16 +312,17 @@ pub struct ThreadedOutcome {
     /// (all phases share one anchor `Instant`). Ingress-side queue
     /// drops are folded into the target worker's series.
     pub samples: Option<SampleSet>,
-    /// One report per elastic transition executed by
-    /// [`ThreadedMiddlebox::run_elastic`] (empty for fixed-width runs).
-    /// `downtime_ns` is the wall-clock cost of the quiesced remap +
-    /// migration; `migrated_packets` is always 0 on this path because
-    /// the phase barrier drains every queue before the swap.
+    /// One report per [`Step::Rescale`] that changed the width (empty
+    /// when none did). `downtime_ns` is the wall-clock cost of the
+    /// quiesced remap + migration; `migrated_packets` is always 0 on
+    /// this path because the phase barrier drains every queue before
+    /// the swap.
     pub reconfigs: Vec<ReconfigReport>,
-    /// Structured worker failures: captured NF panics and watchdog
-    /// verdicts, in detection order. Empty on a healthy run. The phase
-    /// barrier re-provisions workers, so a failure fences a core only
-    /// for the remainder of its phase.
+    /// Structured worker failures: captured NF panics (a
+    /// [`Step::Crash`] or a genuine bug) and watchdog verdicts on a
+    /// [`Step::Stall`], in detection order. Empty on a healthy run. The
+    /// phase barrier re-provisions workers, so a failure fences a core
+    /// only for the remainder of its phase.
     pub failures: Vec<WorkerFailure>,
     /// Per-core stage breakdown, when [`ObsConfig::profile`] was on.
     /// Ticks are wall nanoseconds (`ticks_per_us = 1000`), bracketed
@@ -412,8 +399,9 @@ struct WorkerShared<NF: NetworkFunction> {
     /// a dead worker's queues, steered or redirected to a dead core).
     /// Folded into [`MiddleboxStats::lost_packets`] at the phase end.
     lost: AtomicU64,
-    /// The injected fault for this phase, if still armed.
-    fault: Option<ThreadedFault>,
+    /// The [`Step::Crash`] or [`Step::Stall`] armed for this phase, if
+    /// any.
+    fault: Option<Step>,
     /// Set by the worker that fired the injected fault, so the runner
     /// can disarm it for subsequent phases.
     fault_fired: AtomicBool,
@@ -555,24 +543,28 @@ struct WorkerResult {
 
 /// Drain a dead worker's queues, counting every stranded descriptor as
 /// a lost packet and releasing its shutdown-protocol claims so the
-/// survivors can terminate. Safe to race with the (zombie) worker's own
-/// drain: each descriptor is popped — and thus counted — exactly once.
-fn drain_dead_queues<NF: NetworkFunction>(shared: &WorkerShared<NF>, core: usize) {
+/// survivors can terminate. The watchdog and the dead worker's own
+/// zombie loop both call it, racing benignly: each descriptor is popped
+/// — and thus counted — exactly once. Returns whether it popped
+/// anything.
+fn drain_dead_queues<NF: NetworkFunction>(shared: &WorkerShared<NF>, core: usize) -> bool {
+    let mut any = false;
     while let Some(burst) = shared.rx[core].pop() {
         let n = burst.len() as u64;
         shared.lost.fetch_add(n, Ordering::SeqCst);
         shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
+        any = true;
     }
     while shared.rings[core].pop().is_some() {
         shared.lost.fetch_add(1, Ordering::SeqCst);
         shared.redirects_outstanding.fetch_sub(1, Ordering::SeqCst);
+        any = true;
     }
     if let Some(plane) = shared.scr.as_ref() {
-        // A fenced core's log truncates to accounted drops (the fenced
-        // worker races the same truncation benignly from its zombie
-        // loop; each update is popped — and counted — exactly once).
-        plane.truncate(core);
+        // A fenced core's log truncates to accounted drops.
+        any |= plane.truncate(core) > 0;
     }
+    any
 }
 
 /// The ingress thread's side of one phase: what the NIC does between
@@ -731,98 +723,64 @@ impl<'a, NF: NetworkFunction> Ingress<'a, NF> {
 }
 
 impl ThreadedMiddlebox {
-    /// Push `packets` through `nf` on `num_workers` OS threads under the
-    /// given dispatch mode, returning once everything is drained.
-    ///
-    /// Ingress classification (RSS / checksum spray) runs on the calling
-    /// thread, exactly as the NIC would perform it ahead of the cores.
-    pub fn process<NF: NetworkFunction>(
-        mode: DispatchMode,
-        num_workers: usize,
-        nf: &NF,
-        packets: Vec<Packet>,
-    ) -> ThreadedOutcome {
-        Self::process_phases(mode, num_workers, nf, vec![packets])
-    }
-
-    /// Like [`ThreadedMiddlebox::process`], but with ordering barriers:
-    /// each phase is fully drained before the next begins, while flow
-    /// tables persist across phases. Lets callers guarantee, e.g., that
-    /// every SYN has installed its state before data packets arrive —
-    /// which the paper's closed-loop experiments get for free from TCP's
-    /// handshake ordering.
-    pub fn process_phases<NF: NetworkFunction>(
-        mode: DispatchMode,
-        num_workers: usize,
-        nf: &NF,
-        phases: Vec<Vec<Packet>>,
-    ) -> ThreadedOutcome {
-        Self::run(&ThreadedConfig::new(mode, num_workers), nf, phases)
-    }
-
-    /// Run `phases` through `nf` under an explicit [`ThreadedConfig`] —
-    /// the full-control entry point (queue/ring capacities, batch size,
-    /// retry bounds).
+    /// Run `phases` through `nf` on `config.num_workers` OS threads, one
+    /// [`Step::Phase`] each. Ingress classification (RSS / checksum
+    /// spray) runs on the calling thread, as the NIC performs it ahead
+    /// of the cores.
     pub fn run<NF: NetworkFunction>(
         config: &ThreadedConfig,
         nf: &NF,
         phases: Vec<Vec<Packet>>,
     ) -> ThreadedOutcome {
-        let n = config.num_workers;
-        Self::run_inner(
-            config,
-            nf,
-            phases.into_iter().map(|p| (n, p)).collect(),
-            false,
-        )
+        Self::run_steps(config, nf, phases.into_iter().map(Step::Phase).collect())
     }
 
-    /// Run phases with *per-phase worker counts* — the elastic entry
-    /// point. Each phase is `(workers, packets)`; when the count changes
-    /// between phases the runtime executes an epoch transition at the
-    /// quiesced barrier (workers joined, queues empty): the
-    /// [`CoreMap`] advances one generation, the NIC is rebuilt for the
-    /// new queue count, and [`SharedTables::rescaled`] migrates every
-    /// flow whose designated core changed through the NF's
-    /// [`NetworkFunction::freeze_flow`] /
-    /// [`NetworkFunction::adopt_flow`] hooks. One [`ReconfigReport`] per
-    /// transition lands in [`ThreadedOutcome::reconfigs`], with
-    /// `downtime_ns` measured on the wall clock.
+    /// Take `steps` in order, starting on `config.num_workers` workers:
+    /// phases of packets and, at the barriers between them, rescales, a
+    /// crash or a stall. What the run needs follows from the list:
     ///
-    /// Uses the elastic [`CoreMap`] ([`CoreMap::elastic`]): under
-    /// Sprayer, designation is rendezvous-hashed over a set that never
-    /// grows, so scale-ups migrate nothing and scale-downs move only the
-    /// leavers' flows; under RSS every rescale reprograms the
-    /// indirection table and migrates every flow whose queue changed.
-    pub fn run_elastic<NF: NetworkFunction>(
+    /// * With a [`Step::Rescale`] the map is [`CoreMap::elastic`] (under
+    ///   Sprayer a scale-up migrates nothing and a scale-down moves only
+    ///   the leavers' flows; under RSS a rescale migrates every flow
+    ///   whose queue changed), else [`CoreMap::new`].
+    /// * Only a [`Step::Stall`] spawns the watchdog.
+    /// * Telemetry covers the widest width any step asks for; cores
+    ///   absent in a given phase simply record nothing during it.
+    ///
+    /// # Panics
+    ///
+    /// If `steps` holds more than one [`Step::Crash`] or
+    /// [`Step::Stall`], or a `Rescale(0)`; or if `config.num_workers`
+    /// or `config.batch_size` is 0.
+    pub fn run_steps<NF: NetworkFunction>(
         config: &ThreadedConfig,
         nf: &NF,
-        phases: Vec<(usize, Vec<Packet>)>,
+        steps: Vec<Step>,
     ) -> ThreadedOutcome {
-        Self::run_inner(config, nf, phases, true)
-    }
-
-    fn run_inner<NF: NetworkFunction>(
-        config: &ThreadedConfig,
-        nf: &NF,
-        phases: Vec<(usize, Vec<Packet>)>,
-        elastic: bool,
-    ) -> ThreadedOutcome {
-        let first_workers = phases.first().map_or(config.num_workers, |(w, _)| *w);
-        // Telemetry arrays cover every core that is ever active; cores
-        // absent in a given phase simply record nothing during it.
-        let num_workers = phases
-            .iter()
-            .map(|(w, _)| *w)
-            .max()
-            .unwrap_or(config.num_workers);
-        assert!(first_workers >= 1 && num_workers >= 1);
-        assert!(config.batch_size >= 1);
+        let (mut elastic, mut watchdog_ns, mut faults) = (false, None, 0);
+        let mut num_workers = config.num_workers;
+        for step in &steps {
+            match *step {
+                Step::Phase(_) => {}
+                Step::Rescale(workers) => {
+                    assert!(workers >= 1, "cannot rescale to zero workers");
+                    elastic = true;
+                    num_workers = num_workers.max(workers);
+                }
+                Step::Crash { .. } => faults += 1,
+                Step::Stall { deadline_ns, .. } => {
+                    faults += 1;
+                    watchdog_ns = Some(deadline_ns);
+                }
+            }
+        }
+        assert!(faults <= 1, "at most one Crash or Stall per run");
+        assert!(config.num_workers >= 1 && config.batch_size >= 1);
         let nf_config = nf.config();
         let mut coremap = if elastic {
-            CoreMap::elastic(config.mode, first_workers)
+            CoreMap::elastic(config.mode, config.num_workers)
         } else {
-            CoreMap::new(config.mode, first_workers)
+            CoreMap::new(config.mode, config.num_workers)
         };
         let mut tables = SharedTables::with_lifecycle(
             coremap.clone(),
@@ -832,17 +790,16 @@ impl ThreadedMiddlebox {
         // No rate cap and no spray subset: wall-clock timing is not
         // modeled here.
         let nic_for = |queues: usize| Nic::new(engine::nic_config(config.mode, queues, None, None));
-        let mut nic = nic_for(first_workers);
-        let mut cur_workers = first_workers;
+        let mut nic = nic_for(config.num_workers);
+        let mut cur_workers = config.num_workers;
         let mut reconfigs: Vec<ReconfigReport> = Vec::new();
         let mut failures: Vec<WorkerFailure> = Vec::new();
-        // The injected fault stays armed until some worker fires it.
-        let mut fault_pending = config.fault;
+        // The fault step stays armed until some worker fires it.
+        let mut fault_pending = None;
 
         let mut stats = MiddleboxStats::new(num_workers);
         stats.lifecycle_enabled = config.lifecycle.enabled();
         let mut forwarded: Vec<Packet> = Vec::new();
-        let mut per_worker_processed = vec![0u64; num_workers];
         let mut scr_guard_hwm = 0;
         let anchor = Instant::now();
         // One hub and one lane per worker (plus the ingress thread's)
@@ -858,11 +815,10 @@ impl ThreadedMiddlebox {
             num_workers,
             num_workers,
         );
-        hub.live = config.live.clone().or_else(|| {
-            config
-                .watchdog_deadline_ns
-                .map(|_| Arc::new(LiveSlots::new(num_workers)))
-        });
+        hub.live = config
+            .live
+            .clone()
+            .or_else(|| watchdog_ns.map(|_| Arc::new(LiveSlots::new(num_workers))));
         hub.profile_live = config.profile_live.clone();
         let hub = Arc::new(hub);
         let mut lanes: Vec<ObsLane> = (0..num_workers).map(|w| hub.lane(w..w + 1, true)).collect();
@@ -871,48 +827,58 @@ impl ThreadedMiddlebox {
         // to a bucket) and high-water crossings into its own lane.
         let mut ingress_lane = hub.lane(0..num_workers, false);
         let mut next_pkt_id: u64 = 0;
-        for (phase_workers, packets) in phases {
-            assert!(phase_workers >= 1);
-            if phase_workers != cur_workers {
-                // Quiesced barrier: the previous phase's workers are
-                // joined and every queue is empty, so the swap needs no
-                // synchronization — quiesce → remap → migrate → resume.
-                let transition = Instant::now();
-                let at_ns = anchor.elapsed().as_nanos() as u64;
-                // Pre-migration occupancy is a high-water candidate the
-                // workers' own sampling can miss (they have joined).
-                stats.table_occupancy_hwm =
-                    stats.table_occupancy_hwm.max(tables.total_entries() as u64);
-                let new_map = coremap.rescaled(phase_workers);
-                let (new_tables, migration) =
-                    tables.rescaled(new_map.clone(), &mut |key, state, _from, to| {
-                        nf.freeze_flow(key, state);
-                        nf.adopt_flow(key, state, to);
+        for step in steps {
+            let packets = match step {
+                Step::Phase(packets) => packets,
+                Step::Rescale(workers) if workers == cur_workers => continue,
+                Step::Rescale(workers) => {
+                    // Quiesced barrier: the previous phase's workers are
+                    // joined and every queue is empty, so the swap needs
+                    // no synchronization — quiesce → remap → migrate →
+                    // resume.
+                    let transition = Instant::now();
+                    let at_ns = anchor.elapsed().as_nanos() as u64;
+                    // Pre-migration occupancy is a high-water candidate
+                    // the workers' own sampling can miss (they have
+                    // joined).
+                    stats.table_occupancy_hwm =
+                        stats.table_occupancy_hwm.max(tables.total_entries() as u64);
+                    let new_map = coremap.rescaled(workers);
+                    let (new_tables, migration) =
+                        tables.rescaled(new_map.clone(), &mut |key, state, _from, to| {
+                            nf.freeze_flow(key, state);
+                            nf.adopt_flow(key, state, to);
+                        });
+                    nic = nic_for(workers);
+                    reconfigs.push(ReconfigReport {
+                        epoch: new_map.epoch(),
+                        mode: config.mode,
+                        from_cores: cur_workers,
+                        to_cores: workers,
+                        migrated_flows: migration.migrated_flows,
+                        retained_flows: migration.retained_flows,
+                        // The barrier drained everything first; no
+                        // packet is in flight to re-steer on this path.
+                        migrated_packets: 0,
+                        downtime_ns: transition.elapsed().as_nanos() as u64,
+                        at_ns,
                     });
-                nic = nic_for(phase_workers);
-                reconfigs.push(ReconfigReport {
-                    epoch: new_map.epoch(),
-                    mode: config.mode,
-                    from_cores: cur_workers,
-                    to_cores: phase_workers,
-                    migrated_flows: migration.migrated_flows,
-                    retained_flows: migration.retained_flows,
-                    // The barrier drained everything first; no packet is
-                    // in flight to re-steer on this path.
-                    migrated_packets: 0,
-                    downtime_ns: transition.elapsed().as_nanos() as u64,
-                    at_ns,
-                });
-                coremap = new_map;
-                tables = new_tables;
-                cur_workers = phase_workers;
-                let event = HealthEvent::ReconfigPhase {
-                    epoch: coremap.epoch(),
-                    phase: "rescale",
-                    cores: phase_workers,
-                };
-                hub.health(at_ns, event);
-            }
+                    coremap = new_map;
+                    tables = new_tables;
+                    cur_workers = workers;
+                    let event = HealthEvent::ReconfigPhase {
+                        epoch: coremap.epoch(),
+                        phase: "rescale",
+                        cores: workers,
+                    };
+                    hub.health(at_ns, event);
+                    continue;
+                }
+                fault => {
+                    fault_pending = Some(fault);
+                    continue;
+                }
+            };
             stats.offered += packets.len() as u64;
             let shared = WorkerShared::<NF> {
                 rx: (0..cur_workers)
@@ -932,11 +898,11 @@ impl ThreadedMiddlebox {
                 redirect_retries: config.redirect_retries,
                 dead: (0..cur_workers).map(|_| AtomicBool::new(false)).collect(),
                 lost: AtomicU64::new(0),
-                fault: fault_pending,
+                fault: fault_pending.clone(),
                 fault_fired: AtomicBool::new(false),
                 obs: hub.clone(),
                 scr: (config.mode == DispatchMode::Scr && !nf_config.stateless)
-                    .then(|| SharedScrPlane::new(cur_workers, config.scr_log_capacity)),
+                    .then(|| SharedScrPlane::new(cur_workers, SCR_LOG_CAPACITY)),
                 scr_done: AtomicUsize::new(0),
                 anchor,
                 #[cfg(test)]
@@ -952,7 +918,7 @@ impl ThreadedMiddlebox {
                     let shared = &shared;
                     handles.push(s.spawn(move || Worker::new(nf, shared, worker, lane).run()));
                 }
-                let watchdog = config.watchdog_deadline_ns.map(|deadline_ns| {
+                let watchdog = watchdog_ns.map(|deadline_ns| {
                     let shared = &shared;
                     let stop = &watchdog_stop;
                     s.spawn(move || watchdog_loop(shared, stop, deadline_ns))
@@ -995,6 +961,8 @@ impl ThreadedMiddlebox {
                 }
                 watchdog_stop.store(true, Ordering::SeqCst);
                 if let Some(h) = watchdog {
+                    // Cut its poll sleep short: the last pass runs now.
+                    h.thread().unpark();
                     failures.extend(h.join().unwrap_or_default());
                 }
             });
@@ -1030,7 +998,6 @@ impl ThreadedMiddlebox {
                 if let Some(f) = r.failure {
                     failures.push(f);
                 }
-                per_worker_processed[worker] += r.stats.processed;
                 stats.nf_drops += r.nf_drops;
                 stats.ring_drops += r.ring_drops;
                 stats.forwarded += r.out.len() as u64;
@@ -1053,9 +1020,6 @@ impl ThreadedMiddlebox {
         let report = hub.finish(lanes, &stats);
         ThreadedOutcome {
             forwarded,
-            nf_drops: stats.nf_drops,
-            per_worker_processed,
-            redirects: stats.redirects(),
             stats,
             trace: report.trace,
             probes: report.probes,
@@ -1138,7 +1102,7 @@ fn watchdog_loop<NF: NetworkFunction>(
         if stopping {
             break;
         }
-        std::thread::sleep(poll);
+        std::thread::park_timeout(poll);
     }
     failures
 }
@@ -1179,7 +1143,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
     }
 
-    /// Where an armed [`ThreadedFault::Panic`] cuts a batch of `len`
+    /// Where an armed [`Step::Crash`] cuts a batch of `len`
     /// local packets: `Some(k)` when this worker's `after`-th packet of
     /// the phase is the batch's `k`-th, so the NF runs on the first `k`
     /// and then panics — the fault fires at exactly its configured
@@ -1187,7 +1151,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// armed for this worker, or it falls in a later batch.
     fn panic_cut(&self, len: usize) -> Option<usize> {
         match self.shared.fault {
-            Some(ThreadedFault::Panic { core, after }) if core == self.id && !self.fault_fired => {
+            Some(Step::Crash { core, after }) if core == self.id && !self.fault_fired => {
                 let k = after.saturating_sub(self.stats.processed);
                 (k < len as u64).then_some(k as usize)
             }
@@ -1591,31 +1555,28 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         self.run_eviction_hooks();
     }
 
-    /// Fire an injected [`ThreadedFault::Stall`] once its packet
+    /// Fire an armed [`Step::Stall`] once its packet
     /// threshold is reached: go silent between batches, exactly like a
     /// worker wedged outside the dataplane's view.
     fn maybe_stall(&mut self) {
-        if self.fault_fired {
-            return;
-        }
-        if let Some(ThreadedFault::Stall {
-            core,
-            after,
-            duration_ns,
-        }) = self.shared.fault
-        {
-            if core == self.id && self.stats.processed >= after {
+        match self.shared.fault {
+            Some(Step::Stall {
+                core,
+                after,
+                duration_ns,
+                ..
+            }) if core == self.id && !self.fault_fired && self.stats.processed >= after => {
                 self.fire_fault("stall");
                 std::thread::sleep(Duration::from_nanos(duration_ns));
             }
+            _ => {}
         }
     }
 
-    /// A dead worker's exit path: keep both queues empty — every
-    /// drained descriptor is an accounted loss and a released
-    /// shutdown-protocol claim — until the system has settled. Races
-    /// benignly with the watchdog's [`drain_dead_queues`]: each
-    /// descriptor is popped exactly once.
+    /// A dead worker's exit path: keep both queues empty with
+    /// [`drain_dead_queues`] — every drained descriptor is an accounted
+    /// loss and a released shutdown-protocol claim — until the system
+    /// has settled.
     fn zombie_drain(&mut self) {
         if self.shared.scr.is_some() && !self.scr_done_marked {
             // A dead replica can never replay again: release the
@@ -1625,23 +1586,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             self.shared.scr_done.fetch_add(1, Ordering::SeqCst);
         }
         loop {
-            let mut any = false;
-            while let Some(burst) = self.shared.rx[self.id].pop() {
-                let n = burst.len() as u64;
-                self.shared.lost.fetch_add(n, Ordering::SeqCst);
-                self.shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
-                any = true;
-            }
-            while self.shared.rings[self.id].pop().is_some() {
-                self.shared.lost.fetch_add(1, Ordering::SeqCst);
-                self.shared
-                    .redirects_outstanding
-                    .fetch_sub(1, Ordering::SeqCst);
-                any = true;
-            }
-            if let Some(plane) = self.shared.scr.as_ref() {
-                any |= plane.truncate(self.id) > 0;
-            }
+            let any = drain_dead_queues(self.shared, self.id);
             if !any
                 && self.shared.ingress_done.load(Ordering::SeqCst)
                 && self.shared.rx_remaining.load(Ordering::SeqCst) == 0
@@ -1673,7 +1618,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// (when any is on) are fed from the completed batch.
     ///
     /// A mid-batch panic — a genuine bug, or an armed
-    /// [`ThreadedFault::Panic`] cutting the batch at its configured
+    /// [`Step::Crash`] cutting the batch at its configured
     /// count — is accounted through the verdict cursor: the NF completed
     /// exactly `sink.len()` packets, which keep their verdicts; the
     /// in-flight packet and the never-started rest die with the worker
@@ -2087,15 +2032,30 @@ mod tests {
         pkts
     }
 
+    /// Packets each worker processed.
+    fn per_worker(out: &ThreadedOutcome) -> Vec<u64> {
+        out.stats.per_core.iter().map(|c| c.processed).collect()
+    }
+
+    /// A watchdog deadline far above any stall a test injects: the
+    /// stalled worker is never fenced.
+    const UNFENCED_NS: u64 = 10_000_000_000;
+
+    /// `fault` armed from the start, then one phase per `phases` entry.
+    fn with_fault(fault: Step, phases: Vec<Vec<Packet>>) -> Vec<Step> {
+        std::iter::once(fault)
+            .chain(phases.into_iter().map(Step::Phase))
+            .collect()
+    }
+
     #[test]
     fn spray_mode_processes_everything_once() {
         let nf = TrackerNf;
         let total = 16 + 16 * 20;
         // Phase barrier stands in for TCP's own ordering: state exists
         // before data arrives.
-        let out = ThreadedMiddlebox::process_phases(
-            DispatchMode::Sprayer,
-            4,
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 4),
             &nf,
             vec![syn_phase(16), data_phase(16, 20)],
         );
@@ -2104,17 +2064,23 @@ mod tests {
             total,
             "every packet must find its flow state"
         );
-        assert_eq!(out.nf_drops, 0);
-        let processed: u64 = out.per_worker_processed.iter().sum();
+        assert_eq!(out.stats.nf_drops, 0);
+        let processed: u64 = per_worker(&out).iter().sum();
         assert_eq!(processed as usize, total);
-        assert!(out.redirects > 0, "some SYNs must have needed redirection");
+        assert!(
+            out.stats.redirects() > 0,
+            "some SYNs must have needed redirection"
+        );
         // Unified telemetry: the threaded path accounts like the sim.
         assert_eq!(out.stats.offered, total as u64);
         assert_eq!(out.stats.forwarded, total as u64);
         assert_eq!(out.stats.unaccounted(), 0);
-        assert_eq!(out.stats.redirects(), out.redirects);
         let in_sum: u64 = out.stats.per_core.iter().map(|c| c.redirected_in).sum();
-        assert_eq!(in_sum, out.redirects, "every redirect must be consumed");
+        assert_eq!(
+            in_sum,
+            out.stats.redirects(),
+            "every redirect must be consumed"
+        );
     }
 
     #[test]
@@ -2123,9 +2089,13 @@ mod tests {
         let mut all = syn_phase(16);
         all.extend(data_phase(16, 20));
         let total = all.len();
-        let out = ThreadedMiddlebox::process(DispatchMode::Rss, 4, &nf, all);
-        assert_eq!(out.redirects, 0);
-        assert_eq!(out.nf_drops, 0, "per-flow dispatch has no redirect race");
+        let out =
+            ThreadedMiddlebox::run(&ThreadedConfig::new(DispatchMode::Rss, 4), &nf, vec![all]);
+        assert_eq!(out.stats.redirects(), 0);
+        assert_eq!(
+            out.stats.nf_drops, 0,
+            "per-flow dispatch has no redirect race"
+        );
         assert_eq!(out.forwarded.len(), total);
         assert_eq!(out.stats.unaccounted(), 0);
         assert_eq!(out.stats.ring_drops, 0);
@@ -2142,35 +2112,50 @@ mod tests {
             }
             v
         };
-        let out = ThreadedMiddlebox::process(DispatchMode::Sprayer, 4, &nf, one_flow(()));
-        let busy = out.per_worker_processed.iter().filter(|&&p| p > 0).count();
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 4),
+            &nf,
+            vec![one_flow(())],
+        );
+        let busy = per_worker(&out).iter().filter(|&&p| p > 0).count();
         assert_eq!(busy, 4, "spraying one flow must reach all workers");
 
-        let out = ThreadedMiddlebox::process(DispatchMode::Rss, 4, &nf, one_flow(()));
-        let busy = out.per_worker_processed.iter().filter(|&&p| p > 0).count();
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Rss, 4),
+            &nf,
+            vec![one_flow(())],
+        );
+        let busy = per_worker(&out).iter().filter(|&&p| p > 0).count();
         assert_eq!(busy, 1, "RSS keeps one flow on one worker");
     }
 
     #[test]
     fn single_worker_degenerates_gracefully() {
         let nf = TrackerNf;
-        let out = ThreadedMiddlebox::process_phases(
-            DispatchMode::Sprayer,
-            1,
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 1),
             &nf,
             vec![syn_phase(4), data_phase(4, 10)],
         );
         assert_eq!(out.forwarded.len(), 4 + 40);
-        assert_eq!(out.redirects, 0, "one worker: every core is designated");
+        assert_eq!(
+            out.stats.redirects(),
+            0,
+            "one worker: every core is designated"
+        );
         assert_eq!(out.stats.unaccounted(), 0);
     }
 
     #[test]
     fn empty_input_terminates() {
         let nf = TrackerNf;
-        let out = ThreadedMiddlebox::process(DispatchMode::Sprayer, 4, &nf, Vec::new());
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 4),
+            &nf,
+            vec![Vec::new()],
+        );
         assert!(out.forwarded.is_empty());
-        assert_eq!(out.per_worker_processed.iter().sum::<u64>(), 0);
+        assert_eq!(per_worker(&out).iter().sum::<u64>(), 0);
         assert_eq!(out.stats.offered, 0);
         assert_eq!(out.stats.unaccounted(), 0);
     }
@@ -2178,9 +2163,8 @@ mod tests {
     #[test]
     fn batch_histograms_and_occupancy_are_populated() {
         let nf = TrackerNf;
-        let out = ThreadedMiddlebox::process_phases(
-            DispatchMode::Sprayer,
-            2,
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 2),
             &nf,
             vec![syn_phase(32), data_phase(32, 10)],
         );
@@ -2361,7 +2345,7 @@ mod tests {
         for round in 0..20 {
             let total = (8 + 8 * 5) as u64;
             let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(8), data_phase(8, 5)]);
-            let processed: u64 = out.per_worker_processed.iter().sum();
+            let processed: u64 = per_worker(&out).iter().sum();
             assert_eq!(
                 processed + out.stats.pre_nf_drops(),
                 total,
@@ -2529,7 +2513,11 @@ mod tests {
     #[test]
     fn disabled_obs_returns_no_trace_or_probes() {
         let nf = TrackerNf;
-        let out = ThreadedMiddlebox::process(DispatchMode::Sprayer, 2, &nf, syn_phase(8));
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 2),
+            &nf,
+            vec![syn_phase(8)],
+        );
         assert!(out.trace.is_none());
         assert!(out.probes.is_none());
         assert!(out.samples.is_none());
@@ -2544,9 +2532,8 @@ mod tests {
         // even a fully obs-off run reports nonzero busy time, in wall
         // nanoseconds, for the workers that processed packets.
         let nf = TrackerNf;
-        let out = ThreadedMiddlebox::process_phases(
-            DispatchMode::Sprayer,
-            2,
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Sprayer, 2),
             &nf,
             vec![syn_phase(32), data_phase(32, 20)],
         );
@@ -2617,8 +2604,14 @@ mod tests {
             health: true,
             ..ObsConfig::disabled()
         };
-        config.fault = Some(ThreadedFault::Panic { core: 1, after: 5 });
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Crash { core: 1, after: 5 },
+                vec![syn_phase(16), data_phase(16, 20)],
+            ),
+        );
         assert_eq!(out.failures.len(), 1);
         let health = out.health.expect("health plane requested");
         assert_eq!(health.ticks_per_us, THREAD_TICKS_PER_US);
@@ -2652,7 +2645,7 @@ mod tests {
         assert_eq!(per_core, tail.exemplars);
         // Redirects happened, so ring transit shows up in the table;
         // this runtime cannot split out framework classify/tx time.
-        assert!(out.redirects > 0);
+        assert!(out.stats.redirects() > 0);
         assert!(tail.stage_ticks(TailStage::RedirectTransit) > 0);
         assert!(tail.stage_ticks(TailStage::Nf) > 0);
         assert_eq!(tail.stage_ticks(TailStage::Classify), 0);
@@ -2665,8 +2658,14 @@ mod tests {
         let nf = TrackerNf;
         let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 3);
         config.obs = ObsConfig::flight_recorder();
-        config.fault = Some(ThreadedFault::Panic { core: 1, after: 5 });
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Crash { core: 1, after: 5 },
+                vec![syn_phase(16), data_phase(16, 20)],
+            ),
+        );
         assert_eq!(out.failures.len(), 1);
         let snap = out.flight.expect("flight recorder requested");
         let freeze = snap.frozen.as_ref().expect("panic must latch the recorder");
@@ -2709,13 +2708,15 @@ mod tests {
             health: true,
             ..ObsConfig::disabled()
         };
-        let out = ThreadedMiddlebox::run_elastic(
+        let out = ThreadedMiddlebox::run_steps(
             &config,
             &nf,
             vec![
-                (2, syn_phase(16)),
-                (4, data_phase(16, 5)),
-                (2, data_phase(16, 5)),
+                Step::Phase(syn_phase(16)),
+                Step::Rescale(4),
+                Step::Phase(data_phase(16, 5)),
+                Step::Rescale(2),
+                Step::Phase(data_phase(16, 5)),
             ],
         );
         let health = out.health.expect("health plane requested");
@@ -2754,15 +2755,22 @@ mod tests {
             health: true,
             ..ObsConfig::disabled()
         };
-        config.fault = Some(ThreadedFault::Stall {
-            core: 0,
-            after: 0,
-            duration_ns: 100_000_000,
-        });
         config.ingress_retries = 0;
         let mut pkts = syn_phase(64);
         pkts.extend(data_phase(64, 20));
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Stall {
+                    core: 0,
+                    after: 0,
+                    duration_ns: 100_000_000,
+                    deadline_ns: UNFENCED_NS,
+                },
+                vec![pkts],
+            ),
+        );
         assert_eq!(out.stats.unaccounted(), 0);
         let health = out.health.expect("health plane requested");
         let counts = health.counts();
@@ -2787,12 +2795,19 @@ mod tests {
             reorder: true,
             ..ObsConfig::tracing()
         };
-        config.fault = Some(ThreadedFault::Stall {
-            core: 0,
-            after: 0,
-            duration_ns: 30_000_000,
-        });
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 40)]);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Stall {
+                    core: 0,
+                    after: 0,
+                    duration_ns: 30_000_000,
+                    deadline_ns: UNFENCED_NS,
+                },
+                vec![syn_phase(16), data_phase(16, 40)],
+            ),
+        );
         assert_eq!(out.stats.unaccounted(), 0);
         let online = out.reorder.expect("reorder sketch requested");
         assert_eq!(
@@ -2883,13 +2898,15 @@ mod tests {
         // (foreign reads through the shared tables) on every width.
         let nf = TrackerNf;
         let config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
-        let out = ThreadedMiddlebox::run_elastic(
+        let out = ThreadedMiddlebox::run_steps(
             &config,
             &nf,
             vec![
-                (2, syn_phase(32)),
-                (4, data_phase(32, 10)),
-                (2, data_phase(32, 10)),
+                Step::Phase(syn_phase(32)),
+                Step::Rescale(4),
+                Step::Phase(data_phase(32, 10)),
+                Step::Rescale(2),
+                Step::Phase(data_phase(32, 10)),
             ],
         );
         assert_eq!(out.reconfigs.len(), 2);
@@ -2904,15 +2921,18 @@ mod tests {
             down.migrated_flows, 0,
             "the designated set never grew past 2, so shrinking back moves nothing"
         );
-        assert_eq!(out.nf_drops, 0, "every packet must find its flow state");
+        assert_eq!(
+            out.stats.nf_drops, 0,
+            "every packet must find its flow state"
+        );
         assert_eq!(out.stats.offered, 32 + 320 + 320);
         assert_eq!(out.stats.unaccounted(), 0);
         // The wide phase really used the joiners.
-        assert_eq!(out.per_worker_processed.len(), 4);
+        assert_eq!(per_worker(&out).len(), 4);
         assert!(
-            out.per_worker_processed.iter().all(|&p| p > 0),
+            per_worker(&out).iter().all(|&p| p > 0),
             "spraying must reach every worker that was ever active: {:?}",
-            out.per_worker_processed
+            per_worker(&out)
         );
     }
 
@@ -2926,8 +2946,12 @@ mod tests {
         let config = ThreadedConfig::new(DispatchMode::Rss, 4);
         let mut head = syn_phase(64);
         head.extend(data_phase(64, 4));
-        let out =
-            ThreadedMiddlebox::run_elastic(&config, &nf, vec![(4, head), (2, data_phase(64, 4))]);
+        let steps = vec![
+            Step::Phase(head),
+            Step::Rescale(2),
+            Step::Phase(data_phase(64, 4)),
+        ];
+        let out = ThreadedMiddlebox::run_steps(&config, &nf, steps);
         assert_eq!(out.reconfigs.len(), 1);
         let r = &out.reconfigs[0];
         assert_eq!((r.from_cores, r.to_cores), (4, 2));
@@ -2936,9 +2960,16 @@ mod tests {
             "RSS rescale must migrate flows: {r:?}"
         );
         assert_eq!(r.migrated_flows + r.retained_flows, 64);
-        assert_eq!(out.nf_drops, 0, "migrated state must be found post-rescale");
+        assert_eq!(
+            out.stats.nf_drops, 0,
+            "migrated state must be found post-rescale"
+        );
         assert_eq!(out.stats.unaccounted(), 0);
-        assert_eq!(out.redirects, 0, "RSS never redirects, before or after");
+        assert_eq!(
+            out.stats.redirects(),
+            0,
+            "RSS never redirects, before or after"
+        );
         // Workers 2 and 3 are inactive in the shrunk phase: the narrow
         // phase's packets land only on queues 0 and 1.
         assert_eq!(out.stats.offered, (64 + 256 + 256) as u64);
@@ -2952,9 +2983,15 @@ mod tests {
         // lost_packets, and conservation still closes. (The default
         // panic hook prints the injected panic to stderr — expected.)
         let nf = TrackerNf;
-        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 3);
-        config.fault = Some(ThreadedFault::Panic { core: 1, after: 5 });
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
+        let config = ThreadedConfig::new(DispatchMode::Sprayer, 3);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Crash { core: 1, after: 5 },
+                vec![syn_phase(16), data_phase(16, 20)],
+            ),
+        );
         assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
         assert_eq!(out.failures[0].core, 1);
         assert!(
@@ -2989,10 +3026,14 @@ mod tests {
             for after in [0, 5, batch_size + 5] {
                 let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 3);
                 config.obs = obs;
-                config.fault = Some(ThreadedFault::Panic { core: 1, after });
-                let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts.clone()]);
+                let crash = Step::Crash { core: 1, after };
+                let out = ThreadedMiddlebox::run_steps(
+                    &config,
+                    &nf,
+                    with_fault(crash, vec![pkts.clone()]),
+                );
                 let what = format!("after={after} obs={}", obs.any());
-                assert_eq!(out.per_worker_processed[1], after, "{what}");
+                assert_eq!(per_worker(&out)[1], after, "{what}");
                 assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
                 assert_eq!(out.failures[0].core, 1, "{what}");
                 assert!(out.stats.lost_packets > 0, "{what}");
@@ -3174,17 +3215,17 @@ mod tests {
     fn assert_stalled_worker_is_fenced(mode: DispatchMode, stall_ns: u64, deadline_ns: u64) {
         let nf = TrackerNf;
         let mut config = ThreadedConfig::new(mode, 2);
-        config.fault = Some(ThreadedFault::Stall {
-            core: 0,
-            after: 32,
-            duration_ns: stall_ns,
-        });
-        config.watchdog_deadline_ns = Some(deadline_ns);
         config.ingress_retries = 8;
         let mut pkts = syn_phase(16);
         pkts.extend(data_phase(16, 50));
         let total = pkts.len() as u64;
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+        let stall = Step::Stall {
+            core: 0,
+            after: 32,
+            duration_ns: stall_ns,
+            deadline_ns,
+        };
+        let out = ThreadedMiddlebox::run_steps(&config, &nf, with_fault(stall, vec![pkts]));
         assert_eq!(out.failures.len(), 1, "{mode:?}: {:?}", out.failures);
         assert_eq!(out.failures[0].core, 0);
         assert!(
@@ -3223,13 +3264,19 @@ mod tests {
 
     #[test]
     fn watchdog_stays_quiet_on_a_healthy_run() {
-        // No fault, generous deadline: the watchdog must not produce
-        // false positives, and the run must be byte-for-byte as complete
-        // as one without a watchdog.
+        // A 1 ms stall under a generous deadline: the watchdog must not
+        // produce false positives, and the run must be byte-for-byte as
+        // complete as one without a watchdog.
         let nf = TrackerNf;
-        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 4);
-        config.watchdog_deadline_ns = Some(250_000_000);
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
+        let config = ThreadedConfig::new(DispatchMode::Sprayer, 4);
+        let stall = Step::Stall {
+            core: 0,
+            after: 0,
+            duration_ns: 1_000_000,
+            deadline_ns: 250_000_000,
+        };
+        let phases = vec![syn_phase(16), data_phase(16, 20)];
+        let out = ThreadedMiddlebox::run_steps(&config, &nf, with_fault(stall, phases));
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         assert_eq!(out.stats.lost_packets, 0);
         assert_eq!(out.forwarded.len(), 16 + 320);
@@ -3262,9 +3309,8 @@ mod tests {
         // worker can serve any flow from its own replica.
         let nf = TrackerNf;
         let total = 16 + 16 * 20;
-        let out = ThreadedMiddlebox::process_phases(
-            DispatchMode::Scr,
-            4,
+        let out = ThreadedMiddlebox::run(
+            &ThreadedConfig::new(DispatchMode::Scr, 4),
             &nf,
             vec![syn_phase(16), data_phase(16, 20)],
         );
@@ -3273,8 +3319,8 @@ mod tests {
             total,
             "every packet must find its flow state in the local replica"
         );
-        assert_eq!(out.nf_drops, 0);
-        assert_eq!(out.redirects, 0, "SCR never redirects");
+        assert_eq!(out.stats.nf_drops, 0);
+        assert_eq!(out.stats.redirects(), 0, "SCR never redirects");
         let s = &out.stats;
         assert_eq!(s.unaccounted(), 0, "{s:?}");
         assert_eq!(s.scr_replay_gap(), 0, "{s:?}");
@@ -3282,7 +3328,7 @@ mod tests {
         assert!(s.scr_log_occupancy_hwm > 0, "{s:?}");
         let lag_total: u64 = s.scr_lag_hist.iter().sum();
         assert_eq!(lag_total, s.scr_applied, "one lag sample per replay");
-        let busy = out.per_worker_processed.iter().filter(|&&p| p > 0).count();
+        let busy = per_worker(&out).iter().filter(|&&p| p > 0).count();
         assert_eq!(busy, 4, "spraying one phase must reach all workers");
     }
 
@@ -3360,15 +3406,25 @@ mod tests {
         // accounted drops, survivors finish their epilogue, and both
         // conservation identities close.
         let nf = TrackerNf;
-        let mut config = ThreadedConfig::new(DispatchMode::Scr, 3);
-        config.fault = Some(ThreadedFault::Panic { core: 1, after: 5 });
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![syn_phase(16), data_phase(16, 20)]);
+        let config = ThreadedConfig::new(DispatchMode::Scr, 3);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Crash { core: 1, after: 5 },
+                vec![syn_phase(16), data_phase(16, 20)],
+            ),
+        );
         assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
         let s = &out.stats;
         assert!(s.lost_packets > 0, "{s:?}");
         assert_eq!(s.unaccounted(), 0, "{s:?}");
         assert_eq!(s.scr_replay_gap(), 0, "{s:?}");
-        assert_eq!(out.redirects, 0, "SCR never redirects, even crashing");
+        assert_eq!(
+            out.stats.redirects(),
+            0,
+            "SCR never redirects, even crashing"
+        );
     }
 
     #[test]
@@ -3378,26 +3434,80 @@ mod tests {
         // its state on every width.
         let nf = TrackerNf;
         let config = ThreadedConfig::new(DispatchMode::Scr, 2);
-        let out = ThreadedMiddlebox::run_elastic(
+        let out = ThreadedMiddlebox::run_steps(
             &config,
             &nf,
-            vec![(2, syn_phase(32)), (4, data_phase(32, 10))],
+            vec![
+                Step::Phase(syn_phase(32)),
+                Step::Rescale(4),
+                Step::Phase(data_phase(32, 10)),
+            ],
         );
         assert_eq!(out.reconfigs.len(), 1);
         let r = &out.reconfigs[0];
         assert_eq!((r.from_cores, r.to_cores), (2, 4));
         assert_eq!(r.migrated_flows, 0, "full replication migrates nothing");
         assert_eq!(r.retained_flows, 32);
-        assert_eq!(out.nf_drops, 0, "joiners must hold the full replica");
-        assert_eq!(out.redirects, 0);
+        assert_eq!(out.stats.nf_drops, 0, "joiners must hold the full replica");
+        assert_eq!(out.stats.redirects(), 0);
         let s = &out.stats;
         assert_eq!(s.unaccounted(), 0, "{s:?}");
         assert_eq!(s.scr_replay_gap(), 0, "{s:?}");
         assert!(
-            out.per_worker_processed.iter().all(|&p| p > 0),
+            per_worker(&out).iter().all(|&p| p > 0),
             "the wide phase must use the joiners: {:?}",
-            out.per_worker_processed
+            per_worker(&out)
         );
+    }
+
+    /// A crash or a fenced stall, then a rescale, in one run: every
+    /// conservation identity still closes, in every mode, with the
+    /// lifecycle off and on. The fault fires in the first data phase;
+    /// the rescale re-provisions the dead core with two joiners.
+    #[test]
+    fn steps_compose_faults_and_rescales_in_every_mode() {
+        let faults = [
+            Step::Crash { core: 1, after: 5 },
+            Step::Stall {
+                core: 1,
+                after: 5,
+                duration_ns: 40_000_000,
+                deadline_ns: 10_000_000,
+            },
+        ];
+        for mode in DispatchMode::ALL {
+            for fault in &faults {
+                for lifecycle in [
+                    LifecycleConfig::disabled(),
+                    LifecycleConfig::bounded(1_000_000),
+                ] {
+                    let nf = TrackerNf;
+                    let mut config = ThreadedConfig::new(mode, 2);
+                    config.ingress_retries = 8;
+                    config.lifecycle = lifecycle;
+                    let steps = vec![
+                        Step::Phase(syn_phase(32)),
+                        fault.clone(),
+                        Step::Phase(data_phase(32, 20)),
+                        Step::Rescale(4),
+                        Step::Phase(data_phase(32, 20)),
+                    ];
+                    let out = ThreadedMiddlebox::run_steps(&config, &nf, steps);
+                    let s = &out.stats;
+                    let what = format!("{mode:?} {fault:?} {lifecycle:?}");
+                    assert_eq!(s.offered, 32 + 2 * 640, "{what}");
+                    assert_eq!(s.unaccounted(), 0, "{what}: {s:?}");
+                    assert_eq!(s.scr_replay_gap(), 0, "{what}: {s:?}");
+                    assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
+                    assert_eq!(out.failures[0].core, 1, "{what}");
+                    assert_eq!(out.reconfigs.len(), 1, "{what}");
+                    assert_eq!(s.per_core.len(), 4, "{what}");
+                    if lifecycle.enabled() {
+                        assert_eq!(s.flow_unaccounted(), 0, "{what}: {s:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// A packet the NIC steers to a dead worker's queue is lost without
@@ -3409,10 +3519,13 @@ mod tests {
             let nf = TrackerNf;
             let mut config = ThreadedConfig::new(mode, 2);
             config.obs = ObsConfig::tracing();
-            config.fault = Some(ThreadedFault::Panic { core: 0, after: 0 });
             let mut pkts = syn_phase(16);
             pkts.extend(data_phase(16, 1_250));
-            let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+            let out = ThreadedMiddlebox::run_steps(
+                &config,
+                &nf,
+                with_fault(Step::Crash { core: 0, after: 0 }, vec![pkts]),
+            );
             let s = &out.stats;
             assert_eq!(s.offered, 20_016);
             assert_eq!(s.unaccounted(), 0, "{mode:?}: {s:?}");
@@ -3459,16 +3572,23 @@ mod tests {
         let nf = TrackerNf;
         let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
         config.obs = ObsConfig::tracing();
-        config.fault = Some(ThreadedFault::Stall {
-            core: 0,
-            after: 0,
-            duration_ns: 50_000_000,
-        });
         config.ingress_retries = 0;
         config.queue_capacity = 40;
         let mut pkts = syn_phase(64);
         pkts.extend(data_phase(64, 20));
-        let out = ThreadedMiddlebox::run(&config, &nf, vec![pkts]);
+        let out = ThreadedMiddlebox::run_steps(
+            &config,
+            &nf,
+            with_fault(
+                Step::Stall {
+                    core: 0,
+                    after: 0,
+                    duration_ns: 50_000_000,
+                    deadline_ns: UNFENCED_NS,
+                },
+                vec![pkts],
+            ),
+        );
         let s = &out.stats;
         assert!(s.queue_drops > 0, "{s:?}");
         assert_eq!(s.unaccounted(), 0, "{s:?}");

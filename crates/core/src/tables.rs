@@ -783,19 +783,6 @@ impl<S: Clone + Send + Sync> SharedTables<S> {
         self.replica(core, |mut replica| replica.apply(op));
     }
 
-    /// Drop a dead core's replica (the SCR half of threaded crash
-    /// recovery): every survivor holds the same state, so the shard is
-    /// simply cleared — zero flows lost, zero migrated. Returns the
-    /// number of entries discarded from the dead replica (diagnostic
-    /// only; they all survive elsewhere).
-    pub fn drop_replica(&self, core: usize) -> u64 {
-        let mut shard = self.inner.cores[core].write();
-        let n = shard.table.len() as u64;
-        shard.table = FlowTable::new();
-        shard.counters.dropped += n;
-        n
-    }
-
     /// Build the next-epoch tables under `new_map`, draining this
     /// handle's entries into them (the threaded analogue of
     /// [`LocalTables::rescale`]; shared handles are immutable behind
@@ -1269,8 +1256,6 @@ mod tests {
         assert_eq!(shared.ctx(0).get_flow(&k), None, "not yet replayed");
         shared.apply_replica(0, &crate::scr::UpdateOp::Put(k, 9));
         assert_eq!(shared.ctx(0).get_flow(&k), Some(9));
-        assert_eq!(shared.drop_replica(1), 1);
-        assert_eq!(shared.ctx(1).get_flow(&k), None);
         assert_eq!(
             shared.ctx(0).get_flow(&k),
             Some(9),

@@ -5,7 +5,7 @@ use sprayer::api::{FlowStateApi, InsertOutcome, NetworkFunction, NfDescriptor, V
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::coremap::CoreMap;
 use sprayer::runtime_sim::MiddleboxSim;
-use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
+use sprayer::runtime_threads::{Step, ThreadedConfig, ThreadedMiddlebox};
 use sprayer::tables::{LocalTables, SharedTables};
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_obs::CoreSample;
@@ -178,7 +178,7 @@ proptest! {
         prop_assert_eq!(s.offered, offered);
         prop_assert_eq!(s.unaccounted(), 0);
         prop_assert_eq!(s.forwarded + s.nf_drops + s.pre_nf_drops(), offered);
-        prop_assert_eq!(out.per_worker_processed.iter().copied().sum::<u64>(), s.processed());
+        prop_assert_eq!(s.per_core.iter().map(|c| c.processed).sum::<u64>(), s.processed());
         // The NF forwards everything it sees, so forwarded output equals
         // whatever survived the queues...
         prop_assert_eq!(s.nf_drops, 0);
@@ -370,10 +370,10 @@ proptest! {
 
         let mode = if spray { DispatchMode::Sprayer } else { DispatchMode::Rss };
         let config = ThreadedConfig::new(mode, w1);
-        let out = ThreadedMiddlebox::run_elastic(
+        let out = ThreadedMiddlebox::run_steps(
             &config,
             &ForwardAllNf,
-            vec![(w1, first), (w2, second)],
+            vec![Step::Phase(first), Step::Rescale(w2), Step::Phase(second)],
         );
 
         let s = &out.stats;

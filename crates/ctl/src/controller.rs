@@ -55,7 +55,7 @@ impl<NF: NetworkFunction> Controller<NF> {
     /// The plan is validated first; a rejected plan never touches the
     /// dataplane. `seed` makes the adversarial traffic reproducible.
     pub fn new(config: MiddleboxConfig, nf: NF, plan: Plan, seed: u64) -> Result<Self, PlanError> {
-        plan.validate()?;
+        plan.validate(config.num_cores)?;
         Ok(Controller {
             mb: MiddleboxSim::new_elastic(config, nf),
             plan,

@@ -23,8 +23,8 @@
 //!   [`sprayer::ReconfigReport`] and [`sprayer::RecoveryReport`] series
 //!   (`reconfig_*`, `recovery_*` and `fault_*` metric names).
 //!
-//! The threaded runtime transitions at phase granularity via
-//! [`sprayer::ThreadedMiddlebox::run_elastic`]; this crate drives the
+//! The threaded runtime transitions at phase granularity, on a
+//! [`sprayer::runtime_threads::Step::Rescale`]; this crate drives the
 //! deterministic simulator, where downtime, migration cost and
 //! detection latency are exactly attributable.
 

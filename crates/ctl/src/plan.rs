@@ -9,15 +9,17 @@
 //!
 //! [`Plan::validate`] rejects what would make a run meaningless before
 //! the dataplane exists: degenerate events (zero cores, an empty burst,
-//! a zero-length stall, a zero deadline), times that run backwards, a
-//! window past the horizon, and overlapping control-plane windows. A
-//! rescale at `t` owns `[t, t + RESCALE_WINDOW]`; a crash owns its
-//! watchdog window `[t, t + detect_deadline]` and a stall its wedged
-//! window `[t, t + duration]`. A crash or stall inside a rescale's
-//! window would hit a dataplane that is mid-migration, and a rescale
-//! inside a fault's window would race the recovery's own epoch
-//! transition. Bursts are exempt: they are traffic, and colliding them
-//! with a transition is exactly the stress a soak exists to apply.
+//! a zero-length stall, a zero deadline), a crash or stall of a core
+//! that is not there, a crash of a core that is down or of the last
+//! survivor, times that run backwards, a window past the horizon, and
+//! overlapping control-plane windows. A rescale at `t` owns
+//! `[t, t + RESCALE_WINDOW]`; a crash owns its watchdog window
+//! `[t, t + detect_deadline]` and a stall its wedged window
+//! `[t, t + duration]`. A crash or stall inside a rescale's window
+//! would hit a dataplane that is mid-migration, and a rescale inside a
+//! fault's window would race the recovery's own epoch transition.
+//! Bursts are exempt: they are traffic, and colliding them with a
+//! transition is exactly the stress a soak exists to apply.
 
 use sprayer_sim::Time;
 
@@ -73,6 +75,22 @@ pub enum PlanError {
         /// Index of the offending event.
         index: usize,
     },
+    /// A crash or stall targets a core at or past the width in force.
+    CoreOutOfRange {
+        /// Index of the offending event.
+        index: usize,
+    },
+    /// A crash targets a core that is down: crashed since the last
+    /// rescale.
+    CoreAlreadyDown {
+        /// Index of the offending event.
+        index: usize,
+    },
+    /// A crash would leave no core alive.
+    NoSurvivor {
+        /// Index of the offending event.
+        index: usize,
+    },
     /// A stall with zero duration is a no-op masquerading as a fault.
     ZeroStall {
         /// Index of the offending event.
@@ -115,6 +133,11 @@ impl std::fmt::Display for PlanError {
             PlanError::EmptyBurst { index } => {
                 write!(f, "plan event {index} injects an empty burst")
             }
+            PlanError::CoreOutOfRange { index } => write!(f, "plan event {index} targets no core"),
+            PlanError::CoreAlreadyDown { index } => {
+                write!(f, "plan event {index} crashes a dead core")
+            }
+            PlanError::NoSurvivor { index } => write!(f, "plan event {index} kills the last core"),
             PlanError::ZeroStall { index } => write!(f, "plan event {index} stalls for zero time"),
             PlanError::ZeroDeadline => write!(f, "detection deadline must be nonzero"),
             PlanError::OutOfOrder { index } => {
@@ -182,18 +205,32 @@ impl Plan {
         }
     }
 
-    /// Check the schedule is executable (see the module docs).
-    pub fn validate(&self) -> Result<(), PlanError> {
+    /// Check the schedule is executable on a dataplane that starts with
+    /// `cores` cores (see the module docs). A rescale sets the width in
+    /// force and brings every crashed core back.
+    pub fn validate(&self, cores: usize) -> Result<(), PlanError> {
         if self.detect_deadline == Time::ZERO {
             return Err(PlanError::ZeroDeadline);
         }
         let mut last = Time::ZERO;
+        let (mut width, mut down) = (cores, Vec::new());
         for (index, &(at, action)) in self.events.iter().enumerate() {
             match action {
                 Action::Rescale(0) => return Err(PlanError::ZeroCores { index }),
                 Action::Burst(_, 0) => return Err(PlanError::EmptyBurst { index }),
                 Action::Stall(_, Time::ZERO) => return Err(PlanError::ZeroStall { index }),
-                _ => {}
+                Action::Crash(core) | Action::Stall(core, _) if core >= width => {
+                    return Err(PlanError::CoreOutOfRange { index })
+                }
+                Action::Crash(core) if down.contains(&core) => {
+                    return Err(PlanError::CoreAlreadyDown { index })
+                }
+                Action::Crash(_) if down.len() + 1 == width => {
+                    return Err(PlanError::NoSurvivor { index })
+                }
+                Action::Crash(core) => down.push(core),
+                Action::Rescale(n) => (width, down) = (n, Vec::new()),
+                Action::Stall(..) | Action::Burst(..) => {}
             }
             if at < last {
                 return Err(PlanError::OutOfOrder { index });
@@ -237,9 +274,9 @@ mod tests {
         assert_eq!(plan.events.len(), 2);
         assert_eq!(plan.events[0], (Time::from_ms(1), Action::Rescale(4)));
         assert_eq!(plan.events[1].1, Action::Rescale(2));
-        assert_eq!(plan.validate(), Ok(()));
+        assert_eq!(plan.validate(8), Ok(()));
         assert_eq!(
-            Plan::new(Time::from_secs(1)).validate(),
+            Plan::new(Time::from_secs(1)).validate(8),
             Ok(()),
             "empty plan is fine"
         );
@@ -248,7 +285,7 @@ mod tests {
     #[test]
     fn zero_cores_is_rejected() {
         let plan = Plan::new(Time::from_secs(1)).at(Time::from_us(10), Action::Rescale(0));
-        assert_eq!(plan.validate(), Err(PlanError::ZeroCores { index: 0 }));
+        assert_eq!(plan.validate(8), Err(PlanError::ZeroCores { index: 0 }));
     }
 
     #[test]
@@ -256,7 +293,7 @@ mod tests {
         let plan = Plan::new(Time::from_secs(1))
             .at(Time::from_ms(10), Action::Rescale(4))
             .at(Time::from_ms(5), Action::Rescale(2));
-        assert_eq!(plan.validate(), Err(PlanError::OutOfOrder { index: 1 }));
+        assert_eq!(plan.validate(8), Err(PlanError::OutOfOrder { index: 1 }));
     }
 
     #[test]

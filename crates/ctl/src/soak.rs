@@ -27,9 +27,9 @@ mod tests {
 
     #[test]
     fn disjoint_windows_validate() {
-        assert_eq!(timed_plan().validate(), Ok(()));
+        assert_eq!(timed_plan().validate(8), Ok(()));
         // An empty soak is valid: plain churn.
-        assert_eq!(Plan::new(Time::from_ms(1)).validate(), Ok(()));
+        assert_eq!(Plan::new(Time::from_ms(1)).validate(8), Ok(()));
     }
 
     #[test]
@@ -40,7 +40,7 @@ mod tests {
             .at(Time::from_ms(2), Action::Rescale(4))
             .at(Time::from_ms(2) + Time::from_us(10), Action::Crash(1));
         assert_eq!(
-            plan.validate(),
+            plan.validate(8),
             Err(PlanError::FaultDuringRescale {
                 fault: 1,
                 rescale: 0
@@ -57,7 +57,7 @@ mod tests {
             .at(Time::from_ms(2) + Time::from_us(50), Action::Rescale(4))
             .detect_within(Time::from_us(100));
         assert_eq!(
-            plan.validate(),
+            plan.validate(8),
             Err(PlanError::RescaleDuringFault {
                 rescale: 1,
                 fault: 0
@@ -68,7 +68,7 @@ mod tests {
             .at(Time::from_ms(3), Action::Stall(0, Time::from_us(400)))
             .at(Time::from_ms(3) + Time::from_us(100), Action::Rescale(4));
         assert_eq!(
-            plan.validate(),
+            plan.validate(8),
             Err(PlanError::RescaleDuringFault {
                 rescale: 1,
                 fault: 0
@@ -86,7 +86,7 @@ mod tests {
                 Time::from_ms(2) + Time::from_us(10),
                 Action::Burst(AdversarialProfile::TruncatedFrames, 16),
             );
-        assert_eq!(plan.validate(), Ok(()));
+        assert_eq!(plan.validate(8), Ok(()));
     }
 
     #[test]
@@ -95,7 +95,7 @@ mod tests {
             .at(Time::from_ms(1) - Time::from_us(5), Action::Crash(0))
             .detect_within(Time::from_us(100));
         assert!(matches!(
-            plan.validate(),
+            plan.validate(8),
             Err(PlanError::BeyondHorizon { .. })
         ));
     }

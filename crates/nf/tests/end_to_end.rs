@@ -4,7 +4,7 @@
 
 use sprayer::config::{DispatchMode, MiddleboxConfig};
 use sprayer::runtime_sim::MiddleboxSim;
-use sprayer::runtime_threads::ThreadedMiddlebox;
+use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
 use sprayer_net::flow::splitmix64;
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_nf::firewall::{AclRule, FirewallNf};
@@ -363,9 +363,10 @@ fn threaded_runtime_runs_the_nat() {
             ));
         }
     }
-    let out = ThreadedMiddlebox::process_phases(DispatchMode::Sprayer, 4, &nat, vec![syns, data]);
+    let config = ThreadedConfig::new(DispatchMode::Sprayer, 4);
+    let out = ThreadedMiddlebox::run(&config, &nat, vec![syns, data]);
     assert_eq!(out.forwarded.len(), (flows + flows * 10) as usize);
-    assert_eq!(out.nf_drops, 0);
+    assert_eq!(out.stats.nf_drops, 0);
     for pkt in &out.forwarded {
         assert_eq!(
             pkt.tuple().unwrap().src_addr,

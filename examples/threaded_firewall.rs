@@ -13,7 +13,7 @@
 //! traffic, in both dispatch modes, with identical policy outcomes.
 
 use sprayer::config::DispatchMode;
-use sprayer::runtime_threads::ThreadedMiddlebox;
+use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
 use sprayer_net::flow::splitmix64;
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_nf::firewall::{AclRule, FirewallNf};
@@ -73,11 +73,11 @@ fn main() {
     println!("workload: {flows} flows, {offered} packets offered, {corrupted} corrupted frames dropped at parse\n");
     for mode in [DispatchMode::Rss, DispatchMode::Sprayer] {
         let fw = FirewallNf::new(acl.clone());
-        let out =
-            ThreadedMiddlebox::process_phases(mode, workers, &fw, vec![syns.clone(), data.clone()]);
+        let config = ThreadedConfig::new(mode, workers);
+        let out = ThreadedMiddlebox::run(&config, &fw, vec![syns.clone(), data.clone()]);
         println!("== {mode} ({workers} worker threads) ==");
         println!("  forwarded          : {}", out.forwarded.len());
-        println!("  dropped by policy  : {}", out.nf_drops);
+        println!("  dropped by policy  : {}", out.stats.nf_drops);
         println!(
             "  admitted conns     : {}",
             fw.admitted.load(std::sync::atomic::Ordering::Relaxed)
@@ -86,8 +86,9 @@ fn main() {
             "  rejected conns     : {}",
             fw.rejected.load(std::sync::atomic::Ordering::Relaxed)
         );
-        println!("  per-worker load    : {:?}", out.per_worker_processed);
-        println!("  conn redirects     : {}", out.redirects);
+        let load: Vec<u64> = out.stats.per_core.iter().map(|c| c.processed).collect();
+        println!("  per-worker load    : {load:?}");
+        println!("  conn redirects     : {}", out.stats.redirects());
         println!(
             "  queue/ring drops   : {}/{}",
             out.stats.queue_drops, out.stats.ring_drops

@@ -7,7 +7,7 @@ use sprayer::api::{FlowStateApi, NetworkFunction, Verdict};
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::coremap::CoreMap;
 use sprayer::runtime_sim::MiddleboxSim;
-use sprayer::runtime_threads::ThreadedMiddlebox;
+use sprayer::runtime_threads::{ThreadedConfig, ThreadedMiddlebox};
 use sprayer_net::flow::splitmix64;
 use sprayer_net::{FiveTuple, Packet, PacketBuilder, TcpFlags};
 use sprayer_nf::nat::NatNf;
@@ -171,8 +171,8 @@ fn runtimes_agree_on_nat_outcomes() {
             ));
         }
     }
-    let threaded =
-        ThreadedMiddlebox::process_phases(DispatchMode::Sprayer, 4, &nat, vec![syns, data.clone()]);
+    let config = ThreadedConfig::new(DispatchMode::Sprayer, 4);
+    let threaded = ThreadedMiddlebox::run(&config, &nat, vec![syns, data.clone()]);
 
     // Simulator runtime, same packets.
     let config = MiddleboxConfig::paper_testbed(DispatchMode::Sprayer);

@@ -19,7 +19,7 @@
 use sprayer::api::NetworkFunction;
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::runtime_sim::MiddleboxSim;
-use sprayer::runtime_threads::{ThreadedConfig, ThreadedFault, ThreadedMiddlebox, ThreadedOutcome};
+use sprayer::runtime_threads::{Step, ThreadedConfig, ThreadedMiddlebox, ThreadedOutcome};
 use sprayer::stats::MiddleboxStats;
 use sprayer::ObsReport;
 use sprayer_net::flow::splitmix64;
@@ -85,7 +85,7 @@ fn phases(flows: u32, packets_per_flow: u32, port_of: impl Fn(u32) -> u16) -> Ve
 }
 
 /// Run `phases` through the simulator with the same phase barriers the
-/// threaded runtime's `process_phases` provides, drain fully, and return
+/// threaded runtime's `run` provides, drain fully, and return
 /// the forwarded packets, the final stats and what the planes saw.
 fn run_sim_report<NF: NetworkFunction>(
     mode: DispatchMode,
@@ -157,7 +157,7 @@ fn run_threaded<NF: NetworkFunction>(
     nf: &NF,
     phases: &[Vec<Packet>],
 ) -> ThreadedOutcome {
-    ThreadedMiddlebox::process_phases(mode, WORKERS, nf, phases.to_vec())
+    ThreadedMiddlebox::run(&ThreadedConfig::new(mode, WORKERS), nf, phases.to_vec())
 }
 
 /// Sorted multiset of raw frames (order-independent comparison).
@@ -655,15 +655,11 @@ fn elastic_transitions_agree_across_runtimes() {
         // Threaded: per-phase worker counts drive the same transitions.
         let cfg = ThreadedConfig::new(mode, widths[0]);
         let nf = FirewallNf::new(acl.clone());
-        let thr = ThreadedMiddlebox::run_elastic(
-            &cfg,
-            &nf,
-            widths
-                .iter()
-                .zip(phase_pkts.iter())
-                .map(|(w, p)| (*w, p.clone()))
-                .collect(),
-        );
+        let mut steps = Vec::new();
+        for (&w, p) in widths.iter().zip(phase_pkts.iter()) {
+            steps.extend([Step::Rescale(w), Step::Phase(p.clone())]);
+        }
+        let thr = ThreadedMiddlebox::run_steps(&cfg, &nf, steps);
 
         let what = format!("elastic/{mode}");
         assert_eq!(
@@ -753,14 +749,13 @@ fn check_chaos_panic<NF: NetworkFunction>(
     // Threaded: the worker panics on its first packet, so it too
     // processes nothing; everything homed to it is lost.
     let nf = make_nf();
-    let cfg = ThreadedConfig {
-        fault: Some(ThreadedFault::Panic {
-            core: DEAD,
-            after: 0,
-        }),
-        ..ThreadedConfig::new(mode, WORKERS)
+    let cfg = ThreadedConfig::new(mode, WORKERS);
+    let crash = Step::Crash {
+        core: DEAD,
+        after: 0,
     };
-    let thr = ThreadedMiddlebox::run(&cfg, &nf, work.to_vec());
+    let steps = std::iter::once(crash).chain(work.iter().cloned().map(Step::Phase));
+    let thr = ThreadedMiddlebox::run_steps(&cfg, &nf, steps.collect());
 
     let what = format!("chaos/{name}/{mode}");
     assert!(
@@ -846,15 +841,16 @@ fn chaos_stall_converges_to_healthy_stats() {
         }
 
         let nf = SyntheticNf::for_simulator();
-        let cfg = ThreadedConfig {
-            fault: Some(ThreadedFault::Stall {
-                core: 1,
-                after: 5,
-                duration_ns: 300_000,
-            }),
-            ..ThreadedConfig::new(mode, WORKERS)
+        let cfg = ThreadedConfig::new(mode, WORKERS);
+        // A deadline far above the stall: it delays, never fences.
+        let stall = Step::Stall {
+            core: 1,
+            after: 5,
+            duration_ns: 300_000,
+            deadline_ns: 10_000_000_000,
         };
-        let thr = ThreadedMiddlebox::run(&cfg, &nf, work.clone());
+        let steps = std::iter::once(stall).chain(work.iter().cloned().map(Step::Phase));
+        let thr = ThreadedMiddlebox::run_steps(&cfg, &nf, steps.collect());
 
         let what = format!("stall/{mode}");
         assert_stats_agree(mb.stats(), &thr.stats, &what);
