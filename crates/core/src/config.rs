@@ -352,15 +352,11 @@ fn default_scr_apply_cycles() -> u64 {
     150
 }
 
-/// Per-core inbound state-update log capacity, in updates: the
-/// default [`MiddleboxConfig::scr_log_capacity`] and the threaded
-/// runtime's fixed one. Sized like the inter-core rings times the peer
-/// count so a full batch from every peer fits.
+/// Per-core inbound state-update log capacity, in updates, in both
+/// runtimes. Sized like the inter-core rings times the peer count so a
+/// full batch from every peer fits. A full live log is backpressure,
+/// not loss ([`crate::scr::Backoff`]).
 pub const SCR_LOG_CAPACITY: usize = 8192;
-
-fn default_scr_log_capacity() -> usize {
-    SCR_LOG_CAPACITY
-}
 
 /// Default [`MiddleboxConfig::lifecycle`]: disabled — tables behave
 /// exactly as before the lifecycle layer existed (seed-compatible).
@@ -418,6 +414,19 @@ impl LifecycleConfig {
     /// block and the runtime's sweep scheduling).
     pub fn enabled(&self) -> bool {
         self.idle_timeout_us.is_some() || self.lru_backstop
+    }
+
+    /// When the sweep after the one due at `due` is due, if that one
+    /// runs at `now`: the first instant past `now` on the grid of whole
+    /// sweep intervals from `due` (`due` itself while `now` is
+    /// earlier). Instants are in ticks, `ticks_per_us` to the µs — each
+    /// runtime's own clock.
+    pub fn next_sweep(&self, due: u64, now: u64, ticks_per_us: u64) -> u64 {
+        if now < due {
+            return due;
+        }
+        let interval = self.sweep_interval_us.max(1) * ticks_per_us;
+        due + ((now - due) / interval + 1) * interval
     }
 }
 
@@ -483,13 +492,6 @@ pub struct MiddleboxConfig {
     /// replica ([`DispatchMode::Scr`] only).
     #[serde(default = "default_scr_apply_cycles")]
     pub scr_apply_cycles: u64,
-    /// Per-core inbound state-update log capacity, in updates
-    /// ([`DispatchMode::Scr`] only). When a core's log fills, further
-    /// updates addressed to it are dropped and counted
-    /// ([`crate::stats::MiddleboxStats::scr_log_drops`]) — the log is
-    /// bounded, like every other queue in the model.
-    #[serde(default = "default_scr_log_capacity")]
-    pub scr_log_capacity: usize,
     /// Link speed of the NIC ports.
     pub link: LinkSpeed,
     /// Observability switches (tracing, latency histograms). Off by
@@ -525,7 +527,6 @@ impl MiddleboxConfig {
             migrate_flow_cycles: default_migrate_flow_cycles(),
             scr_publish_cycles: default_scr_publish_cycles(),
             scr_apply_cycles: default_scr_apply_cycles(),
-            scr_log_capacity: default_scr_log_capacity(),
             link: LinkSpeed::TEN_GBE,
             obs: ObsConfig::disabled(),
             lifecycle: default_lifecycle(),
@@ -652,5 +653,42 @@ mod tests {
         // with a trivial NF.
         let c = MiddleboxConfig::paper_testbed(DispatchMode::Rss);
         assert!(c.single_core_pps() > 14.88e6);
+    }
+
+    #[test]
+    fn the_next_sweep_is_the_stepping_loop_in_one_step() {
+        // What both runtimes computed before: step from the due instant
+        // by whole intervals until past `now`.
+        let stepped = |due: u64, now: u64, interval: u64| {
+            let mut next = due;
+            while next <= now {
+                next += interval;
+            }
+            next
+        };
+        for interval_us in [0, 1, 3, 1_000] {
+            let lifecycle = LifecycleConfig {
+                sweep_interval_us: interval_us,
+                ..LifecycleConfig::bounded(50)
+            };
+            for ticks_per_us in [1, 7, 1_000_000] {
+                let interval = interval_us.max(1) * ticks_per_us;
+                for due in [0, 1, 5, interval, 3 * interval + 2] {
+                    // Every grid point, one tick either side, and a
+                    // stretch of small instants.
+                    let grid = (0..4).flat_map(|k| {
+                        let at = due + k * interval;
+                        [at.saturating_sub(1), at, at + 1]
+                    });
+                    for now in grid.chain(0..40) {
+                        assert_eq!(
+                            lifecycle.next_sweep(due, now, ticks_per_us),
+                            stepped(due, now, interval),
+                            "interval {interval_us} µs x {ticks_per_us}, due {due}, now {now}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -15,12 +15,12 @@
 //! forwarded packets with their departure times.
 
 use crate::api::{NetworkFunction, NfConfig, Verdict, VerdictSink};
-use crate::config::{DispatchMode, MiddleboxConfig, ObsConfig};
+use crate::config::{DispatchMode, MiddleboxConfig, ObsConfig, SCR_LOG_CAPACITY};
 use crate::coremap::CoreMap;
 use crate::elastic::{ReconfigReport, RecoveryReport};
 use crate::engine::{self, Engine, PacketClass};
 use crate::obs_sink::{Completion, ObsHub, ObsLane, ObsReport};
-use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
+use crate::scr::{Backoff, ScrPort, SharedScrPlane};
 use crate::stats::{CoreStats, MiddleboxStats};
 use crate::tables::{FailoverStats, LocalTables};
 use sprayer_net::{FlowKey, Packet};
@@ -158,13 +158,9 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     /// the NIC to the surviving queue count, after which it maps the
     /// (smaller) queue index space back to real core ids.
     queue_map: Vec<usize>,
-    /// Present iff `config.mode` is [`DispatchMode::Scr`] and the NF is
-    /// stateful: the state-update multicast log and replay plane
-    /// ([`crate::scr`]). Counters fold into the `scr_*` fields of
-    /// [`MiddleboxStats`].
-    scr: Option<SharedScrPlane<NF::Flow>>,
-    /// One version guard per core of the plane (empty without one).
-    scr_guards: Vec<ScrReplica>,
+    /// One port per core on the SCR replay plane ([`crate::scr`]), iff
+    /// `config.mode` is [`DispatchMode::Scr`] and the NF is stateful.
+    scr_ports: Vec<ScrPort<NF::Flow>>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`], reused
     /// across events so the hot path never allocates.
     sink: VerdictSink,
@@ -234,9 +230,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // A stateless NF has nothing to replicate: SCR degenerates to
         // pure spraying and the plane (and its per-update costs) is
         // elided entirely.
-        let scr = (config.mode == DispatchMode::Scr && !nf_config.stateless)
-            .then(|| SharedScrPlane::new(config.num_cores, config.scr_log_capacity));
-        let scr_guards = Self::scr_guards_for(&scr);
+        let scr_on = config.mode == DispatchMode::Scr && !nf_config.stateless;
+        let scr_ports = scr_on.then(|| Self::scr_ports_for(config.num_cores));
         let mut stats = MiddleboxStats::new(config.num_cores);
         stats.lifecycle_enabled = config.lifecycle.enabled();
         // Profile ticks are model cycles; the scale is cycles per µs.
@@ -270,8 +265,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             stalled_until: vec![Time::ZERO; config.num_cores],
             recoveries: Vec::new(),
             queue_map: (0..config.num_cores).collect(),
-            scr,
-            scr_guards,
+            scr_ports: scr_ports.unwrap_or_default(),
             sink: VerdictSink::with_capacity(1),
             config,
         }
@@ -283,129 +277,93 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         Arc::new(ObsHub::new(obs, "sim", SIM_TICKS_PER_US, profile, cores, 1)).lane(0..cores, true)
     }
 
-    /// Fresh version guards for `plane`'s cores.
-    fn scr_guards_for(plane: &Option<SharedScrPlane<NF::Flow>>) -> Vec<ScrReplica> {
-        let cores = plane.as_ref().map_or(0, SharedScrPlane::num_cores);
-        (0..cores).map(|_| ScrReplica::new()).collect()
+    /// One port per core on a fresh plane of `cores` logs.
+    fn scr_ports_for(cores: usize) -> Vec<ScrPort<NF::Flow>> {
+        let plane = SharedScrPlane::new(cores, SCR_LOG_CAPACITY);
+        (0..cores).map(|core| plane.port(core)).collect()
     }
 
-    /// SCR replay-before-dispatch (see [`crate::scr`]): consume every
-    /// pending remote state-update from `core`'s inbound log into its
-    /// replica through [`scr::replay`]. Returns the model cycles the
-    /// replay cost (`scr_apply_cycles` per consumed update) — already
-    /// attributed to [`Stage::Classify`] and folded into the `scr_*`
-    /// stats; the *caller* charges them to `busy_cycles` (and, on the
-    /// dispatch path, extends the service by them). A no-op returning 0
-    /// outside SCR mode.
+    /// SCR replay-before-dispatch on `core` ([`Self::replay_port`]);
+    /// the *caller* charges the cycles to `busy_cycles` (and, on the
+    /// dispatch path, extends the service by them). 0 outside SCR mode.
     fn scr_replay(&mut self, core: usize) -> u64 {
         // Per-core structures never shrink on scale-down but the
-        // next-epoch plane does: a retired core has no log, no guard
-        // and no replica to maintain.
-        let (Some(plane), Some(guard)) = (self.scr.as_ref(), self.scr_guards.get_mut(core)) else {
+        // next-epoch plane does: a retired core has no port.
+        let Some(port) = self.scr_ports.get_mut(core) else {
             return 0;
         };
-        // Every kick comes through here: an empty log costs one read.
-        if plane.pending(core) == 0 && !guard.prune_due() {
+        let apply_cycles = self.config.scr_apply_cycles;
+        Self::replay_port(
+            &self.nf,
+            port,
+            &mut self.tables,
+            &mut self.stats,
+            &mut self.obs,
+            apply_cycles,
+        )
+    }
+
+    /// Replay `port`'s log and charge it on its core: `apply_cycles`
+    /// per consumed update, under [`Stage::Classify`] and in the `scr_*`
+    /// stats. Returns the cycles. A publish lands on every log at once,
+    /// so the guard floor is the global head.
+    fn replay_port(
+        nf: &NF,
+        port: &mut ScrPort<NF::Flow>,
+        tables: &mut LocalTables<NF::Flow>,
+        stats: &mut MiddleboxStats,
+        obs: &mut ObsLane,
+        apply_cycles: u64,
+    ) -> u64 {
+        let core = port.core();
+        let floor = SharedScrPlane::head_seq;
+        let applied = port.replay(nf, floor, |run| run(tables.replica(core)));
+        if applied == 0 {
             return 0;
         }
-        let applied = scr::replay(
-            &self.nf,
-            guard,
-            self.tables.replica(core),
-            std::iter::from_fn(|| plane.pop(core)),
-            plane.head_seq(),
-            &mut self.stats.scr_lag_hist,
-        );
-        // A publish lands on every log at once, so the log run dry is
-        // the guard floor at the global head: nothing at or below it
-        // can still arrive, and the guard forgets.
-        if guard.prune_due() {
-            guard.forget_below(plane.head_seq());
+        for (bucket, n) in stats.scr_lag_hist.iter_mut().zip(port.take_lag_hist()) {
+            *bucket += n;
         }
-        self.stats.scr_applied += applied;
-        let cycles = applied * self.config.scr_apply_cycles;
-        self.stats.scr_replay_cycles += cycles;
-        self.obs.stage(core, Stage::Classify, cycles);
+        stats.scr_applied += applied;
+        let cycles = applied * apply_cycles;
+        stats.scr_replay_cycles += cycles;
+        obs.stage(core, Stage::Classify, cycles);
         cycles
     }
 
-    /// True when `peer` is owed `origin`'s updates: any other core that
-    /// has not crashed (a dead peer's log is dark, not leaking).
-    fn scr_owed(&self, origin: usize, peer: usize) -> bool {
-        peer != origin && !self.failed[peer]
-    }
-
-    /// SCR publish-after-dispatch: extract the batch's state-updates
-    /// through [`NetworkFunction::replicate_updates`] and multicast each
-    /// onto every live peer's log, stamped with its global sequence
-    /// number and noted in this core's own version guard first, so a
-    /// slower remote update for the same flow can never overwrite the
-    /// newer local write. Publish cycles (`scr_publish_cycles` per
-    /// enqueued copy) are charged to `busy_cycles` under
-    /// [`Stage::Redirect`] — the ring-transfer budget SCR spends on
-    /// state instead of descriptors — without extending the completed
-    /// service's event time. A no-op outside SCR mode.
-    ///
-    /// A full *live* peer log is backpressure, not loss: before each
-    /// multicast the publisher drains any blocked live peer's log in
-    /// its stead ([`Self::scr_replay`], charged to the peer), so a
-    /// live peer never drops an update and `scr_log_drops` counts only
-    /// dead-core truncation.
+    /// SCR publish-after-dispatch: ship the batch's state-updates
+    /// through `core`'s port to every core that has not crashed, charging
+    /// `scr_publish_cycles` per copy to `busy_cycles` under
+    /// [`Stage::Redirect`] without extending the service. A full live
+    /// peer log is replayed in its owner's stead, charged to that peer,
+    /// so `scr_log_drops` counts only dead-core truncation.
     fn scr_publish(&mut self, core: usize, pkts: &[Packet], conn: &[bool]) {
-        // Mirror of the scr_replay guard: a core retired by a
-        // scale-down has no slot in the next-epoch plane.
-        let num_cores = self.scr.as_ref().map_or(0, SharedScrPlane::num_cores);
-        if core >= num_cores {
+        // A core retired by a scale-down has no port on the next-epoch
+        // plane.
+        if core >= self.scr_ports.len() {
             return;
         }
-        let mut ops = Vec::new();
-        {
-            let ctx = self.tables.ctx(core);
-            self.nf.replicate_updates(pkts, conn, &ctx, &mut ops);
-        }
+        let (below, rest) = self.scr_ports.split_at_mut(core);
+        let (port, above) = rest.split_first_mut().expect("core < ports");
+        port.extract(&self.nf, pkts, conn, &self.tables.ctx(core));
         // The batch's mutation log fed the hook; reset it either way so
         // the next batch starts clean.
         self.tables.clear_batch_log(core);
-        let (mut sent, mut dropped) = (0u64, 0u64);
-        for op in ops {
-            for peer in 0..num_cores {
-                let full = |p: &SharedScrPlane<_>| p.pending(peer) >= self.config.scr_log_capacity;
-                if self.scr_owed(core, peer) && self.scr.as_ref().is_some_and(full) {
-                    let cycles = self.scr_replay(peer);
-                    self.stats.per_core[peer].busy_cycles += cycles;
-                }
-            }
-            let Some(plane) = self.scr.as_ref() else {
-                return;
-            };
-            let seq = plane.assign_seq();
-            self.scr_guards[core].note_local(*op.key(), seq, matches!(op, UpdateOp::Del(_)));
-            for peer in 0..num_cores {
-                if !self.scr_owed(core, peer) {
-                    continue;
-                }
-                let update = StateUpdate {
-                    seq,
-                    origin: core,
-                    op: op.clone(),
-                };
-                match plane.try_send(peer, update) {
-                    Ok(()) => sent += 1,
-                    // Not while the drain above runs first; counted so
-                    // the identity closes whatever that policy becomes.
-                    Err(_) => {
-                        plane.count_drop();
-                        dropped += 1;
-                    }
-                }
-            }
-        }
-        if let Some(plane) = self.scr.as_ref() {
-            self.stats.scr_log_occupancy_hwm =
-                self.stats.scr_log_occupancy_hwm.max(plane.occupancy_hwm());
-        }
-        self.stats.scr_published += sent + dropped;
-        self.stats.scr_log_drops += dropped;
+        let (nf, tables, stats, obs) = (&self.nf, &mut self.tables, &mut self.stats, &mut self.obs);
+        let (failed, apply_cycles) = (&self.failed, self.config.scr_apply_cycles);
+        let sent = port.publish(
+            |peer| !failed[peer],
+            |_, peer| {
+                let mut others = below.iter_mut().chain(above.iter_mut());
+                let blocked = others.nth(peer - usize::from(peer > core)).expect("a peer");
+                let cycles = Self::replay_port(nf, blocked, tables, stats, obs, apply_cycles);
+                stats.per_core[peer].busy_cycles += cycles;
+                Backoff::Retry
+            },
+        );
+        let hwm = port.plane().occupancy_hwm();
+        self.stats.scr_log_occupancy_hwm = self.stats.scr_log_occupancy_hwm.max(hwm);
+        self.stats.scr_published += sent;
         let cycles = sent * self.config.scr_publish_cycles;
         self.stats.per_core[core].busy_cycles += cycles;
         self.obs.stage(core, Stage::Redirect, cycles);
@@ -416,10 +374,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// event queue runs dry — an idle core polls its log, so replicas
     /// converge at rest and [`MiddleboxStats::scr_replay_gap`] closes).
     fn scr_drain_live(&mut self) {
-        if self.scr.is_none() {
-            return;
-        }
-        for core in 0..self.cores.len() {
+        for core in 0..self.scr_ports.len() {
             if self.failed[core] {
                 continue;
             }
@@ -446,9 +401,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         for (key, mut state, reason) in evicted {
             self.nf.evict_flow(&key, &mut state, reason);
         }
-        if self.scr.is_some() {
-            self.scr_publish(core, &[], &[]);
-        }
+        self.scr_publish(core, &[], &[]);
     }
 
     /// Lifecycle aging pass: when an idle timeout is configured and the
@@ -463,12 +416,11 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         if now < due {
             return;
         }
-        let interval = Time::from_us(self.config.lifecycle.sweep_interval_us.max(1));
-        let mut next = due;
-        while next <= now {
-            next += interval;
-        }
-        self.next_sweep = Some(next);
+        let next = self
+            .config
+            .lifecycle
+            .next_sweep(due.as_ps(), now.as_ps(), SIM_TICKS_PER_US);
+        self.next_sweep = Some(Time::from_ps(next));
         let now_us = now.as_ps() / SIM_TICKS_PER_US;
         // Bound by the tables' core count: runtime per-core structures
         // never shrink on scale-down, the tables' do.
@@ -900,9 +852,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
                 // wrote ships to every peer's log before the next job.
                 // An LRU-backstop victim's Del is in this batch's
                 // mutation log, so it ships here too.
-                if self.scr.is_some() {
-                    self.scr_publish(core, std::slice::from_ref(&pkt), &[is_conn]);
-                }
+                self.scr_publish(core, std::slice::from_ref(&pkt), &[is_conn]);
                 // Victims the batch's inserts evicted (LRU backstop):
                 // their Dels just shipped; run the NF's hook.
                 self.run_eviction_hooks(core);
@@ -1045,8 +995,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // conservation identity keeps closing through the crash. Its
         // replica needs no handling (every survivor holds the same
         // state), and publishes from here on skip the dark log.
-        if let Some(plane) = self.scr.as_ref() {
-            self.stats.scr_log_drops += plane.truncate(core);
+        if let Some(port) = self.scr_ports.first() {
+            self.stats.scr_log_drops += port.plane().truncate(core);
         }
         self.obs.health(
             now.as_ps(),
@@ -1157,8 +1107,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             Remap::Rescale(_) => None,
             Remap::Failover(core) => Some(core),
         };
-        if let (Some(core), Some(plane)) = (dead, self.scr.as_ref()) {
-            self.stats.scr_log_drops += plane.truncate(core);
+        if let (Some(core), Some(port)) = (dead, self.scr_ports.first()) {
+            self.stats.scr_log_drops += port.plane().truncate(core);
         }
         // Flush staged lifecycle evictions too — the transition resets
         // the staging queues, and the hooks must run against the old
@@ -1213,9 +1163,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             // Next-epoch replay plane: fresh (empty) logs and guards at
             // the new core count. Every log was drained above, so the
             // replicas are converged and no version history is needed.
-            if self.scr.is_some() {
-                self.scr = Some(SharedScrPlane::new(new_cores, self.config.scr_log_capacity));
-                self.scr_guards = Self::scr_guards_for(&self.scr);
+            if !self.scr_ports.is_empty() {
+                self.scr_ports = Self::scr_ports_for(new_cores);
             }
         }
 
@@ -2816,9 +2765,9 @@ mod tests {
                 mb.ingress(now, fin);
             }
             mb.advance_until(now);
-            assert!(!mb.scr_guards.is_empty(), "stateful NF under SCR");
-            for guard in &mb.scr_guards {
-                guard_hwm = guard_hwm.max(guard.len());
+            assert!(!mb.scr_ports.is_empty(), "stateful NF under SCR");
+            for port in &mb.scr_ports {
+                guard_hwm = guard_hwm.max(port.guard().len());
             }
         }
         mb.run_until(now + Time::from_ms(10));
@@ -2837,6 +2786,50 @@ mod tests {
             "a guard held {guard_hwm} records for a {LIVE}-flow window (bound {bound})"
         );
         assert!(guard_hwm > 0);
+    }
+
+    #[test]
+    fn a_stalled_cores_full_log_is_replayed_in_its_stead() {
+        // Core 1 is wedged while core 0 publishes more SYNs' updates to
+        // it than its log holds: core 0 replays core 1's log in its
+        // stead, charged to core 1, and nothing is dropped.
+        let mut config = cfg(DispatchMode::Scr, 0);
+        config.num_cores = 2;
+        let apply_cycles = config.scr_apply_cycles;
+        let mut mb = MiddleboxSim::new(config, TrackerNf);
+        let stall = Time::from_ms(50);
+        mb.stall_core(Time::ZERO, 1, stall);
+        let mut now = Time::ZERO;
+        for f in 0..20_000 {
+            now += Time::from_ns(100);
+            mb.ingress(
+                now,
+                PacketBuilder::new().tcp(flow(f), 0, 0, TcpFlags::SYN, &payload(f)),
+            );
+        }
+        mb.advance_until(now);
+        assert!(now < stall);
+        let s = mb.stats();
+        assert_eq!(s.per_core[1].processed, 0, "core 1 is still wedged");
+        assert_eq!(s.scr_log_occupancy_hwm, SCR_LOG_CAPACITY as u64);
+        assert!(
+            s.per_core[1].busy_cycles >= SCR_LOG_CAPACITY as u64 * apply_cycles,
+            "the replays made in core 1's stead are its work: {s:?}"
+        );
+
+        mb.run_until(stall + Time::from_ms(10));
+        assert!(mb.is_idle());
+        let s = mb.stats();
+        assert_eq!(s.scr_log_drops, 0, "{s:?}");
+        assert_eq!(s.scr_replay_gap(), 0, "{s:?}");
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        let tables = mb.tables();
+        assert!(tables.entries_on(0) > SCR_LOG_CAPACITY);
+        assert_eq!(tables.entries_on(0), tables.entries_on(1));
+        for f in 0..20_000 {
+            let k = flow(f).key();
+            assert_eq!(tables.peek(0, &k), tables.peek(1, &k), "flow {f}");
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ use crate::coremap::CoreMap;
 use crate::elastic::ReconfigReport;
 use crate::engine::{self, Engine, PacketClass};
 use crate::obs_sink::{Completion, ObsHub, ObsLane};
-use crate::scr::{self, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
+use crate::scr::{Backoff, ScrPort, SharedScrPlane};
 use crate::stats::{CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
 use crate::tables::{SharedCtx, SharedTables};
 use crossbeam::queue::ArrayQueue;
@@ -361,9 +361,9 @@ pub struct ThreadedOutcome {
     /// writer per core would need a time-ordered merge.
     pub flight: Option<FlightSnapshot>,
     /// Most records any worker's SCR version guard held at once
-    /// ([`ScrReplica::len_hwm`]; 0 outside SCR): what the guard floor
-    /// keeps near the live flow count where it used to follow the
-    /// cumulative one.
+    /// ([`crate::scr::ScrReplica::len_hwm`]; 0 outside SCR): what the
+    /// guard floor keeps near the live flow count where it used to
+    /// follow the cumulative one.
     pub scr_guard_hwm: usize,
 }
 
@@ -475,19 +475,11 @@ struct Worker<'a, NF: NetworkFunction> {
     redirects: Vec<(Desc, usize)>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`].
     sink: VerdictSink,
-    /// This worker's SCR per-flow version guard (empty and untouched
-    /// unless the phase has an SCR plane).
-    scr_replica: ScrReplica,
-    /// Replica-lag histogram (sequence numbers behind the global head at
-    /// replay), merged into [`MiddleboxStats::scr_lag_hist`] at join.
-    scr_lag_hist: [u64; BATCH_HIST_BUCKETS],
+    /// This worker's end of the SCR plane, when the phase has one.
+    scr: Option<ScrPort<NF::Flow>>,
     /// True once this worker counted itself into
     /// [`WorkerShared::scr_done`] (exactly once per phase).
     scr_done_marked: bool,
-    /// Scratch update buffer for [`NetworkFunction::replicate_updates`].
-    scr_ops: Vec<UpdateOp<NF::Flow>>,
-    /// Scratch buffer one replay drains the inbound log into.
-    scr_inbox: Vec<StateUpdate<NF::Flow>>,
     /// True when any lifecycle policy is on (idle aging or the LRU
     /// backstop) — gates the per-iteration clock touch.
     lifecycle_on: bool,
@@ -539,6 +531,37 @@ struct WorkerResult {
     scr_lag_hist: [u64; BATCH_HIST_BUCKETS],
     scr_guard_hwm: usize,
     table_hwm: u64,
+}
+
+impl<NF: NetworkFunction> WorkerShared<NF> {
+    /// Nanoseconds since the run anchor (see [`Worker::now_ns`]).
+    fn now_ns(&self) -> u64 {
+        #[cfg(test)]
+        self.clock_reads.fetch_add(1, Ordering::Relaxed);
+        self.anchor.elapsed().as_nanos() as u64
+    }
+}
+
+/// A worker's answer to a full log on a peer it publishes to
+/// ([`ScrPort::publish`]). A peer that died holding a full log abandons
+/// the copy: it can never be replayed. Otherwise the publisher replays
+/// its *own* log — work-conserving, and deadlock-free, because two
+/// mutually blocked publishers each make room for the other — yields,
+/// and retries.
+fn scr_make_room<NF: NetworkFunction>(
+    nf: &NF,
+    tables: &SharedTables<NF::Flow>,
+    dead: &[AtomicBool],
+    port: &mut ScrPort<NF::Flow>,
+    peer: usize,
+) -> Backoff {
+    if dead[peer].load(Ordering::SeqCst) {
+        return Backoff::Abandon;
+    }
+    let me = port.core();
+    port.replay(nf, |plane| plane.floor(me), |run| tables.replica(me, run));
+    std::thread::yield_now();
+    Backoff::Retry
 }
 
 /// Drain a dead worker's queues, counting every stranded descriptor as
@@ -1128,11 +1151,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             scratch_meta: Vec::new(),
             redirects: Vec::new(),
             sink: VerdictSink::with_capacity(shared.batch_size),
-            scr_replica: ScrReplica::new(),
-            scr_lag_hist: [0; BATCH_HIST_BUCKETS],
+            scr: shared.scr.as_ref().map(|plane| plane.port(id)),
             scr_done_marked: false,
-            scr_ops: Vec::new(),
-            scr_inbox: Vec::new(),
             lifecycle_on: shared.tables.lifecycle_config().enabled(),
             next_sweep_us: {
                 let lc = shared.tables.lifecycle_config();
@@ -1180,9 +1200,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// the end of an SCR publish. Every other caller is a redirect
     /// stamp, the lifecycle clock or a fault path.
     fn now_ns(&self) -> u64 {
-        #[cfg(test)]
-        self.shared.clock_reads.fetch_add(1, Ordering::Relaxed);
-        self.shared.anchor.elapsed().as_nanos() as u64
+        self.shared.now_ns()
     }
 
     /// Close a non-empty batch: charge its wall-clock busy window
@@ -1367,131 +1385,59 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             ring_drops: self.ring_drops,
             stats: self.stats,
             failure: self.failure,
-            scr_lag_hist: self.scr_lag_hist,
-            scr_guard_hwm: self.scr_replica.len_hwm(),
+            scr_lag_hist: self
+                .scr
+                .as_mut()
+                .map_or([0; BATCH_HIST_BUCKETS], ScrPort::take_lag_hist),
+            scr_guard_hwm: self.scr.as_ref().map_or(0, |port| port.guard().len_hwm()),
             table_hwm: self.table_hwm,
         }
     }
 
     /// Replay every pending remote state-update into this core's full
-    /// replica ([`DispatchMode::Scr`]), one batch at a time: read the
-    /// guard floor, drain the inbound log into a reused buffer, then
-    /// run [`scr::replay`] over it under one write-lock acquisition for
-    /// the whole drain. The log having run dry, the guard may then
-    /// forget below the floor ([`crate::scr`], "Guard growth").
-    /// Profiled as classify work (replay is part of admission, exactly
-    /// where the simulator charges it). Returns updates consumed.
+    /// replica ([`DispatchMode::Scr`]) through its port, under one
+    /// write-lock acquisition for the whole drain, then forget below
+    /// the guard floor ([`crate::scr`], "Guard growth"). Profiled as
+    /// classify work (replay is part of admission, exactly where the
+    /// simulator charges it), from the floor read on. Returns updates
+    /// consumed.
     fn scr_replay(&mut self) -> u64 {
-        let shared = self.shared;
-        let Some(plane) = shared.scr.as_ref() else {
+        let Some(port) = self.scr.as_mut() else {
             return 0;
         };
-        // A guard that only ever publishes still has to prune.
-        if plane.pending(self.id) == 0 && !self.scr_replica.prune_due() {
-            return 0;
+        let (shared, id) = (self.shared, self.id);
+        let mut span = None;
+        let floor = |plane: &SharedScrPlane<_>| {
+            span = shared.obs.cfg.profile.then(|| shared.now_ns());
+            plane.floor(id)
+        };
+        let applied = port.replay(self.nf, floor, |run| shared.tables.replica(id, run));
+        if let Some(c0) = span {
+            let c1 = self.now_ns();
+            self.prof_span(Stage::Classify, c0, c1);
         }
-        let c0 = self.prof_start();
-        let floor = plane.floor(self.id);
-        let (guard, inbox) = (&mut self.scr_replica, &mut self.scr_inbox);
-        plane.drain(self.id, usize::MAX, |update| inbox.push(update));
-        let applied = inbox.len() as u64;
-        if applied > 0 {
-            // The head is read once per drain.
-            let (nf, head, lag_hist) = (self.nf, plane.head_seq(), &mut self.scr_lag_hist);
-            shared.tables.replica(self.id, |table| {
-                scr::replay(nf, guard, table, inbox.drain(..), head, lag_hist)
-            });
-        }
-        if guard.prune_due() {
-            guard.forget_below(floor);
-        }
-        let c1 = self.prof_start();
-        self.prof_span(Stage::Classify, c0, c1);
         applied
     }
 
     /// Extract and multicast the state updates of a completed batch
-    /// ([`DispatchMode::Scr`]): ask the NF for the batch's update
-    /// records, claim their sequence range with one `fetch_add`, note
-    /// the numbers in our own version guard so a slower remote update
-    /// can never downgrade a newer local write, and send the run to
-    /// each peer found alive, asked once per batch (a dead peer's log
-    /// is dark, not leaking: the copies were never owed to it) — cloned
-    /// for all but the last, which takes the ops themselves. The
-    /// callers profile it as redirect work — the update log is SCR's
-    /// replacement for redirection.
+    /// ([`DispatchMode::Scr`]) through this core's port, to each peer
+    /// found alive (a dead peer's log is dark, not leaking: the copies
+    /// were never owed to it). A full live peer log is met with
+    /// [`scr_make_room`]. The callers profile it as redirect work — the
+    /// update log is SCR's replacement for redirection.
     fn scr_publish(&mut self, pkts: &[Packet], conn: &[bool]) {
-        let shared = self.shared;
-        let Some(plane) = shared.scr.as_ref() else {
+        let Some(port) = self.scr.as_mut() else {
             return;
         };
-        let mut ops = std::mem::take(&mut self.scr_ops);
-        ops.clear();
-        let nf = self.nf;
-        nf.replicate_updates(pkts, conn, &self.ctx, &mut ops);
+        port.extract(self.nf, pkts, conn, &self.ctx);
         // The batch's mutation log fed the hook; reset it either way so
         // the next batch starts clean.
         self.ctx.clear_batch_log();
-        if !ops.is_empty() {
-            let first = plane.claim_seqs(ops.len() as u64);
-            for (seq, op) in (first..).zip(&ops) {
-                let is_del = matches!(op, UpdateOp::Del(_));
-                self.scr_replica.note_local(*op.key(), seq, is_del);
-            }
-            let me = self.id;
-            let mut peers = (0..plane.num_cores())
-                .filter(|&peer| peer != me && !shared.dead[peer].load(Ordering::SeqCst))
-                .peekable();
-            while let Some(peer) = peers.next() {
-                if peers.peek().is_some() {
-                    self.scr_send(plane, peer, first, ops.iter().cloned());
-                } else {
-                    self.scr_send(plane, peer, first, ops.drain(..));
-                }
-            }
-        }
-        self.scr_ops = ops;
-    }
-
-    /// Send one batch's ops, numbered from `first`, to `peer`'s log.
-    ///
-    /// A full live peer log is backpressure, not loss: the publisher
-    /// replays its *own* inbox (work-conserving — two mutually blocked
-    /// publishers each make room for the other, so this cannot
-    /// deadlock) and retries until the run has landed. Only a peer that
-    /// dies mid-retry abandons the refused copy, as an accounted drop;
-    /// what was behind it is no longer owed.
-    fn scr_send(
-        &mut self,
-        plane: &SharedScrPlane<NF::Flow>,
-        peer: usize,
-        first: u64,
-        ops: impl Iterator<Item = UpdateOp<NF::Flow>>,
-    ) {
-        let origin = self.id;
-        let mut rest = (first..)
-            .zip(ops)
-            .map(|(seq, op)| StateUpdate { seq, origin, op });
-        let mut held = None;
-        loop {
-            held = plane.try_send_from(peer, held, &mut rest);
-            if held.is_none() {
-                break;
-            }
-            if self.shared.dead[peer].load(Ordering::SeqCst) {
-                // Died mid-retry with a full log: this copy can never
-                // be replayed.
-                plane.count_drop();
-                break;
-            }
-            // Work-conserving backpressure: drain our own inbox so a
-            // mutually blocked peer publishing to us gets room, then
-            // retry. (The replay time is profiled as classify inside
-            // the redirect span; the overlap only occurs under log-full
-            // pressure.)
-            self.scr_replay();
-            std::thread::yield_now();
-        }
+        let (nf, shared) = (self.nf, self.shared);
+        port.publish(
+            |peer| !shared.dead[peer].load(Ordering::SeqCst),
+            |port, peer| scr_make_room(nf, &shared.tables, &shared.dead, port, peer),
+        );
     }
 
     /// Run the NF's [`NetworkFunction::evict_flow`] hook on every
@@ -1531,17 +1477,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         if now_us < due {
             return;
         }
-        let interval = self
-            .shared
-            .tables
-            .lifecycle_config()
-            .sweep_interval_us
-            .max(1);
-        let mut next = due;
-        while next <= now_us {
-            next += interval;
-        }
-        self.next_sweep_us = Some(next);
+        let lifecycle = self.shared.tables.lifecycle_config();
+        self.next_sweep_us = Some(lifecycle.next_sweep(due, now_us, 1));
         self.table_hwm = self
             .table_hwm
             .max(self.shared.tables.total_entries() as u64);
@@ -2462,12 +2399,16 @@ mod tests {
         let nf = TrackerNf;
         let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
         config.obs = ObsConfig::tracing_with_capacity(100);
+        // Closed loop: both runs must process the same packets, and an
+        // open-loop ingress on a busy host drops whole bursts.
+        config.ingress_retries = usize::MAX;
         // Every event the run emitted, held or dropped, except the
         // `Drain` markers (how many batches form is the scheduler's).
         let emitted = |phases: usize| {
             let out = ThreadedMiddlebox::run(&config, &nf, eight_thousand(phases));
             let s = &out.stats;
             assert_eq!(s.unaccounted(), 0, "{s:?}");
+            assert_eq!(s.queue_drops, 0, "{phases} phases: {s:?}");
             let trace = out.trace.expect("trace requested");
             assert!(
                 trace.events.len() <= 300,
@@ -3398,6 +3339,98 @@ mod tests {
             out.scr_guard_hwm
         );
         assert!(out.scr_guard_hwm > 0);
+    }
+
+    #[test]
+    fn ports_on_threads_back_off_through_logs_of_one_or_two_slots() {
+        // Two threads publish a thousand puts each to the other over
+        // logs that hold one or two updates, so nearly every copy finds
+        // the peer's log full. Under the workers' own policy nothing is
+        // lost and the replicas agree; under the abandon policy each
+        // abandoned one-op run is one drop, and the identity closes.
+        const PUTS: u32 = 1_000;
+        let key = |core: usize, i: u32| {
+            FiveTuple::tcp(0x0a00_0000 + i, 40_000 + core as u16, 0xc0a8_0001, 443).key()
+        };
+        for capacity in [1, 2] {
+            for abandon in [false, true] {
+                let plane = SharedScrPlane::new(2, capacity);
+                let tables =
+                    SharedTables::new(CoreMap::new(DispatchMode::Scr, 2), 4 * PUTS as usize);
+                let dead = [AtomicBool::new(false), AtomicBool::new(false)];
+                let done = AtomicUsize::new(0);
+                let abandoned: u64 = std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..2)
+                        .map(|core| {
+                            let (plane, tables, dead, done) = (&plane, &tables, &dead, &done);
+                            s.spawn(move || {
+                                let (mut port, mut ctx) = (plane.port(core), tables.ctx(core));
+                                let mut abandoned = 0;
+                                // Only a blocked publisher replays
+                                // before the epilogue, so a log fills
+                                // whenever its owner is not blocked.
+                                for i in 0..PUTS {
+                                    plane.quiesce(core);
+                                    ctx.insert_local_flow(key(core, i), i);
+                                    port.extract(&TrackerNf, &[], &[], &ctx);
+                                    ctx.clear_batch_log();
+                                    port.publish(
+                                        |_| true,
+                                        |port, peer| match abandon {
+                                            true => {
+                                                abandoned += 1;
+                                                Backoff::Abandon
+                                            }
+                                            false => {
+                                                scr_make_room(&TrackerNf, tables, dead, port, peer)
+                                            }
+                                        },
+                                    );
+                                }
+                                // The epilogue: publish no more, and
+                                // replay until the peer is done too and
+                                // the log is dry.
+                                done.fetch_add(1, Ordering::SeqCst);
+                                while done.load(Ordering::SeqCst) < 2 || plane.pending(core) > 0 {
+                                    let floor = |plane: &SharedScrPlane<u32>| plane.floor(core);
+                                    port.replay(&TrackerNf, floor, |run| tables.replica(core, run));
+                                    std::thread::yield_now();
+                                }
+                                abandoned
+                            })
+                        })
+                        .collect();
+                    workers.into_iter().map(|w| w.join().unwrap()).sum()
+                });
+                let case = format!("capacity {capacity}, abandon {abandon}");
+                let pending = (plane.pending(0) + plane.pending(1)) as u64;
+                assert_eq!(
+                    plane.published(),
+                    plane.applied() + plane.dropped() + pending,
+                    "{case}"
+                );
+                assert_eq!(
+                    plane.dropped(),
+                    abandoned,
+                    "{case}: one drop per abandoned run"
+                );
+                if abandon {
+                    // The first to finish published every put while its
+                    // peer was not yet replaying.
+                    let filled = u64::from(PUTS) - capacity as u64;
+                    assert!(abandoned >= filled, "{case}: {abandoned} runs abandoned");
+                    continue;
+                }
+                assert_eq!(plane.dropped(), 0, "{case}");
+                assert_eq!(plane.published(), plane.applied(), "{case}");
+                assert_eq!(plane.published(), 2 * u64::from(PUTS), "{case}");
+                for (core, i) in (0..2).flat_map(|core| (0..PUTS).map(move |i| (core, i))) {
+                    let k = key(core, i);
+                    let replicas = [0, 1].map(|c| tables.ctx(c).get_local_flow(&k));
+                    assert_eq!(replicas, [Some(i); 2], "{case}: key {i} of core {core}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! ([`replay`]), so reads that would have crossed cores under Sprayer
 //! are local here.
 //!
-//! Both runtimes run this one plane, one [`ScrReplica`] guard per core
-//! and the one replay body; each keeps only what it *is* — the clock
-//! that charges the work (model cycles, wall spans) and what a
-//! publisher does about a full peer log, below. The single-threaded
-//! simulator needs no cheaper form of the log: it is touched per
-//! connection packet, not per packet, and `simtcp` `pkt_ns.scr` reads
-//! the same on these rings as on plain deques
-//! (`results/trajectory/BENCH_perf_pr19.json`).
+//! The protocol — extract, number, note, send, back off, drain, replay,
+//! forget — is written once, in [`ScrPort`], one core's end of the
+//! plane. Both runtimes and the model proptests in `crates/core/tests/`
+//! drive it; each runtime keeps only what it *is*: the clock that
+//! charges the work (model cycles, wall spans), its view of which
+//! peers are alive, and what a publisher does about a full peer log,
+//! below. The single-threaded simulator needs no cheaper form of the
+//! log: it is touched per connection packet, not per packet, and
+//! `simtcp` `pkt_ns.scr` reads the same on these rings as on plain
+//! deques (`results/trajectory/BENCH_perf_pr19.json`).
 //!
 //! ## Replay ordering and convergence
 //!
@@ -63,16 +65,15 @@
 //! ```
 //!
 //! ([`crate::stats::MiddleboxStats::scr_replay_gap`]). A full *live*
-//! peer log is handled by backpressure, not loss: the simulator drains
-//! the blocked peer's log in its stead before publishing
-//! (`MiddleboxSim::scr_publish`), and a threaded publisher replays its
-//! *own* inbox and retries ([`SharedScrPlane::try_send`]) — work-
-//! conserving, and deadlock-free because two mutually-blocked
-//! publishers each make room for the other. `scr_log_drops` therefore
-//! counts only updates that can never be replayed: a dead core's
-//! truncated log, and copies abandoned because the peer died
-//! mid-retry. Nothing vanishes silently, even under overload or
-//! mid-run core crashes.
+//! peer log is backpressure, not loss: [`ScrPort::publish`] asks the
+//! runtime for a [`Backoff`]. The simulator replays the blocked peer's
+//! log in its stead (charged to that peer) and retries; a threaded
+//! publisher replays its *own* log, yields and retries — deadlock-free,
+//! because two mutually blocked publishers each make room for the
+//! other — and abandons the copy only if the peer died. So
+//! `scr_log_drops` counts only updates that can never be replayed: a
+//! dead core's truncated log, and abandoned copies. Nothing vanishes
+//! silently, even under overload or mid-run core crashes.
 //!
 //! ## Guard growth
 //!
@@ -111,12 +112,12 @@
 //! one per flow ever seen. In the simulator a publish lands on every
 //! log at once, so a log run dry means `floor = head_seq()`.
 
-use crate::api::NetworkFunction;
+use crate::api::{FlowStateApi, NetworkFunction};
 use crate::flowtable::FlowTable;
 use crate::stats::{batch_bucket, BATCH_HIST_BUCKETS};
 use crate::tables::ReplicaWriter;
 use crossbeam::queue::ArrayQueue;
-use sprayer_net::FlowKey;
+use sprayer_net::{FlowKey, Packet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -265,7 +266,10 @@ impl<S> SharedScrPlane<S> {
         self.inner.next_seq.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// Assign the next global sequence number: a claim of one.
+    /// Assign the next global sequence number: a claim of one. Kept,
+    /// like [`Self::try_send`], [`Self::publish`] and [`Self::pop`],
+    /// for the layer benchmark under `perf/`; the runtimes go through
+    /// [`ScrPort`].
     pub fn assign_seq(&self) -> u64 {
         self.claim_seqs(1)
     }
@@ -274,13 +278,8 @@ impl<S> SharedScrPlane<S> {
     /// items of `rest`, onto `peer`'s log until one does not fit. The
     /// copies that landed count as published — one add and one
     /// high-water check for the whole run. A full log hands the
-    /// refused update back **uncounted** so the caller can apply
-    /// backpressure — the threaded worker replays its *own* inbox
-    /// (making room for a mutually-blocked peer publishing to it) and
-    /// calls again with the refused update as `held`, until `None`
-    /// says everything landed or the peer dies. Only a copy the caller
-    /// abandons ([`Self::count_drop`]) or a truncated dead log ever
-    /// shows up in `dropped`.
+    /// refused update back **uncounted**, for the caller to retry as
+    /// `held` or abandon ([`Self::count_drop`]) — [`ScrPort::publish`].
     pub fn try_send_from(
         &self,
         peer: usize,
@@ -320,22 +319,17 @@ impl<S> SharedScrPlane<S> {
         }
     }
 
-    /// Account one abandoned copy (the peer died mid-retry): it counts
-    /// as published *and* dropped, keeping
-    /// `published == applied + dropped + pending` closed.
+    /// Account one abandoned copy: it counts as published *and*
+    /// dropped, keeping `published == applied + dropped + pending`
+    /// closed.
     pub fn count_drop(&self) {
         self.inner.published.fetch_add(1, Ordering::Relaxed);
         self.inner.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Single-attempt multicast from `origin` to every peer in `alive`:
-    /// [`Self::assign_seq`] plus one [`Self::try_send`] per live peer,
-    /// a full log counting straight as a drop. This is the convenience
-    /// path for tests and models; the threaded runtime's
-    /// `Worker::scr_publish` claims a whole batch's range and sends it
-    /// with [`Self::try_send_from`] so it can drain-and-retry instead
-    /// of dropping. Returns the assigned global sequence number for the
-    /// origin's own version guard.
+    /// Single-attempt multicast of one op from `origin` to every peer in
+    /// `alive`, a full log counting straight as a drop. Returns the
+    /// assigned global sequence number for the origin's own guard.
     pub fn publish(&self, origin: usize, op: &UpdateOp<S>, alive: &[bool]) -> u64
     where
         S: Clone,
@@ -472,7 +466,7 @@ impl<S> SharedScrPlane<S> {
 
 /// One core's per-flow version guard: `(last_seq, last_del_seq)` per
 /// flow, classifying replayed updates into [`Admission`] classes. Each
-/// threaded worker owns one privately; the simulator keeps one per core.
+/// core's [`ScrPort`] holds one.
 ///
 /// A record outlives its flow (the `last_del_seq` tombstone is what
 /// blocks resurrection) until [`Self::forget_below`] drops it below the
@@ -629,6 +623,180 @@ pub fn replay<NF: NetworkFunction>(
         }
     }
     applied
+}
+
+/// What a publisher does with a copy a full live peer log refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backoff {
+    /// Room has been made, or may have been: send the copy again.
+    Retry,
+    /// Give the copy up as one accounted drop; the rest of the run is
+    /// no longer owed to that peer.
+    Abandon,
+}
+
+/// One core's end of the plane: its version guard, the op buffer a
+/// batch is extracted into, the buffer a replay drains into, and its
+/// lag histogram. A batch goes out as [`Self::extract`] then
+/// [`Self::publish`]; remote updates come in with [`Self::replay`].
+#[derive(Debug)]
+pub struct ScrPort<S> {
+    core: usize,
+    plane: SharedScrPlane<S>,
+    guard: ScrReplica,
+    ops: Vec<UpdateOp<S>>,
+    inbox: Vec<StateUpdate<S>>,
+    lag_hist: [u64; BATCH_HIST_BUCKETS],
+}
+
+impl<S> SharedScrPlane<S> {
+    /// `core`'s end of the plane, with a fresh guard.
+    pub fn port(&self, core: usize) -> ScrPort<S> {
+        assert!(core < self.num_cores(), "core {core} is not on the plane");
+        ScrPort {
+            core,
+            plane: self.clone(),
+            guard: ScrReplica::new(),
+            ops: Vec::new(),
+            inbox: Vec::new(),
+            lag_hist: [0; BATCH_HIST_BUCKETS],
+        }
+    }
+}
+
+impl<S: Clone> ScrPort<S> {
+    /// The core this port belongs to.
+    pub fn core(&self) -> usize {
+        self.core
+    }
+
+    /// The plane this port is an end of.
+    pub fn plane(&self) -> &SharedScrPlane<S> {
+        &self.plane
+    }
+
+    /// The core's version guard.
+    pub fn guard(&self) -> &ScrReplica {
+        &self.guard
+    }
+
+    /// The lag histogram since the last take, leaving it zeroed.
+    pub fn take_lag_hist(&mut self) -> [u64; BATCH_HIST_BUCKETS] {
+        std::mem::replace(&mut self.lag_hist, [0; BATCH_HIST_BUCKETS])
+    }
+
+    /// Replay every pending remote update into the core's replica;
+    /// returns the updates consumed. An empty log with no prune due
+    /// costs one `pending` load. Otherwise `floor` gives the guard floor
+    /// (a runtime that times replays starts its span there), the log is
+    /// drained and run through [`replay`] under one `open` of the
+    /// replica — `open` hands the writer to the function it is given —
+    /// and, the log run dry, the guard forgets below the floor if a
+    /// prune is due.
+    pub fn replay<NF: NetworkFunction<Flow = S>>(
+        &mut self,
+        nf: &NF,
+        floor: impl FnOnce(&SharedScrPlane<S>) -> u64,
+        open: impl FnOnce(&mut dyn FnMut(ReplicaWriter<'_, S>)),
+    ) -> u64 {
+        let (plane, inbox) = (&self.plane, &mut self.inbox);
+        // A guard that only ever publishes still has to prune.
+        if plane.pending(self.core) == 0 && !self.guard.prune_due() {
+            return 0;
+        }
+        let floor = floor(plane);
+        let applied = plane.drain(self.core, usize::MAX, |update| inbox.push(update)) as u64;
+        if applied > 0 {
+            let (guard, lag_hist, head) = (&mut self.guard, &mut self.lag_hist, plane.head_seq());
+            open(&mut |replica| {
+                replay(nf, guard, replica, inbox.drain(..), head, lag_hist);
+            });
+        }
+        if self.guard.prune_due() {
+            self.guard.forget_below(floor);
+        }
+        applied
+    }
+
+    /// Extract a completed batch's updates into the op buffer
+    /// ([`NetworkFunction::replicate_updates`] over the batch's table
+    /// context); the caller then resets the context's mutation log.
+    pub fn extract<NF>(
+        &mut self,
+        nf: &NF,
+        pkts: &[Packet],
+        conn: &[bool],
+        ctx: &dyn FlowStateApi<S>,
+    ) where
+        NF: NetworkFunction<Flow = S>,
+    {
+        self.ops.clear();
+        nf.replicate_updates(pkts, conn, ctx, &mut self.ops);
+    }
+
+    /// Multicast the extracted ops: claim their sequence range once,
+    /// note each in the guard before any send (a slower remote update
+    /// must never downgrade a newer local write), and send the run to
+    /// every other core `live` vouches for, cloned for all but the last.
+    /// A refused copy asks `full` — handed this port and the peer —
+    /// whether to retry or abandon it. Returns the copies that landed.
+    pub fn publish(
+        &mut self,
+        live: impl Fn(usize) -> bool,
+        mut full: impl FnMut(&mut Self, usize) -> Backoff,
+    ) -> u64 {
+        if self.ops.is_empty() {
+            return 0;
+        }
+        let mut ops = std::mem::take(&mut self.ops);
+        let first = self.plane.claim_seqs(ops.len() as u64);
+        for (seq, op) in (first..).zip(&ops) {
+            let is_del = matches!(op, UpdateOp::Del(_));
+            self.guard.note_local(*op.key(), seq, is_del);
+        }
+        let me = self.core;
+        let mut peers = (0..self.plane.num_cores())
+            .filter(|&peer| peer != me && live(peer))
+            .peekable();
+        let mut sent = 0;
+        while let Some(peer) = peers.next() {
+            sent += match peers.peek() {
+                Some(_) => self.send(peer, first, ops.iter().cloned(), &mut full),
+                None => self.send(peer, first, ops.drain(..), &mut full),
+            };
+        }
+        ops.clear();
+        self.ops = ops;
+        sent
+    }
+
+    /// Send one run, numbered from `first`, to `peer`'s log, backing off
+    /// through `full`; returns the copies that landed.
+    fn send(
+        &mut self,
+        peer: usize,
+        first: u64,
+        ops: impl ExactSizeIterator<Item = UpdateOp<S>>,
+        full: &mut impl FnMut(&mut Self, usize) -> Backoff,
+    ) -> u64 {
+        let (origin, run) = (self.core, ops.len() as u64);
+        let mut rest = ops.enumerate().map(|(i, op)| StateUpdate {
+            seq: first + i as u64,
+            origin,
+            op,
+        });
+        let mut held = None;
+        loop {
+            held = self.plane.try_send_from(peer, held, &mut rest);
+            if held.is_none() {
+                return run;
+            }
+            if full(self, peer) == Backoff::Abandon {
+                self.plane.count_drop();
+                return run - 1 - rest.len() as u64;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //!   behaviour with `LocalTables` under the same operation script.
 //!
 //! Two more levels hold the SCR replay plane to its contracts: replica
-//! convergence under any drain schedule, and the guard floor — a
-//! version guard that forgets below the floor gives every verdict an
-//! unpruned one gives.
+//! convergence under any replay schedule, published and replayed
+//! through the runtimes' own per-core port (`ScrPort`), and the guard
+//! floor — a version guard that forgets below the floor gives every
+//! verdict an unpruned one gives.
 //!
 //! The model stores flow state by value; ownership (which core's table
 //! holds a key) is always derivable as `designated_for_key` under the
@@ -25,13 +26,15 @@ use std::collections::{BTreeMap, VecDeque};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sprayer::api::{FlowStateApi, InsertOutcome};
+use sprayer::api::{FlowStateApi, InsertOutcome, NetworkFunction, NfDescriptor, Verdict};
 use sprayer::config::DispatchMode;
 use sprayer::coremap::CoreMap;
 use sprayer::flowtable::FlowTable;
-use sprayer::scr::{Admission, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp};
-use sprayer::tables::{LocalTables, SharedTables};
-use sprayer_net::{FiveTuple, FlowKey};
+use sprayer::scr::{
+    Admission, Backoff, ScrPort, ScrReplica, SharedScrPlane, StateUpdate, UpdateOp,
+};
+use sprayer::tables::{LocalTables, SharedCtx, SharedTables};
+use sprayer_net::{FiveTuple, FlowKey, Packet};
 
 /// Small key universe so interleavings collide: replaces, re-inserts
 /// after remove, and probe-chain reuse all happen at 128 cases.
@@ -432,49 +435,109 @@ proptest! {
 
 const SCR_CORES: usize = 4;
 
-/// A write made by the NF on some (sprayed-to) core, or a slice of a
-/// ring-drain schedule. The schedule is what varies between runs in the
-/// threaded runtime: workers replay their inboxes at arbitrary points
-/// relative to each other's publishes.
+/// A write made by the NF on some (sprayed-to) core, or a core's replay.
+/// The schedule is what varies between runs in the threaded runtime:
+/// workers replay their inboxes at arbitrary points relative to each
+/// other's publishes.
 #[derive(Debug, Clone)]
 enum ScrOp {
     /// `origin % SCR_CORES` writes `key(k) = v` locally and multicasts.
     Put(u8, u8, u64),
     /// `origin % SCR_CORES` removes `key(k)` locally and multicasts.
     Del(u8, u8),
-    /// `core % SCR_CORES` replays at most `n` pending remote updates.
-    Drain(u8, u8),
+    /// `core % SCR_CORES` replays its log.
+    Drain(u8),
 }
 
 fn arb_scr_op() -> impl Strategy<Value = ScrOp> {
     prop_oneof![
         (any::<u8>(), any::<u8>(), any::<u64>()).prop_map(|(c, k, v)| ScrOp::Put(c, k, v)),
         (any::<u8>(), any::<u8>()).prop_map(|(c, k)| ScrOp::Del(c, k)),
-        (any::<u8>(), any::<u8>()).prop_map(|(c, n)| ScrOp::Drain(c, n)),
+        any::<u8>().prop_map(ScrOp::Drain),
     ]
 }
 
-/// Replay `n` updates (all of them for `n == None`) from `core`'s inbox
-/// through its version guard into its full-replica table. The model NF
-/// is plain LWW, so only `Fresh` admissions write (`Concurrent` keeps
-/// the newer existing value, matching the runtimes' default
-/// `merge_replica`).
-fn scr_drain(
-    plane: &SharedScrPlane<u64>,
-    replicas: &mut [ScrReplica],
-    tables: &SharedTables<u64>,
-    core: usize,
-    n: Option<usize>,
-) {
-    let mut left = n.unwrap_or(usize::MAX);
-    while left > 0 {
-        let Some(update) = plane.pop(core) else {
-            break;
-        };
-        left -= 1;
-        let is_del = matches!(update.op, UpdateOp::Del(_));
-        if replicas[core].admit(*update.op.key(), update.seq, is_del) == Admission::Fresh {
-            tables.apply_replica(core, &update.op);
+/// The model NF: the default hooks only — `replicate_updates` ships the
+/// batch's written values and removals, `merge_replica` is plain
+/// last-writer-wins.
+struct ModelNf;
+
+impl NetworkFunction for ModelNf {
+    type Flow = u64;
+    fn descriptor(&self) -> NfDescriptor {
+        NfDescriptor::named("model")
+    }
+    fn connection_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u64>) -> Verdict {
+        Verdict::Forward
+    }
+    fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u64>) -> Verdict {
+        Verdict::Forward
+    }
+}
+
+/// Full-replica tables and one port per core, driven as the runtimes
+/// drive them.
+struct ScrWorld {
+    tables: SharedTables<u64>,
+    ports: Vec<ScrPort<u64>>,
+}
+
+impl ScrWorld {
+    fn new(log_capacity: usize) -> Self {
+        let map = CoreMap::new(DispatchMode::Scr, SCR_CORES);
+        let plane = SharedScrPlane::new(SCR_CORES, log_capacity);
+        ScrWorld {
+            tables: SharedTables::new(map, 1024),
+            ports: (0..SCR_CORES).map(|core| plane.port(core)).collect(),
+        }
+    }
+
+    fn plane(&self) -> &SharedScrPlane<u64> {
+        self.ports[0].plane()
+    }
+
+    /// `core` makes one write through its table context and ships it as
+    /// a runtime ships a batch. A full peer log drops the copy: the
+    /// overflow property's subject (the convergence property's logs
+    /// never fill). Returns what `write` returned.
+    fn write<R>(&mut self, core: usize, write: impl FnOnce(&mut SharedCtx<u64>) -> R) -> R {
+        let mut ctx = self.tables.ctx(core);
+        let wrote = write(&mut ctx);
+        let port = &mut self.ports[core];
+        port.extract(&ModelNf, &[], &[], &ctx);
+        ctx.clear_batch_log();
+        port.publish(|_| true, |_, _| Backoff::Abandon);
+        wrote
+    }
+
+    /// `core` replays its whole log. Every publish lands on its peers'
+    /// logs within one call, so the global head is the guard floor.
+    fn replay(&mut self, core: usize) {
+        let tables = &self.tables;
+        let floor = SharedScrPlane::head_seq;
+        self.ports[core].replay(&ModelNf, floor, |run| tables.replica(core, run));
+    }
+
+    /// Apply one scripted op; returns the write the sequential
+    /// reference should see — `None` for a replay, and for a removal
+    /// that found nothing to remove (nothing is published then).
+    fn step(&mut self, op: &ScrOp) -> Option<(FlowKey, Option<u64>)> {
+        match *op {
+            ScrOp::Put(c, k, v) => {
+                self.write(usize::from(c) % SCR_CORES, |ctx| {
+                    ctx.insert_local_flow(key(k), v);
+                });
+                Some((key(k), Some(v)))
+            }
+            ScrOp::Del(c, k) => self
+                .write(usize::from(c) % SCR_CORES, |ctx| {
+                    ctx.remove_local_flow(&key(k))
+                })
+                .map(|_| (key(k), None)),
+            ScrOp::Drain(c) => {
+                self.replay(usize::from(c) % SCR_CORES);
+                None
+            }
         }
     }
 }
@@ -491,51 +554,36 @@ proptest! {
     fn scr_replicas_converge_to_designated_core_state(
         ops in vec(arb_scr_op(), 0..300),
     ) {
-        let map = CoreMap::new(DispatchMode::Scr, SCR_CORES);
-        let tables: SharedTables<u64> = SharedTables::new(map, 1024);
         // Capacity above the op count: overflow drops lose updates by
         // design and are covered by the conservation property below.
-        let plane: SharedScrPlane<u64> = SharedScrPlane::new(SCR_CORES, 1024);
-        let mut replicas: Vec<ScrReplica> = (0..SCR_CORES).map(|_| ScrReplica::new()).collect();
-        let alive = [true; SCR_CORES];
+        let mut world = ScrWorld::new(1024);
         let mut reference: BTreeMap<FlowKey, u64> = BTreeMap::new();
 
         for op in &ops {
-            match *op {
-                ScrOp::Put(c, k, v) => {
-                    let core = usize::from(c) % SCR_CORES;
-                    let op = UpdateOp::Put(key(k), v);
-                    tables.apply_replica(core, &op);
-                    let seq = plane.publish(core, &op, &alive);
-                    replicas[core].note_local(key(k), seq, false);
-                    reference.insert(key(k), v);
+            match world.step(op) {
+                Some((key, Some(v))) => {
+                    reference.insert(key, v);
                 }
-                ScrOp::Del(c, k) => {
-                    let core = usize::from(c) % SCR_CORES;
-                    let op: UpdateOp<u64> = UpdateOp::Del(key(k));
-                    tables.apply_replica(core, &op);
-                    let seq = plane.publish(core, &op, &alive);
-                    replicas[core].note_local(key(k), seq, true);
-                    reference.remove(&key(k));
+                Some((key, None)) => {
+                    reference.remove(&key);
                 }
-                ScrOp::Drain(c, n) => {
-                    let core = usize::from(c) % SCR_CORES;
-                    scr_drain(&plane, &mut replicas, &tables, core, Some(usize::from(n)));
-                }
+                None => {}
             }
         }
         // Quiesce: every core replays its whole inbox, in core order —
         // any drain order must yield the same fixpoint.
         for core in 0..SCR_CORES {
-            scr_drain(&plane, &mut replicas, &tables, core, None);
-            prop_assert_eq!(plane.pending(core), 0);
+            world.replay(core);
+            prop_assert_eq!(world.plane().pending(core), 0);
         }
         // Nothing dropped, and the conservation identity closes.
+        let plane = world.plane();
         prop_assert_eq!(plane.dropped(), 0);
         prop_assert_eq!(plane.published(), plane.applied());
 
         // Bit-identical convergence: every core agrees with the
         // sequential reference on the full key universe.
+        let tables = &world.tables;
         for k in 0..64u8 {
             let key = key(k);
             let want = reference.get(&key).copied();
@@ -561,41 +609,20 @@ proptest! {
         ops in vec(arb_scr_op(), 0..300),
         capacity in 1usize..8,
     ) {
-        let map = CoreMap::new(DispatchMode::Scr, SCR_CORES);
-        let tables: SharedTables<u64> = SharedTables::new(map, 1024);
-        let plane: SharedScrPlane<u64> = SharedScrPlane::new(SCR_CORES, capacity);
-        let mut replicas: Vec<ScrReplica> = (0..SCR_CORES).map(|_| ScrReplica::new()).collect();
-        let alive = [true; SCR_CORES];
+        let mut world = ScrWorld::new(capacity);
 
         for op in &ops {
-            match *op {
-                ScrOp::Put(c, k, v) => {
-                    let core = usize::from(c) % SCR_CORES;
-                    let op = UpdateOp::Put(key(k), v);
-                    tables.apply_replica(core, &op);
-                    let seq = plane.publish(core, &op, &alive);
-                    replicas[core].note_local(key(k), seq, false);
-                }
-                ScrOp::Del(c, k) => {
-                    let core = usize::from(c) % SCR_CORES;
-                    let op: UpdateOp<u64> = UpdateOp::Del(key(k));
-                    tables.apply_replica(core, &op);
-                    let seq = plane.publish(core, &op, &alive);
-                    replicas[core].note_local(key(k), seq, true);
-                }
-                ScrOp::Drain(c, n) => {
-                    let core = usize::from(c) % SCR_CORES;
-                    scr_drain(&plane, &mut replicas, &tables, core, Some(usize::from(n)));
-                }
-            }
+            world.step(op);
             // The identity is closed mid-run too: pending updates are the
             // only difference between attempts and outcomes.
+            let plane = world.plane();
             let pending: u64 = (0..SCR_CORES).map(|c| plane.pending(c) as u64).sum();
             prop_assert_eq!(plane.published(), plane.applied() + plane.dropped() + pending);
         }
         for core in 0..SCR_CORES {
-            scr_drain(&plane, &mut replicas, &tables, core, None);
+            world.replay(core);
         }
+        let plane = world.plane();
         prop_assert_eq!(plane.published(), plane.applied() + plane.dropped());
     }
 }

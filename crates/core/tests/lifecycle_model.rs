@@ -5,8 +5,9 @@
 //! leave the table through idle-timeout sweeps and the bounded-memory
 //! LRU backstop — both of which ship their `Del`s through the same
 //! per-batch mutation log as NF writes. Under arbitrary interleavings
-//! of all four mutation kinds plus partial ring-drain schedules, three
-//! properties must hold:
+//! of all four mutation kinds plus replay schedules — published and
+//! replayed through the runtimes' own per-core port — three properties
+//! must hold:
 //!
 //! * **convergence** — once every log drains, all replicas are
 //!   bit-identical and agree with the sequential publish-order
@@ -22,13 +23,15 @@ use std::collections::BTreeMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sprayer::api::{EvictReason, FlowStateApi, InsertOutcome};
+use sprayer::api::{
+    EvictReason, FlowStateApi, InsertOutcome, NetworkFunction, NfDescriptor, Verdict,
+};
 use sprayer::config::DispatchMode;
 use sprayer::config::LifecycleConfig;
 use sprayer::coremap::CoreMap;
-use sprayer::scr::{Admission, ScrReplica, SharedScrPlane, UpdateOp};
+use sprayer::scr::{Backoff, ScrPort, SharedScrPlane};
 use sprayer::tables::{SharedCtx, SharedTables};
-use sprayer_net::{FiveTuple, FlowKey};
+use sprayer_net::{FiveTuple, FlowKey, Packet};
 
 const CORES: usize = 4;
 /// Small enough that the 64-key universe hits the LRU backstop
@@ -61,8 +64,8 @@ enum LifeOp {
     /// `core % CORES` sweeps its table for idle entries (under SCR only
     /// keys rendezvous-designated to it actually expire there).
     Sweep(u8),
-    /// `core % CORES` replays at most `n` pending remote updates.
-    Drain(u8, u8),
+    /// `core % CORES` replays its log.
+    Drain(u8),
 }
 
 fn arb_life_op() -> impl Strategy<Value = LifeOp> {
@@ -72,18 +75,36 @@ fn arb_life_op() -> impl Strategy<Value = LifeOp> {
         (any::<u8>(), any::<u8>()).prop_map(|(c, k)| LifeOp::Touch(c, k)),
         (any::<u8>(), any::<u8>()).prop_map(|(c, n)| LifeOp::Tick(c, n)),
         any::<u8>().prop_map(LifeOp::Sweep),
-        (any::<u8>(), any::<u8>()).prop_map(|(c, n)| LifeOp::Drain(c, n)),
+        any::<u8>().prop_map(LifeOp::Drain),
     ]
+}
+
+/// The model NF: the default hooks only — `replicate_updates` ships the
+/// batch's written values and removals, `merge_replica` is plain
+/// last-writer-wins.
+struct ModelNf;
+
+impl NetworkFunction for ModelNf {
+    type Flow = u64;
+    fn descriptor(&self) -> NfDescriptor {
+        NfDescriptor::named("model")
+    }
+    fn connection_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u64>) -> Verdict {
+        Verdict::Forward
+    }
+    fn regular_packets(&self, _: &mut Packet, _: &mut dyn FlowStateApi<u64>) -> Verdict {
+        Verdict::Forward
+    }
 }
 
 /// The replication fixture: full-replica tables with the lifecycle on,
 /// one long-lived ctx per worker (the logs live in the ctx, as in the
-/// threaded runtime), the multicast plane, and per-core version guards.
+/// threaded runtime), the multicast plane, and one port per core.
 struct Fixture {
     tables: SharedTables<u64>,
     ctxs: Vec<SharedCtx<u64>>,
     plane: SharedScrPlane<u64>,
-    replicas: Vec<ScrReplica>,
+    ports: Vec<ScrPort<u64>>,
     /// Per-core lazy lifecycle clocks (simulated µs, monotone).
     clocks: [u64; CORES],
     /// Sequential reference: every published op applied in seq order.
@@ -99,11 +120,12 @@ impl Fixture {
         let tables: SharedTables<u64> =
             SharedTables::with_lifecycle(map, CAPACITY, LifecycleConfig::bounded(IDLE_TIMEOUT_US));
         let ctxs: Vec<SharedCtx<u64>> = (0..CORES).map(|c| tables.ctx(c)).collect();
+        let plane = SharedScrPlane::new(CORES, 8192);
         Fixture {
             tables,
             ctxs,
-            plane: SharedScrPlane::new(CORES, 8192),
-            replicas: (0..CORES).map(|_| ScrReplica::new()).collect(),
+            ports: (0..CORES).map(|core| plane.port(core)).collect(),
+            plane,
             clocks: [0; CORES],
             reference: BTreeMap::new(),
             hooks_idle: 0,
@@ -111,41 +133,25 @@ impl Fixture {
         }
     }
 
-    /// What the runtime does after every batch: run the default
-    /// `replicate_updates` over the ctx's mutation log (deduped, Put
-    /// with the current state when present, Del otherwise), publish,
+    /// What the runtime does after every batch: extract the batch's
+    /// updates from the ctx's mutation log through the port, publish,
     /// reset the log, and harvest staged evictions for the hook path.
+    /// The reference takes the same writes in publish order: each
+    /// logged key's current state, `None` meaning a removal.
     fn flush(&mut self, core: usize) {
-        let mut keys: Vec<FlowKey> = Vec::new();
-        for k in self.ctxs[core]
-            .written_keys()
-            .iter()
-            .chain(self.ctxs[core].removed_keys())
-        {
-            if !keys.contains(k) {
-                keys.push(*k);
-            }
-        }
-        let alive = [true; CORES];
-        for k in keys {
-            let op: UpdateOp<u64> = match self.ctxs[core].get_local_flow(&k) {
-                Some(state) => UpdateOp::Put(k, state),
-                None => UpdateOp::Del(k),
+        let ctx = &mut self.ctxs[core];
+        for k in ctx.written_keys().iter().chain(ctx.removed_keys()) {
+            match ctx.get_local_flow(k) {
+                Some(state) => self.reference.insert(*k, state),
+                None => self.reference.remove(k),
             };
-            let is_del = matches!(op, UpdateOp::Del(_));
-            match &op {
-                UpdateOp::Put(k, v) => {
-                    self.reference.insert(*k, *v);
-                }
-                UpdateOp::Del(k) => {
-                    self.reference.remove(k);
-                }
-            }
-            let seq = self.plane.publish(core, &op, &alive);
-            self.replicas[core].note_local(k, seq, is_del);
         }
-        self.ctxs[core].clear_batch_log();
-        for (_key, _state, reason) in self.ctxs[core].take_evictions() {
+        let port = &mut self.ports[core];
+        port.extract(&ModelNf, &[], &[], ctx);
+        // The logs never fill here: nothing is ever abandoned.
+        port.publish(|_| true, |_, _| Backoff::Abandon);
+        ctx.clear_batch_log();
+        for (_key, _state, reason) in ctx.take_evictions() {
             match reason {
                 EvictReason::Idle => self.hooks_idle += 1,
                 EvictReason::Capacity => self.hooks_capacity += 1,
@@ -153,20 +159,13 @@ impl Fixture {
         }
     }
 
-    /// Replay up to `n` updates (all for `None`) from `core`'s inbox
-    /// through its version guard, as `flowtable_model.rs` does.
-    fn drain(&mut self, core: usize, n: Option<usize>) {
-        let mut left = n.unwrap_or(usize::MAX);
-        while left > 0 {
-            let Some(update) = self.plane.pop(core) else {
-                break;
-            };
-            left -= 1;
-            let is_del = matches!(update.op, UpdateOp::Del(_));
-            if self.replicas[core].admit(*update.op.key(), update.seq, is_del) == Admission::Fresh {
-                self.tables.apply_replica(core, &update.op);
-            }
-        }
+    /// `core` replays its whole log through its port. Every publish
+    /// lands on its peers' logs within one call, so the global head is
+    /// the guard floor.
+    fn replay(&mut self, core: usize) {
+        let tables = &self.tables;
+        let floor = SharedScrPlane::head_seq;
+        self.ports[core].replay(&ModelNf, floor, |run| tables.replica(core, run));
     }
 
     fn conservation_holds(&self) -> bool {
@@ -178,10 +177,9 @@ impl Fixture {
 }
 
 proptest! {
-    /// The tentpole's lifecycle correctness property: arbitrary
-    /// interleavings of inserts (with LRU-backstop evictions), FIN
-    /// teardowns, write-touches, clock skew, idle sweeps, and partial
-    /// drains converge every SCR replica to the same table, conserve
+    /// The lifecycle correctness property: arbitrary interleavings of
+    /// inserts (with LRU-backstop evictions), FIN teardowns,
+    /// write-touches, clock skew, idle sweeps, and replays converge every SCR replica to the same table, conserve
     /// every flow entry at every step, and stage every eviction for the
     /// hook exactly once.
     #[test]
@@ -220,10 +218,7 @@ proptest! {
                     fx.ctxs[core].sweep_idle(now);
                     fx.flush(core);
                 }
-                LifeOp::Drain(c, n) => {
-                    let core = usize::from(c) % CORES;
-                    fx.drain(core, Some(usize::from(n)));
-                }
+                LifeOp::Drain(c) => fx.replay(usize::from(c) % CORES),
             }
             // Conservation closes after *every* operation: an entry
             // leaving any table lands in exactly one reason counter the
@@ -233,7 +228,7 @@ proptest! {
 
         // Quiesce: every core replays its whole inbox.
         for core in 0..CORES {
-            fx.drain(core, None);
+            fx.replay(core);
             prop_assert_eq!(fx.plane.pending(core), 0);
         }
         prop_assert_eq!(fx.plane.dropped(), 0);
@@ -282,7 +277,7 @@ fn idle_sweep_and_lru_backstop_replicate_their_dels() {
         fx.flush(0);
     }
     for core in 0..CORES {
-        fx.drain(core, None);
+        fx.replay(core);
     }
     assert_eq!(fx.tables.entries_on(0), CAPACITY);
 
@@ -293,7 +288,7 @@ fn idle_sweep_and_lru_backstop_replicate_their_dels() {
     );
     fx.flush(0);
     for core in 0..CORES {
-        fx.drain(core, None);
+        fx.replay(core);
         assert_eq!(
             fx.tables.entries_on(core),
             CAPACITY,
@@ -313,7 +308,7 @@ fn idle_sweep_and_lru_backstop_replicate_their_dels() {
         fx.flush(core);
     }
     for core in 0..CORES {
-        fx.drain(core, None);
+        fx.replay(core);
         assert_eq!(fx.tables.entries_on(core), 0, "replica {core} must empty");
     }
     let c = fx.tables.counters();
