@@ -28,9 +28,10 @@
 //! on threads a packet's arrival is its ingress burst's clock read
 //! (never later than its push) and its start and end are its batch's.
 //! Completions arrive a batch at a time (`ObsLane::complete_batch`):
-//! the per-packet planes are fed packet by packet, the reorder sketch
-//! once per batch — it observes batch-completion order, which is the
-//! order the timestamps already tell.
+//! the trace gets every packet's events, the latency and tail planes
+//! every run of equal timings once, with its length, and the reorder
+//! sketch the whole batch — it observes batch-completion order, which
+//! is the order the timestamps already tell.
 
 use crate::config::ObsConfig;
 use crate::stats::MiddleboxStats;
@@ -39,8 +40,9 @@ use sprayer_obs::{
     health_channel, health_kind_code, is_freeze_trigger, CoreSample, DropKind, EventKind,
     ExpectedCounts, FlightEvent, FlightFreeze, FlightKind, FlightRing, FlightSnapshot, HealthBus,
     HealthCollector, HealthEvent, HealthReport, LatencyProbes, LiveSlots, ProfileSlots,
-    ReorderReport, SampleSet, SharedReorderSketch, Stage, StageProfile, StageProfiler, TailReport,
-    TailSpans, TailTracker, TimeSeries, Trace, TraceEvent, TraceMeta, TraceRing,
+    ReorderReport, ReorderScratch, SampleSet, SharedReorderSketch, Stage, StageProfile,
+    StageProfiler, TailReport, TailSpans, TailTracker, TimeSeries, Trace, TraceEvent, TraceMeta,
+    TraceRing,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,8 +66,9 @@ pub(crate) struct ObsHub {
     frozen: AtomicBool,
     freeze: Mutex<Option<FlightFreeze>>,
     /// Global trace-event sequence: one relaxed `fetch_add` per
-    /// recorded event, untouched when tracing is off or the event's
-    /// ring is full.
+    /// reservation (an ingress burst, a worker batch) and per event
+    /// recorded outside one; untouched when tracing is off or the
+    /// event's ring is full.
     trace_seq: AtomicU64,
     /// Slots an outside observer polls while the run executes: sampled
     /// batch deltas and profiled spans are mirrored into them.
@@ -92,6 +95,11 @@ pub(crate) struct ObsLane {
     trace: Option<TraceRing>,
     /// Sequence numbers taken ahead for this lane's next events.
     reserved: Range<u64>,
+    /// `trace_seq` claims this lane made, for the runtimes' census.
+    #[cfg(test)]
+    seq_claims: u64,
+    /// Where a completed batch is partitioned by reorder-sketch shard.
+    reorder_scratch: ReorderScratch,
     probes: Option<LatencyProbes>,
     tail: Option<TailTracker>,
     live: Option<Arc<LiveSlots>>,
@@ -123,8 +131,37 @@ pub(crate) struct Completion {
     pub tx: u64,
 }
 
+impl Completion {
+    /// Everything but the packet's identity and verdict: what the
+    /// latency and tail planes read.
+    #[inline]
+    fn timing(&self) -> (u64, Option<u64>, u64, u64, u64, u64) {
+        (
+            self.arrival,
+            self.relay,
+            self.start,
+            self.done,
+            self.classify,
+            self.tx,
+        )
+    }
+
+    /// Queue wait and ring transit: a redirected packet's wait splits
+    /// at its ring push.
+    #[inline]
+    fn waits(&self) -> (u64, u64) {
+        match self.relay {
+            Some(at) => (
+                at.saturating_sub(self.arrival),
+                self.start.saturating_sub(at),
+            ),
+            None => (self.start.saturating_sub(self.arrival), 0),
+        }
+    }
+}
+
 /// Everything a run observed; a field is `Some` iff its plane was on.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ObsReport {
     /// Every lane's ring merged in global sequence order and stamped
     /// with the final stats ([`ObsConfig::trace`]).
@@ -198,6 +235,9 @@ impl ObsHub {
                 .trace
                 .then(|| TraceRing::new(cfg.trace_ring_capacity * ring_cores)),
             reserved: 0..0,
+            #[cfg(test)]
+            seq_claims: 0,
+            reorder_scratch: ReorderScratch::default(),
             probes: (datapath && cfg.latency).then(LatencyProbes::new),
             tail: (datapath && cfg.tail)
                 .then(|| TailTracker::new(self.num_cores, cfg.tail_threshold_ticks)),
@@ -374,10 +414,16 @@ impl ObsLane {
             if !ring.admit() {
                 return;
             }
-            let seq = self
-                .reserved
-                .next()
-                .unwrap_or_else(|| self.hub.trace_seq.fetch_add(1, Ordering::Relaxed));
+            let seq = match self.reserved.next() {
+                Some(seq) => seq,
+                None => {
+                    #[cfg(test)]
+                    {
+                        self.seq_claims += 1;
+                    }
+                    self.hub.trace_seq.fetch_add(1, Ordering::Relaxed)
+                }
+            };
             ring.push(TraceEvent {
                 seq,
                 ts,
@@ -411,23 +457,47 @@ impl ObsLane {
         self.trace.is_some()
     }
 
+    /// `trace_seq` claims this lane has made so far.
+    #[cfg(test)]
+    pub fn seq_claims(&self) -> u64 {
+        self.seq_claims
+    }
+
     /// Allocate this lane's next `n` trace events their sequence
-    /// numbers now, with one `fetch_add`. A thread that hands packets
-    /// to another calls this *before* the hand-off, so the receiver's
-    /// first event for each packet (whose sequence is allocated after
-    /// it takes the packet) always sorts after this lane's. Only what
-    /// the ring still has room for is reserved: the rest will be
-    /// refused (and counted) when it comes.
+    /// numbers now, with one `fetch_add`: the ingress thread per burst,
+    /// a worker per batch. A thread that hands packets to another calls
+    /// this *before* the hand-off, and a thread that takes packets
+    /// *after* it took them, so the receiver's first event for each
+    /// packet always sorts after the sender's last. Only what the ring
+    /// still has room for is reserved: the rest will be refused (and
+    /// counted) when it comes. What the previous reservation left
+    /// unused (a batch whose NF died) is abandoned, its numbers never
+    /// used.
     #[inline]
     pub fn reserve_seqs(&mut self, n: u64) {
-        if let Some(ring) = self.trace.as_ref() {
-            debug_assert!(self.reserved.is_empty(), "reservation left unused");
-            let k = n.min(ring.room() as u64);
-            if k > 0 {
+        if let Some(room) = self.trace.as_ref().map(TraceRing::room) {
+            let k = n.min(room as u64);
+            self.reserved = if k > 0 {
+                #[cfg(test)]
+                {
+                    self.seq_claims += 1;
+                }
                 let first = self.hub.trace_seq.fetch_add(k, Ordering::Relaxed);
-                self.reserved = first..first + k;
-            }
+                first..first + k
+            } else {
+                0..0
+            };
         }
+    }
+
+    /// Put `seqs` in place of the lane's reservation and return what it
+    /// held: a batch that runs nested inside another (a worker draining
+    /// its own ring while it waits to redirect) takes packets the outer
+    /// reservation predates, so it must reserve its own and leave the
+    /// outer's for the outer batch.
+    #[inline]
+    pub fn swap_seqs(&mut self, seqs: Range<u64>) -> Range<u64> {
+        std::mem::replace(&mut self.reserved, seqs)
     }
 
     /// Packet `id` was admitted to `core`'s receive queue.
@@ -523,51 +593,68 @@ impl ObsLane {
     /// `RedirectIn` (if it was redirected), `NfStart` and `NfDone`
     /// trace events, its latency samples and its tail spans — which
     /// partition its sojourn; the batch as a whole takes its place in
-    /// its flows' completion order.
+    /// its flows' completion order. Consecutive packets with equal
+    /// timings — on threads a whole receive batch shares its arrival,
+    /// start and end — are one run to the latency and tail planes,
+    /// recorded once with its length.
     #[inline]
     pub fn complete_batch<I>(&mut self, core: usize, batch: I)
     where
         I: IntoIterator<Item = Completion>,
         I::IntoIter: Clone,
     {
-        let batch = batch.into_iter();
+        let mut batch = batch.into_iter();
         // Streaming reorder estimate: completion order vs arrival
         // ordinal, the same (flow, id) pairs the offline analyzer
         // inverts over. Packets without a parseable tuple (flow 0) are
         // skipped on both sides.
         if let Some(sketch) = self.hub.reorder.as_ref() {
             let pairs = batch.clone().filter(|c| c.flow != 0);
-            sketch.on_complete_batch(core, pairs.map(|c| (c.flow, c.id)));
+            let pairs = pairs.map(|c| (c.flow, c.id));
+            sketch.on_complete_batch(core, pairs, &mut self.reorder_scratch);
         }
+        if self.tracing() {
+            for c in batch.clone() {
+                let (_, transit) = c.waits();
+                if c.relay.is_some() {
+                    self.emit(core, c.start, EventKind::RedirectIn, c.flow, c.id, transit);
+                }
+                self.emit(core, c.start, EventKind::NfStart, c.flow, c.id, 0);
+                let verdict = u64::from(c.dropped);
+                self.emit(core, c.done, EventKind::NfDone, c.flow, c.id, verdict);
+            }
+        }
+        if self.probes.is_none() && self.tail.is_none() {
+            return;
+        }
+        let Some(mut head) = batch.next() else {
+            return;
+        };
+        let mut n = 1;
         for c in batch {
-            self.complete(core, &c);
+            if c.timing() == head.timing() {
+                n += 1;
+            } else {
+                self.record_run(core, &head, n);
+                (head, n) = (c, 1);
+            }
         }
+        self.record_run(core, &head, n);
     }
 
-    /// One packet of [`ObsLane::complete_batch`]: everything but the
-    /// reorder sketch.
+    /// `n` completions timed like `c`, into the latency and tail planes.
     #[inline]
-    fn complete(&mut self, core: usize, c: &Completion) {
-        // A redirected packet's wait splits at its ring push.
-        let (queue_wait, transit) = match c.relay {
-            Some(at) => (at.saturating_sub(c.arrival), c.start.saturating_sub(at)),
-            None => (c.start.saturating_sub(c.arrival), 0),
-        };
+    fn record_run(&mut self, core: usize, c: &Completion, n: u64) {
+        let (queue_wait, transit) = c.waits();
         let sojourn = c.done.saturating_sub(c.arrival);
-        if c.relay.is_some() {
-            self.emit(core, c.start, EventKind::RedirectIn, c.flow, c.id, transit);
-        }
-        self.emit(core, c.start, EventKind::NfStart, c.flow, c.id, 0);
-        let verdict = u64::from(c.dropped);
-        self.emit(core, c.done, EventKind::NfDone, c.flow, c.id, verdict);
         if let Some(p) = self.probes.as_mut() {
             // Redirected packets report ring latency where local ones
             // report queue wait (admission to NF start).
             match c.relay {
-                Some(_) => p.redirect_ns.record(transit / self.ticks_per_ns),
-                None => p.queue_wait_ns.record(queue_wait / self.ticks_per_ns),
+                Some(_) => p.redirect_ns.record_n(transit / self.ticks_per_ns, n),
+                None => p.queue_wait_ns.record_n(queue_wait / self.ticks_per_ns, n),
             }
-            p.sojourn_ns.record(sojourn / self.ticks_per_ns);
+            p.sojourn_ns.record_n(sojourn / self.ticks_per_ns, n);
         }
         if let Some(tail) = self.tail.as_mut() {
             let spans = TailSpans {
@@ -577,7 +664,7 @@ impl ObsLane {
                 nf: sojourn.saturating_sub(queue_wait + transit + c.classify + c.tx),
                 tx: c.tx,
             };
-            tail.on_complete(core, spans);
+            tail.on_complete_n(core, spans, n);
         }
     }
 
@@ -808,6 +895,67 @@ mod tests {
         assert_eq!(p.redirect_ns.max(), Some(7));
         assert_eq!(p.sojourn_ns.max(), Some(11));
         assert_eq!(p.sojourn_ns.count(), 2);
+    }
+
+    /// Runs of equal timings are recorded once with their length, and
+    /// the reorder sketch takes a sharded batch in one partition: fed
+    /// the same completions one at a time, a lane must report the same
+    /// — every plane `complete_batch` feeds, field for field. 600
+    /// completions cross the rolling tail threshold's 256-completion
+    /// recompute twice, inside runs.
+    #[test]
+    fn a_batch_reports_what_its_completions_do_one_at_a_time() {
+        let cfg = ObsConfig {
+            trace: true,
+            latency: true,
+            reorder: true,
+            tail: true,
+            ..ObsConfig::disabled()
+        };
+        let completions: Vec<Completion> = (0..600u64)
+            .map(|i| {
+                // Arrivals come in bursts of 7, a third of them
+                // redirected; service windows in batches of 64.
+                let (burst, batch) = (i / 7, i / 64);
+                let start = 1_000 * batch + 700;
+                Completion {
+                    // Reversed in blocks of 32: reordered completions.
+                    id: i ^ 31,
+                    flow: match i % 13 {
+                        0 => 0,
+                        f => f.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    },
+                    arrival: 100 * burst,
+                    relay: (burst % 3 == 0).then_some(100 * burst + 40),
+                    start,
+                    done: start + 50 * (batch % 4) + 5 * (burst % 2),
+                    dropped: i % 11 == 0,
+                    classify: 0,
+                    tx: 0,
+                }
+            })
+            .collect();
+        let report = |feed: &dyn Fn(&mut ObsLane)| {
+            let hub = Arc::new(ObsHub::new(cfg, "threads", 1_000, ("nf", 1_000), 2, 2));
+            let mut lane = hub.lane(0..1, true);
+            feed(&mut lane);
+            hub.finish(vec![lane], &MiddleboxStats::new(2))
+        };
+        let batched = report(&|lane| {
+            for batch in completions.chunks(64) {
+                lane.complete_batch(0, batch.iter().copied());
+            }
+        });
+        let one_by_one = report(&|lane| {
+            for &c in &completions {
+                lane.complete_batch(0, [c]);
+            }
+        });
+        assert_eq!(batched, one_by_one);
+        let (tail, reorder) = (batched.tail.unwrap(), batched.reorder.unwrap());
+        assert!(tail.exemplars > 0 && tail.threshold_ticks < u64::MAX);
+        assert!(reorder.reordered > 0 && reorder.completions < 600);
+        assert_eq!(batched.probes.unwrap().sojourn_ns.count(), 600);
     }
 
     #[test]

@@ -1039,6 +1039,8 @@ impl ThreadedMiddlebox {
         // conservation identity rebalanced), so the final snapshot is
         // the run's total.
         stats.sync_lifecycle(tables.counters(), tables.total_entries());
+        #[cfg(test)]
+        seq_claims::count(lanes.iter().map(ObsLane::seq_claims).sum());
         lanes.push(ingress_lane);
         let report = hub.finish(lanes, &stats);
         ThreadedOutcome {
@@ -1761,6 +1763,10 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             .fetch_sub(n, Ordering::SeqCst);
         self.stats.record_batch(n);
         self.stats.redirected_in += n;
+        // The batch's trace events — its `Drain`, and each packet's
+        // `RedirectIn`, `NfStart` and `NfDone` — in one reservation,
+        // taken after the pops.
+        self.lane.reserve_seqs(1 + 3 * n);
         self.lane.batch(self.id, sample_start, n, depth);
         if flight {
             // One transfer-latency event per redirected descriptor,
@@ -1819,6 +1825,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         }
         self.shared.rx_remaining.fetch_sub(n, Ordering::SeqCst);
         self.stats.record_batch(n);
+        // The batch's trace events — its `Drain`, a `RedirectOut` per
+        // redirect and an `NfStart` and `NfDone` per local — in one
+        // reservation, taken after the pop and before any redirect
+        // leaves.
+        self.lane.reserve_seqs(1 + redirects + 2 * (n - redirects));
         self.lane.batch(self.id, sample_start, n, depth);
         let end_ns = self.process_batch_local(false, sample_start);
         self.close_batch(sample_start, end_ns, depth, 0);
@@ -1862,8 +1873,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                     }
                     // Work conserving: make room in the system (and avoid
                     // two workers deadlocking on each other's full rings)
-                    // by draining our own ring while we wait.
+                    // by draining our own ring while we wait. That batch
+                    // reserves its own trace sequence.
+                    let held = self.lane.swap_seqs(0..0);
                     self.drain_ring();
+                    self.lane.swap_seqs(held);
                     std::thread::yield_now();
                 }
             }
@@ -1910,6 +1924,28 @@ mod clock_reads {
     /// This thread's counts so far, reset to zero.
     pub fn take() -> [u64; 3] {
         COUNTS.with(|c| c.replace([0; 3]))
+    }
+}
+
+/// A census of the claims on the run's trace sequence (one
+/// `fetch_add` each) that the worker lanes of the runs started on this
+/// thread made, so a test can hold a traced worker to one per batch.
+/// The runner folds its workers' lane counts in at the run's end.
+#[cfg(test)]
+mod seq_claims {
+    use std::cell::Cell;
+
+    thread_local! {
+        static CLAIMS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub fn count(n: u64) {
+        CLAIMS.with(|c| c.set(c.get() + n));
+    }
+
+    /// This thread's count so far, reset to zero.
+    pub fn take() -> u64 {
+        CLAIMS.with(|c| c.replace(0))
     }
 }
 
@@ -3145,6 +3181,65 @@ mod tests {
                 id - 1
             );
             last_arrival = arrival;
+        }
+    }
+
+    /// A traced worker claims its batch's trace sequence numbers at
+    /// once: at most one `fetch_add` on the run's sequence per batch
+    /// (a redirect bouncing off a full ring records one event more
+    /// than its batch reserved, and that event claims its own). The
+    /// reservation keeps every packet's life in causal order: in the
+    /// merged trace each `IngressEnqueue` precedes its `NfStart`, and
+    /// each `RedirectOut` its `RedirectIn`.
+    #[test]
+    fn a_traced_worker_claims_its_sequence_once_per_batch() {
+        use sprayer_obs::EventKind;
+        let nf = TrackerNf;
+        let mut config = ThreadedConfig::new(DispatchMode::Sprayer, 2);
+        config.ingress_retries = usize::MAX;
+        config.obs = ObsConfig::tracing();
+        seq_claims::take();
+        let out = ThreadedMiddlebox::run(&config, &nf, eight_thousand(2));
+        let claims = seq_claims::take();
+        let s = &out.stats;
+        assert_eq!(s.unaccounted(), 0, "{s:?}");
+        assert!(
+            s.redirects() > 0,
+            "the SYNs must exercise the redirect path"
+        );
+        let batches: u64 = s.per_core.iter().map(|c| c.batches()).sum();
+        assert!(
+            claims <= batches + s.ring_drops,
+            "{claims} claims over {batches} batches, {} ring drops",
+            s.ring_drops
+        );
+        assert!(claims > 0);
+
+        let trace = out.trace.as_ref().expect("trace requested");
+        assert_eq!(trace.dropped, 0, "default ring fits this run");
+        let analysis = sprayer_obs::analyze(trace);
+        assert!(analysis.conservation.ok(), "{:?}", analysis.conservation);
+        assert_eq!(
+            analysis.conservation.redirect_in,
+            s.redirects() - s.ring_drops
+        );
+        // Walk the trace in sequence order: a packet's later event must
+        // never come before its earlier one.
+        let mut enqueued = vec![false; s.offered as usize];
+        let mut relayed = vec![false; s.offered as usize];
+        for e in &trace.events {
+            let id = e.pkt as usize;
+            match e.kind {
+                EventKind::IngressEnqueue => enqueued[id] = true,
+                EventKind::NfStart => {
+                    assert!(enqueued[id], "packet {id} started before its enqueue")
+                }
+                EventKind::RedirectOut => relayed[id] = true,
+                EventKind::RedirectIn => {
+                    assert!(relayed[id], "packet {id} picked up before it left")
+                }
+                _ => {}
+            }
         }
     }
 

@@ -274,7 +274,7 @@ pub fn health_channel(capacity: usize) -> (HealthBus, HealthCollector) {
 
 /// Everything one run's bus carried, ready for SLO evaluation and
 /// telemetry export.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthReport {
     /// Tick unit of every record's `ts`.
     pub ticks_per_us: u64,

@@ -91,7 +91,7 @@ pub use hist::{
 pub use json::JsonValue;
 pub use profile::{ProfileSlots, Stage, StageProfile, StageProfiler, STAGE_COUNT};
 pub use registry::{MetricsRegistry, TELEMETRY_SCHEMA_VERSION};
-pub use reorder::{ReorderReport, ReorderSketch, SharedReorderSketch};
+pub use reorder::{ReorderReport, ReorderScratch, ReorderSketch, SharedReorderSketch};
 pub use ring::{ExpectedCounts, Trace, TraceMeta, TraceRing};
 pub use sampler::{LiveCore, LiveSlots, SampleSet};
 pub use series::{CoreSample, TimeSeries};

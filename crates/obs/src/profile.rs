@@ -87,7 +87,7 @@ impl StageProfile {
 }
 
 /// Per-core, per-stage busy-time attribution for one run of one NF.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageProfiler {
     nf: String,
     ticks_per_us: u64,

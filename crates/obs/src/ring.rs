@@ -139,7 +139,7 @@ pub struct TraceMeta {
 
 /// A complete captured trace: merged per-core rings in global
 /// sequence order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Capture metadata.
     pub meta: TraceMeta,

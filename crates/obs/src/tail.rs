@@ -122,7 +122,7 @@ impl TailSpans {
 
 /// Per-core attribution cell: one histogram and one running tick total
 /// per stage, over this core's exemplars.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TailCoreTable {
     /// Exemplars completed on this core.
     pub exemplars: u64,
@@ -141,11 +141,12 @@ impl TailCoreTable {
         }
     }
 
-    fn record(&mut self, spans: TailSpans) {
-        self.exemplars += 1;
+    /// Record `n` exemplars with the same spans.
+    fn record_n(&mut self, spans: TailSpans, n: u64) {
+        self.exemplars += n;
         for (stage, span) in spans.as_array().into_iter().enumerate() {
-            self.ticks[stage] += span;
-            self.hists[stage].record(span);
+            self.ticks[stage] += span * n;
+            self.hists[stage].record_n(span, n);
         }
     }
 
@@ -160,7 +161,7 @@ impl TailCoreTable {
 
 /// The online tracker: feed it every completion's [`TailSpans`]; it
 /// captures the slow ones into the per-(stage, core) table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TailTracker {
     threshold: u64,
     rolling: bool,
@@ -197,20 +198,36 @@ impl TailTracker {
 
     /// Record one completion. `core` is where the NF ran.
     pub fn on_complete(&mut self, core: usize, spans: TailSpans) {
+        self.on_complete_n(core, spans, 1);
+    }
+
+    /// Record `n` completions with the same spans, exactly as `n` calls
+    /// of [`TailTracker::on_complete`] would: the run is split where a
+    /// rolling threshold is recomputed, so each part is judged against
+    /// the threshold its completions would have seen one at a time.
+    pub fn on_complete_n(&mut self, core: usize, spans: TailSpans, mut n: u64) {
         let sojourn = spans.sojourn();
-        self.completions += 1;
-        self.sojourn.record(sojourn);
-        if sojourn > self.threshold {
-            self.exemplars += 1;
-            if let Some(table) = self.cores.get_mut(core) {
-                table.record(spans);
+        while n > 0 {
+            let k = if self.rolling {
+                n.min(TAIL_RECOMPUTE_EVERY - self.since_recompute)
+            } else {
+                n
+            };
+            n -= k;
+            self.completions += k;
+            self.sojourn.record_n(sojourn, k);
+            if sojourn > self.threshold {
+                self.exemplars += k;
+                if let Some(table) = self.cores.get_mut(core) {
+                    table.record_n(spans, k);
+                }
             }
-        }
-        if self.rolling {
-            self.since_recompute += 1;
-            if self.since_recompute >= TAIL_RECOMPUTE_EVERY {
-                self.since_recompute = 0;
-                self.threshold = self.sojourn.p99().unwrap_or(u64::MAX);
+            if self.rolling {
+                self.since_recompute += k;
+                if self.since_recompute >= TAIL_RECOMPUTE_EVERY {
+                    self.since_recompute = 0;
+                    self.threshold = self.sojourn.p99().unwrap_or(u64::MAX);
+                }
             }
         }
     }
@@ -229,7 +246,7 @@ impl TailTracker {
 }
 
 /// One run's tail-attribution table, ready for export and rendering.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TailReport {
     /// The threshold in force at the end of the run, ticks.
     pub threshold_ticks: u64,
@@ -480,5 +497,29 @@ mod tests {
         let (_, doc) = MetricsRegistry::parse_document(&reg.to_json()).unwrap();
         assert_eq!(doc.get("tail_threshold_ticks").unwrap().as_u64(), Some(0));
         assert_eq!(doc.get("tail_exemplar_share").unwrap().as_f64(), Some(0.0));
+    }
+
+    proptest::proptest! {
+        /// `on_complete_n(s, n)` is `n` calls of `on_complete(s)`, in a
+        /// fixed and a rolling tracker alike: runs straddling the
+        /// 256-completion recompute see the threshold their completions
+        /// would have seen one at a time.
+        #[test]
+        fn a_run_is_its_completions_one_at_a_time(
+            threshold in proptest::prop_oneof![proptest::strategy::Just(0u64), 1u64..5_000],
+            runs in proptest::collection::vec((0u64..4_000, 0u64..600, 0usize..3, 0u64..700), 1..40),
+        ) {
+            let mut by_run = TailTracker::new(2, threshold);
+            let mut one_by_one = TailTracker::new(2, threshold);
+            for (queue_wait, nf, core, n) in runs {
+                let s = spans(queue_wait, nf);
+                by_run.on_complete_n(core, s, n);
+                for _ in 0..n {
+                    one_by_one.on_complete(core, s);
+                }
+                proptest::prop_assert_eq!(&by_run, &one_by_one);
+            }
+            proptest::prop_assert_eq!(by_run.report(), one_by_one.report());
+        }
     }
 }
