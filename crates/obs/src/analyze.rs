@@ -542,7 +542,7 @@ mod tests {
         ];
         let trace = Trace {
             meta: meta(None),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let a = analyze(&trace);
@@ -567,7 +567,7 @@ mod tests {
         let events = vec![done(0, 9, 2), done(1, 9, 3), done(2, 9, 0), done(3, 9, 1)];
         let trace = Trace {
             meta: meta(None),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let a = analyze(&trace);
@@ -582,7 +582,7 @@ mod tests {
         let events: Vec<TraceEvent> = (0..100).map(|i| done(i, 5, i)).collect();
         let trace = Trace {
             meta: meta(None),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let a = analyze(&trace);
@@ -627,7 +627,7 @@ mod tests {
         };
         let trace = Trace {
             meta: meta(Some(expected)),
-            events: events.clone(),
+            events: events.clone().into(),
             dropped: 0,
         };
         let c = analyze(&trace).conservation;
@@ -642,7 +642,7 @@ mod tests {
         wrong.nf_drops = 0;
         let trace = Trace {
             meta: meta(Some(wrong)),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let c = analyze(&trace).conservation;
@@ -669,9 +669,9 @@ mod tests {
             ring_drops: 0,
             redirects: 0,
         };
-        let trace = |events| Trace {
+        let trace = |events: Vec<TraceEvent>| Trace {
             meta: meta(Some(expected)),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let c = analyze(&trace(events.clone())).conservation;
@@ -698,7 +698,7 @@ mod tests {
         };
         let trace = Trace {
             meta: meta(Some(expected)),
-            events,
+            events: events.into(),
             dropped: 10,
         };
         let c = analyze(&trace).conservation;
@@ -733,7 +733,7 @@ mod tests {
         ];
         let trace = Trace {
             meta: meta(None),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let t = tail_attribution(&trace, 500);
@@ -775,7 +775,7 @@ mod tests {
         ];
         let trace = Trace {
             meta: meta(None),
-            events,
+            events: events.into(),
             dropped: 0,
         };
         let l = analyze(&trace).latency;

@@ -92,7 +92,7 @@ pub use json::JsonValue;
 pub use profile::{ProfileSlots, Stage, StageProfile, StageProfiler, STAGE_COUNT};
 pub use registry::{MetricsRegistry, TELEMETRY_SCHEMA_VERSION};
 pub use reorder::{ReorderReport, ReorderScratch, ReorderSketch, SharedReorderSketch};
-pub use ring::{ExpectedCounts, Trace, TraceMeta, TraceRing};
+pub use ring::{ExpectedCounts, Trace, TraceEvents, TraceMeta, TraceRing};
 pub use sampler::{LiveCore, LiveSlots, SampleSet};
 pub use series::{CoreSample, TimeSeries};
 pub use slo::{evaluate, export_health_telemetry, Alert, Severity, SloRules};

@@ -14,7 +14,7 @@
 //! can fail CI on schema drift.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::ring::{ExpectedCounts, Trace, TraceMeta};
+use crate::ring::{ExpectedCounts, Trace, TraceEvents, TraceMeta};
 use std::fmt::Write as _;
 
 /// Schema identifier written to (and required in) every trace header.
@@ -120,7 +120,7 @@ pub fn parse(input: &str) -> Result<Trace, String> {
         redirects: header_u64(header, "redirects").unwrap_or(0),
     });
 
-    let mut events = Vec::with_capacity(declared_events as usize);
+    let mut events = TraceEvents::new();
     for (lineno, line) in lines.enumerate() {
         if line.is_empty() {
             continue;
@@ -227,7 +227,7 @@ mod tests {
                     redirects: 0,
                 }),
             },
-            events,
+            events: events.into(),
             dropped: 3,
         }
     }
