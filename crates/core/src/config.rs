@@ -153,7 +153,8 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Default per-core trace-ring capacity (64 Ki events ≈ 3 MiB/core).
+    /// Default per-core trace-ring capacity (64 Ki events ≈ 1.5 MiB/core
+    /// at 24 B a sealed event; 3 MiB if no chunk packs).
     pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
     /// Default sampling bucket width (100 µs ≈ thousands of packets per

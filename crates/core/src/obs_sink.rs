@@ -406,7 +406,10 @@ impl ObsLane {
         self.cores.get_mut(core.wrapping_sub(self.base))
     }
 
-    #[inline]
+    /// Out of line: inlined at its call sites, the trace writer grows the
+    /// runtimes' batch loops (the simulator's `advance_until` by 12 %),
+    /// which every mode runs, planes off included.
+    #[inline(never)]
     fn emit(&mut self, core: usize, ts: u64, kind: EventKind, flow: u64, pkt: u64, aux: u64) {
         if let Some(ring) = self.trace.as_mut() {
             // A full ring refuses before anything is spent on the event:

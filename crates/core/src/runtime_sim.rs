@@ -1824,7 +1824,7 @@ mod tests {
         let mut out_ts = HashMap::new();
         let mut nf_start_ts = HashMap::new();
         let (mut sojourn_sum, mut transit_sum) = (0u64, 0u64);
-        for ev in &trace.events {
+        for ev in trace.events.iter() {
             match ev.kind {
                 EventKind::IngressEnqueue => {
                     ingress_ts.insert(ev.pkt, ev.ts);

@@ -3172,7 +3172,7 @@ mod tests {
         // Per packet: admitted, then started, then done; and the
         // arrival stamps never run backwards in arrival order.
         let mut life = vec![[None; 3]; s.offered as usize];
-        for e in &trace.events {
+        for e in trace.events.iter() {
             let stage = match e.kind {
                 EventKind::IngressEnqueue => 0,
                 EventKind::NfStart => 1,
@@ -3239,7 +3239,7 @@ mod tests {
         // never come before its earlier one.
         let mut enqueued = vec![false; s.offered as usize];
         let mut relayed = vec![false; s.offered as usize];
-        for e in &trace.events {
+        for e in trace.events.iter() {
             let id = e.pkt as usize;
             match e.kind {
                 EventKind::IngressEnqueue => enqueued[id] = true,
@@ -3741,7 +3741,7 @@ mod tests {
         assert_eq!(c.queue_drops, s.queue_drops);
         // Per queue, in arrival order: admitted (true) or refused.
         let mut fate: Vec<BTreeMap<u64, bool>> = vec![BTreeMap::new(); 2];
-        for e in &trace.events {
+        for e in trace.events.iter() {
             let admitted = match e.kind {
                 EventKind::IngressEnqueue => true,
                 EventKind::Drop if e.aux == DropKind::QueueFull.to_aux() => false,

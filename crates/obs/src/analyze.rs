@@ -209,7 +209,7 @@ impl Fenwick {
 fn reordering(trace: &Trace) -> Vec<FlowReport> {
     // Completion order per flow. Events are already sorted by seq.
     let mut by_flow: HashMap<u64, Vec<u64>> = HashMap::new();
-    for ev in &trace.events {
+    for ev in trace.events.iter() {
         if ev.kind == EventKind::NfDone {
             by_flow.entry(ev.flow).or_default().push(ev.pkt);
         }
@@ -255,7 +255,7 @@ fn conservation(trace: &Trace) -> Conservation {
         events_dropped: trace.dropped,
         ..Conservation::default()
     };
-    for ev in &trace.events {
+    for ev in trace.events.iter() {
         match ev.kind {
             EventKind::IngressEnqueue => c.ingress_enqueued += 1,
             EventKind::RedirectOut => c.redirect_out += 1,
@@ -351,7 +351,7 @@ fn latency(trace: &Trace) -> LatencyBreakdown {
     let mut redirect = Vec::new();
     let mut per_core: HashMap<u16, Vec<f64>> = HashMap::new();
 
-    for ev in &trace.events {
+    for ev in trace.events.iter() {
         match ev.kind {
             EventKind::IngressEnqueue => {
                 ingress_ts.insert(ev.pkt, ev.ts);
@@ -448,7 +448,7 @@ pub fn tail_attribution(trace: &Trace, threshold_ticks: u64) -> TailAttribution 
         threshold_ticks,
         ..TailAttribution::default()
     };
-    for ev in &trace.events {
+    for ev in trace.events.iter() {
         match ev.kind {
             EventKind::IngressEnqueue => {
                 ingress_ts.insert(ev.pkt, ev.ts);

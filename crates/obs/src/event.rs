@@ -1,8 +1,9 @@
 //! Typed dataplane trace events.
 //!
-//! One event is 48 bytes; recording one is a bounds-checked `Vec` push
-//! into a chunked per-core ring plus (in the threaded runtime) a
-//! relaxed `fetch_add` on the shared sequence counter — cheap enough to
+//! One event is 48 bytes as recorded and 24 once its storage chunk is
+//! sealed (see [`crate::ring`]); recording one is a bounds-checked `Vec`
+//! push into a chunked per-core ring plus (in the threaded runtime) a
+//! share of one per-batch claim on the sequence counter — cheap enough to
 //! keep on under load, and a full ring is asked first, so an event it
 //! would refuse costs neither. Timestamps are whatever grain the
 //! runtime reads its clock at: exact in the simulator; on threads one

@@ -3,70 +3,209 @@
 //!
 //! Each core (and the ingress thread of the threaded runtime) owns one
 //! [`TraceRing`] outright, so recording is lock-free by construction: a
-//! bounds check and a write into the current storage chunk. When a ring
+//! bounds check and a write into the open storage chunk. When a ring
 //! fills, new events are counted in [`TraceRing::dropped`] and discarded
 //! — keep-oldest, so a trace's prefix is always contiguous and tracing
 //! can stay enabled under overload without unbounded memory.
 //!
 //! A kept event is stored once, from the push that records it to the
 //! caller that reads the trace: rings and [`Trace::events`] are the same
-//! [`TraceEvents`], a sequence of fixed-size chunks. [`Trace::assemble`]
-//! moves a lone ring's chunks into the trace as they are; several rings
-//! are merged into fresh chunks, each allocated only after the input
-//! chunks the merge has read through are freed. It must not copy into
-//! one full-size buffer: glibc keeps freed heap chunks resident, so a
-//! second copy raises the process's peak for good even when the first
-//! is freed as the merge goes (on the `simtcp` benchmark's traced trial
-//! it doubled the trace's 24 MiB of kept events).
+//! [`TraceEvents`], fixed-size chunks. Events are recorded into an open
+//! chunk of 48-byte [`TraceEvent`]s, sealed once full into 24-byte
+//! records counted from the chunk's least `seq`, `ts` and `pkt` (kept
+//! raw if some value does not fit) and then reused. [`Trace::assemble`]
+//! moves a lone ring's chunks into the trace as they are; a merge of
+//! several decodes each input chunk once and seals its output into the
+//! storage it freed. Nothing is copied into one full-size buffer: glibc
+//! keeps freed heap chunks resident, so a second copy raises the
+//! process's peak for good (on the `simtcp` benchmark's traced trial it
+//! doubled the trace's kept events).
 
 use crate::event::{EventKind, TraceEvent};
 use serde::{Deserialize, Serialize};
 
-/// Events per storage chunk. Sized so a chunk (~96 KiB) stays below
-/// glibc's mmap threshold: chunk allocations are served from recycled
-/// heap pages instead of fresh zero-fill mappings, which is what makes
-/// recording cheap for short captures (a single up-front reserve of the
-/// full multi-MB capacity costs a page fault per 4 KiB touched, every
-/// run; so does letting a `Vec` double its way up through fresh mmaps).
+/// Events per storage chunk. Sized so a chunk (96 KiB open, 48 KiB
+/// packed) stays below glibc's mmap threshold: chunk allocations are
+/// served from recycled heap pages instead of fresh zero-fill mappings,
+/// which is what makes recording cheap for short captures (a single
+/// up-front reserve of the full multi-MB capacity costs a page fault
+/// per 4 KiB touched, every run; so does letting a `Vec` double its way
+/// up through fresh mmaps).
 const CHUNK: usize = 2048;
 
-/// One storage chunk: room for [`CHUNK`] events, allocated once and
-/// never grown, so a chunk's buffer is never copied.
-struct Chunk(Vec<TraceEvent>);
+/// Storage for one chunk: room for [`CHUNK`] items, allocated once and
+/// never grown, so a chunk's buffer is never copied. Empty storage
+/// (capacity 0) allocates nothing.
+struct Buf<T>(Vec<T>);
 
-impl Chunk {
-    fn new() -> Self {
+impl<T> Buf<T> {
+    fn alloc() -> Self {
         #[cfg(test)]
         census::alloc();
-        Chunk(Vec::with_capacity(CHUNK))
+        Buf(Vec::with_capacity(CHUNK))
+    }
+
+    /// True if the next item needs another chunk: the open chunk is full
+    /// (capacity is exactly [`CHUNK`]) or has no storage yet.
+    #[inline]
+    fn is_full(&self) -> bool {
+        self.0.len() == self.0.capacity()
     }
 }
 
-impl Clone for Chunk {
+impl<T> Default for Buf<T> {
+    fn default() -> Self {
+        Buf(Vec::new())
+    }
+}
+
+impl<T: Clone> Clone for Buf<T> {
     fn clone(&self) -> Self {
-        let mut chunk = Chunk::new();
-        chunk.0.extend_from_slice(&self.0);
-        chunk
+        let mut buf = if self.0.capacity() == 0 {
+            Buf::default()
+        } else {
+            Buf::alloc()
+        };
+        buf.0.extend_from_slice(&self.0);
+        buf
     }
 }
 
 #[cfg(test)]
-impl Drop for Chunk {
+impl<T> Drop for Buf<T> {
     fn drop(&mut self) {
-        census::free();
+        if self.0.capacity() > 0 {
+            census::free();
+        }
+    }
+}
+
+/// A sealed event: `seq`, `ts` and `pkt` as offsets from its chunk's
+/// [`Base`], the rest narrowed. 24 bytes, against a [`TraceEvent`]'s 48.
+#[derive(Clone, Copy)]
+struct Packed {
+    flow: u64,
+    ts: u32,
+    aux: u32,
+    seq: u16,
+    /// [`NO_PKT`] for [`TraceEvent::NO_PKT`].
+    pkt: u16,
+    core: u8,
+    kind: EventKind,
+}
+
+/// The packed `pkt` that stands for [`TraceEvent::NO_PKT`].
+const NO_PKT: u16 = u16::MAX;
+
+/// A packed chunk's least `seq`, `ts` and `pkt`, which its records'
+/// offsets count from.
+#[derive(Clone, Copy, Default)]
+struct Base {
+    seq: u64,
+    ts: u64,
+    pkt: u64,
+}
+
+impl Base {
+    /// The base of `events`, if every one of them packs against it.
+    fn of(events: &[TraceEvent]) -> Option<Base> {
+        let mut lo = Base {
+            seq: u64::MAX,
+            ts: u64::MAX,
+            pkt: u64::MAX,
+        };
+        let (mut hi, mut aux, mut core) = (Base::default(), 0, 0);
+        for e in events {
+            (lo.seq, hi.seq) = (lo.seq.min(e.seq), hi.seq.max(e.seq));
+            (lo.ts, hi.ts) = (lo.ts.min(e.ts), hi.ts.max(e.ts));
+            if e.pkt != TraceEvent::NO_PKT {
+                (lo.pkt, hi.pkt) = (lo.pkt.min(e.pkt), hi.pkt.max(e.pkt));
+            }
+            aux |= e.aux;
+            core |= e.core;
+        }
+        let fits = hi.seq - lo.seq <= u64::from(u16::MAX)
+            && hi.ts - lo.ts <= u64::from(u32::MAX)
+            && hi.pkt.saturating_sub(lo.pkt) < u64::from(NO_PKT)
+            && aux <= u64::from(u32::MAX)
+            && core <= u16::from(u8::MAX);
+        fits.then_some(lo)
+    }
+
+    fn pack(&self, e: &TraceEvent) -> Packed {
+        Packed {
+            flow: e.flow,
+            ts: (e.ts - self.ts) as u32,
+            aux: e.aux as u32,
+            seq: (e.seq - self.seq) as u16,
+            pkt: if e.pkt == TraceEvent::NO_PKT {
+                NO_PKT
+            } else {
+                (e.pkt - self.pkt) as u16
+            },
+            core: e.core as u8,
+            kind: e.kind,
+        }
+    }
+
+    fn unpack(&self, p: &Packed) -> TraceEvent {
+        TraceEvent {
+            seq: self.seq + u64::from(p.seq),
+            ts: self.ts + u64::from(p.ts),
+            core: u16::from(p.core),
+            kind: p.kind,
+            flow: p.flow,
+            pkt: if p.pkt == NO_PKT {
+                TraceEvent::NO_PKT
+            } else {
+                self.pkt + u64::from(p.pkt)
+            },
+            aux: u64::from(p.aux),
+        }
+    }
+}
+
+/// A sealed chunk: [`CHUNK`] events, packed or, if they do not fit,
+/// raw.
+#[derive(Clone)]
+enum Chunk {
+    Packed(Base, Buf<Packed>),
+    Raw(Buf<TraceEvent>),
+}
+
+/// Storage freed by a merge, reused before any is allocated.
+#[derive(Default)]
+struct Spares {
+    raw: Vec<Buf<TraceEvent>>,
+    packed: Vec<Buf<Packed>>,
+}
+
+impl Spares {
+    fn raw(&mut self) -> Buf<TraceEvent> {
+        self.raw.pop().unwrap_or_else(Buf::alloc)
+    }
+
+    /// Packed storage for a seal; one allocated afresh replaces a raw
+    /// spare, which would otherwise sit idle (seals are nearly all
+    /// packed, and the ends of the rings leave raw spares behind).
+    fn packed(&mut self) -> Buf<Packed> {
+        self.packed.pop().unwrap_or_else(|| {
+            self.raw.pop();
+            Buf::alloc()
+        })
     }
 }
 
 /// Trace events in recording (or, once assembled, `seq`) order, stored
-/// in fixed-size chunks: every chunk but the last is full, and none is
-/// empty. Reads like the flat `Vec<TraceEvent>` it stands for —
-/// iteration, length, `==` and `Debug` see the events alone, never the
+/// in fixed-size chunks: sealed chunks, all full, then the open one.
+/// Reads like the flat `Vec<TraceEvent>` it stands for — iteration (by
+/// value), length, `==` and `Debug` see the events alone, never the
 /// chunking, and serde reads and writes it as that `Vec`.
 #[derive(Clone, Default, Serialize, Deserialize)]
 #[serde(from = "Vec<TraceEvent>", into = "Vec<TraceEvent>")]
 pub struct TraceEvents {
-    chunks: Vec<Chunk>,
-    len: usize,
+    sealed: Vec<Chunk>,
+    open: Buf<TraceEvent>,
 }
 
 impl TraceEvents {
@@ -77,103 +216,93 @@ impl TraceEvents {
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.len
+        self.sealed.len() * CHUNK + self.open.0.len()
     }
 
     /// True if there are no events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Append one event, opening a chunk when the last one is full.
+    /// Sealed chunks: `(packed, raw)`, the raw ones holding values that
+    /// did not fit a packed record.
+    pub fn sealed_chunks(&self) -> (usize, usize) {
+        let raw = self
+            .sealed
+            .iter()
+            .filter(|c| matches!(c, Chunk::Raw(_)))
+            .count();
+        (self.sealed.len() - raw, raw)
+    }
+
+    /// Append one event, sealing the open chunk when it is full.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
-        if self.len.is_multiple_of(CHUNK) {
-            self.chunks.push(Chunk::new());
+        if self.open.is_full() {
+            self.make_room_alone();
         }
-        // The last chunk exists and has room by construction.
-        self.chunks
-            .last_mut()
-            .expect("chunk pushed above")
-            .0
-            .push(ev);
-        self.len += 1;
+        self.open.0.push(ev);
+    }
+
+    /// [`TraceEvents::make_room`] outside a merge, out of line: a push inlines small.
+    #[cold]
+    #[inline(never)]
+    fn make_room_alone(&mut self) {
+        self.make_room(&mut Spares::default());
     }
 
     /// Append `events` in order, a chunk's worth of room at a time.
-    fn extend_from_slice(&mut self, mut events: &[TraceEvent]) {
+    fn extend_from_slice(&mut self, mut events: &[TraceEvent], spares: &mut Spares) {
         while !events.is_empty() {
-            if self.len.is_multiple_of(CHUNK) {
-                self.chunks.push(Chunk::new());
+            if self.open.is_full() {
+                self.make_room(spares);
             }
-            let last = self.chunks.last_mut().expect("chunk pushed above");
-            let (now, rest) = events.split_at((CHUNK - last.0.len()).min(events.len()));
-            last.0.extend_from_slice(now);
-            self.len += now.len();
+            let room = CHUNK - self.open.0.len();
+            let (now, rest) = events.split_at(room.min(events.len()));
+            self.open.0.extend_from_slice(now);
             events = rest;
         }
     }
 
-    /// The events in order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            chunks: self.chunks.iter(),
-            chunk: [].iter(),
-            left: self.len,
+    /// Give the open chunk room: storage if it has none, else seal it —
+    /// packed, and the open chunk reused, or raw, and a fresh one opened.
+    #[cold]
+    fn make_room(&mut self, spares: &mut Spares) {
+        if self.open.0.is_empty() {
+            self.open = spares.raw();
+            return;
         }
-    }
-
-    /// True if `seq` never decreases along the events.
-    fn is_sorted_by_seq(&self) -> bool {
-        let mut last = 0;
-        self.iter().all(|e| {
-            let ordered = e.seq >= last;
-            last = e.seq;
-            ordered
-        })
-    }
-}
-
-/// Iterator over [`TraceEvents`], in order.
-pub struct Iter<'a> {
-    chunks: std::slice::Iter<'a, Chunk>,
-    chunk: std::slice::Iter<'a, TraceEvent>,
-    left: usize,
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a TraceEvent;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a TraceEvent> {
-        loop {
-            if let Some(ev) = self.chunk.next() {
-                self.left -= 1;
-                return Some(ev);
+        match Base::of(&self.open.0) {
+            Some(base) => {
+                let mut packed = spares.packed();
+                packed.0.extend(self.open.0.iter().map(|e| base.pack(e)));
+                self.sealed.push(Chunk::Packed(base, packed));
+                self.open.0.clear();
             }
-            self.chunk = self.chunks.next()?.0.iter();
+            None => {
+                let full = std::mem::replace(&mut self.open, spares.raw());
+                self.sealed.push(Chunk::Raw(full));
+            }
         }
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+    /// The events in order, by value.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
+        (0..self.len()).map(|i| self.get(i))
     }
-}
 
-impl ExactSizeIterator for Iter<'_> {}
-
-impl<'a> IntoIterator for &'a TraceEvents {
-    type Item = &'a TraceEvent;
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Iter<'a> {
-        self.iter()
+    fn get(&self, i: usize) -> TraceEvent {
+        match self.sealed.get(i / CHUNK) {
+            Some(Chunk::Packed(base, packed)) => base.unpack(&packed.0[i % CHUNK]),
+            Some(Chunk::Raw(raw)) => raw.0[i % CHUNK],
+            None => self.open.0[i % CHUNK],
+        }
     }
 }
 
 impl PartialEq for TraceEvents {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -186,9 +315,7 @@ impl std::fmt::Debug for TraceEvents {
 impl FromIterator<TraceEvent> for TraceEvents {
     fn from_iter<I: IntoIterator<Item = TraceEvent>>(iter: I) -> Self {
         let mut events = TraceEvents::new();
-        for ev in iter {
-            events.push(ev);
-        }
+        iter.into_iter().for_each(|ev| events.push(ev));
         events
     }
 }
@@ -196,14 +323,14 @@ impl FromIterator<TraceEvent> for TraceEvents {
 impl From<Vec<TraceEvent>> for TraceEvents {
     fn from(events: Vec<TraceEvent>) -> Self {
         let mut chunked = TraceEvents::new();
-        chunked.extend_from_slice(&events);
+        chunked.extend_from_slice(&events, &mut Spares::default());
         chunked
     }
 }
 
 impl From<TraceEvents> for Vec<TraceEvent> {
     fn from(events: TraceEvents) -> Self {
-        events.iter().copied().collect()
+        events.iter().collect()
     }
 }
 
@@ -338,9 +465,9 @@ impl Trace {
     /// A ring a runtime wrote is already in `seq` order (one writer,
     /// sequence numbers claimed as it writes). When only one ring holds
     /// events its chunks become the trace's, uncopied. Otherwise this
-    /// is a k-way merge of the rings into fresh chunks, linear in the
-    /// events, freeing each input chunk once read through, so each kept
-    /// event is resident once. A ring found out of order (hand-built,
+    /// is a k-way merge of the rings, linear in the events, that seals
+    /// its output into the storage of the input chunks it has read, so
+    /// each kept event is resident once. A ring found out of order (hand-built,
     /// deserialized) abandons the merge: what is left is appended and
     /// the whole is stably sorted through one flat copy.
     pub fn assemble(meta: TraceMeta, rings: Vec<TraceRing>) -> Trace {
@@ -352,16 +479,15 @@ impl Trace {
             .collect();
         let events = match held.as_slice() {
             [] => TraceEvents::new(),
-            [only] if only.is_sorted_by_seq() => held.pop().expect("one ring"),
+            [only] if only.iter().is_sorted_by_key(|e| e.seq) => held.pop().expect("one ring"),
             _ => {
                 let mut merged = TraceEvents::new();
-                if merge_sorted(held, &mut merged) {
-                    merged
-                } else {
+                if !merge_sorted(held, &mut merged) {
                     let mut flat = Vec::from(merged);
                     flat.sort_by_key(|e| e.seq);
-                    flat.into()
+                    merged = flat.into();
                 }
+                merged
             }
         };
         Trace {
@@ -374,7 +500,7 @@ impl Trace {
     /// Event counts indexed by `EventKind as usize`.
     pub fn counts_by_kind(&self) -> [u64; EventKind::ALL.len()] {
         let mut counts = [0u64; EventKind::ALL.len()];
-        for ev in &self.events {
+        for ev in self.events.iter() {
             counts[ev.kind as usize] += 1;
         }
         counts
@@ -388,38 +514,60 @@ impl Trace {
 
 /// One ring's read position in [`merge_sorted`].
 struct Cursor {
-    /// Chunks not yet started.
+    /// Chunks not yet started, the open one last.
     chunks: std::vec::IntoIter<Chunk>,
-    /// The chunk being read, freed once read through (`None` when the
-    /// ring is exhausted), and how far in.
-    chunk: Option<Chunk>,
+    /// The chunk being read, decoded (no storage once the ring is
+    /// exhausted), and how far in.
+    buf: Buf<TraceEvent>,
     pos: usize,
     /// `seq` of the last event taken: the ring's own order check.
     last: u64,
 }
 
 impl Cursor {
-    fn new(events: TraceEvents) -> Self {
-        let mut chunks = events.chunks.into_iter();
-        Cursor {
-            chunk: chunks.next(),
-            chunks,
+    fn new(mut events: TraceEvents, spares: &mut Spares) -> Self {
+        events.sealed.push(Chunk::Raw(events.open));
+        let mut cursor = Cursor {
+            chunks: events.sealed.into_iter(),
+            buf: Buf::default(),
             pos: 0,
             last: 0,
-        }
+        };
+        cursor.refill(spares);
+        cursor
     }
 
     fn rest(&self) -> &[TraceEvent] {
-        self.chunk.as_ref().map_or(&[], |c| &c.0[self.pos..])
+        &self.buf.0[self.pos..]
     }
 
-    /// Free the current chunk once read through and step to the next
-    /// (chunks are never empty).
-    fn refill(&mut self) {
-        if self.rest().is_empty() {
-            self.chunk = None;
-            self.chunk = self.chunks.next();
-            self.pos = 0;
+    /// Once the chunk being read is read through, step to the next: a
+    /// packed one is decoded into the read buffer and its storage goes
+    /// to `spares`; a raw one becomes the read buffer, the old one going
+    /// to `spares`, as does an exhausted ring's.
+    fn refill(&mut self, spares: &mut Spares) {
+        if !self.rest().is_empty() {
+            return;
+        }
+        self.pos = 0;
+        let next = match self.chunks.next() {
+            Some(Chunk::Packed(base, mut packed)) => {
+                if self.buf.0.capacity() == 0 {
+                    self.buf = spares.raw();
+                }
+                self.buf.0.clear();
+                self.buf.0.extend(packed.0.iter().map(|p| base.unpack(p)));
+                packed.0.clear();
+                spares.packed.push(packed);
+                return;
+            }
+            Some(Chunk::Raw(raw)) => raw,
+            None => Buf::default(),
+        };
+        let mut done = std::mem::replace(&mut self.buf, next);
+        if done.0.capacity() > 0 {
+            done.0.clear();
+            spares.raw.push(done);
         }
     }
 }
@@ -430,7 +578,11 @@ impl Cursor {
 /// every event is then in `out`, in no useful order — if some ring's
 /// events are not in non-decreasing `seq` order.
 fn merge_sorted(rings: Vec<TraceEvents>, out: &mut TraceEvents) -> bool {
-    let mut cursors: Vec<Cursor> = rings.into_iter().map(Cursor::new).collect();
+    let mut spares = Spares::default();
+    let mut cursors: Vec<Cursor> = rings
+        .into_iter()
+        .map(|r| Cursor::new(r, &mut spares))
+        .collect();
     loop {
         // The least head and the runner-up, ties to the lower index.
         let mut best: Option<(u64, usize)> = None;
@@ -458,9 +610,10 @@ fn merge_sorted(rings: Vec<TraceEvents>, out: &mut TraceEvents) -> bool {
             if e.seq < last {
                 // Out of order: hand over what is left, unmerged.
                 for c in &mut cursors {
-                    out.extend_from_slice(c.rest());
-                    for chunk in c.chunks.by_ref() {
-                        out.extend_from_slice(&chunk.0);
+                    while !c.rest().is_empty() {
+                        out.extend_from_slice(c.rest(), &mut spares);
+                        c.pos = c.buf.0.len();
+                        c.refill(&mut spares);
                     }
                 }
                 return false;
@@ -469,17 +622,17 @@ fn merge_sorted(rings: Vec<TraceEvents>, out: &mut TraceEvents) -> bool {
             run += 1;
         }
         debug_assert!(run > 0, "the least head is below the runner-up");
-        out.extend_from_slice(&c.rest()[..run]);
+        out.extend_from_slice(&c.rest()[..run], &mut spares);
         c.pos += run;
         c.last = last;
-        c.refill();
+        c.refill(&mut spares);
     }
 }
 
-/// Live [`Chunk`]s on this thread, and the most seen since the last
-/// [`census::reset_peak`]: what the merge's held-once bound is checked
-/// against.
 #[cfg(test)]
+/// Live chunk storage ([`Buf`]s) on this thread, and the most seen
+/// since the last [`census::reset`]: what the merge's held-once bound
+/// is checked against.
 mod census {
     use std::cell::Cell;
 
@@ -503,7 +656,7 @@ mod census {
     }
 
     /// Start a new peak from what is live now.
-    pub(super) fn reset_peak() {
+    pub(super) fn reset() {
         PEAK.set(LIVE.get());
     }
 
@@ -596,10 +749,7 @@ mod tests {
     /// What `assemble` must return for sorted rings, however it gets
     /// there.
     fn concat_then_stable_sort(rings: &[TraceRing]) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = rings
-            .iter()
-            .flat_map(|r| r.events.iter().copied())
-            .collect();
+        let mut all: Vec<TraceEvent> = rings.iter().flat_map(|r| r.events.iter()).collect();
         all.sort_by_key(|e| e.seq);
         all
     }
@@ -653,7 +803,7 @@ mod tests {
             if let (Some(pick), false) = (unsorted, rings.is_empty()) {
                 // Send one ring's last event back before all the others.
                 let ring = &mut rings[lone.unwrap_or(pick) % shapes.len()];
-                if let Some(last) = ring.events.chunks.last_mut().and_then(|c| c.0.last_mut()) {
+                if let Some(last) = ring.events.open.0.last_mut() {
                     last.seq = 0;
                 }
             }
@@ -672,17 +822,18 @@ mod tests {
             prop_assert!(got == want, "merged order differs from the sort");
         }
 
-        /// Merging k sorted rings holds every kept event once: at no
-        /// point are more chunks live than the rings started with plus
-        /// k + 1, and the trace ends on the fewest chunks its events
-        /// fit in.
+        /// Merging k sorted rings holds every kept event once: it
+        /// seals into the storage of the chunks it has read, so it
+        /// allocates at most k + 1 chunks (a read buffer per ring and
+        /// the output's open chunk) beyond what it frees, and the trace
+        /// ends on the fewest chunks its events fit in.
         #[test]
         fn a_merge_holds_each_kept_event_once(shapes in ring_shapes()) {
             let rings = rings_of(&shapes);
             let k = rings.len();
             let kept: usize = rings.iter().map(TraceRing::len).sum();
             let start = census::live();
-            census::reset_peak();
+            census::reset();
             let trace = Trace::assemble(meta(), rings);
             prop_assert!(
                 census::peak() <= start + k + 1,
@@ -690,24 +841,159 @@ mod tests {
                 census::peak()
             );
             prop_assert_eq!(census::live(), kept.div_ceil(CHUNK));
-            prop_assert_eq!(trace.events.chunks.len(), kept.div_ceil(CHUNK));
+            prop_assert_eq!(trace.events.sealed.len(), kept.saturating_sub(1) / CHUNK);
         }
+
+        /// Sealed storage reads back exactly what was pushed — through
+        /// a ring, a lone ring's move and a k-ring merge — with values
+        /// that now and then overflow each narrow field of a packed
+        /// record, and events that carry no packet.
+        #[test]
+        fn sealed_storage_reads_back_what_was_pushed(
+            rings in vec((0usize..3 * CHUNK + 9, any::<u64>(), any::<u8>()), 1..5),
+            lone in any::<bool>(),
+        ) {
+            let mut pushed: Vec<Vec<TraceEvent>> = rings
+                .iter()
+                .enumerate()
+                .map(|(i, &(len, seed, wild))| wild_events(i, len, seed, wild))
+                .collect();
+            if lone {
+                pushed.iter_mut().skip(1).for_each(Vec::clear);
+            }
+            let rings: Vec<TraceRing> = pushed
+                .iter()
+                .map(|events| {
+                    let mut ring = TraceRing::new(events.len());
+                    events.iter().for_each(|&e| assert!(ring.push(e)));
+                    ring
+                })
+                .collect();
+            for (ring, events) in rings.iter().zip(&pushed) {
+                prop_assert_eq!(ring.events.len(), events.len());
+                prop_assert!(ring.events.iter().eq(events.iter().copied()));
+            }
+            let mut want: Vec<TraceEvent> = pushed.concat();
+            want.sort_by_key(|e| e.seq);
+            let got = Trace::assemble(meta(), rings).events;
+            prop_assert!(got.iter().eq(want.iter().copied()), "assembled events differ");
+            prop_assert!(got == TraceEvents::from(want), "`==` sees the chunking");
+        }
+    }
+
+    /// `len` events for ring `index`, `seq`s climbing. Each set bit of
+    /// `wild` turns on one kind of value a packed record cannot hold,
+    /// drawn for about one event in 4 096 (so for about two chunks in
+    /// five): a `seq` or `ts` jump past `u16` or `u32`, a `pkt` past a
+    /// `u16` span, `core` past `u8`, `aux` past `u32`. Two more bits
+    /// mix in events with no packet, and put `pkt`s just below
+    /// [`TraceEvent::NO_PKT`].
+    fn wild_events(index: usize, len: usize, seed: u64, wild: u8) -> Vec<TraceEvent> {
+        let (mut seq, mut ts, mut state) = (index as u64, seed % 1000, seed);
+        let past = |max: u64| max + 1;
+        (0..len as u64)
+            .map(|pos| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let roll = state >> 33;
+                let rare = |bit: u8| wild & (1 << bit) != 0 && roll % 4096 == u64::from(bit);
+                seq += roll % 3 + if rare(0) { past(u16::MAX.into()) } else { 0 };
+                ts += roll % 50 + if rare(1) { past(u32::MAX.into()) } else { 0 };
+                let pkt = if rare(2) {
+                    pos + past(u16::MAX.into())
+                } else if wild & 1 << 3 != 0 && roll % 7 == 0 {
+                    TraceEvent::NO_PKT
+                } else if wild & 1 << 4 != 0 {
+                    TraceEvent::NO_PKT - 1 - pos
+                } else {
+                    pos
+                };
+                TraceEvent {
+                    seq,
+                    ts,
+                    core: if rare(5) { 256 } else { index as u16 },
+                    kind: EventKind::ALL[(roll % 7) as usize],
+                    flow: state,
+                    pkt,
+                    aux: if rare(6) {
+                        past(u32::MAX.into())
+                    } else {
+                        roll % 9
+                    },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_narrow_field_seals_raw_past_its_edge_and_packed_at_it() {
+        const M16: u64 = u16::MAX as u64;
+        const M32: u64 = u32::MAX as u64;
+        // One chunk at `seq` 0..CHUNK, `ts` 7, `pkt` 5; its last event
+        // takes each field to the edge of a packed record, or one past.
+        type Widen = fn(&mut TraceEvent, u64);
+        let cases: [(&str, Widen); 6] = [
+            ("seq", |e, past| e.seq = M16 + past),
+            ("ts", |e, past| e.ts = 7 + M32 + past),
+            ("pkt", |e, past| e.pkt = 5 + M16 - 1 + past),
+            ("aux", |e, past| e.aux = M32 + past),
+            ("core", |e, past| e.core = 255 + past as u16),
+            ("no pkt", |e, past| e.pkt = TraceEvent::NO_PKT - past),
+        ];
+        for (field, widen) in cases {
+            for past in [0, 1] {
+                let mut flat: Vec<TraceEvent> = (0..CHUNK as u64 + 1)
+                    .map(|seq| TraceEvent {
+                        seq,
+                        ts: 7,
+                        core: 3,
+                        kind: EventKind::Drop,
+                        flow: u64::MAX,
+                        pkt: 5,
+                        aux: 0,
+                    })
+                    .collect();
+                widen(&mut flat[CHUNK - 1], past);
+                let events = TraceEvents::from(flat.clone());
+                let want = if past == 1 { (0, 1) } else { (1, 0) };
+                assert_eq!(
+                    events.sealed_chunks(),
+                    want,
+                    "{field}, {past} past the edge"
+                );
+                assert!(events.iter().eq(flat.iter().copied()), "{field}");
+            }
+        }
+        assert_eq!(std::mem::size_of::<Packed>(), 24);
+    }
+
+    /// Where each chunk's storage lives.
+    fn storage(events: &TraceEvents) -> Vec<*const u8> {
+        let sealed = events.sealed.iter().map(|c| match c {
+            Chunk::Packed(_, packed) => packed.0.as_ptr().cast(),
+            Chunk::Raw(raw) => raw.0.as_ptr().cast(),
+        });
+        sealed.chain([events.open.0.as_ptr().cast()]).collect()
     }
 
     #[test]
     fn assembling_one_ring_moves_its_chunks() {
         let ring = climbing_ring(1, 0, 3 * CHUNK + 5, 9);
-        let buffers: Vec<*const TraceEvent> =
-            ring.events.chunks.iter().map(|c| c.0.as_ptr()).collect();
+        let buffers = storage(&ring.events);
         let want = ring.events.clone();
         let mut empty = TraceRing::new(4);
         empty.dropped = 2;
         let start = census::live();
-        census::reset_peak();
+        census::reset();
         let t = Trace::assemble(meta(), vec![empty, ring, TraceRing::new(4)]);
         assert_eq!(census::peak(), start, "no chunk allocated");
-        let moved: Vec<*const TraceEvent> = t.events.chunks.iter().map(|c| c.0.as_ptr()).collect();
-        assert_eq!(moved, buffers, "the ring's chunk buffers are the trace's");
+        assert_eq!(
+            storage(&t.events),
+            buffers,
+            "the ring's chunks are the trace's"
+        );
+        assert_eq!(t.events.sealed_chunks(), (3, 0));
         assert_eq!((t.events, t.dropped), (want, 2));
     }
 
@@ -724,11 +1010,11 @@ mod tests {
         }
         let mut pieces = TraceEvents::new();
         for part in flat.chunks(CHUNK - 1) {
-            pieces.extend_from_slice(part);
+            pieces.extend_from_slice(part, &mut Spares::default());
         }
         for chunked in [&pushed, &pieces] {
-            let lens: Vec<usize> = chunked.chunks.iter().map(|c| c.0.len()).collect();
-            assert_eq!(lens, [CHUNK, CHUNK, 3]);
+            assert_eq!(chunked.sealed_chunks(), (2, 0));
+            assert_eq!(chunked.open.0.len(), 3);
         }
         assert_eq!(pushed, pieces);
         assert_ne!(pushed, TraceEvents::from(flat[1..].to_vec()));
@@ -736,7 +1022,7 @@ mod tests {
             (pushed.len(), pushed.iter().len()),
             (flat.len(), flat.len())
         );
-        assert!(pushed.iter().eq(flat.iter()));
+        assert!(pushed.iter().eq(flat.iter().copied()));
         assert_eq!(format!("{pushed:?}"), format!("{flat:?}"));
         assert_eq!(Vec::from(pushed), flat);
     }

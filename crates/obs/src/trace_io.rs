@@ -15,16 +15,16 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::ring::{ExpectedCounts, Trace, TraceEvents, TraceMeta};
-use std::fmt::Write as _;
+use std::io::Write;
 
 /// Schema identifier written to (and required in) every trace header.
 pub const TRACE_SCHEMA: &str = "sprayer-trace/1";
 
-/// Serialize a trace to the line-oriented format.
-pub fn write_string(trace: &Trace) -> String {
-    let mut s = String::with_capacity(64 + 32 * trace.events.len());
-    let _ = write!(
-        s,
+/// Write a trace in the line-oriented format to `out`, an event at a
+/// time, then flush it (wrap an unbuffered writer in a `BufWriter`).
+pub fn write_to(trace: &Trace, mut out: impl Write) -> std::io::Result<()> {
+    write!(
+        out,
         "{{\"schema\":\"{TRACE_SCHEMA}\",\"runtime\":\"{}\",\"ticks_per_us\":{},\
          \"num_cores\":{},\"events\":{},\"events_dropped\":{}",
         trace.meta.runtime,
@@ -32,10 +32,10 @@ pub fn write_string(trace: &Trace) -> String {
         trace.meta.num_cores,
         trace.events.len(),
         trace.dropped,
-    );
+    )?;
     if let Some(e) = trace.meta.expected {
-        let _ = write!(
-            s,
+        write!(
+            out,
             ",\"offered\":{},\"processed\":{},\"forwarded\":{},\"nf_drops\":{},\
              \"nic_cap_drops\":{},\"queue_drops\":{},\"ring_drops\":{},\"redirects\":{}",
             e.offered,
@@ -46,12 +46,12 @@ pub fn write_string(trace: &Trace) -> String {
             e.queue_drops,
             e.ring_drops,
             e.redirects,
-        );
+        )?;
     }
-    s.push_str("}\n");
-    for ev in &trace.events {
-        let _ = writeln!(
-            s,
+    out.write_all(b"}\n")?;
+    for ev in trace.events.iter() {
+        writeln!(
+            out,
             "{},{},{},{},{},{},{}",
             ev.seq,
             ev.ts,
@@ -60,9 +60,17 @@ pub fn write_string(trace: &Trace) -> String {
             ev.flow,
             ev.pkt,
             ev.aux
-        );
+        )?;
     }
-    s
+    out.flush()
+}
+
+/// Serialize a trace to the line-oriented format, whole, in memory
+/// ([`save`] streams it to a file instead).
+pub fn write_string(trace: &Trace) -> String {
+    let mut bytes = Vec::new();
+    write_to(trace, &mut bytes).expect("a Vec takes every write");
+    String::from_utf8(bytes).expect("the format is ASCII")
 }
 
 /// Extract an unsigned integer field from the (flat) JSON header line.
@@ -172,12 +180,13 @@ pub fn parse(input: &str) -> Result<Trace, String> {
     })
 }
 
-/// Write a trace to `path`.
+/// Write a trace to `path`, streamed: the file is never whole in
+/// memory.
 pub fn save(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(path, write_string(trace))
+    write_to(trace, std::io::BufWriter::new(std::fs::File::create(path)?))
 }
 
 /// Load a trace from `path`.
@@ -243,6 +252,18 @@ mod tests {
             assert_eq!(back.events, t.events);
             assert_eq!(back.dropped, 3);
         }
+    }
+
+    #[test]
+    fn save_streams_the_bytes_write_string_builds() {
+        let t = sample_trace(true);
+        let dir = std::env::temp_dir().join(format!("sprayer-trace-io-{}", std::process::id()));
+        let path = dir.join("run.trace");
+        save(&t, &path).expect("save");
+        let on_disk = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(on_disk, write_string(&t));
+        assert_eq!(load(&path).expect("load"), t);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

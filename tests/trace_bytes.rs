@@ -1,7 +1,7 @@
 //! The bytes of `sprayer-trace/1` files, pinned by digest.
 //!
 //! `sprayer-bench trace` and CI only parse trace files; these tests pin
-//! what `trace_io::write_string` writes for three fixed captures:
+//! what `trace_io::write_string` writes for four fixed captures:
 //!
 //! * the simulator's trace of a small run (one lane, so one ring):
 //!   every byte, timestamps included — simulated time is exact;
@@ -12,7 +12,13 @@
 //!   sorted, since their order is the threads' interleaving;
 //! * a trace assembled from three hand-built rings whose sequences
 //!   interleave, several storage chunks each (the threaded runtime's
-//!   shape: workers plus ingress), every byte — this pins the merge.
+//!   shape: workers plus ingress), every byte — this pins the merge;
+//! * the same shape at four rings of over three full chunks each,
+//!   with values that overflow each of a sealed chunk's narrow fields
+//!   here and there (an `aux` and a `ts` span past `u32`, a `core`
+//!   past `u8`, `seq` and `pkt` spans past `u16`) beside `drain`s that
+//!   carry no packet, every byte — this pins sealed storage, packed
+//!   and raw, through the merge.
 
 use sprayer::config::{DispatchMode, MiddleboxConfig, ObsConfig};
 use sprayer::runtime_sim::MiddleboxSim;
@@ -160,4 +166,67 @@ fn a_merged_trace_file_is_pinned() {
         (12_000, 868),
     );
     assert_eq!(fnv1a(file.as_bytes()), 0x50aa_7cb0_a5f7_2d2b);
+}
+
+#[test]
+fn a_sealed_and_merged_trace_file_is_pinned() {
+    // Three workers and an ingress taking the sequence in turns of 1-8
+    // events, ~8 000 events each.
+    let mut rings: Vec<TraceRing> = (0..4).map(|_| TraceRing::new(1 << 20)).collect();
+    let (mut seq, mut state, mut kept) = (0u64, 11u64, 0u64);
+    while kept < 32_000 {
+        state = splitmix64(state);
+        let ring = (state % 4) as usize;
+        for _ in 0..(1 + (state >> 8) % 8).min(32_000 - kept) {
+            if kept == 26_000 {
+                seq += 70_000;
+            }
+            let kind = EventKind::ALL[(splitmix64(seq) % 7) as usize];
+            let (flow, pkt) = if kind == EventKind::Drain {
+                (0, TraceEvent::NO_PKT)
+            } else if (22_000..22_050).contains(&kept) {
+                (splitmix64(seq / 16) % 64, seq + 70_000)
+            } else {
+                (splitmix64(seq / 16) % 64, seq / 3)
+            };
+            let gap = if kept >= 16_000 { 1 << 33 } else { 0 };
+            let aux = if (4_000..4_200).contains(&kept) {
+                u64::from(u32::MAX) + seq
+            } else {
+                seq % 5
+            };
+            let core = if (10_000..10_100).contains(&kept) {
+                300
+            } else {
+                ring as u16
+            };
+            rings[ring].push(TraceEvent {
+                seq,
+                ts: seq * 37 + state % 11 + gap,
+                core,
+                kind,
+                flow,
+                pkt,
+                aux,
+            });
+            seq += 1;
+            kept += 1;
+        }
+    }
+    assert!(
+        rings.iter().all(|r| r.len() > 3 * 2048),
+        "three chunks each"
+    );
+    let meta = TraceMeta {
+        runtime: "threads".into(),
+        ticks_per_us: 1_000,
+        num_cores: 3,
+        expected: None,
+    };
+    let trace = Trace::assemble(meta, rings);
+    let file = write_string(&trace);
+    assert_eq!((trace.events.len(), trace.dropped), (32_000, 0));
+    let (packed, raw) = trace.events.sealed_chunks();
+    assert!(packed > 0 && raw > 0, "{packed} packed, {raw} raw");
+    assert_eq!(fnv1a(file.as_bytes()), 0xc3af_eaa0_493d_6907);
 }
