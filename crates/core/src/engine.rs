@@ -13,26 +13,25 @@
 //!   ingress; the connection-packet bit and canonical flow key ride with
 //!   the packet through queueing and redirect instead of being re-parsed
 //!   at every hop;
-//! * **dispatch** ([`Engine::redirect_target`]) — the core picker of
-//!   §3.3: under Sprayer, a stateful NF's connection packets transfer to
-//!   the flow's designated core, everything else runs where it landed;
+//! * **dispatch** ([`Dispatch`]) — the one value that knows what a
+//!   [`DispatchMode`] does: how the NIC steers, which core each flow is
+//!   designated to, whether a packet is redirected (the core picker of
+//!   §3.3, [`Engine::redirect_target`]) and whether flow state is
+//!   replicated. Neither runtime names a mode;
 //! * **NF invocation** ([`run_nf_batch`]) — the batch-native call into
 //!   [`NetworkFunction::handle_batch`], with the verdict-cursor contract
 //!   the threaded runtime's panic accounting depends on;
 //! * **outcome accounting** ([`account`]) — the per-core counter updates
-//!   both [`crate::stats::CoreStats`] projections are built from;
-//! * **NIC steering** (`nic_config`) — what each dispatch mode
-//!   programs into the NIC, at start-up and at every epoch transition.
-//!
-//! The runtimes implement [`Engine`] (three accessors) and get the
-//! dispatch decision as a provided method — one implementation, two
-//! drivers.
+//!   both [`crate::stats::CoreStats`] projections are built from.
 
-use crate::api::{FlowStateApi, NetworkFunction, Verdict, VerdictSink};
-use crate::config::DispatchMode;
-use crate::stats::CoreStats;
+use crate::api::{FlowStateApi, NetworkFunction, VerdictSink};
+use crate::config::{DispatchMode, SCR_LOG_CAPACITY};
+use crate::coremap::CoreMap;
+use crate::scr::{Backoff, ScrPort, SharedScrPlane};
+use crate::stats::{CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
+use crate::tables::ReplicaWriter;
 use sprayer_net::{FlowKey, Packet};
-use sprayer_nic::NicConfig;
+use sprayer_nic::{Nic, NicConfig};
 
 /// Per-packet classification, computed once at ingress ("headers parsed
 /// once") and reused at every later decision point: redirect selection,
@@ -61,11 +60,11 @@ impl PacketClass {
     }
 }
 
-/// The per-core pipeline contract a runtime implements to drive the
-/// shared engine. Everything here is a pure read of runtime
-/// configuration; the provided methods are the pipeline itself.
+/// The redirect decision's three inputs, and the decision itself as a
+/// provided method: [`Dispatch`] implements it for both runtimes, and a
+/// model of the pipeline can implement it over its own core map.
 pub trait Engine {
-    /// The dispatch mode this runtime was configured with.
+    /// The dispatch mode in force.
     fn mode(&self) -> DispatchMode;
 
     /// Whether the NF declared itself stateless (which disables flow
@@ -97,6 +96,225 @@ pub trait Engine {
         let key = class.key.as_ref()?;
         let designated = self.designated_core(key);
         (designated != core).then_some(designated)
+    }
+}
+
+/// The dispatch policy of one run, built once and advanced at every
+/// epoch transition ([`Dispatch::rescale`], [`Dispatch::fail`]). It
+/// answers how the NIC steers ([`Dispatch::nic`]), where each flow is
+/// designated ([`Dispatch::map`]), whether a packet is redirected
+/// ([`Engine::redirect_target`]) and whether state is replicated
+/// ([`Dispatch::replication`]).
+#[derive(Debug, Clone)]
+pub struct Dispatch {
+    mode: DispatchMode,
+    stateless: bool,
+    /// What the NIC is programmed with, but for its queue count.
+    nic: NicConfig,
+    map: CoreMap,
+}
+
+impl Dispatch {
+    /// The policy of `mode` over `cores` cores for a `stateless` NF or
+    /// not. The Flow Director cap and the spray subset bind only when
+    /// set. An `elastic` run designates by rendezvous hash
+    /// ([`CoreMap::elastic`]), so that rescales move few flows.
+    pub fn new(
+        mode: DispatchMode,
+        stateless: bool,
+        fdir_cap_pps: Option<f64>,
+        spray_subset_k: Option<usize>,
+        elastic: bool,
+        cores: usize,
+    ) -> Self {
+        // SCR sprays like Sprayer: what differs is after the NIC.
+        let nic = match mode {
+            DispatchMode::Rss => NicConfig::rss(cores),
+            DispatchMode::Sprayer | DispatchMode::Scr => NicConfig {
+                fdir_rate_cap_pps: fdir_cap_pps,
+                spray_subset_k,
+                ..NicConfig::sprayer(cores)
+            },
+        };
+        // Under subset spraying a flow's packets only visit the k queues
+        // anchored at its RSS queue, so its state must live there too:
+        // designation follows the RSS map, not the full-spray hash.
+        let designation = match (mode, spray_subset_k) {
+            (DispatchMode::Sprayer, Some(_)) => DispatchMode::Rss,
+            _ => mode,
+        };
+        let map = if elastic {
+            CoreMap::elastic(designation, cores)
+        } else {
+            CoreMap::new(designation, cores)
+        };
+        Dispatch {
+            mode,
+            stateless,
+            nic,
+            map,
+        }
+    }
+
+    /// A NIC programmed for this epoch: a receive queue per active core.
+    pub fn nic(&self) -> Nic {
+        let num_queues = self.map.active_core_ids().len();
+        Nic::new(NicConfig {
+            num_queues,
+            ..self.nic.clone()
+        })
+    }
+
+    /// This epoch's designated-core map.
+    pub fn map(&self) -> &CoreMap {
+        &self.map
+    }
+
+    /// The next epoch, at `cores` cores ([`CoreMap::rescaled`]).
+    pub fn rescale(&mut self, cores: usize) {
+        self.map = self.map.rescaled(cores);
+    }
+
+    /// The next epoch, without the dead `core` ([`CoreMap::without_core`]).
+    pub fn fail(&mut self, core: usize) {
+        self.map = self.map.without_core(core);
+    }
+
+    /// A fresh replication plane over this epoch's cores: SCR's update
+    /// logs for a stateful NF, inert otherwise (a stateless NF has
+    /// nothing to replicate, so SCR is then pure spraying).
+    pub fn replication<S>(&self) -> Replication<S> {
+        let replicate = self.mode == DispatchMode::Scr && !self.stateless;
+        Replication(replicate.then(|| SharedScrPlane::new(self.map.num_cores(), SCR_LOG_CAPACITY)))
+    }
+}
+
+impl Engine for Dispatch {
+    fn mode(&self) -> DispatchMode {
+        self.mode
+    }
+
+    fn stateless(&self) -> bool {
+        self.stateless
+    }
+
+    fn designated_core(&self, key: &FlowKey) -> usize {
+        self.map.designated_for_key(key)
+    }
+}
+
+/// One epoch's replication plane: the SCR plane ([`crate::scr`]) when
+/// the run replicates flow state, else inert. A call on an inert plane
+/// or on one of its [`Replica`] handles is one branch that does nothing.
+#[derive(Debug)]
+pub struct Replication<S>(Option<SharedScrPlane<S>>);
+
+impl<S: Clone> Replication<S> {
+    /// `core`'s handle.
+    pub fn port(&self, core: usize) -> Replica<S> {
+        Replica(self.0.as_ref().map(|plane| plane.port(core)))
+    }
+
+    /// A handle per core on the plane; an inert plane spans no core.
+    pub fn ports(&self) -> Vec<Replica<S>> {
+        let cores = self.0.as_ref().map_or(0, SharedScrPlane::num_cores);
+        (0..cores).map(|core| self.port(core)).collect()
+    }
+
+    /// Discard a dead `core`'s log as accounted drops; returns how many.
+    pub fn truncate(&self, core: usize) -> u64 {
+        self.0.as_ref().map_or(0, |plane| plane.truncate(core))
+    }
+
+    /// The deepest any log has been.
+    pub fn occupancy_hwm(&self) -> u64 {
+        self.0.as_ref().map_or(0, SharedScrPlane::occupancy_hwm)
+    }
+
+    /// Once every core has stopped, truncate each log (a publish that
+    /// raced a dying peer's truncation can strand updates there) and
+    /// add the plane's counters to `stats`: `scr_replay_gap()` closes.
+    pub fn settle(&self, stats: &mut MiddleboxStats) {
+        let Some(plane) = &self.0 else {
+            return;
+        };
+        for core in 0..plane.num_cores() {
+            plane.truncate(core);
+        }
+        stats.scr_published += plane.published();
+        stats.scr_applied += plane.applied();
+        stats.scr_log_drops += plane.dropped();
+        stats.scr_log_occupancy_hwm = stats.scr_log_occupancy_hwm.max(plane.occupancy_hwm());
+    }
+}
+
+/// One core's replication handle: its [`ScrPort`], or inert.
+#[derive(Debug)]
+pub struct Replica<S>(Option<ScrPort<S>>);
+
+impl<S: Clone> Replica<S> {
+    /// [`ScrPort::replay`]: the remote updates consumed.
+    pub fn replay<NF: NetworkFunction<Flow = S>>(
+        &mut self,
+        nf: &NF,
+        floor: impl FnOnce(&SharedScrPlane<S>) -> u64,
+        open: impl FnOnce(&mut dyn FnMut(ReplicaWriter<'_, S>)),
+    ) -> u64 {
+        self.0
+            .as_mut()
+            .map_or(0, |port| port.replay(nf, floor, open))
+    }
+
+    /// [`ScrPort::extract`] from `ctx`, then reset its log with `clear`.
+    pub fn extract<NF, C>(
+        &mut self,
+        nf: &NF,
+        pkts: &[Packet],
+        conn: &[bool],
+        ctx: &mut C,
+        clear: fn(&mut C),
+    ) where
+        NF: NetworkFunction<Flow = S>,
+        C: FlowStateApi<S>,
+    {
+        if let Some(port) = &mut self.0 {
+            port.extract(nf, pkts, conn, ctx);
+            clear(ctx);
+        }
+    }
+
+    /// [`ScrPort::publish`]: the copies that landed; `None` if inert.
+    pub fn publish(
+        &mut self,
+        live: impl Fn(usize) -> bool,
+        full: impl FnMut(&mut ScrPort<S>, usize) -> Backoff,
+    ) -> Option<u64> {
+        self.0.as_mut().map(|port| port.publish(live, full))
+    }
+
+    /// [`SharedScrPlane::quiesce`] for this core.
+    pub fn quiesce(&self) {
+        if let Some(port) = &self.0 {
+            port.plane().quiesce(port.core());
+        }
+    }
+
+    /// Whether the core may leave its phase once its queues are done:
+    /// at once if inert, else once `peers_done` and its log is dry.
+    pub fn settled(&self, peers_done: impl FnOnce() -> bool) -> bool {
+        let dry = |port: &ScrPort<S>| port.plane().pending(port.core()) == 0;
+        self.0.as_ref().is_none_or(|port| peers_done() && dry(port))
+    }
+
+    /// The replay-lag histogram since the last take.
+    pub fn take_lag_hist(&mut self) -> [u64; BATCH_HIST_BUCKETS] {
+        let none = [0; BATCH_HIST_BUCKETS];
+        self.0.as_mut().map_or(none, ScrPort::take_lag_hist)
+    }
+
+    /// Most records the core's version guard held at once.
+    pub fn guard_hwm(&self) -> usize {
+        self.0.as_ref().map_or(0, |port| port.guard().len_hwm())
     }
 }
 
@@ -138,56 +356,10 @@ pub fn account(stats: &mut CoreStats, is_conn: bool, via_ring: bool) {
     }
 }
 
-/// The NIC steering `mode` programs over `queues` receive queues: a
-/// fresh round-robin indirection table under RSS, fresh checksum-spray
-/// filters otherwise. SCR sprays exactly like Sprayer — the difference
-/// is what happens after the NIC (a state-update log instead of
-/// redirect rings). The Flow Director cap and the spray subset bind
-/// only when set; the threaded runtime models no wall-clock rate limit
-/// and passes neither.
-pub(crate) fn nic_config(
-    mode: DispatchMode,
-    queues: usize,
-    fdir_cap_pps: Option<f64>,
-    spray_subset_k: Option<usize>,
-) -> NicConfig {
-    match mode {
-        DispatchMode::Rss => NicConfig::rss(queues),
-        DispatchMode::Sprayer | DispatchMode::Scr => NicConfig {
-            fdir_rate_cap_pps: fdir_cap_pps,
-            spray_subset_k,
-            ..NicConfig::sprayer(queues)
-        },
-    }
-}
-
-/// Convenience: was the verdict a forward?
-pub fn is_forward(verdict: Verdict) -> bool {
-    verdict == Verdict::Forward
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
-
-    struct FakeEngine {
-        mode: DispatchMode,
-        stateless: bool,
-        cores: usize,
-    }
-
-    impl Engine for FakeEngine {
-        fn mode(&self) -> DispatchMode {
-            self.mode
-        }
-        fn stateless(&self) -> bool {
-            self.stateless
-        }
-        fn designated_core(&self, key: &FlowKey) -> usize {
-            (key.stable_hash() % self.cores as u64) as usize
-        }
-    }
 
     fn syn(i: u32) -> Packet {
         let t = FiveTuple::tcp(0x0a00_0000 + i, 40_000, 0xc0a8_0001, 443);
@@ -214,11 +386,7 @@ mod tests {
 
     #[test]
     fn redirect_only_for_foreign_sprayer_connection_packets() {
-        let e = FakeEngine {
-            mode: DispatchMode::Sprayer,
-            stateless: false,
-            cores: 8,
-        };
+        let e = Dispatch::new(DispatchMode::Sprayer, false, None, None, false, 8);
         for i in 0..64 {
             let class = PacketClass::of(&syn(i));
             let home = e.designated_core(&class.key.unwrap());
@@ -232,21 +400,9 @@ mod tests {
 
     #[test]
     fn rss_scr_and_stateless_never_redirect() {
-        let rss = FakeEngine {
-            mode: DispatchMode::Rss,
-            stateless: false,
-            cores: 8,
-        };
-        let scr = FakeEngine {
-            mode: DispatchMode::Scr,
-            stateless: false,
-            cores: 8,
-        };
-        let stateless = FakeEngine {
-            mode: DispatchMode::Sprayer,
-            stateless: true,
-            cores: 8,
-        };
+        let rss = Dispatch::new(DispatchMode::Rss, false, None, None, false, 8);
+        let scr = Dispatch::new(DispatchMode::Scr, false, None, None, false, 8);
+        let stateless = Dispatch::new(DispatchMode::Sprayer, true, None, None, false, 8);
         for i in 0..64 {
             let class = PacketClass::of(&syn(i));
             for core in 0..8 {
@@ -257,6 +413,80 @@ mod tests {
                     "SCR replicates instead"
                 );
                 assert_eq!(stateless.redirect_target(&class, core), None);
+            }
+        }
+    }
+
+    /// Every dispatch decision in one table, a row per mode × NF
+    /// statefulness × spray subset, each built static and elastic: the
+    /// NIC (spray or RSS, the Flow Director cap, the subset), the
+    /// designation family (subset spraying anchors it at the RSS
+    /// queue), whether a foreign connection packet is redirected, and
+    /// whether state is replicated — never for a stateless NF, which a
+    /// runtime's outputs cannot show, since such an NF writes nothing.
+    #[test]
+    fn one_value_answers_steer_designate_redirect_and_replicate() {
+        use DispatchMode::{Rss, Scr, Sprayer};
+        const CAP: Option<f64> = Some(10.0e6);
+        // mode, stateless, subset => sprays, designated by, redirects, replicates
+        let rows = [
+            (Rss, false, None, false, Rss, false, false),
+            (Rss, true, None, false, Rss, false, false),
+            (Rss, false, Some(2), false, Rss, false, false),
+            (Sprayer, false, None, true, Sprayer, true, false),
+            (Sprayer, true, None, true, Sprayer, false, false),
+            (Sprayer, false, Some(2), true, Rss, true, false),
+            (Sprayer, true, Some(2), true, Rss, false, false),
+            (Scr, false, None, true, Scr, false, true),
+            (Scr, true, None, true, Scr, false, false),
+            (Scr, false, Some(2), true, Scr, false, true),
+            (Scr, true, Some(2), true, Scr, false, false),
+        ];
+        for (mode, stateless, subset, sprays, family, redirects, replicates) in rows {
+            for elastic in [false, true] {
+                let row =
+                    format!("{mode:?} stateless={stateless} subset={subset:?} elastic={elastic}");
+                let mut d = Dispatch::new(mode, stateless, CAP, subset, elastic, 4);
+                let nic = d.nic();
+                let cfg = nic.config();
+                assert_eq!((cfg.num_queues, cfg.spray_tcp), (4, sprays), "{row}");
+                let (cap, k) = if sprays { (CAP, subset) } else { (None, None) };
+                assert_eq!(
+                    (cfg.fdir_rate_cap_pps, cfg.spray_subset_k),
+                    (cap, k),
+                    "{row}"
+                );
+                let map = d.map();
+                assert_eq!(map.mode(), family, "{row}");
+                assert_eq!(map.is_rendezvous(), elastic && family != Rss, "{row}");
+                let anchor = CoreMap::new(Rss, 4);
+                for i in 0..64 {
+                    let class = PacketClass::of(&syn(i));
+                    let key = class.key.unwrap();
+                    let home = d.designated_core(&key);
+                    if family == Rss && !elastic {
+                        assert_eq!(home, anchor.designated_for_key(&key), "{row}");
+                    }
+                    let away = (home + 1) % 4;
+                    assert_eq!(d.redirect_target(&class, home), None, "{row}");
+                    let want = redirects.then_some(home);
+                    assert_eq!(d.redirect_target(&class, away), want, "{row}");
+                    // Data packets run wherever they were sprayed.
+                    let data = PacketClass::of(&data(i));
+                    assert_eq!(d.redirect_target(&data, away), None, "{row}");
+                }
+                let plane = d.replication::<u32>();
+                assert_eq!(plane.0.is_some(), replicates, "{row}");
+                assert_eq!(plane.ports().len(), if replicates { 4 } else { 0 }, "{row}");
+                assert_eq!(plane.port(3).0.is_some(), replicates, "{row}");
+                // Each epoch transition advances the one value.
+                d.rescale(6);
+                assert_eq!(d.nic().config().num_queues, 6, "{row}");
+                let plane = d.replication::<u32>();
+                assert_eq!(plane.ports().len(), if replicates { 6 } else { 0 }, "{row}");
+                d.fail(2);
+                assert_eq!(d.nic().config().num_queues, 5, "{row}");
+                assert!(d.map().is_failed(2) && d.map().epoch() == 2, "{row}");
             }
         }
     }

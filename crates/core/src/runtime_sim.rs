@@ -14,16 +14,16 @@
 //! outer event loop, and [`MiddleboxSim::take_egress`] to collect
 //! forwarded packets with their departure times.
 
-use crate::api::{NetworkFunction, NfConfig, Verdict, VerdictSink};
-use crate::config::{DispatchMode, MiddleboxConfig, ObsConfig, SCR_LOG_CAPACITY};
+use crate::api::{NetworkFunction, Verdict, VerdictSink};
+use crate::config::{MiddleboxConfig, ObsConfig};
 use crate::coremap::CoreMap;
 use crate::elastic::{ReconfigReport, RecoveryReport};
-use crate::engine::{self, Engine, PacketClass};
+use crate::engine::{self, Dispatch, Engine, PacketClass, Replica, Replication};
 use crate::obs_sink::{Completion, ObsHub, ObsLane, ObsReport};
-use crate::scr::{Backoff, ScrPort, SharedScrPlane};
+use crate::scr::{Backoff, SharedScrPlane};
 use crate::stats::{CoreStats, MiddleboxStats};
-use crate::tables::{FailoverStats, LocalTables};
-use sprayer_net::{FlowKey, Packet};
+use crate::tables::{FailoverStats, LocalCtx, LocalTables};
+use sprayer_net::Packet;
 use sprayer_nic::{Nic, RxSteering};
 use sprayer_obs::{DropKind, FlightSnapshot, HealthEvent, LatencyProbes, Stage};
 use sprayer_sim::{BoundedFifo, EventQueue, Time};
@@ -114,10 +114,11 @@ struct Transition {
 pub struct MiddleboxSim<NF: NetworkFunction> {
     config: MiddleboxConfig,
     nic: Nic,
-    coremap: CoreMap,
+    /// What the dispatch mode does: steering, designation (the core
+    /// map), redirect and replication, advanced at every epoch.
+    dispatch: Dispatch,
     tables: LocalTables<NF::Flow>,
     nf: NF,
-    nf_config: NfConfig,
     cores: Vec<CoreSim>,
     /// Service completions, keyed by core.
     events: EventQueue<usize>,
@@ -158,26 +159,12 @@ pub struct MiddleboxSim<NF: NetworkFunction> {
     /// the NIC to the surviving queue count, after which it maps the
     /// (smaller) queue index space back to real core ids.
     queue_map: Vec<usize>,
-    /// One port per core on the SCR replay plane ([`crate::scr`]), iff
-    /// `config.mode` is [`DispatchMode::Scr`] and the NF is stateful.
-    scr_ports: Vec<ScrPort<NF::Flow>>,
+    /// This epoch's replication plane, and a handle per core on it.
+    replication: Replication<NF::Flow>,
+    replicas: Vec<Replica<NF::Flow>>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`], reused
     /// across events so the hot path never allocates.
     sink: VerdictSink,
-}
-
-impl<NF: NetworkFunction> Engine for MiddleboxSim<NF> {
-    fn mode(&self) -> DispatchMode {
-        self.config.mode
-    }
-
-    fn stateless(&self) -> bool {
-        self.nf_config.stateless
-    }
-
-    fn designated_core(&self, key: &FlowKey) -> usize {
-        self.coremap.designated_for_key(key)
-    }
 }
 
 impl<NF: NetworkFunction> MiddleboxSim<NF> {
@@ -195,54 +182,32 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         Self::build(config, nf, true)
     }
 
-    /// The NIC for this configuration's dispatch mode at a queue count —
-    /// built at construction and again at every epoch transition (the
-    /// "reprogram the NIC" step). `paper_testbed` leaves the Flow
-    /// Director cap `None` under SCR, since no perfect-filter redirect
-    /// rules are needed there.
-    fn nic_for(config: &MiddleboxConfig, queues: usize) -> Nic {
-        let (cap, subset) = (config.fdir_cap_pps, config.spray_subset_k);
-        Nic::new(engine::nic_config(config.mode, queues, cap, subset))
-    }
-
     fn build(config: MiddleboxConfig, nf: NF, elastic: bool) -> Self {
         let nf_config = nf.config();
-        // Under subset spraying, a flow's packets only visit the k queues
-        // anchored at its RSS queue — so its state must live there too:
-        // the designated core follows the RSS map (the subset anchor)
-        // instead of the full-spray hash.
-        let designated_mode =
-            if config.mode == DispatchMode::Sprayer && config.spray_subset_k.is_some() {
-                DispatchMode::Rss
-            } else {
-                config.mode
-            };
-        let coremap = if elastic {
-            CoreMap::elastic(designated_mode, config.num_cores)
-        } else {
-            CoreMap::new(designated_mode, config.num_cores)
-        };
-        let mut tables = LocalTables::new(coremap.clone(), nf_config.flow_table_capacity);
+        let dispatch = Dispatch::new(
+            config.mode,
+            nf_config.stateless,
+            config.fdir_cap_pps,
+            config.spray_subset_k,
+            elastic,
+            config.num_cores,
+        );
+        let mut tables = LocalTables::new(dispatch.map().clone(), nf_config.flow_table_capacity);
         tables.set_lifecycle(config.lifecycle);
         let cores = (0..config.num_cores)
             .map(|_| CoreSim::new(&config))
             .collect();
-        // A stateless NF has nothing to replicate: SCR degenerates to
-        // pure spraying and the plane (and its per-update costs) is
-        // elided entirely.
-        let scr_on = config.mode == DispatchMode::Scr && !nf_config.stateless;
-        let scr_ports = scr_on.then(|| Self::scr_ports_for(config.num_cores));
+        let replication = dispatch.replication();
         let mut stats = MiddleboxStats::new(config.num_cores);
         stats.lifecycle_enabled = config.lifecycle.enabled();
         // Profile ticks are model cycles; the scale is cycles per µs.
         let profile = (&*nf.profile_label(), config.clock.hz() / 1_000_000);
         let obs = Self::obs_lane(config.obs, config.num_cores, profile);
         MiddleboxSim {
-            nic: Self::nic_for(&config, config.num_cores),
-            coremap,
+            nic: dispatch.nic(),
+            dispatch,
             tables,
             nf,
-            nf_config,
             cores,
             events: EventQueue::new(),
             now: Time::ZERO,
@@ -265,7 +230,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             stalled_until: vec![Time::ZERO; config.num_cores],
             recoveries: Vec::new(),
             queue_map: (0..config.num_cores).collect(),
-            scr_ports: scr_ports.unwrap_or_default(),
+            replicas: replication.ports(),
+            replication,
             sink: VerdictSink::with_capacity(1),
             config,
         }
@@ -277,24 +243,20 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         Arc::new(ObsHub::new(obs, "sim", SIM_TICKS_PER_US, profile, cores, 1)).lane(0..cores, true)
     }
 
-    /// One port per core on a fresh plane of `cores` logs.
-    fn scr_ports_for(cores: usize) -> Vec<ScrPort<NF::Flow>> {
-        let plane = SharedScrPlane::new(cores, SCR_LOG_CAPACITY);
-        (0..cores).map(|core| plane.port(core)).collect()
-    }
-
     /// SCR replay-before-dispatch on `core` ([`Self::replay_port`]);
     /// the *caller* charges the cycles to `busy_cycles` (and, on the
-    /// dispatch path, extends the service by them). 0 outside SCR mode.
+    /// dispatch path, extends the service by them). 0 when nothing
+    /// replicates.
     fn scr_replay(&mut self, core: usize) -> u64 {
         // Per-core structures never shrink on scale-down but the
         // next-epoch plane does: a retired core has no port.
-        let Some(port) = self.scr_ports.get_mut(core) else {
+        let Some(port) = self.replicas.get_mut(core) else {
             return 0;
         };
         let apply_cycles = self.config.scr_apply_cycles;
         Self::replay_port(
             &self.nf,
+            core,
             port,
             &mut self.tables,
             &mut self.stats,
@@ -303,19 +265,19 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         )
     }
 
-    /// Replay `port`'s log and charge it on its core: `apply_cycles`
-    /// per consumed update, under [`Stage::Classify`] and in the `scr_*`
-    /// stats. Returns the cycles. A publish lands on every log at once,
-    /// so the guard floor is the global head.
+    /// Replay `core`'s log through its `port` and charge it there:
+    /// `apply_cycles` per consumed update, under [`Stage::Classify`]
+    /// and in the `scr_*` stats. Returns the cycles. A publish lands on
+    /// every log at once, so the guard floor is the global head.
     fn replay_port(
         nf: &NF,
-        port: &mut ScrPort<NF::Flow>,
+        core: usize,
+        port: &mut Replica<NF::Flow>,
         tables: &mut LocalTables<NF::Flow>,
         stats: &mut MiddleboxStats,
         obs: &mut ObsLane,
         apply_cycles: u64,
     ) -> u64 {
-        let core = port.core();
         let floor = SharedScrPlane::head_seq;
         let applied = port.replay(nf, floor, |run| run(tables.replica(core)));
         if applied == 0 {
@@ -340,15 +302,13 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     fn scr_publish(&mut self, core: usize, pkts: &[Packet], conn: &[bool]) {
         // A core retired by a scale-down has no port on the next-epoch
         // plane.
-        if core >= self.scr_ports.len() {
+        if core >= self.replicas.len() {
             return;
         }
-        let (below, rest) = self.scr_ports.split_at_mut(core);
+        let (below, rest) = self.replicas.split_at_mut(core);
         let (port, above) = rest.split_first_mut().expect("core < ports");
-        port.extract(&self.nf, pkts, conn, &self.tables.ctx(core));
-        // The batch's mutation log fed the hook; reset it either way so
-        // the next batch starts clean.
-        self.tables.clear_batch_log(core);
+        let ctx = &mut self.tables.ctx(core);
+        port.extract(&self.nf, pkts, conn, ctx, LocalCtx::clear_batch_log);
         let (nf, tables, stats, obs) = (&self.nf, &mut self.tables, &mut self.stats, &mut self.obs);
         let (failed, apply_cycles) = (&self.failed, self.config.scr_apply_cycles);
         let sent = port.publish(
@@ -356,12 +316,12 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             |_, peer| {
                 let mut others = below.iter_mut().chain(above.iter_mut());
                 let blocked = others.nth(peer - usize::from(peer > core)).expect("a peer");
-                let cycles = Self::replay_port(nf, blocked, tables, stats, obs, apply_cycles);
+                let cycles = Self::replay_port(nf, peer, blocked, tables, stats, obs, apply_cycles);
                 stats.per_core[peer].busy_cycles += cycles;
                 Backoff::Retry
             },
         );
-        let hwm = port.plane().occupancy_hwm();
+        let (sent, hwm) = (sent.unwrap_or(0), self.replication.occupancy_hwm());
         self.stats.scr_log_occupancy_hwm = self.stats.scr_log_occupancy_hwm.max(hwm);
         self.stats.scr_published += sent;
         let cycles = sent * self.config.scr_publish_cycles;
@@ -374,7 +334,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// event queue runs dry — an idle core polls its log, so replicas
     /// converge at rest and [`MiddleboxStats::scr_replay_gap`] closes).
     fn scr_drain_live(&mut self) {
-        for core in 0..self.scr_ports.len() {
+        for core in 0..self.replicas.len() {
             if self.failed[core] {
                 continue;
             }
@@ -503,7 +463,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
 
     /// The designated-core map currently in force.
     pub fn coremap(&self) -> &CoreMap {
-        &self.coremap
+        self.dispatch.map()
     }
 
     /// Cores currently receiving work. The internal core array never
@@ -511,7 +471,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     /// keep their cumulative stats; after an unplanned failure the dead
     /// core's slot stays dark.
     pub fn active_cores(&self) -> usize {
-        self.coremap.active_core_ids().len()
+        self.dispatch.map().active_core_ids().len()
     }
 
     /// Reports from every [`MiddleboxSim::reconfigure`] call, in order.
@@ -712,7 +672,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             // engine's core picker over the ingress classification (the
             // designated core resolves against the *current* map, which
             // may have advanced an epoch since the packet queued).
-            let redirect = Engine::redirect_target(self, &job.class, core);
+            let redirect = self.dispatch.redirect_target(&job.class, core);
             if let Some(target) = redirect {
                 let cycles = self.config.overhead_cycles + self.config.ring_enqueue_cycles;
                 let service = self.config.clock.cycles_to_time(cycles);
@@ -949,15 +909,15 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // core the watchdog has NOT yet detected is a corpse, and
         // rescaling over it would silently resurrect it: still rejected.
         assert!(
-            (0..self.failed.len()).all(|c| !self.failed[c] || self.coremap.is_failed(c)),
+            (0..self.failed.len()).all(|c| !self.failed[c] || self.dispatch.map().is_failed(c)),
             "recover failed cores before a planned rescale"
         );
         self.failed.fill(false);
         self.fail_time.fill(None);
-        let from_cores = self.coremap.num_cores();
+        let from_cores = self.dispatch.map().num_cores();
         let t = self.transition(at, Remap::Rescale(new_cores));
         let report = ReconfigReport {
-            epoch: self.coremap.epoch(),
+            epoch: self.dispatch.map().epoch(),
             mode: self.config.mode,
             from_cores,
             to_cores: new_cores,
@@ -995,9 +955,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // conservation identity keeps closing through the crash. Its
         // replica needs no handling (every survivor holds the same
         // state), and publishes from here on skip the dark log.
-        if let Some(port) = self.scr_ports.first() {
-            self.stats.scr_log_drops += port.plane().truncate(core);
-        }
+        self.stats.scr_log_drops += self.replication.truncate(core);
         self.obs.health(
             now.as_ps(),
             HealthEvent::WorkerDeath {
@@ -1044,18 +1002,18 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
     pub fn recover(&mut self, at: Time, failed_core: usize) -> RecoveryReport {
         assert!(self.failed[failed_core], "core {failed_core} is healthy");
         assert!(
-            !self.coremap.is_failed(failed_core),
+            !self.dispatch.map().is_failed(failed_core),
             "core {failed_core} already recovered"
         );
-        let from_active = self.coremap.active_core_ids().len();
+        let from_active = self.dispatch.map().active_core_ids().len();
         let t = self.transition(at, Remap::Failover(failed_core));
         let fail_at = self.fail_time[failed_core].expect("failure recorded");
         let report = RecoveryReport {
-            epoch: self.coremap.epoch(),
+            epoch: self.dispatch.map().epoch(),
             mode: self.config.mode,
             failed_core,
             from_active,
-            to_active: self.coremap.active_core_ids().len(),
+            to_active: self.dispatch.map().active_core_ids().len(),
             migrated_flows: t.moved.migrated_flows,
             retained_flows: t.moved.retained_flows,
             flows_lost: t.moved.flows_lost,
@@ -1107,8 +1065,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             Remap::Rescale(_) => None,
             Remap::Failover(core) => Some(core),
         };
-        if let (Some(core), Some(port)) = (dead, self.scr_ports.first()) {
-            self.stats.scr_log_drops += port.plane().truncate(core);
+        if let Some(core) = dead {
+            self.stats.scr_log_drops += self.replication.truncate(core);
         }
         // Flush staged lifecycle evictions too — the transition resets
         // the staging queues, and the hooks must run against the old
@@ -1123,25 +1081,25 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         // Remap: next core-map epoch + NIC reprogram for the active
         // queue count; `queue_map` translates the queue space back to
         // real core ids (the identity unless a failover shrank it).
-        let new_map = match remap {
-            Remap::Rescale(cores) => self.coremap.rescaled(cores),
-            Remap::Failover(core) => self.coremap.without_core(core),
-        };
-        let active = new_map.active_core_ids().to_vec();
-        self.nic = Self::nic_for(&self.config, active.len());
+        match remap {
+            Remap::Rescale(cores) => self.dispatch.rescale(cores),
+            Remap::Failover(core) => self.dispatch.fail(core),
+        }
+        let active = self.dispatch.map().active_core_ids().to_vec();
+        self.nic = self.dispatch.nic();
         self.queue_map = active.clone();
 
         // Migrate: re-bucket the flow tables under the new map, running
         // the NF's export/import hooks for each moved flow; a failover
         // discards the dead core's entries (flows_lost).
         let nf = &self.nf;
+        let new_map = self.dispatch.map().clone();
         let moved = self
             .tables
-            .enter_epoch(new_map.clone(), dead, &mut |key, state, _from, to| {
+            .enter_epoch(new_map, dead, &mut |key, state, _from, to| {
                 nf.freeze_flow(key, state);
                 nf.adopt_flow(key, state, to);
             });
-        self.coremap = new_map;
 
         if let Remap::Rescale(new_cores) = remap {
             // Grow per-core structures on scale-up (never shrink: removed
@@ -1163,9 +1121,8 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
             // Next-epoch replay plane: fresh (empty) logs and guards at
             // the new core count. Every log was drained above, so the
             // replicas are converged and no version history is needed.
-            if !self.scr_ports.is_empty() {
-                self.scr_ports = Self::scr_ports_for(new_cores);
-            }
+            self.replication = self.dispatch.replication();
+            self.replicas = self.replication.ports();
         }
 
         // Downtime: fixed epoch cost plus per-migrated-flow export and
@@ -1197,7 +1154,7 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
         }
 
         let event = HealthEvent::ReconfigPhase {
-            epoch: self.coremap.epoch(),
+            epoch: self.dispatch.map().epoch(),
             phase: match remap {
                 Remap::Rescale(_) => "rescale",
                 Remap::Failover(_) => "recover",
@@ -1218,7 +1175,9 @@ impl<NF: NetworkFunction> MiddleboxSim<NF> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{FlowStateApi, NfDescriptor};
+    use crate::api::{FlowStateApi, NfConfig, NfDescriptor};
+    use crate::config::{DispatchMode, SCR_LOG_CAPACITY};
+    use sprayer_net::FlowKey;
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
     use sprayer_obs::CoreSample;
     use sprayer_sim::time::LinkSpeed;
@@ -2765,9 +2724,9 @@ mod tests {
                 mb.ingress(now, fin);
             }
             mb.advance_until(now);
-            assert!(!mb.scr_ports.is_empty(), "stateful NF under SCR");
-            for port in &mb.scr_ports {
-                guard_hwm = guard_hwm.max(port.guard().len());
+            assert!(!mb.replicas.is_empty(), "stateful NF under SCR");
+            for port in &mb.replicas {
+                guard_hwm = guard_hwm.max(port.guard_hwm());
             }
         }
         mb.run_until(now + Time::from_ms(10));

@@ -80,17 +80,15 @@
 //! threads, no async runtime.
 
 use crate::api::{NetworkFunction, Verdict, VerdictSink};
-use crate::config::{DispatchMode, LifecycleConfig, ObsConfig, SCR_LOG_CAPACITY};
-use crate::coremap::CoreMap;
+use crate::config::{DispatchMode, LifecycleConfig, ObsConfig};
 use crate::elastic::ReconfigReport;
-use crate::engine::{self, Engine, PacketClass};
+use crate::engine::{self, Dispatch, Engine, PacketClass, Replica, Replication};
 use crate::obs_sink::{Completion, ObsHub, ObsLane};
 use crate::scr::{Backoff, ScrPort, SharedScrPlane};
 use crate::stats::{CoreStats, MiddleboxStats, BATCH_HIST_BUCKETS};
 use crate::tables::{SharedCtx, SharedTables};
 use crossbeam::queue::ArrayQueue;
-use sprayer_net::{FlowKey, Packet};
-use sprayer_nic::Nic;
+use sprayer_net::Packet;
 use sprayer_obs::{
     DropKind, FlightSnapshot, HealthEvent, HealthReport, LatencyProbes, LiveSlots, ProfileSlots,
     ReorderReport, SampleSet, Stage, StageProfiler, TailReport, Trace,
@@ -172,11 +170,11 @@ pub enum Step {
     /// which flow tables persist (so, e.g., every SYN installs its state
     /// before the next phase's data arrives, as TCP's handshake does).
     Phase(Vec<Packet>),
-    /// Rescale to this many workers at the quiesced barrier: the
-    /// [`CoreMap`] advances a generation, the NIC is rebuilt, and
-    /// [`SharedTables::rescaled`] migrates each flow whose designated
-    /// core changed through [`NetworkFunction::freeze_flow`] /
-    /// [`NetworkFunction::adopt_flow`]. A no-op at the current width.
+    /// Rescale to this many workers at the quiesced barrier: the core
+    /// map advances a generation ([`Dispatch::rescale`]), the NIC is
+    /// rebuilt, and [`SharedTables::rescaled`] migrates each flow whose
+    /// designated core changed through [`NetworkFunction::freeze_flow`]
+    /// / [`NetworkFunction::adopt_flow`]. A no-op at the current width.
     Rescale(usize),
     /// Worker `core` panics inside the NF once it has processed exactly
     /// `after` packets of a phase: the NF runs on the fatal batch's
@@ -377,7 +375,8 @@ struct WorkerShared<NF: NetworkFunction> {
     rx: Vec<ArrayQueue<Vec<Desc>>>,
     rings: Vec<ArrayQueue<Desc>>,
     tables: SharedTables<NF::Flow>,
-    coremap: CoreMap,
+    /// The run's dispatch policy at this phase's epoch.
+    dispatch: Dispatch,
     ingress_done: AtomicBool,
     /// Packets pushed to rx queues and not yet claimed by a worker batch.
     rx_remaining: AtomicU64,
@@ -387,8 +386,6 @@ struct WorkerShared<NF: NetworkFunction> {
     /// never passes through zero while a packet is in flight — the
     /// invariant the shutdown protocol relies on.
     redirects_outstanding: AtomicU64,
-    stateless: bool,
-    mode: DispatchMode,
     batch_size: usize,
     redirect_retries: usize,
     /// Per-worker "declared dead" flags: set by a worker that captured
@@ -409,11 +406,10 @@ struct WorkerShared<NF: NetworkFunction> {
     /// The run's observation hub: what the workers' lanes, the watchdog
     /// (which reads progress from its live slots) and the runner share.
     obs: Arc<ObsHub>,
-    /// The SCR state-update multicast plane, when the phase runs under
-    /// [`DispatchMode::Scr`] with a stateful NF. Workers publish their
+    /// The phase's replication plane: under SCR workers publish their
     /// batch's updates into every live peer's log and replay their own
     /// log before claiming new work.
-    scr: Option<SharedScrPlane<NF::Flow>>,
+    replication: Replication<NF::Flow>,
     /// Workers that have permanently stopped publishing SCR updates
     /// (reached the quiesced exit condition, or died). A worker may only
     /// exit once every peer is counted here *and* its own log is empty —
@@ -476,8 +472,8 @@ struct Worker<'a, NF: NetworkFunction> {
     redirects: Vec<(Desc, usize)>,
     /// Scratch verdict buffer for [`engine::run_nf_batch`].
     sink: VerdictSink,
-    /// This worker's end of the SCR plane, when the phase has one.
-    scr: Option<ScrPort<NF::Flow>>,
+    /// This worker's handle on the phase's replication plane.
+    replica: Replica<NF::Flow>,
     /// True once this worker counted itself into
     /// [`WorkerShared::scr_done`] (exactly once per phase).
     scr_done_marked: bool,
@@ -494,20 +490,6 @@ struct Worker<'a, NF: NetworkFunction> {
     /// Evicted entries whose NF hook this worker has fired — the
     /// running total the live memory pane polls.
     evictions_hooked: u64,
-}
-
-impl<NF: NetworkFunction> Engine for Worker<'_, NF> {
-    fn mode(&self) -> DispatchMode {
-        self.shared.mode
-    }
-
-    fn stateless(&self) -> bool {
-        self.shared.stateless
-    }
-
-    fn designated_core(&self, key: &FlowKey) -> usize {
-        self.shared.coremap.designated_for_key(key)
-    }
 }
 
 /// Watermark of counters (and the wall time) last folded into a
@@ -584,10 +566,8 @@ fn drain_dead_queues<NF: NetworkFunction>(shared: &WorkerShared<NF>, core: usize
         shared.redirects_outstanding.fetch_sub(1, Ordering::SeqCst);
         any = true;
     }
-    if let Some(plane) = shared.scr.as_ref() {
-        // A fenced core's log truncates to accounted drops.
-        any |= plane.truncate(core) > 0;
-    }
+    // A fenced core's log truncates to accounted drops.
+    any |= shared.replication.truncate(core) > 0;
     any
 }
 
@@ -763,10 +743,10 @@ impl ThreadedMiddlebox {
     /// phases of packets and, at the barriers between them, rescales, a
     /// crash or a stall. What the run needs follows from the list:
     ///
-    /// * With a [`Step::Rescale`] the map is [`CoreMap::elastic`] (under
-    ///   Sprayer a scale-up migrates nothing and a scale-down moves only
-    ///   the leavers' flows; under RSS a rescale migrates every flow
-    ///   whose queue changed), else [`CoreMap::new`].
+    /// * With a [`Step::Rescale`] the run is elastic ([`Dispatch::new`]:
+    ///   under Sprayer a scale-up migrates nothing and a scale-down moves
+    ///   only the leavers' flows; under RSS a rescale migrates every flow
+    ///   whose queue changed).
     /// * Only a [`Step::Stall`] spawns the watchdog.
     /// * Telemetry covers the widest width any step asks for; cores
     ///   absent in a given phase simply record nothing during it.
@@ -801,20 +781,22 @@ impl ThreadedMiddlebox {
         assert!(faults <= 1, "at most one Crash or Stall per run");
         assert!(config.num_workers >= 1 && config.batch_size >= 1);
         let nf_config = nf.config();
-        let mut coremap = if elastic {
-            CoreMap::elastic(config.mode, config.num_workers)
-        } else {
-            CoreMap::new(config.mode, config.num_workers)
-        };
+        // No rate cap and no spray subset: wall-clock timing is not
+        // modeled here.
+        let mut dispatch = Dispatch::new(
+            config.mode,
+            nf_config.stateless,
+            None,
+            None,
+            elastic,
+            config.num_workers,
+        );
         let mut tables = SharedTables::with_lifecycle(
-            coremap.clone(),
+            dispatch.map().clone(),
             nf_config.flow_table_capacity,
             config.lifecycle,
         );
-        // No rate cap and no spray subset: wall-clock timing is not
-        // modeled here.
-        let nic_for = |queues: usize| Nic::new(engine::nic_config(config.mode, queues, None, None));
-        let mut nic = nic_for(config.num_workers);
+        let mut nic = dispatch.nic();
         let mut cur_workers = config.num_workers;
         let mut reconfigs: Vec<ReconfigReport> = Vec::new();
         let mut failures: Vec<WorkerFailure> = Vec::new();
@@ -867,15 +849,15 @@ impl ThreadedMiddlebox {
                     // joined).
                     stats.table_occupancy_hwm =
                         stats.table_occupancy_hwm.max(tables.total_entries() as u64);
-                    let new_map = coremap.rescaled(workers);
+                    dispatch.rescale(workers);
                     let (new_tables, migration) =
-                        tables.rescaled(new_map.clone(), &mut |key, state, _from, to| {
+                        tables.rescaled(dispatch.map().clone(), &mut |key, state, _from, to| {
                             nf.freeze_flow(key, state);
                             nf.adopt_flow(key, state, to);
                         });
-                    nic = nic_for(workers);
+                    nic = dispatch.nic();
                     reconfigs.push(ReconfigReport {
-                        epoch: new_map.epoch(),
+                        epoch: dispatch.map().epoch(),
                         mode: config.mode,
                         from_cores: cur_workers,
                         to_cores: workers,
@@ -887,11 +869,10 @@ impl ThreadedMiddlebox {
                         downtime_ns: transition.elapsed().as_nanos() as u64,
                         at_ns,
                     });
-                    coremap = new_map;
                     tables = new_tables;
                     cur_workers = workers;
                     let event = HealthEvent::ReconfigPhase {
-                        epoch: coremap.epoch(),
+                        epoch: dispatch.map().epoch(),
                         phase: "rescale",
                         cores: workers,
                     };
@@ -912,12 +893,10 @@ impl ThreadedMiddlebox {
                     .map(|_| ArrayQueue::new(config.ring_capacity))
                     .collect(),
                 tables: tables.clone(),
-                coremap: coremap.clone(),
+                dispatch: dispatch.clone(),
                 ingress_done: AtomicBool::new(false),
                 rx_remaining: AtomicU64::new(0),
                 redirects_outstanding: AtomicU64::new(0),
-                stateless: nf_config.stateless,
-                mode: config.mode,
                 batch_size: config.batch_size,
                 redirect_retries: config.redirect_retries,
                 dead: (0..cur_workers).map(|_| AtomicBool::new(false)).collect(),
@@ -925,8 +904,7 @@ impl ThreadedMiddlebox {
                 fault: fault_pending.clone(),
                 fault_fired: AtomicBool::new(false),
                 obs: hub.clone(),
-                scr: (config.mode == DispatchMode::Scr && !nf_config.stateless)
-                    .then(|| SharedScrPlane::new(cur_workers, SCR_LOG_CAPACITY)),
+                replication: dispatch.replication(),
                 scr_done: AtomicUsize::new(0),
                 anchor,
                 #[cfg(test)]
@@ -990,22 +968,7 @@ impl ThreadedMiddlebox {
                     failures.extend(h.join().unwrap_or_default());
                 }
             });
-            if let Some(plane) = shared.scr.as_ref() {
-                // Final sweep: a publish that raced a dying peer's own
-                // log truncation can strand updates in a dead core's
-                // log. Discard them as accounted drops so the
-                // conservation identity (`scr_replay_gap() == 0`)
-                // closes; live workers' SCR epilogue already drained
-                // their logs before exiting.
-                for core in 0..cur_workers {
-                    plane.truncate(core);
-                }
-                stats.scr_published += plane.published();
-                stats.scr_applied += plane.applied();
-                stats.scr_log_drops += plane.dropped();
-                stats.scr_log_occupancy_hwm =
-                    stats.scr_log_occupancy_hwm.max(plane.occupancy_hwm());
-            }
+            shared.replication.settle(&mut stats);
             stats.lost_packets += shared.lost.load(Ordering::SeqCst) + ingress.lost;
             stats.queue_drops += ingress.queue_drops;
             let rx_hwm = ingress.rx_hwm;
@@ -1154,7 +1117,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             scratch_meta: Vec::new(),
             redirects: Vec::new(),
             sink: VerdictSink::with_capacity(shared.batch_size),
-            scr: shared.scr.as_ref().map(|plane| plane.port(id)),
+            replica: shared.replication.port(id),
             scr_done_marked: false,
             lifecycle_on: shared.tables.lifecycle_config().enabled(),
             next_sweep_us: {
@@ -1329,9 +1292,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             // service ordering the simulator enforces per dequeue. Here
             // no claimed sequence range is waiting to be pushed, which
             // is what lets the peers' guards forget.
-            if let Some(plane) = self.shared.scr.as_ref() {
-                plane.quiesce(self.id);
-            }
+            self.replica.quiesce();
             let mut did_work = self.scr_replay() > 0;
             // Ring (connection) work first, as in §3.3.
             did_work |= self.drain_ring();
@@ -1357,26 +1318,17 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
                     && self.shared.redirects_outstanding.load(Ordering::SeqCst) == 0
                     && self.shared.rings[self.id].is_empty()
                 {
-                    match self.shared.scr.as_ref() {
-                        None => break,
-                        Some(plane) => {
-                            // SCR epilogue: stop publishing (count
-                            // ourselves done, once), then keep replaying
-                            // until every peer has also stopped and our
-                            // own log is dry. A worker must never exit
-                            // with unapplied updates pending, or the
-                            // phase barrier would leak replica
-                            // divergence into the next phase.
-                            if !self.scr_done_marked {
-                                self.scr_done_marked = true;
-                                self.shared.scr_done.fetch_add(1, Ordering::SeqCst);
-                            }
-                            if self.shared.scr_done.load(Ordering::SeqCst) == self.shared.rx.len()
-                                && plane.pending(self.id) == 0
-                            {
-                                break;
-                            }
-                        }
+                    // SCR epilogue: stop publishing (count ourselves
+                    // done, once), then keep replaying until every peer
+                    // has also stopped and our own log is dry. A worker
+                    // must never exit with unapplied updates pending, or
+                    // the phase barrier would leak replica divergence
+                    // into the next phase.
+                    self.mark_scr_done();
+                    let shared = self.shared;
+                    let all = || shared.scr_done.load(Ordering::SeqCst) == shared.rx.len();
+                    if self.replica.settled(all) {
+                        break;
                     }
                 }
                 std::thread::yield_now();
@@ -1388,33 +1340,29 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             ring_drops: self.ring_drops,
             stats: self.stats,
             failure: self.failure,
-            scr_lag_hist: self
-                .scr
-                .as_mut()
-                .map_or([0; BATCH_HIST_BUCKETS], ScrPort::take_lag_hist),
-            scr_guard_hwm: self.scr.as_ref().map_or(0, |port| port.guard().len_hwm()),
+            scr_lag_hist: self.replica.take_lag_hist(),
+            scr_guard_hwm: self.replica.guard_hwm(),
             table_hwm: self.table_hwm,
         }
     }
 
     /// Replay every pending remote state-update into this core's full
-    /// replica ([`DispatchMode::Scr`]) through its port, under one
+    /// SCR replica through its handle, under one
     /// write-lock acquisition for the whole drain, then forget below
     /// the guard floor ([`crate::scr`], "Guard growth"). Profiled as
     /// classify work (replay is part of admission, exactly where the
     /// simulator charges it), from the floor read on. Returns updates
     /// consumed.
     fn scr_replay(&mut self) -> u64 {
-        let Some(port) = self.scr.as_mut() else {
-            return 0;
-        };
         let (shared, id) = (self.shared, self.id);
         let mut span = None;
         let floor = |plane: &SharedScrPlane<_>| {
             span = shared.obs.cfg.profile.then(|| shared.now_ns());
             plane.floor(id)
         };
-        let applied = port.replay(self.nf, floor, |run| shared.tables.replica(id, run));
+        let applied = self
+            .replica
+            .replay(self.nf, floor, |run| shared.tables.replica(id, run));
         if let Some(c0) = span {
             let c1 = self.now_ns();
             self.prof_span(Stage::Classify, c0, c1);
@@ -1422,25 +1370,31 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
         applied
     }
 
-    /// Extract and multicast the state updates of a completed batch
-    /// ([`DispatchMode::Scr`]) through this core's port, to each peer
-    /// found alive (a dead peer's log is dark, not leaking: the copies
-    /// were never owed to it). A full live peer log is met with
-    /// [`scr_make_room`]. The callers profile it as redirect work — the
-    /// update log is SCR's replacement for redirection.
-    fn scr_publish(&mut self, pkts: &[Packet], conn: &[bool]) {
-        let Some(port) = self.scr.as_mut() else {
-            return;
-        };
-        port.extract(self.nf, pkts, conn, &self.ctx);
-        // The batch's mutation log fed the hook; reset it either way so
-        // the next batch starts clean.
-        self.ctx.clear_batch_log();
+    /// Extract and multicast the SCR state updates of the first `n`
+    /// staged packets (none between batches: a sweep's eviction `Del`s)
+    /// through this core's handle, to each peer found alive (a dead
+    /// peer's log is dark, not leaking: the copies were never owed to
+    /// it). A full live peer log is met with [`scr_make_room`]. The
+    /// callers profile it as redirect work — the update log is SCR's
+    /// replacement for redirection. False when nothing replicates.
+    fn scr_publish(&mut self, n: usize) -> bool {
         let (nf, shared) = (self.nf, self.shared);
-        port.publish(
+        let (pkts, conn) = (&self.scratch_pkts[..n], &self.scratch_conn[..n]);
+        let clear = SharedCtx::clear_batch_log;
+        self.replica.extract(nf, pkts, conn, &mut self.ctx, clear);
+        let sent = self.replica.publish(
             |peer| !shared.dead[peer].load(Ordering::SeqCst),
             |port, peer| scr_make_room(nf, &shared.tables, &shared.dead, port, peer),
         );
+        sent.is_some()
+    }
+
+    /// Count this worker out of the SCR publishers, once per phase.
+    fn mark_scr_done(&mut self) {
+        if !self.scr_done_marked {
+            self.scr_done_marked = true;
+            self.shared.scr_done.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Run the NF's [`NetworkFunction::evict_flow`] hook on every
@@ -1486,9 +1440,8 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             .table_hwm
             .max(self.shared.tables.total_entries() as u64);
         self.ctx.sweep_idle(now_us);
-        if self.shared.scr.is_some() {
-            let r0 = self.prof_start();
-            self.scr_publish(&[], &[]);
+        let r0 = self.prof_start();
+        if self.scr_publish(0) {
             let r1 = self.prof_start();
             self.prof_span(Stage::Redirect, r0, r1);
         }
@@ -1529,13 +1482,10 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
     /// loss and a released shutdown-protocol claim — until the system
     /// has settled.
     fn zombie_drain(&mut self) {
-        if self.shared.scr.is_some() && !self.scr_done_marked {
-            // A dead replica can never replay again: release the
-            // publishers-done claim so live peers' SCR epilogue
-            // terminates, and discard our log as accounted drops below.
-            self.scr_done_marked = true;
-            self.shared.scr_done.fetch_add(1, Ordering::SeqCst);
-        }
+        // A dead replica can never replay again: release the
+        // publishers-done claim so live peers' SCR epilogue terminates,
+        // and discard our log as accounted drops below.
+        self.mark_scr_done();
         loop {
             let any = drain_dead_queues(self.shared, self.id);
             if !any
@@ -1672,16 +1622,11 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             self.shared.lost.fetch_add(unfinished, Ordering::SeqCst);
             self.record_death(panic_message(payload.as_ref()));
         }
-        if completed > 0 && self.shared.scr.is_some() {
-            // Publish the completed prefix. The mutation log may also
-            // carry writes from the packet that was in flight when a
-            // mid-batch panic hit; shipping them keeps peers converged
-            // with whatever this core's table actually holds.
-            let pkts = std::mem::take(&mut self.scratch_pkts);
-            let conn = std::mem::take(&mut self.scratch_conn);
-            self.scr_publish(&pkts[..completed], &conn[..completed]);
-            self.scratch_pkts = pkts;
-            self.scratch_conn = conn;
+        // Publish the completed prefix. The mutation log may also carry
+        // writes from the packet that was in flight when a mid-batch
+        // panic hit; shipping them keeps peers converged with whatever
+        // this core's table actually holds.
+        if completed > 0 && self.scr_publish(completed) {
             let published = self.now_if(timed);
             self.prof_span(Stage::Redirect, t1, published);
             t1 = published;
@@ -1815,7 +1760,7 @@ impl<'a, NF: NetworkFunction> Worker<'a, NF> {
             // designated core is elsewhere are transferred, not
             // processed. Locals are staged straight into the buffer the
             // NF runs on; redirects are set aside.
-            match Engine::redirect_target(self, &desc.class, self.id) {
+            match self.shared.dispatch.redirect_target(&desc.class, self.id) {
                 None => self.stage_local(desc, keep_meta),
                 Some(core) => self.redirects.push((desc, core)),
             }
@@ -1965,7 +1910,10 @@ mod seq_claims {
 mod tests {
     use super::*;
     use crate::api::{FlowStateApi, NfDescriptor};
+    use crate::coremap::CoreMap;
+    use sprayer_net::FlowKey;
     use sprayer_net::{FiveTuple, PacketBuilder, TcpFlags};
+    use sprayer_nic::Nic;
     use sprayer_nic::NicConfig;
     use sprayer_obs::CoreSample;
 

@@ -626,6 +626,14 @@ pub struct LocalCtx<'a, S> {
     core: usize,
 }
 
+impl<S: Clone> LocalCtx<'_, S> {
+    /// Reset this core's per-batch mutation log
+    /// ([`LocalTables::clear_batch_log`]).
+    pub fn clear_batch_log(&mut self) {
+        self.tables.clear_batch_log(self.core);
+    }
+}
+
 impl<S: Clone> FlowStateApi<S> for LocalCtx<'_, S> {
     fn core_id(&self) -> usize {
         self.core

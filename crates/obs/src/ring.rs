@@ -107,8 +107,10 @@ struct Base {
 }
 
 impl Base {
-    /// The base of `events`, if every one of them packs against it.
-    fn of(events: &[TraceEvent]) -> Option<Base> {
+    /// The base of `events`, if every one of them packs against it, and
+    /// whether their `seq`s never fall below `after` or each other.
+    fn of(events: &[TraceEvent], after: u64) -> (Option<Base>, bool) {
+        let (mut prev, mut sorted) = (after, true);
         let mut lo = Base {
             seq: u64::MAX,
             ts: u64::MAX,
@@ -116,6 +118,7 @@ impl Base {
         };
         let (mut hi, mut aux, mut core) = (Base::default(), 0, 0);
         for e in events {
+            (sorted, prev) = (sorted && prev <= e.seq, e.seq);
             (lo.seq, hi.seq) = (lo.seq.min(e.seq), hi.seq.max(e.seq));
             (lo.ts, hi.ts) = (lo.ts.min(e.ts), hi.ts.max(e.ts));
             if e.pkt != TraceEvent::NO_PKT {
@@ -129,7 +132,7 @@ impl Base {
             && hi.pkt.saturating_sub(lo.pkt) < u64::from(NO_PKT)
             && aux <= u64::from(u32::MAX)
             && core <= u16::from(u8::MAX);
-        fits.then_some(lo)
+        (fits.then_some(lo), sorted)
     }
 
     fn pack(&self, e: &TraceEvent) -> Packed {
@@ -206,6 +209,11 @@ impl Spares {
 pub struct TraceEvents {
     sealed: Vec<Chunk>,
     open: Buf<TraceEvent>,
+    /// The last sealed `seq`, and whether a seal's scan found a `seq`
+    /// below the one before it: the seals keep the order, so that
+    /// [`Trace::assemble`] need not read a lone ring twice.
+    sealed_seq: u64,
+    out_of_order: bool,
 }
 
 impl TraceEvents {
@@ -272,7 +280,10 @@ impl TraceEvents {
             self.open = spares.raw();
             return;
         }
-        match Base::of(&self.open.0) {
+        let (base, sorted) = Base::of(&self.open.0, self.sealed_seq);
+        self.out_of_order |= !sorted;
+        self.sealed_seq = self.open.0.last().map_or(0, |e| e.seq);
+        match base {
             Some(base) => {
                 let mut packed = spares.packed();
                 packed.0.extend(self.open.0.iter().map(|e| base.pack(e)));
@@ -284,6 +295,12 @@ impl TraceEvents {
                 self.sealed.push(Chunk::Raw(full));
             }
         }
+    }
+
+    /// True if the events are in `seq` order: what the seals saw, and a
+    /// scan of the open chunk alone.
+    fn in_seq_order(&self) -> bool {
+        !self.out_of_order && Base::of(&self.open.0, self.sealed_seq).1
     }
 
     /// The events in order, by value.
@@ -463,13 +480,14 @@ impl Trace {
     /// (equal `seq`s, which no runtime emits, in ring order).
     ///
     /// A ring a runtime wrote is already in `seq` order (one writer,
-    /// sequence numbers claimed as it writes). When only one ring holds
-    /// events its chunks become the trace's, uncopied. Otherwise this
-    /// is a k-way merge of the rings, linear in the events, that seals
-    /// its output into the storage of the input chunks it has read, so
-    /// each kept event is resident once. A ring found out of order (hand-built,
-    /// deserialized) abandons the merge: what is left is appended and
-    /// the whole is stably sorted through one flat copy.
+    /// sequence numbers claimed as it writes), and its seals have
+    /// recorded so: no event is read again to check. When only one ring
+    /// holds events its chunks become the trace's, uncopied. Otherwise
+    /// this is a k-way merge of the rings, linear in the events, that
+    /// seals its output into the storage of the input chunks it has
+    /// read, so each kept event is resident once. If a ring is out of
+    /// order (hand-built, deserialized), the rings are concatenated and
+    /// stably sorted through one flat copy instead.
     pub fn assemble(meta: TraceMeta, rings: Vec<TraceRing>) -> Trace {
         let dropped = rings.iter().map(|r| r.dropped).sum();
         let mut held: Vec<TraceEvents> = rings
@@ -479,15 +497,16 @@ impl Trace {
             .collect();
         let events = match held.as_slice() {
             [] => TraceEvents::new(),
-            [only] if only.iter().is_sorted_by_key(|e| e.seq) => held.pop().expect("one ring"),
-            _ => {
+            [only] if only.in_seq_order() => held.pop().expect("one ring"),
+            rings if rings.iter().all(TraceEvents::in_seq_order) => {
                 let mut merged = TraceEvents::new();
-                if !merge_sorted(held, &mut merged) {
-                    let mut flat = Vec::from(merged);
-                    flat.sort_by_key(|e| e.seq);
-                    merged = flat.into();
-                }
+                merge_sorted(held, &mut merged);
                 merged
+            }
+            rings => {
+                let mut flat: Vec<TraceEvent> = rings.iter().flat_map(TraceEvents::iter).collect();
+                flat.sort_by_key(|e| e.seq);
+                flat.into()
             }
         };
         Trace {
@@ -520,8 +539,6 @@ struct Cursor {
     /// exhausted), and how far in.
     buf: Buf<TraceEvent>,
     pos: usize,
-    /// `seq` of the last event taken: the ring's own order check.
-    last: u64,
 }
 
 impl Cursor {
@@ -531,7 +548,6 @@ impl Cursor {
             chunks: events.sealed.into_iter(),
             buf: Buf::default(),
             pos: 0,
-            last: 0,
         };
         cursor.refill(spares);
         cursor
@@ -572,12 +588,11 @@ impl Cursor {
     }
 }
 
-/// Merge `rings` into `out` by `(seq, ring index)`, a run at a time:
-/// take from the ring whose head is least for as long as it stays below
-/// the runner-up's head, one copy per run and chunk. Returns false —
-/// every event is then in `out`, in no useful order — if some ring's
-/// events are not in non-decreasing `seq` order.
-fn merge_sorted(rings: Vec<TraceEvents>, out: &mut TraceEvents) -> bool {
+/// Merge `rings`, each in non-decreasing `seq` order, into `out` by
+/// `(seq, ring index)`, a run at a time: take from the ring whose head
+/// is least for as long as it stays below the runner-up's head, one
+/// copy per run and chunk.
+fn merge_sorted(rings: Vec<TraceEvents>, out: &mut TraceEvents) {
     let mut spares = Spares::default();
     let mut cursors: Vec<Cursor> = rings
         .into_iter()
@@ -602,29 +617,13 @@ fn merge_sorted(rings: Vec<TraceEvents>, out: &mut TraceEvents) -> bool {
             }
         }
         let Some((_, i)) = best else {
-            return true;
+            return;
         };
         let c = &mut cursors[i];
-        let (mut run, mut last) = (0, c.last);
-        for e in c.rest().iter().take_while(|e| (e.seq, i) < bound) {
-            if e.seq < last {
-                // Out of order: hand over what is left, unmerged.
-                for c in &mut cursors {
-                    while !c.rest().is_empty() {
-                        out.extend_from_slice(c.rest(), &mut spares);
-                        c.pos = c.buf.0.len();
-                        c.refill(&mut spares);
-                    }
-                }
-                return false;
-            }
-            last = e.seq;
-            run += 1;
-        }
+        let run = c.rest().iter().take_while(|e| (e.seq, i) < bound).count();
         debug_assert!(run > 0, "the least head is below the runner-up");
         out.extend_from_slice(&c.rest()[..run], &mut spares);
         c.pos += run;
-        c.last = last;
         c.refill(&mut spares);
     }
 }
@@ -1039,15 +1038,39 @@ mod tests {
         }
         b.push(ev(7, EventKind::NfDone));
         b.push(ev(8, EventKind::NfDone));
-        let mut all = TraceEvents::new();
-        assert!(!merge_sorted(
-            vec![a.events.clone(), b.events.clone()],
-            &mut all
-        ));
-        assert_eq!(all.len(), 9, "the abandoned merge hands every event over");
+        assert!(!a.events.in_seq_order() && b.events.in_seq_order());
         let t = Trace::assemble(meta(), vec![a, b]);
         let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [0, 1, 3, 4, 5, 6, 7, 8, 9]);
+    }
+
+    /// A lone ring is read once by its seals, not again at assembly:
+    /// whether a `seq` falls back inside a sealed chunk, across a seal,
+    /// or in the open chunk, the trace still comes out sorted.
+    #[test]
+    fn a_lone_ring_out_of_order_anywhere_is_sorted() {
+        let n = 2 * CHUNK as u64 + 5;
+        for swap in [7, CHUNK as u64 - 1, CHUNK as u64, n - 2] {
+            let mut r = TraceRing::new(n as usize);
+            for i in 0..n {
+                let seq = if i == swap || i == swap + 1 {
+                    2 * swap + 1 - i
+                } else {
+                    i
+                };
+                r.push(ev(seq, EventKind::NfDone));
+            }
+            assert!(!r.events.in_seq_order(), "swap at {swap}");
+            let t = Trace::assemble(meta(), vec![r]);
+            assert!(t.events.in_seq_order(), "swap at {swap}");
+            assert!(t.events.iter().map(|e| e.seq).eq(0..n), "swap at {swap}");
+        }
+        let sorted: TraceRing = {
+            let mut r = TraceRing::new(n as usize);
+            (0..n).for_each(|seq| assert!(r.push(ev(seq, EventKind::NfDone))));
+            r
+        };
+        assert!(sorted.events.in_seq_order());
     }
 
     #[test]
